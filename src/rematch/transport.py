@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 __all__ = [
     "InfeasibleProblemError",
@@ -24,10 +23,6 @@ __all__ = [
     "normalize_plan",
     "marginal_violation",
 ]
-
-# Below this regularization strength the plain scaling iteration underflows
-# for O(1) costs, so the same fixed point is computed in the log domain.
-_LOG_DOMAIN_THRESHOLD = 0.05
 
 
 class InfeasibleProblemError(ValueError):
@@ -43,19 +38,15 @@ class SinkhornConfig:
     lam : float
         Entropic regularization strength. Must be positive.
     max_iter : int
-        Iteration cap for the alternating scaling loop.
+        Iteration cap, counting scaling sweeps and Newton steps together.
     tol : float
         Convergence threshold on the worst marginal violation of the
         current plan.
-    kernel_floor : float
-        Floor applied to unmasked kernel entries before divisions in the
-        plain-scaling domain. Masked entries stay exactly zero.
     """
 
     lam: float
     max_iter: int = 1000
     tol: float = 1e-9
-    kernel_floor: float = 1e-300
 
     def __post_init__(self):
         if self.lam <= 0:
@@ -64,8 +55,6 @@ class SinkhornConfig:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
         if self.tol <= 0:
             raise ValueError(f"tol must be positive, got {self.tol}")
-        if self.kernel_floor < 0:
-            raise ValueError("kernel_floor must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -109,8 +98,9 @@ def _as_mask(mask, shape) -> np.ndarray:
     mask = np.asarray(mask)
     if mask.shape != shape:
         raise ValueError(f"mask shape {mask.shape} does not match cost shape {shape}")
-    values = np.unique(mask)
-    if not np.all(np.isin(values, (0, 1))):
+    if mask.dtype == bool:
+        return mask
+    if not np.all((mask == 0) | (mask == 1)):
         raise ValueError("mask must be binary")
     return mask.astype(bool)
 
@@ -142,178 +132,162 @@ def _check_feasible(active: np.ndarray, p: np.ndarray, q: np.ndarray, tol: float
 # (permutation-support optima), so after this many sweeps the remaining
 # equilibration runs as damped Newton on the same marginal equations. The
 # fixed point and the diag(a) K diag(b) output form are unchanged.
-_POLISH_AFTER = 60
+_NEWTON_AFTER = 5
+# A full Newton step can move a scaling exponent by orders of magnitude more
+# than the linearized marginals can be trusted for (the first step after the
+# sweeps often asks for ~1e8 when the partial block is still nearly empty).
+# The line search starts at the step that changes no cell's log-mass by more
+# than this, instead of halving down to it one plan at a time.
+_MAX_LOG_STEP = 64.0
 # Dense Newton systems above this size would dominate runtime; such instances
 # stay on pure scaling sweeps.
 _POLISH_MAX_DIM = 800
 
 
-def _newton_polish(log_kernel, p, q, log_a, log_b, budget, tol):
+def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
+    """``log(sum(exp(x), axis))`` by max shift; all -inf slices give -inf."""
+    peak = x.max(axis=axis, keepdims=True)
+    peak[~np.isfinite(peak)] = 0.0
+    with np.errstate(divide="ignore"):
+        return np.log(np.exp(x - peak).sum(axis=axis)) + peak.squeeze(axis)
+
+
+def _realize(log_kernel, log_a, log_b):
+    return np.exp(log_a[:, None] + log_kernel + log_b[None, :])
+
+
+def _sweep(log_kernel, log_p, log_q, log_b):
+    """One log-domain scaling sweep: fit the rows, then the columns.
+
+    A zero-mass slice with no reachable cell computes -inf - -inf, which
+    ``np.where`` discards.
+    """
+    with np.errstate(invalid="ignore"):
+        log_a = np.where(np.isneginf(log_p), -np.inf,
+                         log_p - _logsumexp(log_kernel + log_b[None, :], axis=1))
+    if not np.all(log_a < np.inf):
+        raise InfeasibleProblemError("scaling collapsed: a-update unbounded")
+    with np.errstate(invalid="ignore"):
+        log_b = np.where(np.isneginf(log_q), -np.inf,
+                         log_q - _logsumexp(log_kernel + log_a[:, None], axis=0))
+    if not np.all(log_b < np.inf):
+        raise InfeasibleProblemError("scaling collapsed: b-update unbounded")
+    return log_a, log_b
+
+
+def _newton_direction(plan, rows, cols, res_r, res_c, damping):
+    """Solve ``(J + damping I) [dx; dy] = -[res_r; res_c]`` for the marginal map.
+
+    ``J = [[diag(rows), plan], [plan.T, diag(cols)]]`` is the Jacobian of the
+    row and column sums with respect to the row and column exponents. Its row
+    block is diagonal, so the rows are eliminated and only the Schur
+    complement on the columns is factorized.
+    """
+    inv_r = 1.0 / (rows + damping)
+    schur = -(plan.T * inv_r) @ plan
+    schur[np.diag_indices_from(schur)] += cols + damping
+    dy = np.linalg.solve(schur, plan.T @ (inv_r * res_r) - res_c)
+    dx = -inv_r * (res_r + plan @ dy)
+    return dx, dy
+
+
+def _newton(log_kernel, p, q, log_a, log_b, plan, err, budget, tol):
     """Equilibrate marginals of exp(log_a + log_kernel + log_b) by Newton steps.
 
     Works on the scaling exponents directly; zero-mass rows/columns are
-    frozen at -inf. Returns updated exponents, iterations spent, and whether
-    the tolerance was reached.
+    frozen at -inf. Each step is a backtracking line search on the worst
+    marginal violation. Returns the exponents, their plan and its violation,
+    and the steps spent.
     """
-    m, n = log_kernel.shape
-    free_r = p > 0
-    free_c = q > 0
-    idx_r = np.flatnonzero(free_r)
-    idx_c = np.flatnonzero(free_c)
-    k = idx_r.size + idx_c.size
+    idx_r = np.flatnonzero(p > 0)
+    idx_c = np.flatnonzero(q > 0)
+    free = np.ix_(idx_r, idx_c)
     spent = 0
-    converged = False
-    while spent < budget:
+    while spent < budget and err > tol:
         spent += 1
-        plan = np.exp(log_a[:, None] + log_kernel + log_b[None, :])
         rows = plan.sum(axis=1)
         cols = plan.sum(axis=0)
-        err = max(np.abs(rows - p).max(), np.abs(cols - q).max())
-        if err <= tol:
-            converged = True
-            break
-        residual = np.concatenate([rows[idx_r] - p[idx_r], cols[idx_c] - q[idx_c]])
-        jac = np.zeros((k, k))
-        nr = idx_r.size
-        jac[:nr, :nr] = np.diag(rows[idx_r])
-        jac[:nr, nr:] = plan[np.ix_(idx_r, idx_c)]
-        jac[nr:, :nr] = plan[np.ix_(idx_r, idx_c)].T
-        jac[nr:, nr:] = np.diag(cols[idx_c])
         damping = 1e-12 * max(rows.max(), cols.max(), 1e-30)
         try:
-            delta = np.linalg.solve(jac + damping * np.eye(k), -residual)
+            dx, dy = _newton_direction(plan[free], rows[idx_r], cols[idx_c],
+                                       rows[idx_r] - p[idx_r], cols[idx_c] - q[idx_c],
+                                       damping)
         except np.linalg.LinAlgError:
             break
-        step = 1.0
-        improved = False
+        # the largest |dx_i + dy_j|; the gauge shift dx + c, dy - c drops out
+        span = max(dx.max() + dy.max(), -(dx.min() + dy.min()))
+        step = min(1.0, _MAX_LOG_STEP / span) if span > 0 else 1.0
         for _ in range(60):
             cand_a = log_a.copy()
             cand_b = log_b.copy()
-            cand_a[idx_r] += step * delta[:nr]
-            cand_b[idx_c] += step * delta[nr:]
+            cand_a[idx_r] += step * dx
+            cand_b[idx_c] += step * dy
             with np.errstate(over="ignore"):
-                cand_plan = np.exp(cand_a[:, None] + log_kernel + cand_b[None, :])
+                cand_plan = _realize(log_kernel, cand_a, cand_b)
                 cand_err = (marginal_violation(cand_plan, p, q)
                             if np.all(np.isfinite(cand_plan)) else np.inf)
-            if np.isfinite(cand_err) and cand_err < err:
-                log_a, log_b = cand_a, cand_b
-                improved = True
+            if cand_err < err:
+                log_a, log_b, plan, err = cand_a, cand_b, cand_plan, cand_err
                 break
             step *= 0.5
-        if not improved:
+        else:  # the line search found no improving step
             break
-    return log_a, log_b, spent, converged
+    return log_a, log_b, plan, err, spent
 
 
-def _finish(log_kernel, p, q, log_a, log_b, iterations, converged, cfg):
-    """Optionally polish a stalled run, then realize the plan.
+def _solve(cost, p, q, mask, cfg: SinkhornConfig):
+    """Log-domain sweeps, then Newton, then sweeps again if Newton stalls.
 
-    If the polish itself stalls (line-search failure), the remaining budget
-    is spent on further log-domain scaling sweeps so the iteration cap is
-    honored either way.
+    Inputs are validated by the caller. Every sweep and Newton step counts
+    toward ``cfg.max_iter`` and is followed by a convergence check.
     """
-    small = sum(log_kernel.shape) <= _POLISH_MAX_DIM
-    if not converged and iterations < cfg.max_iter and small:
-        log_a, log_b, spent, converged = _newton_polish(
-            log_kernel, p, q, log_a, log_b, cfg.max_iter - iterations, cfg.tol
-        )
-        iterations += spent
-    if not converged and iterations < cfg.max_iter:
-        with np.errstate(divide="ignore"):
-            log_p = np.log(p)
-            log_q = np.log(q)
-        zero_p = np.isneginf(log_p)
-        zero_q = np.isneginf(log_q)
-        while iterations < cfg.max_iter:
-            iterations += 1
-            row_lse = logsumexp(log_kernel + log_b[None, :], axis=1)
-            log_a = np.where(zero_p, -np.inf, log_p - row_lse)
-            col_lse = logsumexp(log_kernel + log_a[:, None], axis=0)
-            log_b = np.where(zero_q, -np.inf, log_q - col_lse)
-            plan = np.exp(log_a[:, None] + log_kernel + log_b[None, :])
-            if marginal_violation(plan, p, q) <= cfg.tol:
-                converged = True
-                break
-    plan = np.exp(log_a[:, None] + log_kernel + log_b[None, :])
-    return plan, converged, iterations
-
-
-def _sinkhorn_plain(cost, p, q, mask, cfg: SinkhornConfig):
-    """Multiplicative scaling; used when the kernel cannot underflow."""
-    kernel = np.where(mask, np.exp(-cost / cfg.lam), 0.0)
-    kernel = np.where(mask, np.maximum(kernel, cfg.kernel_floor), 0.0)
-    _check_feasible(kernel > cfg.kernel_floor, p, q, cfg.tol)
-
-    pos_p = p > 0
-    pos_q = q > 0
-    a = np.zeros(p.shape[0])
-    b = np.ones(q.shape[0])
-    iterations = 0
-    converged = False
-    sweeps = min(cfg.max_iter, _POLISH_AFTER if sum(cost.shape) <= _POLISH_MAX_DIM
-                 else cfg.max_iter)
-    for iterations in range(1, sweeps + 1):
-        kb = kernel @ b
-        if np.any(pos_p & (kb <= 0)):
-            raise InfeasibleProblemError("scaling collapsed: a-update divides by zero")
-        a = np.divide(p, kb, out=np.zeros_like(p), where=pos_p)
-        ka = kernel.T @ a
-        if np.any(pos_q & (ka <= 0)):
-            raise InfeasibleProblemError("scaling collapsed: b-update divides by zero")
-        b = np.divide(q, ka, out=np.zeros_like(q), where=pos_q)
-        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-            raise InfeasibleProblemError("scaling diverged to non-finite values")
-        plan = a[:, None] * kernel * b[None, :]
-        if marginal_violation(plan, p, q) <= cfg.tol:
-            converged = True
-            break
-    with np.errstate(divide="ignore"):
-        log_kernel = np.log(kernel)
-        log_a = np.log(a)
-        log_b = np.log(b)
-    return _finish(log_kernel, p, q, log_a, log_b, iterations, converged, cfg)
-
-
-def _sinkhorn_log(cost, p, q, mask, cfg: SinkhornConfig):
-    """Log-domain scaling; preserves the plain fixed point for small lam."""
     log_kernel = np.where(mask, -cost / cfg.lam, -np.inf)
-    _check_feasible(np.isfinite(log_kernel), p, q, cfg.tol)
-
+    _check_feasible(mask, p, q, cfg.tol)
     with np.errstate(divide="ignore"):
         log_p = np.log(p)
         log_q = np.log(q)
-    zero_p = np.isneginf(log_p)
-    zero_q = np.isneginf(log_q)
-    log_a = np.where(zero_p, -np.inf, 0.0)
-    log_b = np.where(zero_q, -np.inf, 0.0)
-    iterations = 0
-    converged = False
-    sweeps = min(cfg.max_iter, _POLISH_AFTER if sum(cost.shape) <= _POLISH_MAX_DIM
-                 else cfg.max_iter)
-    for iterations in range(1, sweeps + 1):
-        row_lse = logsumexp(log_kernel + log_b[None, :], axis=1)
-        log_a = np.where(zero_p, -np.inf, log_p - row_lse)
-        if np.any(np.isposinf(log_a) | np.isnan(log_a)):
-            raise InfeasibleProblemError("scaling collapsed: a-update unbounded")
-        col_lse = logsumexp(log_kernel + log_a[:, None], axis=0)
-        log_b = np.where(zero_q, -np.inf, log_q - col_lse)
-        if np.any(np.isposinf(log_b) | np.isnan(log_b)):
-            raise InfeasibleProblemError("scaling collapsed: b-update unbounded")
-        plan = np.exp(log_a[:, None] + log_kernel + log_b[None, :])
-        if marginal_violation(plan, p, q) <= cfg.tol:
-            converged = True
-            break
-    return _finish(log_kernel, p, q, log_a, log_b, iterations, converged, cfg)
+    log_b = np.where(np.isneginf(log_q), -np.inf, 0.0)
+    log_a, plan, err, iterations = None, None, np.inf, 0
+
+    def sweep_until(stop):
+        nonlocal log_a, log_b, plan, err, iterations
+        while iterations < stop and err > cfg.tol:
+            iterations += 1
+            log_a, log_b = _sweep(log_kernel, log_p, log_q, log_b)
+            plan = _realize(log_kernel, log_a, log_b)
+            err = marginal_violation(plan, p, q)
+
+    newton = sum(cost.shape) <= _POLISH_MAX_DIM
+    sweep_until(min(cfg.max_iter, _NEWTON_AFTER) if newton else cfg.max_iter)
+    if newton:
+        log_a, log_b, plan, err, spent = _newton(
+            log_kernel, p, q, log_a, log_b, plan, err, cfg.max_iter - iterations, cfg.tol)
+        iterations += spent
+    sweep_until(cfg.max_iter)
+    return plan, err <= cfg.tol, iterations
+
+
+def _validate(cost, p, q, mask):
+    cost = _as_cost(cost)
+    p = _as_measure(p, "p")
+    q = _as_measure(q, "q")
+    m, n = cost.shape
+    if p.shape[0] != m or q.shape[0] != n:
+        raise ValueError(
+            f"dimension mismatch: cost is {m}x{n}, p has {p.shape[0]}, q has {q.shape[0]}"
+        )
+    return cost, p, q, _as_mask(mask, cost.shape)
 
 
 def sinkhorn(cost, p, q, mask=None, cfg: SinkhornConfig | None = None) -> TransportPlan:
     """Solve the entropy-regularized, optionally masked, balanced problem.
 
-    Alternating row/column scaling of the masked Gibbs kernel
-    ``K = mask * exp(-cost / lam)``. The returned plan is
-    ``diag(a) K diag(b)``; masked cells are exactly zero. Iteration stops at
-    the first of convergence (worst marginal violation <= ``cfg.tol``) or
-    ``cfg.max_iter``.
+    Scales the masked Gibbs kernel ``K = mask * exp(-cost / lam)`` to the
+    marginals: a few log-domain row/column sweeps, then damped Newton on the
+    scaling exponents, and further sweeps should Newton stall. The returned
+    plan is ``diag(a) K diag(b)``; masked cells are exactly zero. Iteration
+    stops at the first of convergence (worst marginal violation <=
+    ``cfg.tol``) or ``cfg.max_iter``.
 
     Parameters
     ----------
@@ -339,25 +313,12 @@ def sinkhorn(cost, p, q, mask=None, cfg: SinkhornConfig | None = None) -> Transp
     """
     if cfg is None:
         raise ValueError("cfg is required")
-    cost = _as_cost(cost)
-    p = _as_measure(p, "p")
-    q = _as_measure(q, "q")
-    m, n = cost.shape
-    if p.shape[0] != m or q.shape[0] != n:
-        raise ValueError(
-            f"dimension mismatch: cost is {m}x{n}, p has {p.shape[0]}, q has {q.shape[0]}"
-        )
-    mask = _as_mask(mask, cost.shape)
+    cost, p, q, mask = _validate(cost, p, q, mask)
     if abs(p.sum() - q.sum()) > max(cfg.tol, 1e-12 * p.sum()):
         raise ValueError(
             f"mass imbalance: sum(p)={p.sum():.17g} vs sum(q)={q.sum():.17g}"
         )
-
-    if cfg.lam < _LOG_DOMAIN_THRESHOLD:
-        plan, converged, iterations = _sinkhorn_log(cost, p, q, mask, cfg)
-    else:
-        plan, converged, iterations = _sinkhorn_plain(cost, p, q, mask, cfg)
-    plan = np.where(mask, plan, 0.0)
+    plan, converged, iterations = _solve(cost, p, q, mask, cfg)
     return TransportPlan(plan=plan, converged=converged, iterations=iterations)
 
 
@@ -387,14 +348,12 @@ def extend_partial(cost, p, q, mask=None, rho: float = 0.0, xi: float | None = N
     (cost_ext, p_ext, q_ext, mask_ext)
         Arrays of shape (m+1, n+1), (m+1,), (n+1,), (m+1, n+1).
     """
-    cost = _as_cost(cost)
-    p = _as_measure(p, "p")
-    q = _as_measure(q, "q")
-    m, n = cost.shape
-    if p.shape[0] != m or q.shape[0] != n:
-        raise ValueError("dimension mismatch between cost and measures")
-    mask = _as_mask(mask, cost.shape)
+    return _extend(*_validate(cost, p, q, mask), rho, xi, a_big)
 
+
+def _extend(cost, p, q, mask, rho, xi=None, a_big=None):
+    """:func:`extend_partial` on validated arrays."""
+    m, n = cost.shape
     mass_p = p.sum()
     mass_q = q.sum()
     budget = min(mass_p, mass_q)
@@ -433,18 +392,12 @@ def partial_ot(cost, p, q, mask=None, rho: float = 0.0,
     column sums never exceed ``q``; the block total is ``rho`` up to solver
     tolerance.
     """
-    cost = _as_cost(cost)
-    p = _as_measure(p, "p")
-    q = _as_measure(q, "q")
-    mask = _as_mask(mask, cost.shape)
+    cost, p, q, mask = _validate(cost, p, q, mask)
     if rho == 0:
         return TransportPlan(plan=np.zeros(cost.shape), converged=True, iterations=0)
-    cost_ext, p_ext, q_ext, mask_ext = extend_partial(cost, p, q, mask, rho)
-    solved = sinkhorn(cost_ext, p_ext, q_ext, mask_ext, cfg)
+    solved = sinkhorn(*_extend(cost, p, q, mask, rho), cfg)
     m, n = cost.shape
-    block = np.where(mask_ext, solved.plan, 0.0)[:m, :n]
-    block = np.where(mask, block, 0.0)
-    return TransportPlan(plan=block, converged=solved.converged,
+    return TransportPlan(plan=solved.plan[:m, :n].copy(), converged=solved.converged,
                          iterations=solved.iterations)
 
 

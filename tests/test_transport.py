@@ -3,11 +3,14 @@ plan normalization."""
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings, strategies as st
 
 from rematch.transport import (
     InfeasibleProblemError,
     SinkhornConfig,
+    _logsumexp,
+    _newton_direction,
     extend_partial,
     marginal_violation,
     normalize_plan,
@@ -15,6 +18,7 @@ from rematch.transport import (
     sinkhorn,
 )
 from rematch.flow_oracle import exact_ot_oracle
+import rematch.transport as transport
 
 
 def uniform(n):
@@ -134,6 +138,153 @@ class TestSinkhorn:
             assert later <= earlier + 1e-10
         for earlier, later in zip(entropies, entropies[1:]):
             assert later <= earlier + 1e-10
+
+
+def multiplicative_sinkhorn(cost, p, q, mask, lam, tol):
+    """Textbook alternating scaling of ``mask * exp(-cost / lam)``."""
+    kernel = np.where(mask, np.exp(-cost / lam), 0.0)
+    b = np.ones(q.shape[0])
+    for _ in range(100000):
+        a = p / (kernel @ b)
+        b = q / (kernel.T @ a)
+        plan = a[:, None] * kernel * b[None, :]
+        if marginal_violation(plan, p, q) <= tol:
+            return plan
+    raise AssertionError("reference scaling did not converge")
+
+
+class TestScalingRegime:
+    """lam >= 0.05, where the kernel cannot underflow for O(1) costs."""
+
+    @pytest.mark.parametrize("lam", [0.05, 0.1, 0.3])
+    def test_plans_match_multiplicative_scaling(self, lam):
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            m, n = int(rng.integers(3, 9)), int(rng.integers(3, 9))
+            cost = rng.uniform(0, 1, (m, n))
+            mask = (rng.uniform(size=(m, n)) > 0.3).astype(int)
+            mask[np.arange(m), np.arange(m) % n] = 1  # every row keeps a cell
+            mask[np.arange(n) % m, np.arange(n)] = 1  # every column too
+            p = rng.uniform(0.1, 1, m)
+            q = rng.uniform(0.1, 1, n)
+            q *= p.sum() / q.sum()
+            cfg = SinkhornConfig(lam=lam, max_iter=20000, tol=1e-12)
+            res = sinkhorn(cost, p, q, mask, cfg)
+            assert res.converged
+            assert marginal_violation(res.plan, p, q) <= cfg.tol
+            assert np.all(res.plan[mask == 0] == 0.0)
+            reference = multiplicative_sinkhorn(cost, p, q, mask, lam, 1e-13)
+            np.testing.assert_allclose(res.plan, reference, rtol=0, atol=1e-8)
+
+    @pytest.mark.parametrize("lam", [0.05, 0.1, 0.3])
+    def test_extended_partial_plans_hold_marginals(self, lam):
+        # at this regularization the entropic optimum leaves some of the
+        # budget on the virtual corner, so the check is on the marginals of
+        # the extended problem rather than on the block total
+        rng = np.random.default_rng(int(lam * 100))
+        n = 12
+        cost = rng.uniform(0, 1, (n, n))
+        mask = 1 - np.eye(n, dtype=int)
+        cfg = SinkhornConfig(lam=lam, max_iter=20000, tol=1e-10)
+        cost_ext, p_ext, q_ext, mask_ext = extend_partial(
+            cost, uniform(n), uniform(n), mask, rho=0.3)
+        res = sinkhorn(cost_ext, p_ext, q_ext, mask_ext, cfg)
+        assert res.converged
+        assert marginal_violation(res.plan, p_ext, q_ext) <= cfg.tol
+        block = partial_ot(cost, uniform(n), uniform(n), mask, rho=0.3, cfg=cfg).plan
+        np.testing.assert_array_equal(block, res.plan[:n, :n])
+        assert np.all(block[mask == 0] == 0.0)
+
+
+class TestSolverInternals:
+    def test_training_shaped_solve_converges_in_few_iterations(self):
+        # the rematching solve of one batch: 128 pairs, own pairs closed
+        rng = np.random.default_rng(0)
+        n, rho = 128, 0.1
+        cost = rng.uniform(0.5, 1.5, (n, n))
+        mask = 1 - np.eye(n, dtype=int)
+        cfg = SinkhornConfig(lam=0.01, max_iter=3000, tol=1e-6)
+        res = partial_ot(cost, uniform(n), uniform(n), mask, rho=rho, cfg=cfg)
+        assert res.converged
+        assert res.iterations <= 30
+        assert abs(res.plan.sum() - rho) < 1e-4
+        assert np.all(res.plan.sum(axis=1) <= uniform(n) + cfg.tol)
+        assert np.all(res.plan.sum(axis=0) <= uniform(n) + cfg.tol)
+        assert np.all(res.plan[mask == 0] == 0.0)
+
+    def test_training_shaped_solve_needs_few_line_search_retries(self, monkeypatch):
+        # every sweep and Newton step realizes one plan; each rejected
+        # line-search trial realizes another
+        realized = []
+        realize = transport._realize
+        monkeypatch.setattr(transport, "_realize",
+                            lambda *args: realized.append(1) or realize(*args))
+        rng = np.random.default_rng(0)
+        n = 128
+        res = partial_ot(rng.uniform(0.5, 1.5, (n, n)), uniform(n), uniform(n),
+                         1 - np.eye(n, dtype=int), rho=0.1,
+                         cfg=SinkhornConfig(lam=0.01, max_iter=3000, tol=1e-6))
+        assert res.converged
+        assert len(realized) <= res.iterations + 10
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_schur_direction_matches_dense_jacobian(self, seed):
+        rng = np.random.default_rng(seed)
+        m, n = int(rng.integers(2, 9)), int(rng.integers(2, 9))
+        # a masked, partly empty plan whose free rows and columns carry mass
+        cost = rng.uniform(0, 1, (m, n))
+        mask = rng.uniform(size=(m, n)) > 0.3
+        mask[:, 0] = mask[0, :] = True
+        log_a = rng.normal(size=m)
+        log_b = rng.normal(size=n)
+        log_a[rng.uniform(size=m) < 0.2] = -np.inf
+        log_b[rng.uniform(size=n) < 0.2] = -np.inf
+        log_a[0] = log_b[0] = 0.0
+        plan = np.exp(log_a[:, None] + np.where(mask, -cost / 0.1, -np.inf)
+                      + log_b[None, :])
+        p = plan.sum(axis=1) * rng.uniform(0.8, 1.2, m) * np.isfinite(log_a)
+        q = plan.sum(axis=0) * rng.uniform(0.8, 1.2, n) * np.isfinite(log_b)
+        q *= p.sum() / q.sum()
+        free_r = np.flatnonzero(p > 0)
+        free_c = np.flatnonzero(q > 0)
+        block = plan[np.ix_(free_r, free_c)]
+        rows, cols = plan.sum(axis=1)[free_r], plan.sum(axis=0)[free_c]
+        res_r, res_c = rows - p[free_r], cols - q[free_c]
+        damping = 1e-12 * max(rows.max(), cols.max())
+
+        k, nr = free_r.size + free_c.size, free_r.size
+        jac = np.zeros((k, k))
+        jac[:nr, :nr] = np.diag(rows)
+        jac[:nr, nr:] = block
+        jac[nr:, :nr] = block.T
+        jac[nr:, nr:] = np.diag(cols)
+        dense = np.linalg.solve(jac + damping * np.eye(k),
+                                -np.concatenate([res_r, res_c]))
+        dx, dy = _newton_direction(block, rows, cols, res_r, res_c, damping)
+        schur = np.concatenate([dx, dy])
+
+        # Shifting every row exponent up and every column exponent down by
+        # the same amount leaves the plan unchanged, and the damped system is
+        # ill-conditioned only along that direction: compare the component
+        # the plan sees, and the change of every cell's log-mass.
+        gauge = np.concatenate([np.ones(nr), -np.ones(free_c.size)]) / np.sqrt(k)
+        np.testing.assert_allclose(schur - (schur @ gauge) * gauge,
+                                   dense - (dense @ gauge) * gauge, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(dx[:, None] + dy[None, :],
+                                   dense[:nr, None] + dense[None, nr:], rtol=0, atol=1e-10)
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_logsumexp_matches_scipy(self, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(scale=50.0, size=(int(rng.integers(1, 7)), int(rng.integers(1, 7))))
+        x[rng.uniform(size=x.shape) < 0.3] = -np.inf
+        x[0, :] = -np.inf  # one slice all -inf along axis 1
+        x[:, 0] = -np.inf  # and one along axis 0
+        for axis in (0, 1):
+            np.testing.assert_allclose(_logsumexp(x, axis),
+                                       scipy.special.logsumexp(x, axis=axis),
+                                       rtol=1e-14, atol=0)
 
 
 class TestExtendPartial:
