@@ -20,12 +20,8 @@ from .data import (
 from .encoder import EncoderParams, init_params, sgd_step, similarity, similarity_backward
 from .flow_oracle import exact_ot_oracle
 from .losses import (
-    LossConfig,
-    final_loss,
     infonce_loss,
-    label_smooth,
     matching_probs,
-    ot_supervision_loss,
     rce_loss,
     rematch_loss,
     triplet_loss,
@@ -50,7 +46,6 @@ __all__ = [
     "CostNetParams",
     "EncoderParams",
     "InfeasibleProblemError",
-    "LossConfig",
     "PairDataset",
     "RunState",
     "SinkhornConfig",
@@ -62,20 +57,17 @@ __all__ = [
     "cost_net_step",
     "exact_ot_oracle",
     "extend_partial",
-    "final_loss",
     "fit_bmm",
     "generate",
     "identification_score",
     "infonce_loss",
     "init_params",
-    "label_smooth",
     "load_dataset",
     "load_state",
     "make_benchmark",
     "matching_probs",
     "mismatch_probabilities",
     "normalize_plan",
-    "ot_supervision_loss",
     "partial_ot",
     "partition",
     "posterior",

@@ -110,8 +110,6 @@ def _add_train_flags(parser: argparse.ArgumentParser) -> None:
                         help="mass budget moved by the partial transport solve")
     parser.add_argument("--lambda", dest="lam", type=float, default=defaults.lam,
                         help="entropic regularization of the transport solve")
-    parser.add_argument("--gamma", type=float, default=defaults.gamma,
-                        help="label-smoothing weight (analysis utilities only)")
     parser.add_argument("--reserve-ratio", type=float, default=defaults.reserve_ratio,
                         help="kept-match fraction when rebuilding supervision batches")
     parser.add_argument("--threshold", type=float, default=defaults.threshold,
@@ -146,7 +144,7 @@ def _config_from_args(args, overrides=None) -> TrainConfig:
         warmup_epochs=args.warmup_epochs, train_epochs=args.train_epochs,
         lr_decay_epoch=args.lr_decay_epoch, batch_size=args.batch_size,
         alpha=args.alpha, tau=args.tau, eps=args.eps, rho=args.rho,
-        lam=args.lam, gamma=args.gamma, reserve_ratio=args.reserve_ratio,
+        lam=args.lam, reserve_ratio=args.reserve_ratio,
         threshold=args.threshold, lr_model=args.lr_model, lr_cost=args.lr_cost,
         seed=args.seed, embed_dim=args.embed_dim, rce_weight=args.rce_weight,
         mode=args.mode, optimizer=args.optimizer, em_iters=args.em_iters,
@@ -319,7 +317,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, FileNotFoundError, FloatingPointError) as exc:
         _note(f"error: {exc}")
         return 1
 

@@ -8,12 +8,9 @@ image; the column direction reads images for a given caption.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "LossConfig",
     "matching_probs",
     "triplet_loss",
     "per_pair_triplet_losses",
@@ -21,34 +18,10 @@ __all__ = [
     "infonce_loss",
     "rce_loss",
     "warmup_loss",
-    "ot_supervision_loss",
-    "sym_kl",
     "rematch_loss",
-    "final_loss",
-    "label_smooth",
 ]
 
 _KL_FLOOR = 1e-12
-
-
-@dataclass(frozen=True)
-class LossConfig:
-    """Shared loss hyperparameters."""
-
-    alpha: float = 0.2      # triplet margin
-    tau: float = 0.05       # softmax temperature
-    eps: float = 1e-7       # label bound for the reversed cross-entropy
-    gamma: float = 0.1      # smoothing weight for label_smooth
-
-    def __post_init__(self):
-        if self.alpha < 0:
-            raise ValueError("alpha must be nonnegative")
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
-        if not 0 < self.eps < 0.5:
-            raise ValueError("eps must lie in (0, 0.5)")
-        if not 0 <= self.gamma <= 1:
-            raise ValueError("gamma must lie in [0, 1]")
 
 
 def _as_square(s) -> np.ndarray:
@@ -199,31 +172,9 @@ def warmup_loss(s, tau: float, eps: float = 1e-7, rce_weight: float = 1.0):
     return v1 + rce_weight * v2, g1 + rce_weight * g2
 
 
-def ot_supervision_loss(pi_sup, cost):
-    """Total transport cost charged at the supervised matching cells."""
-    pi_sup = np.asarray(pi_sup, dtype=np.float64)
-    cost = np.asarray(cost, dtype=np.float64)
-    if pi_sup.shape != cost.shape:
-        raise ValueError(f"shape mismatch: {pi_sup.shape} vs {cost.shape}")
-    return float((pi_sup * cost).sum()), pi_sup.copy()
-
-
 def _floor_distribution(dist: np.ndarray) -> np.ndarray:
     floored = np.maximum(dist, _KL_FLOOR)
     return floored / floored.sum(axis=-1, keepdims=True)
-
-
-def sym_kl(u, v, floor: float = _KL_FLOOR) -> float:
-    """Symmetrized Kullback-Leibler divergence of two floored distributions."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    u = np.maximum(u, floor)
-    u = u / u.sum()
-    v = np.maximum(v, floor)
-    v = v / v.sum()
-    forward = float((u * np.log(u / v)).sum())
-    backward = float((v * np.log(v / u)).sum())
-    return 0.5 * (forward + backward)
 
 
 def _kl_direction_terms(refined: np.ndarray, probs: np.ndarray, variant: str):
@@ -280,31 +231,3 @@ def rematch_loss(refined_v2t, refined_t2v, s, tau: float, variant: str = "sym_kl
             + _rows_backward(p_t2v.T, d_cols, tau).T) / n
     return value, grad
 
-
-def final_loss(s_matched, s_mismatched, refined_v2t, refined_t2v,
-               cfg: LossConfig, variant: str = "sym_kl") -> float:
-    """Training objective: triplet sum on the matched batch plus the
-    rematching term on the mismatched batch.
-
-    Either batch may be ``None``; the corresponding term contributes zero.
-    """
-    value = 0.0
-    if s_matched is not None and np.asarray(s_matched).shape[0] >= 2:
-        value += triplet_loss_batch(s_matched, cfg.alpha)[0]
-    if s_mismatched is not None:
-        value += rematch_loss(refined_v2t, refined_t2v, s_mismatched,
-                              cfg.tau, variant)[0]
-    return value
-
-
-def label_smooth(y, gamma: float) -> np.ndarray:
-    """Blend a one-hot vector with the uniform distribution over the rest."""
-    y = np.asarray(y, dtype=np.float64)
-    if y.ndim != 1 or y.size < 2:
-        raise ValueError("y must be a one-hot vector of length >= 2")
-    if not np.isclose(y.sum(), 1.0) or not np.all((y == 0) | (y == 1)):
-        raise ValueError("y must be one-hot")
-    if not 0 <= gamma <= 1:
-        raise ValueError("gamma must lie in [0, 1]")
-    n = y.size
-    return (1.0 - gamma) * y + gamma / (n - 1) * (1.0 - y)

@@ -7,7 +7,7 @@ batches, rematch a mismatched batch through masked partial transport, and
 update the encoders on the combined objective, (c) track validation recall
 and keep the best checkpoint.
 
-Three modes share the machinery:
+Three modes run the same epoch engine, one row each in ``_MODES``:
 
 * ``rematch`` - the full loop above;
 * ``naive``   - plain triplet training on all data, no identification;
@@ -21,7 +21,8 @@ import json
 import os
 import tempfile
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,12 +39,24 @@ from .mixture import BetaMixture, fit_bmm, mismatch_probabilities, partition
 from .transport import SinkhornConfig, normalize_plan, partial_ot
 
 __all__ = ["TrainConfig", "RunState", "init_state", "warmup", "per_sample_losses",
-           "train_epoch", "train_naive_epoch", "evaluate", "run_experiment",
+           "train_epoch", "evaluate", "run_experiment",
            "save_state", "load_state", "random_ranking_rsum"]
 
-_STATE_VERSION = 1
+_STATE_VERSION = 2
 
-MODES = ("rematch", "naive", "discard")
+
+class _Mode(NamedTuple):
+    warmup: bool    # the first warmup_epochs train the warm-up objective
+    identify: bool  # split rows by mismatch posterior, train on the matched ones
+    rematch: bool   # sampled steps: cost-map update plus the rematch term
+
+
+_MODES = {
+    "rematch": _Mode(warmup=True, identify=True, rematch=True),
+    "naive": _Mode(warmup=False, identify=False, rematch=False),
+    "discard": _Mode(warmup=True, identify=True, rematch=False),
+}
+MODES = tuple(_MODES)
 COST_MODES = ("learned", "cosine")
 REMATCH_VARIANTS = ("sym_kl", "kl", "ce")
 OPTIMIZERS = ("sgd", "adam")
@@ -66,7 +79,6 @@ class TrainConfig:
     eps: float = 1e-7             # label bound in the reversed cross-entropy
     rho: float = 0.1              # transported mass budget
     lam: float = 0.01             # entropic regularization of the transport solve
-    gamma: float = 0.1            # label-smoothing weight (analysis only)
     reserve_ratio: float = 0.5    # kept-match fraction in rebuilt batches
     threshold: float = 0.5        # mismatch posterior split point
     lr_model: float = 2e-4
@@ -201,30 +213,32 @@ def _batches(indices: np.ndarray, batch_size: int, rng) -> list:
     return chunks
 
 
+def _grads(state: RunState, ds: PairDataset, batch: np.ndarray, loss_fn):
+    """Loss of one batch and its gradients w.r.t. both projections."""
+    s, cache = enc.similarity(state.params, ds.v_feats[batch], ds.t_feats[batch])
+    value, grad_s = loss_fn(s)
+    return value, enc.similarity_backward(cache, grad_s)
+
+
+def _fit(state: RunState, ds: PairDataset, cfg: TrainConfig,
+         indices: np.ndarray, loss_fn, lr: float) -> float:
+    """One shuffled pass over ``indices``, one step per batch; the mean loss."""
+    total, count = 0.0, 0
+    for batch in _batches(indices, cfg.batch_size, state.rng):
+        if batch.size < 2:
+            continue
+        value, grads = _grads(state, ds, batch, loss_fn)
+        _apply_update(state, cfg, *grads, lr=lr)
+        total += value
+        count += 1
+    return total / max(count, 1)
+
+
 def warmup(state: RunState, ds: PairDataset, cfg: TrainConfig,
            train_idx: np.ndarray) -> RunState:
     """Full-data epochs on the InfoNCE + reversed-cross-entropy objective."""
     for _ in range(cfg.warmup_epochs):
-        epoch_number = state.epoch + 1
-        lr = current_lr(cfg, epoch_number)
-        total, count = 0.0, 0
-        for batch in _batches(train_idx, cfg.batch_size, state.rng):
-            if batch.size < 2:
-                continue
-            s, cache = enc.similarity(state.params, ds.v_feats[batch],
-                                      ds.t_feats[batch])
-            value, grad_s = warmup_loss(s, cfg.tau, cfg.eps, cfg.rce_weight)
-            grads = enc.similarity_backward(cache, grad_s)
-            _apply_update(state, cfg, *grads, lr=lr)
-            total += value
-            count += 1
-        state.epoch = epoch_number
-        state.history.append({
-            "epoch": state.epoch,
-            "phase": "warmup",
-            "train_loss": total / max(count, 1),
-            "lr": lr,
-        })
+        _epoch(state, ds, cfg, train_idx, warm=True)
     return state
 
 
@@ -238,14 +252,12 @@ def per_sample_losses(state: RunState, ds: PairDataset, cfg: TrainConfig,
     """
     eval_rng = np.random.default_rng((cfg.seed, state.epoch, 0xE7A1))
     losses = np.zeros(train_idx.size)
-    position = {int(idx): i for i, idx in enumerate(train_idx)}
-    for batch in _batches(train_idx, cfg.batch_size, eval_rng):
-        if batch.size < 2:
+    for pos in _batches(np.arange(train_idx.size), cfg.batch_size, eval_rng):
+        if pos.size < 2:
             continue
+        batch = train_idx[pos]
         s, _ = enc.similarity(state.params, ds.v_feats[batch], ds.t_feats[batch])
-        batch_losses = per_pair_triplet_losses(s, cfg.alpha)
-        for idx, value in zip(batch, batch_losses):
-            losses[position[int(idx)]] = value
+        losses[pos] = per_pair_triplet_losses(s, cfg.alpha)
     return losses
 
 
@@ -261,23 +273,29 @@ def _identify(state: RunState, ds: PairDataset, cfg: TrainConfig,
     return train_idx[matched_pos], train_idx[mismatched_pos], bmm
 
 
+def _positions(universe: np.ndarray, subset: np.ndarray) -> np.ndarray:
+    """Positions in ``universe`` (distinct, any order) of ``subset``'s entries."""
+    order = np.argsort(universe)
+    return order[np.searchsorted(universe, subset, sorter=order)]
+
+
 def _sample(rng, indices: np.ndarray, size: int) -> np.ndarray:
     take = min(size, indices.size)
     return rng.choice(indices, size=take, replace=False)
 
 
+def _cost(state: RunState, cfg: TrainConfig, s: np.ndarray) -> np.ndarray:
+    """Transport cost of similarities: the learned map, or ``1 - s``."""
+    if cfg.cost_mode == "cosine":
+        return 1.0 - s
+    return costs_mod.cost_forward(s, state.theta)
+
+
 def _pair_costs(state: RunState, ds: PairDataset, cfg: TrainConfig,
                 indices: np.ndarray) -> np.ndarray:
-    """Learned transport cost of each pair with itself (diagonal cells)."""
-    s_diag = _diagonal_similarities(state.params, ds, indices)
-    if cfg.cost_mode == "cosine":
-        return 1.0 - s_diag
-    return costs_mod.cost_forward(s_diag, state.theta)
-
-
-def _diagonal_similarities(params, ds, indices):
-    s, _ = enc.similarity(params, ds.v_feats[indices], ds.t_feats[indices])
-    return np.diag(s).copy()
+    """Transport cost of each pair with itself (diagonal cells)."""
+    s, _ = enc.similarity(state.params, ds.v_feats[indices], ds.t_feats[indices])
+    return _cost(state, cfg, np.diag(s))
 
 
 def _cost_gap(state: RunState, ds: PairDataset, cfg: TrainConfig,
@@ -306,98 +324,15 @@ def refine_batch(state: RunState, s_mis: np.ndarray, cfg: TrainConfig):
     Returns row- and column-normalized refined alignments.
     """
     n = s_mis.shape[0]
-    if cfg.cost_mode == "cosine":
-        cost = 1.0 - s_mis
-    else:
-        cost = costs_mod.cost_forward(s_mis, state.theta)
     mask = _transport_mask(n, cfg)
     marginal = np.full(n, 1.0 / n)
     rho = cfg.rho if cfg.partial else 1.0
-    plan = partial_ot(cost, marginal, marginal, mask, rho=rho,
+    plan = partial_ot(_cost(state, cfg, s_mis), marginal, marginal, mask, rho=rho,
                       cfg=SinkhornConfig(lam=cfg.lam, max_iter=cfg.ot_max_iter,
                                          tol=cfg.ot_tol))
     refined_v2t = normalize_plan(plan.plan, "row", mask=mask)
     refined_t2v = normalize_plan(plan.plan, "column", mask=mask)
     return refined_v2t, refined_t2v, plan
-
-
-def train_epoch(state: RunState, ds: PairDataset, cfg: TrainConfig,
-                train_idx: np.ndarray) -> RunState:
-    """One identification + rematching epoch (modes ``rematch``/``discard``)."""
-    epoch_number = state.epoch + 1
-    lr = current_lr(cfg, epoch_number)
-    matched_idx, mismatched_idx, bmm = _identify(state, ds, cfg, train_idx)
-    ident = identification_score(_positions(train_idx, mismatched_idx),
-                                 ds.matched[train_idx])
-
-    driver = matched_idx if matched_idx.size else train_idx
-    steps = int(np.ceil(driver.size / cfg.batch_size))
-    do_rematch = cfg.mode == "rematch" and mismatched_idx.size >= 2
-    total, count = 0.0, 0
-    for _ in range(steps):
-        if cfg.mode == "rematch" and cfg.cost_mode == "learned":
-            batch = _sample(state.rng, matched_idx, cfg.batch_size)
-            if batch.size >= 2:
-                state.theta, clipped = _cost_update(state, ds, cfg, batch,
-                                                    mismatched_idx)
-                state.clip_events += int(clipped)
-
-        rematch_grads = None
-        rematch_value = 0.0
-        if do_rematch:
-            mis_batch = _sample(state.rng, mismatched_idx, cfg.batch_size)
-            s_mis, cache_mis = enc.similarity(state.params, ds.v_feats[mis_batch],
-                                              ds.t_feats[mis_batch])
-            refined_v2t, refined_t2v, _ = refine_batch(state, s_mis, cfg)
-            rematch_value, grad_s = rematch_loss(refined_v2t, refined_t2v, s_mis,
-                                                 cfg.tau, cfg.rematch_variant)
-            rematch_grads = enc.similarity_backward(cache_mis, grad_s)
-
-        triplet_value = 0.0
-        triplet_grads = None
-        if matched_idx.size >= 2:
-            main_batch = _sample(state.rng, matched_idx, cfg.batch_size)
-            if main_batch.size >= 2:
-                s_m, cache_m = enc.similarity(state.params, ds.v_feats[main_batch],
-                                              ds.t_feats[main_batch])
-                triplet_value, grad_s = triplet_loss_batch(s_m, cfg.alpha)
-                triplet_grads = enc.similarity_backward(cache_m, grad_s)
-
-        grad_w_v = np.zeros_like(state.params.w_v)
-        grad_w_t = np.zeros_like(state.params.w_t)
-        for grads in (triplet_grads, rematch_grads):
-            if grads is not None:
-                grad_w_v += grads[0]
-                grad_w_t += grads[1]
-        _apply_update(state, cfg, grad_w_v, grad_w_t, lr=lr)
-        total += triplet_value + rematch_value
-        count += 1
-
-    state.epoch = epoch_number
-    record = {
-        "epoch": state.epoch,
-        "phase": "train",
-        "train_loss": total / max(count, 1),
-        "lr": lr,
-        "bmm": None if bmm.degenerate else {
-            "alpha_lo": bmm.alpha_lo, "beta_lo": bmm.beta_lo,
-            "alpha_hi": bmm.alpha_hi, "beta_hi": bmm.beta_hi,
-            "weight_hi": bmm.weight_hi, "mean_lo": bmm.mean_lo,
-            "mean_hi": bmm.mean_hi, "em_iterations": len(bmm.loglik_trace),
-        },
-        "partition": {"matched": int(matched_idx.size),
-                      "mismatched": int(mismatched_idx.size)},
-        "identification": ident,
-        "cost_gap": _cost_gap(state, ds, cfg, train_idx),
-        "cost_params": {"w": state.theta.w, "b": state.theta.b},
-    }
-    state.history.append(record)
-    return state
-
-
-def _positions(universe: np.ndarray, subset: np.ndarray) -> np.ndarray:
-    lookup = {int(idx): i for i, idx in enumerate(universe)}
-    return np.array([lookup[int(i)] for i in subset], dtype=np.int64)
 
 
 def _cost_update(state: RunState, ds: PairDataset, cfg: TrainConfig,
@@ -420,29 +355,87 @@ def _cost_update(state: RunState, ds: PairDataset, cfg: TrainConfig,
                                    cfg.lr_cost, cfg.cost_bound)
 
 
-def train_naive_epoch(state: RunState, ds: PairDataset, cfg: TrainConfig,
-                      train_idx: np.ndarray) -> RunState:
-    """Triplet training over all data, ignoring corruption (mode ``naive``)."""
+def _rematch_steps(state: RunState, ds: PairDataset, cfg: TrainConfig,
+                   train_idx: np.ndarray, matched_idx: np.ndarray,
+                   mismatched_idx: np.ndarray, lr: float) -> float:
+    """Sampled steps on the full objective; the mean loss.
+
+    Every step draws its batches independently, in this order: a matched
+    batch to teach the cost map, a mismatched batch for the rematch term,
+    and a matched batch for the triplet term.
+    """
+    def rematch_objective(s):
+        refined_v2t, refined_t2v, _ = refine_batch(state, s, cfg)
+        return rematch_loss(refined_v2t, refined_t2v, s, cfg.tau,
+                            cfg.rematch_variant)
+
+    terms = ((mismatched_idx, rematch_objective),
+             (matched_idx, lambda s: triplet_loss_batch(s, cfg.alpha)))
+    driver = matched_idx if matched_idx.size else train_idx
+    steps = int(np.ceil(driver.size / cfg.batch_size))
+    total = 0.0
+    for _ in range(steps):
+        if cfg.cost_mode == "learned":
+            batch = _sample(state.rng, matched_idx, cfg.batch_size)
+            if batch.size >= 2:
+                state.theta, clipped = _cost_update(state, ds, cfg, batch,
+                                                    mismatched_idx)
+                state.clip_events += int(clipped)
+        value = 0.0
+        grad_w_v = np.zeros_like(state.params.w_v)
+        grad_w_t = np.zeros_like(state.params.w_t)
+        for pool, loss_fn in terms:
+            if pool.size >= 2:
+                batch = _sample(state.rng, pool, cfg.batch_size)
+                term, (term_v, term_t) = _grads(state, ds, batch, loss_fn)
+                value += term
+                grad_w_v += term_v
+                grad_w_t += term_t
+        _apply_update(state, cfg, grad_w_v, grad_w_t, lr=lr)
+        total += value
+    return total / max(steps, 1)
+
+
+def _epoch(state: RunState, ds: PairDataset, cfg: TrainConfig,
+           train_idx: np.ndarray, warm: bool = False) -> dict:
+    """One epoch of ``cfg.mode`` (or of warm-up); appends and returns its record."""
+    mode = _MODES[cfg.mode]
     epoch_number = state.epoch + 1
     lr = current_lr(cfg, epoch_number)
-    total, count = 0.0, 0
-    for batch in _batches(train_idx, cfg.batch_size, state.rng):
-        if batch.size < 2:
-            continue
-        s, cache = enc.similarity(state.params, ds.v_feats[batch],
-                                  ds.t_feats[batch])
-        value, grad_s = triplet_loss_batch(s, cfg.alpha)
-        grads = enc.similarity_backward(cache, grad_s)
-        _apply_update(state, cfg, *grads, lr=lr)
-        total += value
-        count += 1
+    record = {"epoch": epoch_number, "phase": "warmup" if warm else "train", "lr": lr}
+    rows = train_idx
+    if mode.identify and not warm:
+        rows, mismatched_idx, bmm = _identify(state, ds, cfg, train_idx)
+        record["partition"] = {"matched": int(rows.size),
+                               "mismatched": int(mismatched_idx.size)}
+        record["identification"] = identification_score(
+            _positions(train_idx, mismatched_idx), ds.matched[train_idx])
+    if warm:
+        loss = _fit(state, ds, cfg, rows,
+                    lambda s: warmup_loss(s, cfg.tau, cfg.eps, cfg.rce_weight), lr)
+    elif mode.rematch:
+        loss = _rematch_steps(state, ds, cfg, train_idx, rows, mismatched_idx, lr)
+        record["bmm"] = None if bmm.degenerate else {
+            "alpha_lo": bmm.alpha_lo, "beta_lo": bmm.beta_lo,
+            "alpha_hi": bmm.alpha_hi, "beta_hi": bmm.beta_hi,
+            "weight_hi": bmm.weight_hi, "mean_lo": bmm.mean_lo,
+            "mean_hi": bmm.mean_hi, "em_iterations": len(bmm.loglik_trace),
+        }
+        record["cost_gap"] = _cost_gap(state, ds, cfg, train_idx)
+        record["cost_params"] = {"w": state.theta.w, "b": state.theta.b}
+    else:
+        loss = _fit(state, ds, cfg, rows,
+                    lambda s: triplet_loss_batch(s, cfg.alpha), lr)
+    record["train_loss"] = loss
     state.epoch = epoch_number
-    state.history.append({
-        "epoch": state.epoch,
-        "phase": "train",
-        "train_loss": total / max(count, 1),
-        "lr": lr,
-    })
+    state.history.append(record)
+    return record
+
+
+def train_epoch(state: RunState, ds: PairDataset, cfg: TrainConfig,
+                train_idx: np.ndarray) -> RunState:
+    """One post-warm-up epoch of ``cfg.mode``, exactly as the full run trains it."""
+    _epoch(state, ds, cfg, train_idx)
     return state
 
 
@@ -470,9 +463,10 @@ def run_experiment(cfg: TrainConfig, ds: PairDataset,
     """Train per the configured mode and return the metrics payload.
 
     The payload echoes the config and the dataset header, carries one
-    record per epoch, and reports final test metrics from the checkpoint
-    with the highest validation recall sum. Wall-clock timing lives under
-    the separate ``timing`` key so payloads stay comparable across runs.
+    record per epoch with its validation metrics, and reports final test
+    metrics from the checkpoint with the highest validation recall sum
+    (from the last warm-up epoch on). Wall-clock timing lives under the
+    separate ``timing`` key so payloads stay comparable across runs.
     With ``return_state`` the final :class:`RunState` is returned alongside
     the payload.
     """
@@ -482,24 +476,12 @@ def run_experiment(cfg: TrainConfig, ds: PairDataset,
         raise ValueError("splits too small; need at least 10 rows in each")
     state = init_state(cfg, ds)
 
-    if cfg.mode == "naive":
-        for _ in range(cfg.total_epochs):
-            train_naive_epoch(state, ds, cfg, train_idx)
-            state.history[-1]["val"] = evaluate(state.params, ds, val_idx)
-            _track_best(state, state.history[-1]["val"])
-    else:
-        warmup(state, ds, cfg, train_idx)
-        for record in state.history:
-            record.setdefault("val", evaluate(state.params, ds, val_idx))
-        if state.history:
-            _track_best(state, state.history[-1]["val"])
-        for _ in range(cfg.train_epochs):
-            if cfg.mode == "discard":
-                _discard_epoch(state, ds, cfg, train_idx)
-            else:
-                train_epoch(state, ds, cfg, train_idx)
-            state.history[-1]["val"] = evaluate(state.params, ds, val_idx)
-            _track_best(state, state.history[-1]["val"])
+    warm_epochs = cfg.warmup_epochs if _MODES[cfg.mode].warmup else 0
+    for _ in range(cfg.total_epochs):
+        record = _epoch(state, ds, cfg, train_idx, warm=state.epoch < warm_epochs)
+        record["val"] = evaluate(state.params, ds, val_idx)
+        if state.epoch >= warm_epochs:
+            _track_best(state, record["val"])
 
     best_params = state.best_params if state.best_params is not None else state.params
     payload = {
@@ -524,39 +506,6 @@ def run_experiment(cfg: TrainConfig, ds: PairDataset,
     if return_state:
         return payload, state
     return payload
-
-
-def _discard_epoch(state: RunState, ds: PairDataset, cfg: TrainConfig,
-                   train_idx: np.ndarray) -> RunState:
-    """Identification followed by triplet training on the matched subset only."""
-    epoch_number = state.epoch + 1
-    lr = current_lr(cfg, epoch_number)
-    matched_idx, mismatched_idx, bmm = _identify(state, ds, cfg, train_idx)
-    ident = identification_score(_positions(train_idx, mismatched_idx),
-                                 ds.matched[train_idx])
-    total, count = 0.0, 0
-    if matched_idx.size >= 2:
-        for batch in _batches(matched_idx, cfg.batch_size, state.rng):
-            if batch.size < 2:
-                continue
-            s, cache = enc.similarity(state.params, ds.v_feats[batch],
-                                      ds.t_feats[batch])
-            value, grad_s = triplet_loss_batch(s, cfg.alpha)
-            grads = enc.similarity_backward(cache, grad_s)
-            _apply_update(state, cfg, *grads, lr=lr)
-            total += value
-            count += 1
-    state.epoch = epoch_number
-    state.history.append({
-        "epoch": state.epoch,
-        "phase": "train",
-        "train_loss": total / max(count, 1),
-        "lr": lr,
-        "partition": {"matched": int(matched_idx.size),
-                      "mismatched": int(mismatched_idx.size)},
-        "identification": ident,
-    })
-    return state
 
 
 def save_state(state: RunState, cfg: TrainConfig, path: str) -> None:
@@ -600,32 +549,45 @@ def load_state(path: str):
     """Restore a checkpoint saved by :func:`save_state`.
 
     Returns ``(state, config)``; resuming training from the restored state
-    reproduces the original run exactly.
+    reproduces the original run exactly. A checkpoint of another version,
+    with a missing entry, or with a config that does not name exactly the
+    :class:`TrainConfig` fields raises ``ValueError``.
     """
     with np.load(path, allow_pickle=False) as archive:
-        if int(archive["version"]) != _STATE_VERSION:
+        def entry(key):
+            if key not in archive:
+                raise ValueError(f"checkpoint {path} has no {key!r} entry")
+            return archive[key]
+
+        if int(entry("version")) != _STATE_VERSION:
             raise ValueError(f"unsupported checkpoint version {archive['version']}")
-        cfg = TrainConfig(**json.loads(str(archive["config"][()])))
+        config = json.loads(str(entry("config")[()]))
+        known = {f.name for f in fields(TrainConfig)}
+        unknown, missing = sorted(config.keys() - known), sorted(known - config.keys())
+        if unknown or missing:
+            raise ValueError(f"checkpoint {path} config: unknown keys {unknown}, "
+                             f"missing keys {missing}")
+        cfg = TrainConfig(**config)
         rng = np.random.default_rng()
-        rng.bit_generator.state = json.loads(str(archive["rng_state"][()]))
+        rng.bit_generator.state = json.loads(str(entry("rng_state")[()]))
         state = RunState(
-            params=enc.EncoderParams(archive["w_v"].copy(), archive["w_t"].copy()),
-            theta=costs_mod.CostNetParams(float(archive["cost_w"]),
-                                          float(archive["cost_b"])),
-            epoch=int(archive["epoch"]),
+            params=enc.EncoderParams(entry("w_v").copy(), entry("w_t").copy()),
+            theta=costs_mod.CostNetParams(float(entry("cost_w")),
+                                          float(entry("cost_b"))),
+            epoch=int(entry("epoch")),
             rng=rng,
-            history=json.loads(str(archive["history"][()])),
-            best_rsum=float(archive["best_rsum"]),
-            best_epoch=int(archive["best_epoch"]),
-            clip_events=int(archive["clip_events"]),
+            history=json.loads(str(entry("history")[()])),
+            best_rsum=float(entry("best_rsum")),
+            best_epoch=int(entry("best_epoch")),
+            clip_events=int(entry("clip_events")),
         )
         if "best_w_v" in archive:
-            state.best_params = enc.EncoderParams(archive["best_w_v"].copy(),
-                                                  archive["best_w_t"].copy())
+            state.best_params = enc.EncoderParams(entry("best_w_v").copy(),
+                                                  entry("best_w_t").copy())
         if "adam_m_v" in archive:
-            state.adam = AdamState(archive["adam_m_v"].copy(),
-                                   archive["adam_v_v"].copy(),
-                                   archive["adam_m_t"].copy(),
-                                   archive["adam_v_t"].copy(),
-                                   int(archive["adam_step"]))
+            state.adam = AdamState(entry("adam_m_v").copy(),
+                                   entry("adam_v_v").copy(),
+                                   entry("adam_m_t").copy(),
+                                   entry("adam_v_t").copy(),
+                                   int(entry("adam_step")))
     return state, cfg

@@ -5,8 +5,10 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+import rematch.encoder as enc
 from rematch.cli import build_parser, main
 
 FAST = ["--warmup-epochs", "1", "--train-epochs", "1", "--lr-decay-epoch", "2",
@@ -24,6 +26,12 @@ def make_dataset(tmp_path, capsys, n=150, mrate=0.4, seed=0):
     assert code == 0
     capsys.readouterr()
     return path
+
+
+def add_config_key(archive):
+    config = json.loads(str(archive["config"][()]))
+    config["gamma"] = 0.1
+    archive["config"] = np.array(json.dumps(config))
 
 
 class TestGenTrain:
@@ -131,6 +139,48 @@ class TestErrorHandling:
         captured = capsys.readouterr()
         assert code == 1
         assert "error" in captured.err
+
+    @staticmethod
+    def edited_checkpoint(tmp_path, capsys, edit):
+        data = make_dataset(tmp_path, capsys)
+        state = tmp_path / "checkpoint.npz"
+        assert main(["train", "--data", str(data), "--out",
+                     str(tmp_path / "m.json"), "--state-out", str(state),
+                     *FAST]) == 0
+        capsys.readouterr()
+        archive = dict(np.load(str(state), allow_pickle=False))
+        edit(archive)
+        np.savez(str(state), **archive)
+        return data, state
+
+    @pytest.mark.parametrize("edit,needle", [
+        (add_config_key, "gamma"),
+        (lambda archive: archive.pop("w_v"), "w_v"),
+    ])
+    def test_bad_checkpoint_reports_one_line(self, tmp_path, capsys, edit,
+                                             needle):
+        data, state = self.edited_checkpoint(tmp_path, capsys, edit)
+        code = main(["eval", "--data", str(data), "--state", str(state)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert needle in lines[0]
+
+    def test_non_finite_gradient_reports_one_line(self, tmp_path, capsys,
+                                                  monkeypatch):
+        data = make_dataset(tmp_path, capsys)
+        backward = enc.similarity_backward
+        monkeypatch.setattr(enc, "similarity_backward", lambda cache, grad_s: tuple(
+            np.full_like(grad, np.nan) for grad in backward(cache, grad_s)))
+        code = main(["train", "--data", str(data), *FAST])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        last = captured.err.strip().splitlines()[-1]
+        assert last.startswith("error:") and "non-finite" in last
 
 
 class TestOutputDirectory:

@@ -5,16 +5,11 @@ import numpy as np
 import pytest
 
 from rematch.losses import (
-    LossConfig,
-    final_loss,
     infonce_loss,
-    label_smooth,
     matching_probs,
-    ot_supervision_loss,
     per_pair_triplet_losses,
     rce_loss,
     rematch_loss,
-    sym_kl,
     triplet_loss,
     triplet_loss_batch,
 )
@@ -159,28 +154,6 @@ class TestRCE:
                 lambda x: rce_loss(x, 0.5, 1e-7), s) < 1e-6
 
 
-class TestOTSupervision:
-    def test_single_supervised_cell(self):
-        pi = np.zeros((3, 4))
-        pi[1, 2] = 1.0
-        cost = np.arange(12, dtype=float).reshape(3, 4)
-        value, grad = ot_supervision_loss(pi, cost)
-        assert value == cost[1, 2]
-        np.testing.assert_array_equal(grad, pi)
-
-    def test_no_supervision_is_zero(self):
-        value, _ = ot_supervision_loss(np.zeros((2, 2)), np.ones((2, 2)))
-        assert value == 0.0
-
-    def test_matches_elementwise_sum(self):
-        rng = np.random.default_rng(4)
-        pi = (rng.uniform(size=(5, 5)) > 0.6).astype(float)
-        cost = rng.uniform(-1, 2, (5, 5))
-        value, _ = ot_supervision_loss(pi, cost)
-        by_hand = sum(pi[i, j] * cost[i, j] for i in range(5) for j in range(5))
-        assert value == pytest.approx(by_hand, abs=1e-12)
-
-
 class TestRematch:
     def test_matching_distributions_cost_nothing(self):
         rng = np.random.default_rng(5)
@@ -189,18 +162,6 @@ class TestRematch:
         value, grad = rematch_loss(p_v2t, p_t2v, s, tau=0.5)
         assert value == pytest.approx(0.0, abs=1e-9)
         np.testing.assert_allclose(grad, 0.0, atol=1e-9)
-
-    def test_floored_point_mass_against_uniform(self):
-        # frozen closed-form constant for the floored symmetric divergence
-        assert sym_kl([1.0, 0.0], [0.5, 0.5]) == pytest.approx(
-            6.907755278968321, rel=1e-12)
-
-    def test_symmetry_of_the_divergence(self):
-        rng = np.random.default_rng(6)
-        u = rng.dirichlet(np.ones(5))
-        v = rng.dirichlet(np.ones(5))
-        assert sym_kl(u, v) == pytest.approx(sym_kl(v, u), rel=1e-12)
-        assert sym_kl(u, v) >= 0.0
 
     @pytest.mark.parametrize("variant", ["sym_kl", "kl", "ce"])
     def test_gradient_matches_finite_differences(self, variant):
@@ -217,54 +178,3 @@ class TestRematch:
         bad = np.array([[0.4, 0.4], [0.5, 0.5]])
         with pytest.raises(ValueError):
             rematch_loss(bad, bad.T, s, tau=0.5)
-
-
-class TestFinalLoss:
-    def test_composition(self):
-        rng = np.random.default_rng(7)
-        cfg = LossConfig(alpha=0.2, tau=0.5)
-        s_m = rng.uniform(-1, 1, (4, 4))
-        s_mis = rng.uniform(-1, 1, (4, 4))
-        refined_v2t, refined_t2v = random_refined(rng, 4)
-        total = final_loss(s_m, s_mis, refined_v2t, refined_t2v, cfg)
-        expected = (triplet_loss_batch(s_m, 0.2)[0]
-                    + rematch_loss(refined_v2t, refined_t2v, s_mis, 0.5)[0])
-        assert total == pytest.approx(expected, abs=1e-12)
-
-    def test_empty_mismatched_reduces_to_triplet(self):
-        rng = np.random.default_rng(8)
-        cfg = LossConfig(alpha=0.2, tau=0.5)
-        s_m = rng.uniform(-1, 1, (3, 3))
-        assert final_loss(s_m, None, None, None, cfg) == pytest.approx(
-            triplet_loss_batch(s_m, 0.2)[0])
-
-    def test_empty_matched_reduces_to_rematch(self):
-        rng = np.random.default_rng(9)
-        cfg = LossConfig(alpha=0.2, tau=0.5)
-        s_mis = rng.uniform(-1, 1, (3, 3))
-        refined_v2t, refined_t2v = random_refined(rng, 3)
-        assert final_loss(None, s_mis, refined_v2t, refined_t2v, cfg) == pytest.approx(
-            rematch_loss(refined_v2t, refined_t2v, s_mis, 0.5)[0])
-
-
-class TestLabelSmooth:
-    def test_zero_gamma_is_identity(self):
-        y = np.array([0.0, 1.0, 0.0])
-        np.testing.assert_array_equal(label_smooth(y, 0.0), y)
-
-    def test_direct_evaluation(self):
-        np.testing.assert_allclose(label_smooth(np.array([1.0, 0.0]), 0.1),
-                                   [0.9, 0.1])
-
-    def test_always_a_distribution(self):
-        for n in (2, 3, 7):
-            for gamma in (0.0, 0.3, 1.0):
-                y = np.zeros(n)
-                y[n // 2] = 1.0
-                out = label_smooth(y, gamma)
-                assert out.sum() == pytest.approx(1.0)
-                assert np.all(out >= 0)
-
-    def test_rejects_single_candidate(self):
-        with pytest.raises(ValueError):
-            label_smooth(np.array([1.0]), 0.1)

@@ -2,6 +2,7 @@
 checkpoint resumability, and run-level determinism."""
 
 import copy
+import dataclasses
 import json
 
 import numpy as np
@@ -26,6 +27,10 @@ from rematch.pipeline import (
 )
 
 SMALL = dict(warmup_epochs=2, train_epochs=2, lr_decay_epoch=3, batch_size=32)
+# the dataset and schedule of acceptance criterion 9
+DETERMINISM_DATA = dict(n=200, classes=5, noise=0.1, mrate=0.4, rng_seed=3)
+DETERMINISM = dict(seed=3, optimizer="adam", warmup_epochs=3, train_epochs=3,
+                   lr_decay_epoch=4, batch_size=32)
 
 
 @pytest.fixture(scope="module")
@@ -36,6 +41,11 @@ def clean_ds():
 @pytest.fixture(scope="module")
 def noisy_ds():
     return make_benchmark(n=500, classes=10, noise=0.1, mrate=0.4, rng_seed=0)
+
+
+@pytest.fixture(scope="module")
+def determinism_ds():
+    return make_benchmark(**DETERMINISM_DATA)
 
 
 class TestConfig:
@@ -155,6 +165,13 @@ class TestIdentification:
         assert score["f1"] >= 0.8
         assert score["f1"] == pytest.approx(0.9198606271777003, abs=1e-9)
 
+    def test_positions_in_an_unsorted_universe(self):
+        rng = np.random.default_rng(5)
+        universe = rng.permutation(np.arange(0, 300, 3))
+        subset = rng.choice(universe, size=40, replace=False)
+        expected = [list(universe).index(value) for value in subset]
+        np.testing.assert_array_equal(pl._positions(universe, subset), expected)
+
 
 class TestTrainEpoch:
     def test_perfect_split_reduces_to_triplet_training(self):
@@ -235,6 +252,50 @@ class TestRunExperiment:
         assert payload["config"]["mask_positives"] is False
         assert payload["config"]["partial"] is False
 
+    @pytest.mark.parametrize("mode,best,test_rsum,last_loss", [
+        ("rematch", {"epoch": 4, "val_rsum": 337.5}, 240.0, 17.784528779946438),
+        ("naive", {"epoch": 5, "val_rsum": 331.25}, 190.0, 17.041659996871974),
+        ("discard", {"epoch": 4, "val_rsum": 337.5}, 240.0, 12.52813689850941),
+    ])
+    def test_pinned_trajectory_per_mode(self, determinism_ds, mode, best,
+                                        test_rsum, last_loss):
+        # regression constants, frozen at first measurement
+        payload = run_experiment(TrainConfig(mode=mode, **DETERMINISM),
+                                 determinism_ds)
+        assert payload["best"] == pytest.approx(best, abs=1e-9)
+        assert payload["test"]["rsum"] == pytest.approx(test_rsum, abs=1e-9)
+        assert payload["epochs"][-1]["train_loss"] == pytest.approx(last_loss,
+                                                                    abs=1e-9)
+
+    @pytest.mark.parametrize("mode", ["rematch", "naive", "discard"])
+    def test_public_epochs_retrace_the_run(self, determinism_ds, mode):
+        cfg = TrainConfig(mode=mode, **DETERMINISM)
+        _, run = run_experiment(cfg, determinism_ds, return_state=True)
+        train_idx, _, _ = split_indices(cfg, determinism_ds)
+        state = init_state(cfg, determinism_ds)
+        if mode != "naive":  # naive trains its warm-up epochs on the triplet loss
+            warmup(state, determinism_ds, cfg, train_idx)
+        while state.epoch < cfg.total_epochs:
+            train_epoch(state, determinism_ds, cfg, train_idx)
+        np.testing.assert_array_equal(state.params.w_v, run.params.w_v)
+        np.testing.assert_array_equal(state.params.w_t, run.params.w_t)
+        assert state.theta == run.theta
+
+    @pytest.mark.parametrize("mode", ["rematch", "discard"])
+    def test_warmup_records_carry_their_own_validation(self, determinism_ds,
+                                                       mode):
+        cfg = TrainConfig(mode=mode, **DETERMINISM)
+        payload = run_experiment(cfg, determinism_ds)
+        train_idx, val_idx, _ = split_indices(cfg, determinism_ds)
+        state = init_state(cfg, determinism_ds)
+        one_epoch = dataclasses.replace(cfg, warmup_epochs=1)
+        records = [r for r in payload["epochs"] if r["phase"] == "warmup"]
+        assert len(records) == cfg.warmup_epochs
+        for record in records:
+            warmup(state, determinism_ds, one_epoch, train_idx)
+            assert record["val"] == evaluate(state.params, determinism_ds, val_idx)
+        assert payload["best"]["epoch"] >= cfg.warmup_epochs
+
     def test_too_small_splits_rejected(self):
         ds = make_benchmark(n=60, classes=3, noise=0.1, mrate=0.3, rng_seed=0)
         with pytest.raises(ValueError, match="splits"):
@@ -289,4 +350,26 @@ class TestCheckpointing:
         data["version"] = np.int64(99)
         np.savez(str(path), **data)
         with pytest.raises(ValueError, match="version"):
+            load_state(str(path))
+
+    def test_rejects_config_with_missing_field(self, tmp_path, noisy_ds):
+        cfg = TrainConfig(seed=0)
+        path = tmp_path / "other.npz"
+        save_state(init_state(cfg, noisy_ds), cfg, str(path))
+        data = dict(np.load(str(path), allow_pickle=False))
+        config = json.loads(str(data["config"][()]))
+        del config["rho"]
+        data["config"] = np.array(json.dumps(config))
+        np.savez(str(path), **data)
+        with pytest.raises(ValueError, match="missing keys \\['rho'\\]"):
+            load_state(str(path))
+
+    def test_rejects_missing_entry(self, tmp_path, noisy_ds):
+        cfg = TrainConfig(seed=0, optimizer="adam")
+        path = tmp_path / "partial.npz"
+        save_state(init_state(cfg, noisy_ds), cfg, str(path))
+        data = dict(np.load(str(path), allow_pickle=False))
+        del data["adam_step"]
+        np.savez(str(path), **data)
+        with pytest.raises(ValueError, match="'adam_step'"):
             load_state(str(path))
