@@ -228,36 +228,100 @@ def save_dataset(ds: PairDataset, path: str) -> None:
         raise
 
 
+def _json_line(line: str, where: str) -> dict:
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{where}: not valid JSON ({exc.msg})") from None
+    if not isinstance(record, dict):
+        raise ValueError(f"{where}: expected a JSON object")
+    return record
+
+
+def _field(record: dict, key: str, where: str):
+    if key not in record:
+        raise ValueError(f"{where}: missing key {key!r}")
+    return record[key]
+
+
+def _integer(record: dict, key: str, where: str) -> int:
+    value = _field(record, key, where)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{where}: {key!r} must be an integer, got {value!r}")
+    return value
+
+
+def _features(record: dict, key: str, width: int, where: str) -> np.ndarray:
+    try:
+        row = np.asarray(_field(record, key, where), dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ValueError(f"{where}: {key!r} must be a list of numbers") from None
+    if row.shape != (width,):
+        raise ValueError(f"{where}: {key!r} has shape {row.shape}, "
+                         f"the header gives width {width}")
+    if not np.all(np.isfinite(row)):
+        raise ValueError(f"{where}: {key!r} has non-finite entries")
+    return row
+
+
 def load_dataset(path: str) -> PairDataset:
-    """Read a dataset written by :func:`save_dataset`."""
+    """Read a dataset written by :func:`save_dataset`.
+
+    The file is checked as it is read: one record per index ``0 .. n-1``
+    with the header's feature widths, finite features, ``m`` in {0, 1}, a
+    known split code and nonnegative integer class labels. Any departure
+    raises ``ValueError`` naming the line.
+    """
     with open(path) as handle:
-        header = json.loads(handle.readline())
+        where = f"{path}: line 1"
+        header = _json_line(handle.readline(), where)
         if header.get("kind") != _FORMAT_KIND:
             raise ValueError(f"{path}: not a {_FORMAT_KIND} file")
         if header.get("version") != _FORMAT_VERSION:
             raise ValueError(f"{path}: unsupported format version "
                              f"{header.get('version')}")
-        n = header["n"]
-        v_feats = np.empty((n, header["d_in_v"]))
-        t_feats = np.empty((n, header["d_in_t"]))
+        n, d_v, d_t = (_integer(header, key, where) for key in ("n", "d_in_v", "d_in_t"))
+        if n < 0 or d_v < 1 or d_t < 1:
+            raise ValueError(f"{where}: bad sizes n={n}, d_in_v={d_v}, d_in_t={d_t}")
+        meta = {key: _field(header, key, where)
+                for key in ("mrate", "seed", "noise", "classes", "latent_dim")}
+        v_feats = np.empty((n, d_v))
+        t_feats = np.empty((n, d_t))
         matched = np.empty(n, dtype=np.int8)
         v_class = np.empty(n, dtype=np.int64)
         t_class = np.empty(n, dtype=np.int64)
         split = np.empty(n, dtype=np.int8)
-        for line in handle:
-            record = json.loads(line)
-            i = record["index"]
-            v_feats[i] = record["v_feat"]
-            t_feats[i] = record["t_feat"]
-            matched[i] = record["m"]
-            v_class[i] = record["class"]
-            t_class[i] = record["t_class"]
-            split[i] = record["split"]
+        seen = np.zeros(n, dtype=bool)
+        for lineno, line in enumerate(handle, start=2):
+            if not line.strip():
+                continue
+            where = f"{path}: line {lineno}"
+            record = _json_line(line, where)
+            i = _integer(record, "index", where)
+            if not 0 <= i < n:
+                raise ValueError(f"{where}: index {i} outside 0..{n - 1}")
+            if seen[i]:
+                raise ValueError(f"{where}: duplicate index {i}")
+            seen[i] = True
+            v_feats[i] = _features(record, "v_feat", d_v, where)
+            t_feats[i] = _features(record, "t_feat", d_t, where)
+            m, code = _integer(record, "m", where), _integer(record, "split", where)
+            if m not in (0, 1):
+                raise ValueError(f"{where}: 'm' must be 0 or 1, got {m}")
+            if code not in (SPLIT_POOL, SPLIT_TEST):
+                raise ValueError(f"{where}: unknown split code {code}")
+            matched[i], split[i] = m, code
+            for key, labels in (("class", v_class), ("t_class", t_class)):
+                label = _integer(record, key, where)
+                if not 0 <= label < 2**63:
+                    raise ValueError(f"{where}: {key!r} label {label} out of range")
+                labels[i] = label
+    if not seen.all():
+        raise ValueError(f"{path}: {int(seen.sum())} records for n={n} pairs "
+                         f"(truncated file?)")
     return PairDataset(
         v_feats=v_feats, t_feats=t_feats, matched=matched,
-        v_class=v_class, t_class=t_class, mrate=header["mrate"],
-        seed=header["seed"], noise=header["noise"], classes=header["classes"],
-        latent_dim=header["latent_dim"], split=split,
+        v_class=v_class, t_class=t_class, split=split, **meta,
     )
 
 

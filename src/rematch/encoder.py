@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["EncoderParams", "init_params", "similarity", "similarity_backward", "sgd_step"]
+__all__ = ["EncoderParams", "init_params", "similarity", "similarity_backward", "sgd_step",
+           "check_finite_gradients"]
 
 _NORM_FLOOR = 1e-12
 
@@ -96,13 +97,19 @@ def similarity_backward(cache, grad_s):
     return v_feats.T @ grad_raw_v, t_feats.T @ grad_raw_t
 
 
+def check_finite_gradients(grad_w_v, grad_w_t) -> None:
+    """Raise ``FloatingPointError`` naming the projection whose gradient is
+    not finite; every optimizer step runs this check first."""
+    for name, grad in (("visual", grad_w_v), ("text", grad_w_t)):
+        if not np.all(np.isfinite(grad)):
+            raise FloatingPointError(f"non-finite gradient in the {name} projection")
+
+
 def sgd_step(params: EncoderParams, grad_w_v, grad_w_t, lr: float) -> EncoderParams:
     """Plain gradient-descent update; aborts on non-finite gradients."""
     if lr < 0:
         raise ValueError("learning rate must be nonnegative")
     grad_w_v = np.asarray(grad_w_v, dtype=np.float64)
     grad_w_t = np.asarray(grad_w_t, dtype=np.float64)
-    if not (np.all(np.isfinite(grad_w_v)) and np.all(np.isfinite(grad_w_t))):
-        bad = "visual" if not np.all(np.isfinite(grad_w_v)) else "text"
-        raise FloatingPointError(f"non-finite gradient in the {bad} projection")
+    check_finite_gradients(grad_w_v, grad_w_t)
     return EncoderParams(params.w_v - lr * grad_w_v, params.w_t - lr * grad_w_t)

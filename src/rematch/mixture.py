@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import betaln, logsumexp
+from scipy.special import betaln
 
 __all__ = [
     "BetaMixture",
@@ -27,14 +27,27 @@ _SHAPE_MIN = 1e-3
 _SHAPE_MAX = 1e6
 
 
+def _check_unit_interval(x) -> None:
+    if np.any(x <= 0) or np.any(x >= 1):
+        raise ValueError("x must lie strictly inside (0, 1)")
+
+
+def _check_shapes(alpha: float, beta: float) -> None:
+    if alpha <= 0 or beta <= 0:
+        raise ValueError("shape parameters must be positive")
+
+
+def _log_density(log_x, log_1mx, alpha: float, beta: float):
+    """Beta(alpha, beta) log density from precomputed log(x) and log(1 - x)."""
+    return (alpha - 1.0) * log_x + (beta - 1.0) * log_1mx - betaln(alpha, beta)
+
+
 def beta_log_pdf(x, alpha: float, beta: float):
     """Log density of Beta(alpha, beta) at x, for x strictly inside (0, 1)."""
     x = np.asarray(x, dtype=np.float64)
-    if np.any(x <= 0) or np.any(x >= 1):
-        raise ValueError("x must lie strictly inside (0, 1)")
-    if alpha <= 0 or beta <= 0:
-        raise ValueError("shape parameters must be positive")
-    out = (alpha - 1.0) * np.log(x) + (beta - 1.0) * np.log1p(-x) - betaln(alpha, beta)
+    _check_unit_interval(x)
+    _check_shapes(alpha, beta)
+    out = _log_density(np.log(x), np.log1p(-x), alpha, beta)
     return out if out.ndim else float(out)
 
 
@@ -77,25 +90,35 @@ class BetaMixture:
         return self.delta + (1.0 - 2.0 * self.delta) * unit
 
 
-def _moment_match(x, weights):
-    """Beta shapes from a weighted mean/variance (method of moments)."""
-    total = weights.sum()
+def _moment_match(x, weights, total):
+    """Beta shapes from a weighted mean/variance (method of moments);
+    ``total`` is ``weights.sum()``."""
     mean = float((weights * x).sum() / total)
     var = float((weights * (x - mean) ** 2).sum() / total)
     mean = min(max(mean, 1e-6), 1.0 - 1e-6)
     var = min(max(var, 1e-10), mean * (1.0 - mean) * (1.0 - 1e-6))
     common = mean * (1.0 - mean) / var - 1.0
-    alpha = np.clip(mean * common, _SHAPE_MIN, _SHAPE_MAX)
-    beta = np.clip((1.0 - mean) * common, _SHAPE_MIN, _SHAPE_MAX)
-    return float(alpha), float(beta)
+    alpha = min(max(mean * common, _SHAPE_MIN), _SHAPE_MAX)
+    beta = min(max((1.0 - mean) * common, _SHAPE_MIN), _SHAPE_MAX)
+    return alpha, beta
 
 
-def _log_joint(x, params):
+def _log_joint(log_x, log_1mx, params):
+    """Per-sample log joint of each component, from log(x) and log(1 - x)."""
     (a_lo, b_lo), (a_hi, b_hi), w_hi = params
+    _check_shapes(a_lo, b_lo)
+    _check_shapes(a_hi, b_hi)
     w_hi = min(max(w_hi, 1e-12), 1.0 - 1e-12)
-    lo = np.log1p(-w_hi) + beta_log_pdf(x, a_lo, b_lo)
-    hi = np.log(w_hi) + beta_log_pdf(x, a_hi, b_hi)
+    lo = np.log1p(-w_hi) + _log_density(log_x, log_1mx, a_lo, b_lo)
+    hi = np.log(w_hi) + _log_density(log_x, log_1mx, a_hi, b_hi)
     return lo, hi
+
+
+def _log_add(a, b):
+    """Elementwise log(exp(a) + exp(b)) by a max shift; bit for bit what
+    ``scipy.special.logsumexp`` returns over the two stacked rows."""
+    top = np.maximum(a, b)
+    return top + np.log1p(np.exp(np.minimum(a, b) - top))
 
 
 def fit_bmm(losses, em_iters: int = 50, tol: float = 1e-6,
@@ -120,6 +143,9 @@ def fit_bmm(losses, em_iters: int = 50, tol: float = 1e-6,
                            norm_lo=lo, norm_hi=hi, delta=delta)
 
     x = delta + (1.0 - 2.0 * delta) * (losses - lo) / (hi - lo)
+    _check_unit_interval(x)
+    # x is fixed across iterations, so its logs are taken once per fit
+    log_x, log_1mx = np.log(x), np.log1p(-x)
 
     resp_hi = (x > np.median(x)).astype(np.float64)
     if resp_hi.sum() == 0 or resp_hi.sum() == x.size:
@@ -131,15 +157,16 @@ def fit_bmm(losses, em_iters: int = 50, tol: float = 1e-6,
     prev_ll = -np.inf
     for _ in range(em_iters):
         resp_lo = 1.0 - resp_hi
-        if resp_hi.sum() < 1e-9 or resp_lo.sum() < 1e-9:
+        total_hi, total_lo = resp_hi.sum(), resp_lo.sum()
+        if total_hi < 1e-9 or total_lo < 1e-9:
             break
         candidate = (
-            _moment_match(x, resp_lo),
-            _moment_match(x, resp_hi),
-            float(resp_hi.mean()),
+            _moment_match(x, resp_lo, total_lo),
+            _moment_match(x, resp_hi, total_hi),
+            float(total_hi / x.size),
         )
-        log_lo, log_hi = _log_joint(x, candidate)
-        ll = float(logsumexp(np.stack([log_lo, log_hi]), axis=0).sum())
+        log_lo, log_hi = _log_joint(log_x, log_1mx, candidate)
+        ll = float(_log_add(log_lo, log_hi).sum())
         if ll < prev_ll:
             break
         params = candidate
@@ -166,8 +193,9 @@ def posterior(bmm: BetaMixture, loss):
     if bmm.degenerate:
         return np.zeros_like(np.asarray(loss, dtype=np.float64)) if np.ndim(loss) else 0.0
     x = np.asarray(loss, dtype=np.float64)
+    _check_unit_interval(x)
     params = ((bmm.alpha_lo, bmm.beta_lo), (bmm.alpha_hi, bmm.beta_hi), bmm.weight_hi)
-    log_lo, log_hi = _log_joint(x, params)
+    log_lo, log_hi = _log_joint(np.log(x), np.log1p(-x), params)
     w = np.exp(log_hi - np.logaddexp(log_lo, log_hi))
     return w if w.ndim else float(w)
 

@@ -21,6 +21,7 @@ import json
 import os
 import tempfile
 import time
+import zipfile
 from dataclasses import asdict, dataclass, field, fields
 from typing import NamedTuple
 
@@ -178,8 +179,7 @@ def _apply_update(state: RunState, cfg: TrainConfig, grad_w_v, grad_w_t,
     if cfg.optimizer == "sgd":
         state.params = enc.sgd_step(state.params, grad_w_v, grad_w_t, lr)
         return
-    if not (np.all(np.isfinite(grad_w_v)) and np.all(np.isfinite(grad_w_t))):
-        raise FloatingPointError("non-finite gradient in the encoder update")
+    enc.check_finite_gradients(grad_w_v, grad_w_t)
     adam = state.adam
     adam.step += 1
     delta_v = _adam_update(adam.m_v, adam.v_v, grad_w_v, adam.step)
@@ -551,43 +551,57 @@ def load_state(path: str):
     Returns ``(state, config)``; resuming training from the restored state
     reproduces the original run exactly. A checkpoint of another version,
     with a missing entry, or with a config that does not name exactly the
-    :class:`TrainConfig` fields raises ``ValueError``.
+    :class:`TrainConfig` fields raises ``ValueError``, and so does a file
+    that is not a zip archive or whose entries cannot be read.
     """
-    with np.load(path, allow_pickle=False) as archive:
-        def entry(key):
-            if key not in archive:
-                raise ValueError(f"checkpoint {path} has no {key!r} entry")
-            return archive[key]
+    with open(path, "rb") as handle:
+        if not zipfile.is_zipfile(handle):
+            raise ValueError(f"checkpoint {path} is not a zip archive")
+    try:
+        with np.load(path, allow_pickle=False) as archive:
+            return _restore(archive, path)
+    except ValueError:
+        raise
+    except Exception as exc:  # whatever a damaged archive makes zipfile or numpy raise
+        raise ValueError(f"checkpoint {path} is damaged: "
+                         f"{type(exc).__name__}: {exc}") from None
 
-        if int(entry("version")) != _STATE_VERSION:
-            raise ValueError(f"unsupported checkpoint version {archive['version']}")
-        config = json.loads(str(entry("config")[()]))
-        known = {f.name for f in fields(TrainConfig)}
-        unknown, missing = sorted(config.keys() - known), sorted(known - config.keys())
-        if unknown or missing:
-            raise ValueError(f"checkpoint {path} config: unknown keys {unknown}, "
-                             f"missing keys {missing}")
-        cfg = TrainConfig(**config)
-        rng = np.random.default_rng()
-        rng.bit_generator.state = json.loads(str(entry("rng_state")[()]))
-        state = RunState(
-            params=enc.EncoderParams(entry("w_v").copy(), entry("w_t").copy()),
-            theta=costs_mod.CostNetParams(float(entry("cost_w")),
-                                          float(entry("cost_b"))),
-            epoch=int(entry("epoch")),
-            rng=rng,
-            history=json.loads(str(entry("history")[()])),
-            best_rsum=float(entry("best_rsum")),
-            best_epoch=int(entry("best_epoch")),
-            clip_events=int(entry("clip_events")),
-        )
-        if "best_w_v" in archive:
-            state.best_params = enc.EncoderParams(entry("best_w_v").copy(),
-                                                  entry("best_w_t").copy())
-        if "adam_m_v" in archive:
-            state.adam = AdamState(entry("adam_m_v").copy(),
-                                   entry("adam_v_v").copy(),
-                                   entry("adam_m_t").copy(),
-                                   entry("adam_v_t").copy(),
-                                   int(entry("adam_step")))
+
+def _restore(archive, path: str):
+    def entry(key):
+        if key not in archive:
+            raise ValueError(f"checkpoint {path} has no {key!r} entry")
+        return archive[key]
+
+    if int(entry("version")) != _STATE_VERSION:
+        raise ValueError(f"unsupported checkpoint version {archive['version']}")
+    config = json.loads(str(entry("config")[()]))
+    known = {f.name for f in fields(TrainConfig)}
+    unknown, missing = sorted(config.keys() - known), sorted(known - config.keys())
+    if unknown or missing:
+        raise ValueError(f"checkpoint {path} config: unknown keys {unknown}, "
+                         f"missing keys {missing}")
+    cfg = TrainConfig(**config)
+    rng = np.random.default_rng()
+    rng.bit_generator.state = json.loads(str(entry("rng_state")[()]))
+    state = RunState(
+        params=enc.EncoderParams(entry("w_v").copy(), entry("w_t").copy()),
+        theta=costs_mod.CostNetParams(float(entry("cost_w")),
+                                      float(entry("cost_b"))),
+        epoch=int(entry("epoch")),
+        rng=rng,
+        history=json.loads(str(entry("history")[()])),
+        best_rsum=float(entry("best_rsum")),
+        best_epoch=int(entry("best_epoch")),
+        clip_events=int(entry("clip_events")),
+    )
+    if "best_w_v" in archive:
+        state.best_params = enc.EncoderParams(entry("best_w_v").copy(),
+                                              entry("best_w_t").copy())
+    if "adam_m_v" in archive:
+        state.adam = AdamState(entry("adam_m_v").copy(),
+                               entry("adam_v_v").copy(),
+                               entry("adam_m_t").copy(),
+                               entry("adam_v_t").copy(),
+                               int(entry("adam_step")))
     return state, cfg

@@ -168,6 +168,36 @@ class TestErrorHandling:
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert needle in lines[0]
 
+    @pytest.mark.parametrize("content", [
+        b"PK\x03\x04garbage",             # zip magic, no archive behind it
+        b"plain text, not an archive",
+        b"\x93NUMPY\x01\x00",              # a .npy header, not an .npz
+    ], ids=["zip-magic", "text", "npy"])
+    def test_checkpoint_that_is_not_a_zip_reports_one_line(self, tmp_path,
+                                                             capsys, content):
+        data = make_dataset(tmp_path, capsys)
+        state = tmp_path / "checkpoint.npz"
+        state.write_bytes(content)
+        code = main(["eval", "--data", str(data), "--state", str(state)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert str(state) in lines[0]
+
+    def test_truncated_dataset_reports_one_line(self, tmp_path, capsys):
+        data = make_dataset(tmp_path, capsys)
+        lines = data.read_text().splitlines()
+        data.write_text("\n".join(lines[:len(lines) // 2]) + "\n")
+        code = main(["train", "--data", str(data), *FAST])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "truncated" in err[0]
+
     def test_non_finite_gradient_reports_one_line(self, tmp_path, capsys,
                                                   monkeypatch):
         data = make_dataset(tmp_path, capsys)

@@ -1,5 +1,7 @@
 """Dataset generation, corruption bookkeeping, serialization, and scoring."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -132,6 +134,63 @@ class TestSerialization:
         path = tmp_path / "other.jsonl"
         path.write_text('{"kind": "something-else"}\n')
         with pytest.raises(ValueError, match="paired-features"):
+            load_dataset(str(path))
+
+
+    @staticmethod
+    def saved_lines(tmp_path):
+        ds = make_benchmark(n=100, classes=5, noise=0.2, mrate=0.4, rng_seed=11)
+        path = tmp_path / "pairs.jsonl"
+        save_dataset(ds, str(path))
+        return path, path.read_text().splitlines()
+
+    @staticmethod
+    def edit_record(lines, line_index, **changes):
+        record = json.loads(lines[line_index])
+        record.update(changes)
+        return lines[:line_index] + [json.dumps(record)] + lines[line_index + 1:]
+
+    def test_truncated_file_rejected(self, tmp_path):
+        path, lines = self.saved_lines(tmp_path)
+        path.write_text("\n".join(lines[:51]) + "\n")
+        with pytest.raises(ValueError, match="50 records for n=100"):
+            load_dataset(str(path))
+
+    def test_duplicate_index_rejected(self, tmp_path):
+        path, lines = self.saved_lines(tmp_path)
+        path.write_text("\n".join(self.edit_record(lines, 5, index=3)) + "\n")
+        with pytest.raises(ValueError, match="line 6: duplicate index 3"):
+            load_dataset(str(path))
+
+    def test_bad_split_code_rejected(self, tmp_path):
+        path, lines = self.saved_lines(tmp_path)
+        path.write_text("\n".join(self.edit_record(lines, 7, split=-110)) + "\n")
+        with pytest.raises(ValueError, match="line 8: unknown split code -110"):
+            load_dataset(str(path))
+
+    @pytest.mark.parametrize("changes,needle", [
+        (dict(index=100), "index 100 outside"),
+        (dict(m=2), "'m' must be 0 or 1"),
+        (dict(v_feat=[0.5] * 31), "'v_feat' has shape"),
+        (dict(t_feat=[float("nan")] * 32), "'t_feat' has non-finite"),
+        (dict(t_class=1.5), "'t_class' must be an integer"),
+        ({"class": 2**70}, "'class' label 1180591620717411303424 out"),
+    ])
+    def test_malformed_record_rejected(self, tmp_path, changes, needle):
+        path, lines = self.saved_lines(tmp_path)
+        path.write_text("\n".join(self.edit_record(lines, 2, **changes)) + "\n")
+        with pytest.raises(ValueError, match=f"line 3: {needle}"):
+            load_dataset(str(path))
+
+    def test_missing_key_and_bad_json_name_the_line(self, tmp_path):
+        path, lines = self.saved_lines(tmp_path)
+        record = json.loads(lines[4])
+        del record["split"]
+        path.write_text("\n".join(lines[:4] + [json.dumps(record)] + lines[5:]) + "\n")
+        with pytest.raises(ValueError, match="line 5: missing key 'split'"):
+            load_dataset(str(path))
+        path.write_text("\n".join(lines[:4] + [lines[4][:-5]] + lines[5:]) + "\n")
+        with pytest.raises(ValueError, match="line 5: not valid JSON"):
             load_dataset(str(path))
 
 

@@ -7,6 +7,7 @@ from scipy.integrate import quad
 
 from rematch.mixture import (
     BetaMixture,
+    _log_add,
     beta_log_pdf,
     fit_bmm,
     mismatch_probabilities,
@@ -93,6 +94,106 @@ class TestFitBmm:
             fn = (~predicted & from_hi).sum()
             f1 = 2 * tp / (2 * tp + fp + fn)
             assert f1 >= 0.95
+
+
+def desk_sized_losses():
+    """360 losses from two overlapping components, the size of one
+    identification pass at desk scale."""
+    rng = np.random.default_rng(360)
+    from_hi = rng.random(360) < 0.4
+    return np.where(from_hi, rng.beta(6, 3, 360), rng.beta(2, 6, 360)) * 1.5
+
+
+# fits recorded before the EM loop was restructured; any change to the
+# arithmetic of an iteration shows here bit for bit
+PINNED_FITS = {
+    "desk": (
+        desk_sized_losses, {},
+        (2.115176694892977, 7.34947519632403, 2.8129748536400987,
+         1.5397799471587197, 0.45615435702348117),
+        [-17.407484113202425, 2.0730081091652455, 7.877116114982523,
+         10.482585337828272, 11.897324929959886, 12.753076685139945,
+         13.306575466666306, 13.680606181212756, 13.9409339714325,
+         14.125819311870266, 14.258946292071093, 14.355686202576523,
+         14.426384038671559, 14.478198724941578, 14.516190907523512,
+         14.543996132065217, 14.56425797974335, 14.578916078553478,
+         14.589402947433603, 14.59678159699164, 14.601843476121573,
+         14.605179194542862, 14.607230153408896, 14.608326552314335,
+         14.608715539260796],
+    ),
+    "two-component-seed-3": (
+        lambda: two_component_sample(seed=3)[0], dict(em_iters=100, tol=1e-10),
+        (1.7589036763490893, 6.997227890688838, 7.478350411935718,
+         1.8315355913063127, 0.5014608053807633),
+        [249.76482289159674, 258.4576956237836, 259.36720176869767,
+         259.5252759456922, 259.5515197017508],
+    ),
+}
+
+
+class TestPinnedFits:
+    @pytest.mark.parametrize("name", sorted(PINNED_FITS))
+    def test_parameters_and_trace_are_bitwise_pinned(self, name):
+        make, kwargs, params, trace = PINNED_FITS[name]
+        bmm = fit_bmm(make(), **kwargs)
+        assert not bmm.degenerate
+        assert (bmm.alpha_lo, bmm.beta_lo, bmm.alpha_hi, bmm.beta_hi,
+                bmm.weight_hi) == params
+        assert bmm.loglik_trace == trace
+
+    def test_two_term_reduction_matches_scipy_logsumexp(self):
+        from scipy.special import logsumexp
+
+        rng = np.random.default_rng(0)
+        a = rng.normal(scale=50.0, size=20000)
+        b = rng.normal(scale=50.0, size=20000)
+        b[:2000] = a[:2000]                     # ties
+        b[2000:3000] = a[2000:3000] - 800.0     # exp of the gap underflows
+        b[3000:4000] = a[3000:4000] + 40.0      # large gap, still representable
+        a[4000:4100] = -np.inf                  # one side carries no mass
+        a[4100:4200], b[4100:4200] = 1e300, -1e300
+        got = _log_add(a, b)
+        want = logsumexp(np.stack([a, b]), axis=0)
+        assert np.array_equal(got, want)
+        assert np.array_equal(_log_add(b, a), want)
+
+
+LOSS_KINDS = ("constant", "near-constant", "tied", "two-level", "well-separated")
+
+
+@st.composite
+def loss_vectors(draw):
+    n = draw(st.integers(10, 2000))
+    kind = draw(st.sampled_from(LOSS_KINDS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = draw(st.floats(-5.0, 5.0))
+    scale = draw(st.floats(1e-3, 1e3))
+    if kind == "constant":
+        unit = np.zeros(n)
+    elif kind == "near-constant":
+        unit = rng.random(n) * draw(st.sampled_from([1e-15, 1e-13, 1e-11]))
+    elif kind == "tied":
+        unit = rng.integers(0, draw(st.integers(2, 5)), n) / 4.0
+    elif kind == "two-level":
+        unit = (rng.random(n) < draw(st.floats(0.0, 1.0))).astype(np.float64)
+    else:
+        from_hi = rng.random(n) < draw(st.floats(0.05, 0.95))
+        unit = np.where(from_hi, rng.beta(20, 2, n) + 1.0, rng.beta(2, 20, n))
+    return base + scale * unit if kind != "near-constant" else base + unit
+
+
+class TestFitProperties:
+    @given(losses=loss_vectors())
+    @settings(max_examples=80, deadline=None)
+    def test_fit_invariants(self, losses):
+        bmm = fit_bmm(losses)
+        assert np.all(np.diff(bmm.loglik_trace) >= 0)
+        assert 0.0 <= bmm.weight_hi <= 1.0
+        assert bmm.mean_lo <= bmm.mean_hi
+        w = mismatch_probabilities(bmm, losses)
+        assert np.all((w >= 0) & (w <= 1))
+        spread = float(losses.max()) - float(losses.min())
+        assert bmm.degenerate == (spread < 1e-12)
 
 
 class TestPosterior:

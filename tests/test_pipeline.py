@@ -302,6 +302,26 @@ class TestRunExperiment:
             run_experiment(TrainConfig(seed=0, **SMALL), ds)
 
 
+class TestOptimizerStep:
+    @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+    @pytest.mark.parametrize("projection", ["visual", "text"])
+    def test_non_finite_gradient_names_the_projection(self, optimizer,
+                                                      projection):
+        ds = make_benchmark(n=60, classes=3, noise=0.1, mrate=0.0, rng_seed=0)
+        cfg = TrainConfig(optimizer=optimizer, **SMALL)
+        state = init_state(cfg, ds)
+        before = state.params.copy()
+        grads = [np.zeros_like(state.params.w_v), np.zeros_like(state.params.w_t)]
+        grads[projection == "text"][0, 0] = np.nan
+        with pytest.raises(FloatingPointError,
+                           match=f"non-finite gradient in the {projection} projection"):
+            pl._apply_update(state, cfg, *grads, lr=0.1)
+        np.testing.assert_array_equal(state.params.w_v, before.w_v)
+        np.testing.assert_array_equal(state.params.w_t, before.w_t)
+        if optimizer == "adam":
+            assert state.adam.step == 0
+
+
 class TestCheckpointing:
     def test_resume_reproduces_training(self, tmp_path, noisy_ds):
         cfg = TrainConfig(seed=1, warmup_epochs=1, train_epochs=3,
@@ -373,3 +393,22 @@ class TestCheckpointing:
         np.savez(str(path), **data)
         with pytest.raises(ValueError, match="'adam_step'"):
             load_state(str(path))
+
+    def test_damaged_archive_raises_value_error(self, tmp_path, noisy_ds):
+        cfg = TrainConfig(seed=0, optimizer="adam")
+        path = tmp_path / "damaged.npz"
+        save_state(init_state(cfg, noisy_ds), cfg, str(path))
+        raw = path.read_bytes()
+        path.write_bytes(raw[:len(raw) // 2])
+        with pytest.raises(ValueError, match="not a zip archive"):
+            load_state(str(path))
+        # a flipped byte either lands in a field nobody checks or is reported
+        # as a ValueError, never as another exception
+        for position in range(0, len(raw), 53):
+            flipped = bytearray(raw)
+            flipped[position] ^= 0xFF
+            path.write_bytes(bytes(flipped))
+            try:
+                load_state(str(path))
+            except ValueError:
+                pass
