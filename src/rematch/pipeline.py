@@ -357,15 +357,23 @@ def _cost_update(state: RunState, ds: PairDataset, cfg: TrainConfig,
 
 def _rematch_steps(state: RunState, ds: PairDataset, cfg: TrainConfig,
                    train_idx: np.ndarray, matched_idx: np.ndarray,
-                   mismatched_idx: np.ndarray, lr: float) -> float:
-    """Sampled steps on the full objective; the mean loss.
+                   mismatched_idx: np.ndarray, lr: float):
+    """Sampled steps on the full objective; the mean loss and the solve counts.
 
     Every step draws its batches independently, in this order: a matched
     batch to teach the cost map, a mismatched batch for the rematch term,
-    and a matched batch for the triplet term.
+    and a matched batch for the triplet term. A step whose transport solve
+    did not converge skips the rematch term; ``{"solves", "unconverged"}``
+    counts the solves and those skips.
     """
+    solves = {"solves": 0, "unconverged": 0}
+
     def rematch_objective(s):
-        refined_v2t, refined_t2v, _ = refine_batch(state, s, cfg)
+        refined_v2t, refined_t2v, plan = refine_batch(state, s, cfg)
+        solves["solves"] += 1
+        if not plan.converged:
+            solves["unconverged"] += 1
+            return 0.0, np.zeros_like(s)
         return rematch_loss(refined_v2t, refined_t2v, s, cfg.tau,
                             cfg.rematch_variant)
 
@@ -393,7 +401,7 @@ def _rematch_steps(state: RunState, ds: PairDataset, cfg: TrainConfig,
                 grad_w_t += term_t
         _apply_update(state, cfg, grad_w_v, grad_w_t, lr=lr)
         total += value
-    return total / max(steps, 1)
+    return total / max(steps, 1), solves
 
 
 def _epoch(state: RunState, ds: PairDataset, cfg: TrainConfig,
@@ -414,7 +422,8 @@ def _epoch(state: RunState, ds: PairDataset, cfg: TrainConfig,
         loss = _fit(state, ds, cfg, rows,
                     lambda s: warmup_loss(s, cfg.tau, cfg.eps, cfg.rce_weight), lr)
     elif mode.rematch:
-        loss = _rematch_steps(state, ds, cfg, train_idx, rows, mismatched_idx, lr)
+        loss, record["transport"] = _rematch_steps(state, ds, cfg, train_idx, rows,
+                                                   mismatched_idx, lr)
         record["bmm"] = None if bmm.degenerate else {
             "alpha_lo": bmm.alpha_lo, "beta_lo": bmm.beta_lo,
             "alpha_hi": bmm.alpha_hi, "beta_hi": bmm.beta_hi,

@@ -40,8 +40,10 @@ class SinkhornConfig:
     max_iter : int
         Iteration cap, counting scaling sweeps and Newton steps together.
     tol : float
-        Convergence threshold on the worst marginal violation of the
-        current plan.
+        Convergence threshold on the summed absolute row and column
+        residuals of the current plan. It also bounds the worst marginal
+        violation and, for :func:`partial_ot`, how far the transported mass
+        can miss the budget beyond the entropic corner mass.
     """
 
     lam: float
@@ -112,6 +114,11 @@ def marginal_violation(plan: np.ndarray, p: np.ndarray, q: np.ndarray) -> float:
     return float(max(row, col))
 
 
+def _residual(plan: np.ndarray, p: np.ndarray, q: np.ndarray) -> float:
+    """Summed absolute deviation of the plan's row and column sums from (p, q)."""
+    return float(np.abs(plan.sum(axis=1) - p).sum() + np.abs(plan.sum(axis=0) - q).sum())
+
+
 def _check_feasible(active: np.ndarray, p: np.ndarray, q: np.ndarray, tol: float):
     """Every positive-mass row/column needs at least one usable kernel cell."""
     dead_rows = (~active.any(axis=1)) & (p > tol)
@@ -132,15 +139,16 @@ def _check_feasible(active: np.ndarray, p: np.ndarray, q: np.ndarray, tol: float
 # (permutation-support optima), so after this many sweeps the remaining
 # equilibration runs as damped Newton on the same marginal equations. The
 # fixed point and the diag(a) K diag(b) output form are unchanged.
-_NEWTON_AFTER = 5
-# A full Newton step can move a scaling exponent by orders of magnitude more
-# than the linearized marginals can be trusted for (the first step after the
-# sweeps often asks for ~1e8 when the partial block is still nearly empty).
-# The line search starts at the step that changes no cell's log-mass by more
-# than this, instead of halving down to it one plan at a time.
+_NEWTON_AFTER = 1
+# Only a safeguard since the partial reduction starts in the right gauge
+# (see default_xi): a full Newton step from a far start can move a scaling
+# exponent by orders of magnitude more than the linearized marginals can be
+# trusted for, so the line search starts at the step that changes no cell's
+# log-mass by more than this, instead of halving down to it one plan at a
+# time.
 _MAX_LOG_STEP = 64.0
-# Dense Newton systems above this size would dominate runtime; such instances
-# stay on pure scaling sweeps.
+# Schur systems (one row per free column) above this size would dominate
+# runtime; such instances stay on pure scaling sweeps.
 _POLISH_MAX_DIM = 800
 
 
@@ -184,34 +192,40 @@ def _newton_direction(plan, rows, cols, res_r, res_c, damping):
     complement on the columns is factorized.
     """
     inv_r = 1.0 / (rows + damping)
-    schur = -(plan.T * inv_r) @ plan
+    scaled = plan * np.sqrt(inv_r)[:, None]
+    schur = -(scaled.T @ scaled)  # one symmetric product (syrk)
     schur[np.diag_indices_from(schur)] += cols + damping
     dy = np.linalg.solve(schur, plan.T @ (inv_r * res_r) - res_c)
     dx = -inv_r * (res_r + plan @ dy)
     return dx, dy
 
 
-def _newton(log_kernel, p, q, log_a, log_b, plan, err, budget, tol):
+def _free(mass: np.ndarray):
+    """Index of the positive entries of ``mass``; a slice when all are."""
+    return slice(None) if mass.min() > 0 else np.flatnonzero(mass > 0)
+
+
+def _newton(log_kernel, p, q, log_a, log_b, plan, residual, budget, tol):
     """Equilibrate marginals of exp(log_a + log_kernel + log_b) by Newton steps.
 
     Works on the scaling exponents directly; zero-mass rows/columns are
-    frozen at -inf. Each step is a backtracking line search on the worst
-    marginal violation. Returns the exponents, their plan and its violation,
+    frozen at -inf. Steps continue while the summed residual exceeds
+    ``tol``; each is a backtracking line search on the worst marginal
+    violation. Returns the exponents, their plan and its summed residual,
     and the steps spent.
     """
-    idx_r = np.flatnonzero(p > 0)
-    idx_c = np.flatnonzero(q > 0)
-    free = np.ix_(idx_r, idx_c)
+    free_r = _free(p)
+    free_c = _free(q)
+    err = marginal_violation(plan, p, q)
     spent = 0
-    while spent < budget and err > tol:
+    while spent < budget and residual > tol:
         spent += 1
-        rows = plan.sum(axis=1)
-        cols = plan.sum(axis=0)
+        rows = plan.sum(axis=1)[free_r]
+        cols = plan.sum(axis=0)[free_c]
         damping = 1e-12 * max(rows.max(), cols.max(), 1e-30)
         try:
-            dx, dy = _newton_direction(plan[free], rows[idx_r], cols[idx_c],
-                                       rows[idx_r] - p[idx_r], cols[idx_c] - q[idx_c],
-                                       damping)
+            dx, dy = _newton_direction(plan[free_r][:, free_c], rows, cols,
+                                       rows - p[free_r], cols - q[free_c], damping)
         except np.linalg.LinAlgError:
             break
         # the largest |dx_i + dy_j|; the gauge shift dx + c, dy - c drops out
@@ -220,19 +234,20 @@ def _newton(log_kernel, p, q, log_a, log_b, plan, err, budget, tol):
         for _ in range(60):
             cand_a = log_a.copy()
             cand_b = log_b.copy()
-            cand_a[idx_r] += step * dx
-            cand_b[idx_c] += step * dy
+            cand_a[free_r] += step * dx
+            cand_b[free_c] += step * dy
             with np.errstate(over="ignore"):
                 cand_plan = _realize(log_kernel, cand_a, cand_b)
                 cand_err = (marginal_violation(cand_plan, p, q)
                             if np.all(np.isfinite(cand_plan)) else np.inf)
             if cand_err < err:
                 log_a, log_b, plan, err = cand_a, cand_b, cand_plan, cand_err
+                residual = _residual(plan, p, q)
                 break
             step *= 0.5
         else:  # the line search found no improving step
             break
-    return log_a, log_b, plan, err, spent
+    return log_a, log_b, plan, residual, spent
 
 
 def _solve(cost, p, q, mask, cfg: SinkhornConfig):
@@ -247,24 +262,25 @@ def _solve(cost, p, q, mask, cfg: SinkhornConfig):
         log_p = np.log(p)
         log_q = np.log(q)
     log_b = np.where(np.isneginf(log_q), -np.inf, 0.0)
-    log_a, plan, err, iterations = None, None, np.inf, 0
+    log_a, plan, residual, iterations = None, None, np.inf, 0
 
     def sweep_until(stop):
-        nonlocal log_a, log_b, plan, err, iterations
-        while iterations < stop and err > cfg.tol:
+        nonlocal log_a, log_b, plan, residual, iterations
+        while iterations < stop and residual > cfg.tol:
             iterations += 1
             log_a, log_b = _sweep(log_kernel, log_p, log_q, log_b)
             plan = _realize(log_kernel, log_a, log_b)
-            err = marginal_violation(plan, p, q)
+            residual = _residual(plan, p, q)
 
-    newton = sum(cost.shape) <= _POLISH_MAX_DIM
+    newton = np.count_nonzero(q) <= _POLISH_MAX_DIM
     sweep_until(min(cfg.max_iter, _NEWTON_AFTER) if newton else cfg.max_iter)
     if newton:
-        log_a, log_b, plan, err, spent = _newton(
-            log_kernel, p, q, log_a, log_b, plan, err, cfg.max_iter - iterations, cfg.tol)
+        log_a, log_b, plan, residual, spent = _newton(
+            log_kernel, p, q, log_a, log_b, plan, residual, cfg.max_iter - iterations,
+            cfg.tol)
         iterations += spent
     sweep_until(cfg.max_iter)
-    return plan, err <= cfg.tol, iterations
+    return plan, residual <= cfg.tol, iterations
 
 
 def _validate(cost, p, q, mask):
@@ -283,11 +299,11 @@ def sinkhorn(cost, p, q, mask=None, cfg: SinkhornConfig | None = None) -> Transp
     """Solve the entropy-regularized, optionally masked, balanced problem.
 
     Scales the masked Gibbs kernel ``K = mask * exp(-cost / lam)`` to the
-    marginals: a few log-domain row/column sweeps, then damped Newton on the
+    marginals: one log-domain row/column sweep, then damped Newton on the
     scaling exponents, and further sweeps should Newton stall. The returned
     plan is ``diag(a) K diag(b)``; masked cells are exactly zero. Iteration
-    stops at the first of convergence (worst marginal violation <=
-    ``cfg.tol``) or ``cfg.max_iter``.
+    stops at the first of convergence (summed absolute row and column
+    residuals <= ``cfg.tol``) or ``cfg.max_iter``.
 
     Parameters
     ----------
@@ -322,10 +338,23 @@ def sinkhorn(cost, p, q, mask=None, cfg: SinkhornConfig | None = None) -> Transp
     return TransportPlan(plan=plan, converged=converged, iterations=iterations)
 
 
+# extend_partial rejects xi <= 0, so the border cost never falls below this
+_XI_FLOOR = 1e-12
+
+
 def default_xi(cost: np.ndarray) -> float:
-    """Virtual-node border cost on the scale of the real costs."""
-    cost = np.asarray(cost, dtype=np.float64)
-    return 0.1 * (cost.max() - cost.min() + 1.0)
+    """Virtual-node border cost: the cheapest real cost, floored just above 0.
+
+    The border cost is a free gauge. Every feasible plan of the extended
+    problem puts ``|p| + |q| - 2 * rho`` of its mass on border cells (the
+    corner counting twice), so changing ``xi`` adds only a constant to the
+    entropic objective and leaves the optimal plan as it is; in the dual, it
+    shifts both virtual potentials by the change. Pricing the border like the
+    cheapest real cell starts the scaling with the real block and the border
+    on one scale, close to the optimum, instead of the block ``exp(-gap /
+    lam)`` below it.
+    """
+    return max(float(np.min(cost)), _XI_FLOOR)
 
 
 def default_a_big(cost: np.ndarray) -> float:
@@ -341,7 +370,9 @@ def extend_partial(cost, p, q, mask=None, rho: float = 0.0, xi: float | None = N
     cell priced at ``2 * xi + a_big``; the border and corner are never
     masked. The virtual column absorbs ``|p| - rho`` source mass and the
     virtual row supplies ``|q| - rho`` target mass, so exactly ``rho`` moves
-    inside the original block at the optimum.
+    inside the original block at the optimum. Any ``xi > 0`` gives the same
+    optimal plan, because the border carries a fixed total mass (see
+    :func:`default_xi`); the default only makes the solve start close to it.
 
     Returns
     -------

@@ -196,8 +196,10 @@ class TestTrainEpoch:
         train_epoch(state, noisy_ds, cfg, train_idx)
         record = state.history[-1]
         for key in ("bmm", "partition", "identification", "cost_gap",
-                    "cost_params"):
+                    "cost_params", "transport"):
             assert key in record
+        assert record["transport"]["solves"] > 0
+        assert record["transport"]["unconverged"] == 0
         assert record["cost_gap"]["gap"] == pytest.approx(
             record["cost_gap"]["mean_mismatched"]
             - record["cost_gap"]["mean_matched"])
@@ -253,7 +255,7 @@ class TestRunExperiment:
         assert payload["config"]["partial"] is False
 
     @pytest.mark.parametrize("mode,best,test_rsum,last_loss", [
-        ("rematch", {"epoch": 4, "val_rsum": 337.5}, 240.0, 17.784528779946438),
+        ("rematch", {"epoch": 4, "val_rsum": 337.5}, 240.0, 17.784528853549002),
         ("naive", {"epoch": 5, "val_rsum": 331.25}, 190.0, 17.041659996871974),
         ("discard", {"epoch": 4, "val_rsum": 337.5}, 240.0, 12.52813689850941),
     ])
@@ -266,6 +268,22 @@ class TestRunExperiment:
         assert payload["test"]["rsum"] == pytest.approx(test_rsum, abs=1e-9)
         assert payload["epochs"][-1]["train_loss"] == pytest.approx(last_loss,
                                                                     abs=1e-9)
+
+    def test_unconverged_plans_skip_the_rematch_term(self, determinism_ds,
+                                                     monkeypatch):
+        # one scaling sweep cannot meet ot_tol, so every solve is counted as
+        # unconverged and no step may train on its plan
+        def no_rematch_term(*args, **kwargs):
+            raise AssertionError("rematch term computed from an unconverged plan")
+
+        monkeypatch.setattr(pl, "rematch_loss", no_rematch_term)
+        payload = run_experiment(TrainConfig(mode="rematch", ot_max_iter=1,
+                                             **DETERMINISM), determinism_ds)
+        records = [r for r in payload["epochs"] if r["phase"] == "train"]
+        assert len(records) == DETERMINISM["train_epochs"]
+        for record in records:
+            assert record["transport"]["solves"] > 0
+            assert record["transport"]["unconverged"] == record["transport"]["solves"]
 
     @pytest.mark.parametrize("mode", ["rematch", "naive", "discard"])
     def test_public_epochs_retrace_the_run(self, determinism_ds, mode):

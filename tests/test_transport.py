@@ -11,6 +11,7 @@ from rematch.transport import (
     SinkhornConfig,
     _logsumexp,
     _newton_direction,
+    default_xi,
     extend_partial,
     marginal_violation,
     normalize_plan,
@@ -206,7 +207,7 @@ class TestSolverInternals:
         cfg = SinkhornConfig(lam=0.01, max_iter=3000, tol=1e-6)
         res = partial_ot(cost, uniform(n), uniform(n), mask, rho=rho, cfg=cfg)
         assert res.converged
-        assert res.iterations <= 30
+        assert res.iterations <= 10
         assert abs(res.plan.sum() - rho) < 1e-4
         assert np.all(res.plan.sum(axis=1) <= uniform(n) + cfg.tol)
         assert np.all(res.plan.sum(axis=0) <= uniform(n) + cfg.tol)
@@ -225,7 +226,7 @@ class TestSolverInternals:
                          1 - np.eye(n, dtype=int), rho=0.1,
                          cfg=SinkhornConfig(lam=0.01, max_iter=3000, tol=1e-6))
         assert res.converged
-        assert len(realized) <= res.iterations + 10
+        assert len(realized) <= res.iterations + 3
 
     @pytest.mark.parametrize("seed", range(20))
     def test_schur_direction_matches_dense_jacobian(self, seed):
@@ -323,6 +324,26 @@ class TestExtendPartial:
         with pytest.raises(ValueError, match="a_big"):
             extend_partial(np.ones((2, 2)), p, q, rho=0.5, xi=0.1, a_big=1.0)
 
+    @pytest.mark.parametrize("xi", [0.01, 1.0, 10.0])
+    def test_border_cost_is_a_gauge(self, xi):
+        # the border carries a fixed total mass, so any xi > 0 gives the
+        # plan partial_ot finds with its default border cost
+        rng = np.random.default_rng(4)
+        n = 10
+        cost = rng.uniform(1.0, 1.6, (n, n))
+        mask = 1 - np.eye(n, dtype=int)
+        cfg = SinkhornConfig(lam=0.01, max_iter=20000, tol=1e-12)
+        default = partial_ot(cost, uniform(n), uniform(n), mask, rho=0.3, cfg=cfg)
+        shifted = sinkhorn(*extend_partial(cost, uniform(n), uniform(n), mask,
+                                           rho=0.3, xi=xi), cfg)
+        assert default.converged and shifted.converged
+        np.testing.assert_allclose(shifted.plan[:n, :n], default.plan, rtol=0, atol=1e-12)
+
+    def test_default_border_cost_is_the_cheapest_real_cost(self):
+        assert default_xi(np.array([[1.3, 1.1], [1.6, 1.2]])) == 1.1
+        assert 0 < default_xi(np.array([[0.0, 1.0], [1.0, 2.0]])) < 1e-9
+        assert 0 < default_xi(np.array([[-1.0, 1.0]])) < 1e-9
+
     def test_full_budget_reduction_matches_plain_solver(self):
         rng = np.random.default_rng(7)
         cost = rng.uniform(0, 1, (5, 5))
@@ -380,6 +401,52 @@ class TestPartialOT:
                 assert np.all(res.plan.sum(axis=1) <= p + 1e-6)
                 assert np.all(res.plan.sum(axis=0) <= q + 1e-6)
                 assert np.all(res.plan[np.eye(n, dtype=bool)] == 0.0)
+
+
+    @pytest.mark.parametrize("n", [128, 256, 399])
+    def test_converged_means_the_budget_holds(self, n):
+        rng = np.random.default_rng(n)
+        cfg = SinkhornConfig(lam=0.01, max_iter=3000, tol=1e-6)
+        res = partial_ot(rng.uniform(1.0, 1.6, (n, n)), uniform(n), uniform(n),
+                         1 - np.eye(n, dtype=int), rho=0.1, cfg=cfg)
+        assert res.converged
+        assert abs(res.plan.sum() - 0.1) <= cfg.tol
+
+    def test_large_batch_runs_newton(self):
+        # 512 pairs: the Schur system has 513 free columns, under the cap
+        rng = np.random.default_rng(0)
+        n = 512
+        res = partial_ot(rng.uniform(1.0, 1.6, (n, n)), uniform(n), uniform(n),
+                         1 - np.eye(n, dtype=int), rho=0.1,
+                         cfg=SinkhornConfig(lam=0.01, max_iter=3000, tol=1e-6))
+        assert res.converged
+        assert res.iterations <= 10
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_invariants_over_random_instances(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 41))
+        lam = float(rng.uniform(0.005, 0.1))
+        cost = rng.uniform(0, 2) + rng.uniform(0, 1, (n, n))
+        mask = rng.uniform(size=(n, n)) > rng.uniform(0, 0.8)
+        np.fill_diagonal(mask, False)
+        # a cyclic shift stays open, so even the full budget is feasible
+        mask[np.arange(n), (np.arange(n) + 1) % n] = True
+        rho = 1.0 if rng.uniform() < 0.2 else float(rng.uniform(0.01, 1.0))
+        p = q = uniform(n)
+        cfg = SinkhornConfig(lam=lam, max_iter=5000, tol=1e-8)
+        res = partial_ot(cost, p, q, mask, rho=rho, cfg=cfg)
+        assert res.converged
+        assert np.all(res.plan.sum(axis=1) <= p + cfg.tol)
+        assert np.all(res.plan.sum(axis=0) <= q + cfg.tol)
+        assert np.all(res.plan[~mask] == 0.0)
+        cost_ext, p_ext, q_ext, mask_ext = extend_partial(cost, p, q, mask, rho=rho)
+        ext = sinkhorn(cost_ext, p_ext, q_ext, mask_ext, cfg)
+        np.testing.assert_array_equal(ext.plan[:n, :n], res.plan)
+        residual = (np.abs(ext.plan.sum(axis=1) - p_ext).sum()
+                    + np.abs(ext.plan.sum(axis=0) - q_ext).sum())
+        assert residual <= cfg.tol
 
 
 class TestNormalizePlan:
