@@ -14,20 +14,13 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import fields
 
 import numpy as np
 
 from .data import load_dataset, make_benchmark, save_dataset
 from .flow_oracle import exact_ot_oracle
-from .pipeline import (
-    MODES,
-    OPTIMIZERS,
-    TrainConfig,
-    evaluate,
-    load_state,
-    run_experiment,
-    split_indices,
-)
+from .pipeline import TrainConfig, evaluate, load_state, run_experiment, split_indices
 from .transport import SinkhornConfig, sinkhorn
 
 OUT_DIR_ENV = "REMATCH_OUT_DIR"
@@ -87,71 +80,48 @@ def _note(message: str) -> None:
     print(message, file=sys.stderr)
 
 
+# Help text of each training flag, in --help order. Each flag sets the
+# TrainConfig field of its name, whose type, default and choices it takes;
+# the flag is the field name with dashes, apart from ``lam``'s --lambda.
+_TRAIN_FLAG_HELP = {
+    "seed": "run seed; drives init, batching, and sampling",
+    "warmup_epochs": "initial full-data epochs on the overconfidence-resistant "
+                     "objective",
+    "train_epochs": "identification + rematching epochs after warm-up",
+    "lr_decay_epoch": "1-based epoch from which the model rate is cut 10x",
+    "batch_size": "pairs per step; also the negative-mining pool size",
+    "alpha": "margin of the hinge ranking loss",
+    "tau": "softmax temperature of the matching probabilities",
+    "eps": "label bound of the reversed cross-entropy",
+    "rho": "mass budget moved by the partial transport solve",
+    "lam": "entropic regularization of the transport solve",
+    "reserve_ratio": "kept-match fraction when rebuilding supervision batches",
+    "threshold": "mismatch-posterior split point",
+    "lr_model": "encoder learning rate",
+    "lr_cost": "cost-map learning rate",
+    "embed_dim": "shared embedding dimension",
+    "rce_weight": "weight of the reversed term during warm-up",
+    "mode": "rematch = full loop; naive = triplet on all data; "
+            "discard = triplet on the identified matched subset",
+    "optimizer": "encoder optimizer",
+    "em_iters": "mixture-fit iteration cap",
+    "ot_tol": "marginal tolerance of training-loop transport solves",
+    "ot_max_iter": "iteration cap of training-loop transport solves",
+    "val_frac": "fraction of the corrupted pool held out for validation",
+}
+_FLAG_NAMES = {"lam": "--lambda"}
+
+
 def _add_train_flags(parser: argparse.ArgumentParser) -> None:
-    defaults = TrainConfig()
-    parser.add_argument("--seed", type=int, default=defaults.seed,
-                        help="run seed; drives init, batching, and sampling")
-    parser.add_argument("--warmup-epochs", type=int, default=defaults.warmup_epochs,
-                        help="initial full-data epochs on the overconfidence-"
-                             "resistant objective")
-    parser.add_argument("--train-epochs", type=int, default=defaults.train_epochs,
-                        help="identification + rematching epochs after warm-up")
-    parser.add_argument("--lr-decay-epoch", type=int, default=defaults.lr_decay_epoch,
-                        help="1-based epoch from which the model rate is cut 10x")
-    parser.add_argument("--batch-size", type=int, default=defaults.batch_size,
-                        help="pairs per step; also the negative-mining pool size")
-    parser.add_argument("--alpha", type=float, default=defaults.alpha,
-                        help="margin of the hinge ranking loss")
-    parser.add_argument("--tau", type=float, default=defaults.tau,
-                        help="softmax temperature of the matching probabilities")
-    parser.add_argument("--eps", type=float, default=defaults.eps,
-                        help="label bound of the reversed cross-entropy")
-    parser.add_argument("--rho", type=float, default=defaults.rho,
-                        help="mass budget moved by the partial transport solve")
-    parser.add_argument("--lambda", dest="lam", type=float, default=defaults.lam,
-                        help="entropic regularization of the transport solve")
-    parser.add_argument("--reserve-ratio", type=float, default=defaults.reserve_ratio,
-                        help="kept-match fraction when rebuilding supervision batches")
-    parser.add_argument("--threshold", type=float, default=defaults.threshold,
-                        help="mismatch-posterior split point")
-    parser.add_argument("--lr-model", type=float, default=defaults.lr_model,
-                        help="encoder learning rate")
-    parser.add_argument("--lr-cost", type=float, default=defaults.lr_cost,
-                        help="cost-map learning rate")
-    parser.add_argument("--embed-dim", type=int, default=defaults.embed_dim,
-                        help="shared embedding dimension")
-    parser.add_argument("--rce-weight", type=float, default=defaults.rce_weight,
-                        help="weight of the reversed term during warm-up")
-    parser.add_argument("--mode", choices=MODES, default=defaults.mode,
-                        help="rematch = full loop; naive = triplet on all data; "
-                             "discard = triplet on the identified matched subset")
-    parser.add_argument("--optimizer", choices=OPTIMIZERS, default=defaults.optimizer,
-                        help="encoder optimizer")
-    parser.add_argument("--em-iters", type=int, default=defaults.em_iters,
-                        help="mixture-fit iteration cap")
-    parser.add_argument("--ot-tol", type=float, default=defaults.ot_tol,
-                        help="marginal tolerance of training-loop transport solves")
-    parser.add_argument("--ot-max-iter", type=int, default=defaults.ot_max_iter,
-                        help="iteration cap of training-loop transport solves")
-    parser.add_argument("--val-frac", type=float, default=defaults.val_frac,
-                        help="fraction of the corrupted pool held out for validation")
+    settings = {setting.name: setting for setting in fields(TrainConfig)}
+    for name, help_text in _TRAIN_FLAG_HELP.items():
+        setting = settings[name]
+        parser.add_argument(_FLAG_NAMES.get(name, "--" + name.replace("_", "-")),
+                            dest=name, type=setting.metadata.get("type"),
+                            choices=setting.metadata.get("choices"),
+                            default=setting.default, help=help_text)
     parser.add_argument("--state-out", default=None,
                         help="optional checkpoint file to write after training")
-
-
-def _config_from_args(args, overrides=None) -> TrainConfig:
-    fields = dict(
-        warmup_epochs=args.warmup_epochs, train_epochs=args.train_epochs,
-        lr_decay_epoch=args.lr_decay_epoch, batch_size=args.batch_size,
-        alpha=args.alpha, tau=args.tau, eps=args.eps, rho=args.rho,
-        lam=args.lam, reserve_ratio=args.reserve_ratio,
-        threshold=args.threshold, lr_model=args.lr_model, lr_cost=args.lr_cost,
-        seed=args.seed, embed_dim=args.embed_dim, rce_weight=args.rce_weight,
-        mode=args.mode, optimizer=args.optimizer, em_iters=args.em_iters,
-        ot_tol=args.ot_tol, ot_max_iter=args.ot_max_iter, val_frac=args.val_frac,
-    )
-    fields.update(overrides or {})
-    return TrainConfig(**fields)
 
 
 def _cmd_gen(args) -> int:
@@ -169,8 +139,9 @@ def _cmd_gen(args) -> int:
 
 
 def _run_training(args, overrides=None) -> int:
+    cfg = TrainConfig(**{name: getattr(args, name) for name in _TRAIN_FLAG_HELP},
+                      **(overrides or {}))
     ds = load_dataset(args.data)
-    cfg = _config_from_args(args, overrides)
     _note(f"training mode={cfg.mode} on {args.data} "
           f"({cfg.warmup_epochs}+{cfg.train_epochs} epochs)")
     payload, state = run_experiment(cfg, ds, return_state=True)
@@ -210,6 +181,9 @@ def _cmd_eval(args) -> int:
 
 def _cmd_oracle_check(args) -> int:
     cfg = SinkhornConfig(lam=args.lam, max_iter=args.max_iter, tol=args.tol)
+    for flag, value in (("--instances", args.instances), ("--size", args.size)):
+        if value < 1:
+            raise ValueError(f"{flag} must be at least 1, got {value}")
     max_gap = 0.0
     max_violation = 0.0
     all_converged = True

@@ -95,8 +95,12 @@ def generate(n: int, classes: int, noise: float, rng_seed: int,
     """
     if not n >= classes >= 2:
         raise ValueError("need n >= classes >= 2")
-    if noise < 0:
-        raise ValueError("noise must be nonnegative")
+    if not (np.isfinite(noise) and noise >= 0):
+        raise ValueError(f"noise must be finite and nonnegative, got {noise}")
+    for name, width in (("d_in_v", d_in_v), ("d_in_t", d_in_t),
+                        ("latent_dim", latent_dim)):
+        if width < 1:
+            raise ValueError(f"{name} must be at least 1, got {width}")
     rng = np.random.default_rng(rng_seed)
     prototypes = rng.normal(size=(classes, latent_dim))
     map_v = rng.normal(scale=1.0 / np.sqrt(latent_dim), size=(latent_dim, d_in_v))

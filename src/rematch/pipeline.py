@@ -37,6 +37,7 @@ from .losses import (
     warmup_loss,
 )
 from .mixture import BetaMixture, fit_bmm, mismatch_probabilities, partition
+from ._settings import check, choice, count, real, switch
 from .transport import SinkhornConfig, normalize_plan, partial_ot
 
 __all__ = ["TrainConfig", "RunState", "init_state", "warmup", "per_sample_losses",
@@ -57,62 +58,61 @@ _MODES = {
     "naive": _Mode(warmup=False, identify=False, rematch=False),
     "discard": _Mode(warmup=True, identify=True, rematch=False),
 }
-MODES = tuple(_MODES)
-COST_MODES = ("learned", "cosine")
-REMATCH_VARIANTS = ("sym_kl", "kl", "ce")
-OPTIMIZERS = ("sgd", "adam")
 
 _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
 _ADAM_EPS = 1e-8
 
 
+def _solver_setting(name: str, default):
+    """A setting bounded like the :class:`SinkhornConfig` field ``name``."""
+    solver_field = next(f for f in fields(SinkhornConfig) if f.name == name)
+    return field(default=default, metadata=solver_field.metadata)
+
+
 @dataclass(frozen=True)
 class TrainConfig:
-    """Hyperparameters of a training run. Every field is overridable."""
+    """Hyperparameters of a training run. Every field is overridable.
 
-    warmup_epochs: int = 5
-    train_epochs: int = 35
-    lr_decay_epoch: int = 15
-    batch_size: int = 128
-    alpha: float = 0.2            # triplet margin
-    tau: float = 0.05             # softmax temperature
-    eps: float = 1e-7             # label bound in the reversed cross-entropy
-    rho: float = 0.1              # transported mass budget
-    lam: float = 0.01             # entropic regularization of the transport solve
-    reserve_ratio: float = 0.5    # kept-match fraction in rebuilt batches
-    threshold: float = 0.5        # mismatch posterior split point
-    lr_model: float = 2e-4
-    lr_cost: float = 2e-6
-    seed: int = 0
-    embed_dim: int = 16
-    rce_weight: float = 1.0       # weight of the reversed term during warm-up
-    mode: str = "rematch"
-    cost_mode: str = "learned"    # "cosine" swaps in 1 - s
-    mask_positives: bool = True
-    partial: bool = True          # False transports the full mass budget
-    rematch_variant: str = "sym_kl"
-    em_iters: int = 30
-    em_tol: float = 1e-6
-    ot_tol: float = 1e-6
-    ot_max_iter: int = 3000
-    val_frac: float = 0.1
-    cost_bound: float = 50.0
-    optimizer: str = "sgd"        # "adam" normalizes the per-term gradient scales
+    Each field declares its valid values next to its default, and
+    construction checks every field, raising ``ValueError`` that names the
+    first one out of bounds. ``lam``, ``ot_max_iter`` and ``ot_tol`` are
+    bounded like the :class:`SinkhornConfig` they build, once, as ``solver``.
+    """
+
+    warmup_epochs: int = count(5, least=0)
+    train_epochs: int = count(35, least=1)
+    lr_decay_epoch: int = count(15, least=1)      # 1-based epoch of the 10x cut
+    batch_size: int = count(128, least=2)
+    alpha: float = real(0.2, "[0, inf)")          # triplet margin
+    tau: float = real(0.05, "(0, inf)")           # softmax temperature
+    eps: float = real(1e-7, "(0, 0.5)")           # reversed cross-entropy label bound
+    rho: float = real(0.1, "[0, 1]")              # transported mass budget
+    lam: float = _solver_setting("lam", 0.01)     # entropic regularization
+    reserve_ratio: float = real(0.5, "(0, 1]")    # kept-match fraction, rebuilt batches
+    threshold: float = real(0.5, "[0, 1]")        # mismatch posterior split point
+    lr_model: float = real(2e-4, "(0, inf)")
+    lr_cost: float = real(2e-6, "(0, inf)")
+    seed: int = count(0, least=0)
+    embed_dim: int = count(16, least=2)
+    rce_weight: float = real(1.0, "[0, inf)")     # reversed term's warm-up weight
+    mode: str = choice("rematch", _MODES)
+    cost_mode: str = choice("learned", ("learned", "cosine"))  # cosine: 1 - s
+    mask_positives: bool = switch(True)
+    partial: bool = switch(True)                  # False moves the full mass budget
+    rematch_variant: str = choice("sym_kl", ("sym_kl", "kl", "ce"))
+    em_iters: int = count(30, least=1)
+    em_tol: float = real(1e-6, "(0, inf)")
+    ot_tol: float = _solver_setting("tol", 1e-6)
+    ot_max_iter: int = _solver_setting("max_iter", 3000)
+    val_frac: float = real(0.1, "(0, 1)")
+    cost_bound: float = real(50.0, "(0, inf)")
+    optimizer: str = choice("sgd", ("sgd", "adam"))  # adam evens the term scales
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.cost_mode not in COST_MODES:
-            raise ValueError(f"cost_mode must be one of {COST_MODES}")
-        if self.rematch_variant not in REMATCH_VARIANTS:
-            raise ValueError(f"rematch_variant must be one of {REMATCH_VARIANTS}")
-        if self.optimizer not in OPTIMIZERS:
-            raise ValueError(f"optimizer must be one of {OPTIMIZERS}")
-        if self.batch_size < 2:
-            raise ValueError("batch_size must be at least 2")
-        if not 0 <= self.rho <= 1:
-            raise ValueError("rho must lie in [0, 1]")
+        check(self)
+        object.__setattr__(self, "solver", SinkhornConfig(
+            lam=self.lam, max_iter=self.ot_max_iter, tol=self.ot_tol))
 
     @property
     def total_epochs(self) -> int:
@@ -328,8 +328,7 @@ def refine_batch(state: RunState, s_mis: np.ndarray, cfg: TrainConfig):
     marginal = np.full(n, 1.0 / n)
     rho = cfg.rho if cfg.partial else 1.0
     plan = partial_ot(_cost(state, cfg, s_mis), marginal, marginal, mask, rho=rho,
-                      cfg=SinkhornConfig(lam=cfg.lam, max_iter=cfg.ot_max_iter,
-                                         tol=cfg.ot_tol))
+                      cfg=cfg.solver)
     refined_v2t = normalize_plan(plan.plan, "row", mask=mask)
     refined_t2v = normalize_plan(plan.plan, "column", mask=mask)
     return refined_v2t, refined_t2v, plan

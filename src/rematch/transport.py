@@ -9,9 +9,11 @@ virtual column that absorb the untransported mass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 
 import numpy as np
+
+from ._settings import check, count, real
 
 __all__ = [
     "InfeasibleProblemError",
@@ -36,27 +38,24 @@ class SinkhornConfig:
     Parameters
     ----------
     lam : float
-        Entropic regularization strength. Must be positive.
+        Entropic regularization strength. Must be positive and finite.
     max_iter : int
         Iteration cap, counting scaling sweeps and Newton steps together.
+        At least 1.
     tol : float
         Convergence threshold on the summed absolute row and column
         residuals of the current plan. It also bounds the worst marginal
         violation and, for :func:`partial_ot`, how far the transported mass
-        can miss the budget beyond the entropic corner mass.
+        can miss the budget beyond the entropic corner mass. Must be
+        positive and finite.
     """
 
-    lam: float
-    max_iter: int = 1000
-    tol: float = 1e-9
+    lam: float = real(MISSING, "(0, inf)")
+    max_iter: int = count(1000, least=1)
+    tol: float = real(1e-9, "(0, inf)")
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError(f"lam must be positive, got {self.lam}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.tol <= 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        check(self)
 
 
 @dataclass(frozen=True)
@@ -147,9 +146,6 @@ _NEWTON_AFTER = 1
 # log-mass by more than this, instead of halving down to it one plan at a
 # time.
 _MAX_LOG_STEP = 64.0
-# Schur systems (one row per free column) above this size would dominate
-# runtime; such instances stay on pure scaling sweeps.
-_POLISH_MAX_DIM = 800
 
 
 def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
@@ -272,13 +268,11 @@ def _solve(cost, p, q, mask, cfg: SinkhornConfig):
             plan = _realize(log_kernel, log_a, log_b)
             residual = _residual(plan, p, q)
 
-    newton = np.count_nonzero(q) <= _POLISH_MAX_DIM
-    sweep_until(min(cfg.max_iter, _NEWTON_AFTER) if newton else cfg.max_iter)
-    if newton:
-        log_a, log_b, plan, residual, spent = _newton(
-            log_kernel, p, q, log_a, log_b, plan, residual, cfg.max_iter - iterations,
-            cfg.tol)
-        iterations += spent
+    sweep_until(min(cfg.max_iter, _NEWTON_AFTER))
+    log_a, log_b, plan, residual, spent = _newton(
+        log_kernel, p, q, log_a, log_b, plan, residual, cfg.max_iter - iterations,
+        cfg.tol)
+    iterations += spent
     sweep_until(cfg.max_iter)
     return plan, residual <= cfg.tol, iterations
 

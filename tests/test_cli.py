@@ -1,18 +1,23 @@
 """Command-line interface tests: flag wiring, payload discipline, and
 reproducibility of the file outputs."""
 
+import argparse
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import rematch.encoder as enc
+import rematch.pipeline as pl
 from rematch.cli import build_parser, main
 
 FAST = ["--warmup-epochs", "1", "--train-epochs", "1", "--lr-decay-epoch", "2",
         "--batch-size", "32"]
+
+SURFACE = Path(__file__).with_name("cli_surface.json")
 
 METRIC_KEYS = {"schema", "mode", "config", "dataset", "splits", "epochs",
                "best", "test", "random_baseline_rsum", "cost_clip_events",
@@ -28,9 +33,23 @@ def make_dataset(tmp_path, capsys, n=150, mrate=0.4, seed=0):
     return path
 
 
+def flag_row(action) -> dict:
+    return {"options": action.option_strings, "dest": action.dest,
+            "type": getattr(action.type, "__name__", None),
+            "default": action.default,
+            "choices": list(action.choices) if action.choices else None,
+            "required": action.required, "help": action.help}
+
+
 def add_config_key(archive):
     config = json.loads(str(archive["config"][()]))
     config["gamma"] = 0.1
+    archive["config"] = np.array(json.dumps(config))
+
+
+def corrupt_config_value(archive):
+    config = json.loads(str(archive["config"][()]))
+    config["val_frac"] = 1.5
     archive["config"] = np.array(json.dumps(config))
 
 
@@ -156,6 +175,7 @@ class TestErrorHandling:
     @pytest.mark.parametrize("edit,needle", [
         (add_config_key, "gamma"),
         (lambda archive: archive.pop("w_v"), "w_v"),
+        (corrupt_config_value, "val_frac must be"),
     ])
     def test_bad_checkpoint_reports_one_line(self, tmp_path, capsys, edit,
                                              needle):
@@ -211,6 +231,83 @@ class TestErrorHandling:
         assert "Traceback" not in captured.err
         last = captured.err.strip().splitlines()[-1]
         assert last.startswith("error:") and "non-finite" in last
+
+
+# each probe: the flags of a nonsense setting and the field its error names
+BAD_FLAGS = [
+    (["--warmup-epochs", "-3"], "warmup_epochs"),
+    (["--train-epochs", "-1"], "train_epochs"),
+    (["--alpha", "-1"], "alpha"),
+    (["--em-iters", "0"], "em_iters"),
+    (["--lr-decay-epoch", "0"], "lr_decay_epoch"),
+    (["--lr-cost", "inf"], "lr_cost"),
+    (["--val-frac", "1.5"], "val_frac"),
+    (["--lr-model", "nan"], "lr_model"),
+    (["--lambda", "0"], "lam"),
+    (["--ot-tol", "0"], "ot_tol"),
+    (["--ot-max-iter", "0"], "ot_max_iter"),
+    (["--threshold", "2"], "threshold"),
+    (["--reserve-ratio", "2"], "reserve_ratio"),
+]
+
+
+class TestSettingChecks:
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    @pytest.mark.parametrize("flags,name", BAD_FLAGS,
+                             ids=[" ".join(flags) for flags, _ in BAD_FLAGS])
+    def test_bad_setting_fails_before_any_epoch(self, tmp_path, capsys,
+                                                monkeypatch, command, flags,
+                                                name):
+        data = make_dataset(tmp_path, capsys)
+        epochs = []
+        monkeypatch.setattr(pl, "_epoch", lambda *args, **kwargs: epochs.append(1))
+        arm = ["--arm", "kl"] if command == "ablate" else []
+        code = main([command, *arm, "--data", str(data), *FAST, *flags])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {name} must be")
+        assert epochs == []
+
+    def test_flags_match_the_recorded_surface(self):
+        # option strings, dest, type, default, choices and help of every
+        # train and ablate flag, as recorded before the flags were derived
+        # from TrainConfig
+        recorded = json.loads(SURFACE.read_text())
+        parser = build_parser()
+        commands = next(action for action in parser._actions
+                        if isinstance(action, argparse._SubParsersAction)).choices
+        for command, table in recorded.items():
+            actions = commands[command]._actions
+            assert [flag_row(action) for action in actions] == table
+
+    @pytest.mark.parametrize("flags,name", [
+        (["--noise", "nan"], "noise"),
+        (["--d-in-v", "0"], "d_in_v"),
+        (["--d-in-t", "0"], "d_in_t"),
+        (["--latent-dim", "0"], "latent_dim"),
+    ])
+    def test_gen_rejects_what_train_cannot_read(self, tmp_path, capsys, flags,
+                                                name):
+        out = tmp_path / "pairs.jsonl"
+        code = main(["gen", "--n", "60", "--classes", "3", "--mrate", "0.2",
+                     "--out", str(out), *flags])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {name} must be")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--size", "--instances"])
+    def test_oracle_check_rejects_an_empty_check(self, capsys, flag):
+        code = main(["oracle-check", flag, "0"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {flag} must be")
 
 
 class TestOutputDirectory:

@@ -4,9 +4,11 @@ checkpoint resumability, and run-level determinism."""
 import copy
 import dataclasses
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import rematch.encoder as enc
 import rematch.pipeline as pl
@@ -25,12 +27,34 @@ from rematch.pipeline import (
     train_epoch,
     warmup,
 )
+from rematch.transport import SinkhornConfig
 
 SMALL = dict(warmup_epochs=2, train_epochs=2, lr_decay_epoch=3, batch_size=32)
 # the dataset and schedule of acceptance criterion 9
 DETERMINISM_DATA = dict(n=200, classes=5, noise=0.1, mrate=0.4, rng_seed=3)
 DETERMINISM = dict(seed=3, optimizer="adam", warmup_epochs=3, train_epochs=3,
                    lr_decay_epoch=4, batch_size=32)
+
+
+# at least one out-of-bounds value for every TrainConfig field
+BAD_SETTINGS = [
+    ("warmup_epochs", -3), ("warmup_epochs", 1.0), ("train_epochs", 0),
+    ("train_epochs", -1), ("lr_decay_epoch", 0), ("batch_size", 1),
+    ("batch_size", True), ("alpha", -1), ("alpha", float("nan")),
+    ("tau", 0), ("tau", float("inf")), ("eps", 0), ("eps", 0.5),
+    ("rho", -0.1), ("rho", 2), ("lam", 0), ("lam", float("nan")),
+    ("reserve_ratio", 0), ("reserve_ratio", 2), ("threshold", -0.5),
+    ("threshold", 2), ("lr_model", float("nan")), ("lr_model", 0),
+    ("lr_cost", float("inf")), ("lr_cost", -1e-6), ("seed", -1),
+    ("seed", "0"), ("embed_dim", 1), ("rce_weight", -1),
+    ("rce_weight", "1"), ("mode", "other"), ("cost_mode", "l2"),
+    ("mask_positives", 1), ("partial", "yes"), ("rematch_variant", "js"),
+    ("em_iters", 0), ("em_tol", 0), ("em_tol", float("-inf")),
+    ("ot_tol", 0), ("ot_tol", float("nan")), ("ot_max_iter", 0),
+    ("ot_max_iter", 10.0), ("val_frac", 1.5), ("val_frac", 0),
+    ("val_frac", 1), ("cost_bound", 0), ("optimizer", "rmsprop"),
+    ("optimizer", None),
+]
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +93,31 @@ class TestConfig:
             TrainConfig(mode="other")
         with pytest.raises(ValueError):
             TrainConfig(optimizer="rmsprop")
+
+    @pytest.mark.parametrize("name,value", BAD_SETTINGS,
+                             ids=[f"{name}={value!r}" for name, value in BAD_SETTINGS])
+    def test_bad_value_names_its_field(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            TrainConfig(**{name: value})
+
+    def test_every_field_has_a_bad_value_probed(self):
+        probed = {name for name, _ in BAD_SETTINGS}
+        assert probed == {f.name for f in dataclasses.fields(TrainConfig)}
+
+    @pytest.mark.parametrize("name,value", [
+        ("warmup_epochs", 0), ("lr_decay_epoch", 1), ("batch_size", 2),
+        ("embed_dim", 2), ("alpha", 0), ("alpha", 1), ("rce_weight", 0.0),
+        ("threshold", 0.0), ("threshold", 1), ("reserve_ratio", 1.0),
+        ("rho", 0.0), ("rho", 1.0), ("lam", 1), ("eps", 0.25),
+        ("seed", np.int64(7)), ("lr_model", np.float64(0.1)),
+    ])
+    def test_boundary_and_int_values_accepted(self, name, value):
+        assert getattr(TrainConfig(**{name: value}), name) == value
+
+    def test_solver_settings_are_built_once(self):
+        cfg = TrainConfig(lam=0.02, ot_max_iter=50, ot_tol=1e-4)
+        assert cfg.solver == SinkhornConfig(lam=0.02, max_iter=50, tol=1e-4)
+        assert "solver" not in dataclasses.asdict(cfg)
 
 
 class TestWarmup:
@@ -216,6 +265,39 @@ class TestTrainEpoch:
         train_epoch(state, noisy_ds, cfg, train_idx)
         assert state.theta != theta_before
 
+    @given(n=st.integers(2, 40), data=st.data(),
+           reserve_ratio=st.floats(0.01, 1.0))
+    @settings(max_examples=60, deadline=None)
+    def test_cost_update_substitutes_at_most_the_pool(self, clean_ds, n, data,
+                                                      reserve_ratio):
+        # pool sizes 0..n: a pool smaller than the substitutions the reserve
+        # ratio asks for is used up, and every other slot stays supervised
+        pool_size = data.draw(st.integers(0, n), label="pool_size")
+        cfg = TrainConfig(seed=0, reserve_ratio=reserve_ratio)
+        matched_batch = np.arange(n)
+        mismatched_idx = np.arange(n, n + pool_size)
+        state = init_state(cfg, clean_ds)
+        rebuilt = []
+        reconstruct = pl.costs_mod.reconstruct_pairs
+
+        def spy(*args):
+            rebuilt.append(reconstruct(*args))
+            return rebuilt[-1]
+
+        with mock.patch.object(pl.costs_mod, "reconstruct_pairs", spy):
+            pl._cost_update(state, clean_ds, cfg, matched_batch, mismatched_idx)
+        batch, = rebuilt
+        needed = n - int(np.floor(reserve_ratio * n + 0.5))
+        substitutes = min(needed, pool_size)
+        assert batch.pi_sup.sum() == n - substitutes
+        assert batch.reserved.size == n - substitutes
+        unsupervised = batch.v_feats[batch.pi_sup.sum(axis=1) == 0]
+        assert unsupervised.shape[0] == substitutes
+        pool = clean_ds.v_feats[mismatched_idx]
+        picks = [np.flatnonzero((pool == row).all(axis=1)) for row in unsupervised]
+        assert all(pick.size == 1 for pick in picks)
+        assert len({int(pick[0]) for pick in picks}) == substitutes
+
 
 class TestRunExperiment:
     def test_smoke_run_completes_quickly(self):
@@ -341,9 +423,10 @@ class TestOptimizerStep:
 
 
 class TestCheckpointing:
-    def test_resume_reproduces_training(self, tmp_path, noisy_ds):
+    @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+    def test_resume_reproduces_training(self, tmp_path, noisy_ds, optimizer):
         cfg = TrainConfig(seed=1, warmup_epochs=1, train_epochs=3,
-                          lr_decay_epoch=2, batch_size=32)
+                          lr_decay_epoch=2, batch_size=32, optimizer=optimizer)
         train_idx, _, _ = split_indices(cfg, noisy_ds)
 
         straight = init_state(cfg, noisy_ds)
@@ -365,6 +448,10 @@ class TestCheckpointing:
         np.testing.assert_array_equal(straight.params.w_t, resumed.params.w_t)
         assert straight.theta == resumed.theta
         assert straight.epoch == resumed.epoch
+        assert straight.history == resumed.history
+        assert (straight.best_rsum, straight.best_epoch) == (resumed.best_rsum,
+                                                              resumed.best_epoch)
+        assert straight.clip_events == resumed.clip_events
 
     def test_adam_state_round_trips(self, tmp_path, noisy_ds):
         cfg = TrainConfig(seed=2, optimizer="adam", warmup_epochs=1,

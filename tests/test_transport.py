@@ -228,6 +228,17 @@ class TestSolverInternals:
         assert res.converged
         assert len(realized) <= res.iterations + 3
 
+    def test_thousand_pair_solve_runs_newton(self):
+        # every size takes the Newton path: sweeps alone needed 59 iterations
+        rng = np.random.default_rng(0)
+        n = 1000
+        cfg = SinkhornConfig(lam=0.01, max_iter=3000, tol=1e-6)
+        res = partial_ot(rng.uniform(1.0, 1.6, (n, n)), uniform(n), uniform(n),
+                         1 - np.eye(n, dtype=int), rho=0.1, cfg=cfg)
+        assert res.converged
+        assert res.iterations <= 10
+        assert abs(res.plan.sum() - 0.1) <= cfg.tol
+
     @pytest.mark.parametrize("seed", range(20))
     def test_schur_direction_matches_dense_jacobian(self, seed):
         rng = np.random.default_rng(seed)
@@ -413,7 +424,7 @@ class TestPartialOT:
         assert abs(res.plan.sum() - 0.1) <= cfg.tol
 
     def test_large_batch_runs_newton(self):
-        # 512 pairs: the Schur system has 513 free columns, under the cap
+        # 512 pairs: the Schur system has 513 free columns
         rng = np.random.default_rng(0)
         n = 512
         res = partial_ot(rng.uniform(1.0, 1.6, (n, n)), uniform(n), uniform(n),
