@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import field, fields
 from numbers import Integral, Real
 
+import numpy as np
+
 
 def count(default, least: int):
     """An integer setting of at least ``least``; a bool is not an integer."""
@@ -58,9 +60,15 @@ def _problem(value, meta: dict) -> str | None:
 
 
 def check(settings) -> None:
-    """Raise ``ValueError`` naming the first field of ``settings`` out of bounds."""
+    """Raise ``ValueError`` naming the first field of ``settings`` out of bounds.
+
+    A valid numpy scalar is stored as the Python scalar it equals, so that
+    the settings hold plain values and serialize as JSON.
+    """
     for setting in fields(settings):
         value = getattr(settings, setting.name)
         problem = _problem(value, setting.metadata)
         if problem is not None:
             raise ValueError(f"{setting.name} must be {problem}, got {value!r}")
+        if isinstance(value, np.generic):
+            object.__setattr__(settings, setting.name, value.item())

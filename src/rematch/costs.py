@@ -103,22 +103,16 @@ def reconstruct_pairs(v_matched, t_matched, v_pool, reserve_ratio: float,
             f"{n_substituted} substitutions are needed"
         )
 
-    slots = rng.permutation(n)
-    reserved = np.sort(slots[:n_reserved])
-    substituted = slots[n_reserved:]
-    images = np.empty_like(v_matched)
-    owners = np.full(n, -1, dtype=np.int64)  # caption slot each image row matches
+    reserved = np.sort(rng.permutation(n)[:n_reserved])
     positions = rng.permutation(n)
-    for pos, slot in zip(positions[:n_reserved], reserved):
-        images[pos] = v_matched[slot]
-        owners[pos] = slot
+    kept_rows, substitute_rows = positions[:n_reserved], positions[n_reserved:]
+    images = np.empty_like(v_matched)
+    images[kept_rows] = v_matched[reserved]
     pool_pick = rng.choice(v_pool.shape[0], size=n_substituted, replace=False)
-    for pos, pick in zip(positions[n_reserved:], pool_pick):
-        images[pos] = v_pool[pick]
+    images[substitute_rows] = v_pool[pool_pick]
 
     pi_sup = np.zeros((n, n))
-    rows = np.flatnonzero(owners >= 0)
-    pi_sup[rows, owners[rows]] = 1.0
+    pi_sup[kept_rows, reserved] = 1.0
     return ReconstructedBatch(images, t_matched.copy(), pi_sup, reserved)
 
 
@@ -137,9 +131,9 @@ def cost_net_step(theta: CostNetParams, sims, pi_sup, lr: float,
     pi_sup = np.asarray(pi_sup, dtype=np.float64)
     if sims.shape != pi_sup.shape:
         raise ValueError("similarity and supervision shapes disagree")
-    _, dw_cells, db_cells = cost_forward_with_grads(sims, theta)
-    grad_w = float((pi_sup * dw_cells).sum())
-    grad_b = float((pi_sup * db_cells).sum())
+    sig = _sigmoid(theta.w * sims + theta.b)  # d cost / d pre-activation
+    grad_w = float((pi_sup * (sig * sims)).sum())
+    grad_b = float((pi_sup * sig).sum())
     new_w = theta.w - lr * grad_w
     new_b = theta.b - lr * grad_b
     clipped = abs(new_w) > bound or abs(new_b) > bound

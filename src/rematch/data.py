@@ -333,11 +333,14 @@ def recall_at_k(s, k_list=(1, 5, 10), ground_truth=None) -> dict:
     """Recall@K in both directions over a one-to-one square similarity.
 
     Ties rank the lower index first. Values are percentages; ``rsum`` adds
-    all six direction/cutoff combinations.
+    all six direction/cutoff combinations. A NaN similarity has no rank and
+    raises ``ValueError``.
     """
     s = np.asarray(s, dtype=np.float64)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise ValueError("expected a square similarity matrix")
+    if np.isnan(s).any():
+        raise ValueError("similarity matrix contains NaN")
     n = s.shape[0]
     if max(k_list) > n:
         raise ValueError(f"k={max(k_list)} exceeds split size {n}")
@@ -345,14 +348,18 @@ def recall_at_k(s, k_list=(1, 5, 10), ground_truth=None) -> dict:
         ground_truth = np.arange(n)
     ground_truth = np.asarray(ground_truth)
 
+    index = np.arange(n)
+
     def ranks(matrix, truth):
-        order = np.argsort(-matrix, axis=1, kind="stable")
-        hit = order == truth[:, None]
-        return hit.argmax(axis=1)
+        # the entries of each row that beat its truth: higher, or equal at a
+        # lower index
+        target = matrix[index, truth][:, None]
+        ahead = (matrix > target) | ((matrix == target) & (index < truth[:, None]))
+        return ahead.sum(axis=1)
 
     rank_i2t = ranks(s, ground_truth)
     inverse = np.empty(n, dtype=np.int64)
-    inverse[ground_truth] = np.arange(n)
+    inverse[ground_truth] = index
     rank_t2i = ranks(s.T, inverse)
 
     metrics = {}

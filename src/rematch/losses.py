@@ -53,8 +53,9 @@ def matching_probs(s, tau: float):
     s = _as_square(s)
     if tau <= 0:
         raise ValueError("tau must be positive")
-    p_v2t = _softmax_rows(s / tau)
-    p_t2v = _softmax_rows(s.T / tau).T
+    logits = s / tau
+    p_v2t = _softmax_rows(logits)
+    p_t2v = _softmax_rows(logits.T).T
     return p_v2t, p_t2v
 
 
@@ -117,22 +118,20 @@ def triplet_loss_batch(s, alpha: float):
     term_row = alpha - diag + off[np.arange(n), j_star]
     term_col = alpha - diag + off[h_star, np.arange(n)]
     value = np.maximum(term_row, 0.0).sum() + np.maximum(term_col, 0.0).sum()
+    # each update below names every cell at most once
     grad = np.zeros_like(s)
-    active_row = term_row > 0
-    active_col = term_col > 0
-    idx = np.arange(n)
-    np.subtract.at(grad, (idx[active_row], idx[active_row]), 1.0)
-    np.add.at(grad, (idx[active_row], j_star[active_row]), 1.0)
-    np.subtract.at(grad, (idx[active_col], idx[active_col]), 1.0)
-    np.add.at(grad, (h_star[active_col], idx[active_col]), 1.0)
+    rows = np.flatnonzero(term_row > 0)
+    cols = np.flatnonzero(term_col > 0)
+    grad[rows, rows] -= 1.0
+    grad[rows, j_star[rows]] += 1.0
+    grad[cols, cols] -= 1.0
+    grad[h_star[cols], cols] += 1.0
     return float(value), grad
 
 
-def infonce_loss(s, tau: float):
-    """Mean cross-entropy against one-hot targets, both directions."""
-    s = _as_square(s)
-    n = s.shape[0]
-    p_v2t, p_t2v = matching_probs(s, tau)
+def _infonce(p_v2t, p_t2v, tau: float):
+    """:func:`infonce_loss` from the matching probabilities."""
+    n = p_v2t.shape[0]
     diag_v2t = np.clip(np.diag(p_v2t), 1e-300, None)
     diag_t2v = np.clip(np.diag(p_t2v), 1e-300, None)
     value = float(-(np.log(diag_v2t) + np.log(diag_t2v)).mean())
@@ -141,10 +140,30 @@ def infonce_loss(s, tau: float):
     return value, grad
 
 
+def infonce_loss(s, tau: float):
+    """Mean cross-entropy against one-hot targets, both directions."""
+    return _infonce(*matching_probs(s, tau), tau)
+
+
 def _bounded_onehot_logs(n: int, eps: float) -> np.ndarray:
     logs = np.full((n, n), np.log(eps))
     np.fill_diagonal(logs, np.log1p(-eps))
     return logs
+
+
+def _check_eps(eps: float) -> None:
+    if not 0 < eps < 0.5:
+        raise ValueError("eps must lie in (0, 0.5)")
+
+
+def _rce(p_v2t, p_t2v, tau: float, eps: float):
+    """:func:`rce_loss` from the matching probabilities."""
+    n = p_v2t.shape[0]
+    log_y = _bounded_onehot_logs(n, eps)
+    value = float(-((p_v2t * log_y).sum() + (p_t2v * log_y).sum()) / n)
+    grad_v2t = _rows_backward(p_v2t, -log_y, tau)
+    grad_t2v = _rows_backward(p_t2v.T, -log_y, tau).T
+    return value, (grad_v2t + grad_t2v) / n
 
 
 def rce_loss(s, tau: float, eps: float = 1e-7):
@@ -154,21 +173,19 @@ def rce_loss(s, tau: float, eps: float = 1e-7):
     logarithm stays finite; predictions are the matching probabilities.
     """
     s = _as_square(s)
-    if not 0 < eps < 0.5:
-        raise ValueError("eps must lie in (0, 0.5)")
-    n = s.shape[0]
-    p_v2t, p_t2v = matching_probs(s, tau)
-    log_y = _bounded_onehot_logs(n, eps)
-    value = float(-((p_v2t * log_y).sum() + (p_t2v * log_y).sum()) / n)
-    grad_v2t = _rows_backward(p_v2t, -log_y, tau)
-    grad_t2v = _rows_backward(p_t2v.T, -log_y, tau).T
-    return value, (grad_v2t + grad_t2v) / n
+    _check_eps(eps)
+    return _rce(*matching_probs(s, tau), tau, eps)
 
 
 def warmup_loss(s, tau: float, eps: float = 1e-7, rce_weight: float = 1.0):
-    """Overconfidence-resistant warm-up objective: InfoNCE + weighted RCE."""
-    v1, g1 = infonce_loss(s, tau)
-    v2, g2 = rce_loss(s, tau, eps)
+    """Overconfidence-resistant warm-up objective: InfoNCE + weighted RCE.
+
+    Both terms read one set of matching probabilities.
+    """
+    probs = matching_probs(s, tau)
+    _check_eps(eps)
+    v1, g1 = _infonce(*probs, tau)
+    v2, g2 = _rce(*probs, tau, eps)
     return v1 + rce_weight * v2, g1 + rce_weight * g2
 
 
@@ -186,20 +203,17 @@ def _kl_direction_terms(refined: np.ndarray, probs: np.ndarray, variant: str):
     """
     r = _floor_distribution(refined)
     p = _floor_distribution(probs)
-    if variant == "sym_kl":
-        forward = (r * np.log(r / p)).sum(axis=1)
-        backward = (p * np.log(p / r)).sum(axis=1)
-        per_row = 0.5 * (forward + backward)
-        dloss_dp = 0.5 * (-r / p + np.log(p / r) + 1.0)
-    elif variant == "kl":
-        per_row = (r * np.log(r / p)).sum(axis=1)
-        dloss_dp = -r / p
-    elif variant == "ce":
-        per_row = -(r * np.log(p)).sum(axis=1)
-        dloss_dp = -r / p
-    else:
+    if variant not in ("sym_kl", "kl", "ce"):
         raise ValueError(f"unknown rematch variant {variant!r}")
-    return per_row, dloss_dp
+    ratio = r / p
+    if variant == "ce":
+        return -(r * np.log(p)).sum(axis=1), -ratio
+    forward = (r * np.log(ratio)).sum(axis=1)
+    if variant == "kl":
+        return forward, -ratio
+    log_p_over_r = np.log(p / r)
+    backward = (p * log_p_over_r).sum(axis=1)
+    return 0.5 * (forward + backward), 0.5 * (-ratio + log_p_over_r + 1.0)
 
 
 def rematch_loss(refined_v2t, refined_t2v, s, tau: float, variant: str = "sym_kl"):

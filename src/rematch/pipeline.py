@@ -312,9 +312,9 @@ def _cost_gap(state: RunState, ds: PairDataset, cfg: TrainConfig,
 
 
 def _transport_mask(n: int, cfg: TrainConfig) -> np.ndarray:
-    mask = np.ones((n, n), dtype=int)
+    mask = np.ones((n, n), dtype=bool)
     if cfg.mask_positives:
-        np.fill_diagonal(mask, 0)
+        np.fill_diagonal(mask, False)
     return mask
 
 

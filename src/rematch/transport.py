@@ -10,6 +10,7 @@ virtual column that absorb the untransported mass.
 from __future__ import annotations
 
 from dataclasses import MISSING, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -113,11 +114,6 @@ def marginal_violation(plan: np.ndarray, p: np.ndarray, q: np.ndarray) -> float:
     return float(max(row, col))
 
 
-def _residual(plan: np.ndarray, p: np.ndarray, q: np.ndarray) -> float:
-    """Summed absolute deviation of the plan's row and column sums from (p, q)."""
-    return float(np.abs(plan.sum(axis=1) - p).sum() + np.abs(plan.sum(axis=0) - q).sum())
-
-
 def _check_feasible(active: np.ndarray, p: np.ndarray, q: np.ndarray, tol: float):
     """Every positive-mass row/column needs at least one usable kernel cell."""
     dead_rows = (~active.any(axis=1)) & (p > tol)
@@ -157,7 +153,9 @@ def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
 
 
 def _realize(log_kernel, log_a, log_b):
-    return np.exp(log_a[:, None] + log_kernel + log_b[None, :])
+    out = np.add(log_a[:, None], log_kernel)
+    out += log_b[None, :]
+    return np.exp(out, out=out)
 
 
 def _sweep(log_kernel, log_p, log_q, log_b):
@@ -190,7 +188,7 @@ def _newton_direction(plan, rows, cols, res_r, res_c, damping):
     inv_r = 1.0 / (rows + damping)
     scaled = plan * np.sqrt(inv_r)[:, None]
     schur = -(scaled.T @ scaled)  # one symmetric product (syrk)
-    schur[np.diag_indices_from(schur)] += cols + damping
+    schur.flat[::schur.shape[0] + 1] += cols + damping
     dy = np.linalg.solve(schur, plan.T @ (inv_r * res_r) - res_c)
     dx = -inv_r * (res_r + plan @ dy)
     return dx, dy
@@ -201,23 +199,45 @@ def _free(mass: np.ndarray):
     return slice(None) if mass.min() > 0 else np.flatnonzero(mass > 0)
 
 
-def _newton(log_kernel, p, q, log_a, log_b, plan, residual, budget, tol):
+class _Fit(NamedTuple):
+    """A plan's row and column sums and how far they miss (p, q)."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    worst: float     # the marginal_violation
+    residual: float  # summed absolute deviation of the rows and the columns
+
+
+def _marginal_fit(plan, p, q) -> _Fit:
+    """Every marginal figure the solver reads, from one pair of reductions.
+
+    A non-finite plan has a non-finite row and column sum, so its ``worst``
+    is inf or NaN, and the line search never accepts it.
+    """
+    rows = plan.sum(axis=1)
+    cols = plan.sum(axis=0)
+    dev_r = np.abs(rows - p)
+    dev_c = np.abs(cols - q)
+    return _Fit(rows, cols, float(max(dev_r.max(), dev_c.max())),
+                float(dev_r.sum() + dev_c.sum()))
+
+
+def _newton(log_kernel, p, q, log_a, log_b, plan, fit: _Fit, budget, tol):
     """Equilibrate marginals of exp(log_a + log_kernel + log_b) by Newton steps.
 
     Works on the scaling exponents directly; zero-mass rows/columns are
     frozen at -inf. Steps continue while the summed residual exceeds
     ``tol``; each is a backtracking line search on the worst marginal
-    violation. Returns the exponents, their plan and its summed residual,
-    and the steps spent.
+    violation. Returns the exponents, their plan and its fit, and the steps
+    spent.
     """
     free_r = _free(p)
     free_c = _free(q)
-    err = marginal_violation(plan, p, q)
     spent = 0
-    while spent < budget and residual > tol:
+    while spent < budget and fit.residual > tol:
         spent += 1
-        rows = plan.sum(axis=1)[free_r]
-        cols = plan.sum(axis=0)[free_c]
+        rows = fit.rows[free_r]
+        cols = fit.cols[free_c]
         damping = 1e-12 * max(rows.max(), cols.max(), 1e-30)
         try:
             dx, dy = _newton_direction(plan[free_r][:, free_c], rows, cols,
@@ -234,16 +254,14 @@ def _newton(log_kernel, p, q, log_a, log_b, plan, residual, budget, tol):
             cand_b[free_c] += step * dy
             with np.errstate(over="ignore"):
                 cand_plan = _realize(log_kernel, cand_a, cand_b)
-                cand_err = (marginal_violation(cand_plan, p, q)
-                            if np.all(np.isfinite(cand_plan)) else np.inf)
-            if cand_err < err:
-                log_a, log_b, plan, err = cand_a, cand_b, cand_plan, cand_err
-                residual = _residual(plan, p, q)
+                cand_fit = _marginal_fit(cand_plan, p, q)
+            if cand_fit.worst < fit.worst:
+                log_a, log_b, plan, fit = cand_a, cand_b, cand_plan, cand_fit
                 break
             step *= 0.5
         else:  # the line search found no improving step
             break
-    return log_a, log_b, plan, residual, spent
+    return log_a, log_b, plan, fit, spent
 
 
 def _solve(cost, p, q, mask, cfg: SinkhornConfig):
@@ -258,23 +276,22 @@ def _solve(cost, p, q, mask, cfg: SinkhornConfig):
         log_p = np.log(p)
         log_q = np.log(q)
     log_b = np.where(np.isneginf(log_q), -np.inf, 0.0)
-    log_a, plan, residual, iterations = None, None, np.inf, 0
+    log_a, plan, fit, iterations = None, None, _Fit(None, None, np.inf, np.inf), 0
 
     def sweep_until(stop):
-        nonlocal log_a, log_b, plan, residual, iterations
-        while iterations < stop and residual > cfg.tol:
+        nonlocal log_a, log_b, plan, fit, iterations
+        while iterations < stop and fit.residual > cfg.tol:
             iterations += 1
             log_a, log_b = _sweep(log_kernel, log_p, log_q, log_b)
             plan = _realize(log_kernel, log_a, log_b)
-            residual = _residual(plan, p, q)
+            fit = _marginal_fit(plan, p, q)
 
     sweep_until(min(cfg.max_iter, _NEWTON_AFTER))
-    log_a, log_b, plan, residual, spent = _newton(
-        log_kernel, p, q, log_a, log_b, plan, residual, cfg.max_iter - iterations,
-        cfg.tol)
+    log_a, log_b, plan, fit, spent = _newton(
+        log_kernel, p, q, log_a, log_b, plan, fit, cfg.max_iter - iterations, cfg.tol)
     iterations += spent
     sweep_until(cfg.max_iter)
-    return plan, residual <= cfg.tol, iterations
+    return plan, fit.residual <= cfg.tol, iterations
 
 
 def _validate(cost, p, q, mask):

@@ -143,3 +143,50 @@ class TestCostNetStep:
                                      np.ones((2, 2)), lr=1e6, bound=50.0)
         assert clipped
         assert abs(out.w) <= 50.0 and abs(out.b) <= 50.0
+
+
+class TestExactAgreement:
+    """The step and the rebuilt batch equal, bit for bit, their plainer forms."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_step_equals_the_full_forward_route(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 40))
+        sims = rng.uniform(-1, 1, (n, n))
+        pi = (rng.uniform(size=(n, n)) > 0.8).astype(float)
+        theta = CostNetParams(w=float(rng.normal()), b=float(rng.normal()))
+        _, dw_cells, db_cells = cost_forward_with_grads(sims, theta)
+        new_w = theta.w - 0.3 * float((pi * dw_cells).sum())
+        new_b = theta.b - 0.3 * float((pi * db_cells).sum())
+        out, clipped = cost_net_step(theta, sims, pi, lr=0.3)
+        assert out == CostNetParams(new_w, new_b)
+        assert not clipped
+
+    @pytest.mark.parametrize("ratio", [0.1, 0.5, 0.7, 1.0])
+    def test_rebuilt_batch_equals_the_row_by_row_build(self, ratio):
+        n = 9
+        feats = np.random.default_rng(4)
+        v, t, pool = (feats.normal(size=(n, 4)), feats.normal(size=(n, 4)),
+                      feats.normal(size=(12, 4)))
+        rng = np.random.default_rng(21)
+        n_reserved = int(np.floor(ratio * n + 0.5))
+        slots = rng.permutation(n)
+        reserved = np.sort(slots[:n_reserved])
+        images = np.empty_like(v)
+        owners = np.full(n, -1)
+        positions = rng.permutation(n)
+        for pos, slot in zip(positions[:n_reserved], reserved):
+            images[pos] = v[slot]
+            owners[pos] = slot
+        pool_pick = rng.choice(pool.shape[0], size=n - n_reserved, replace=False)
+        for pos, pick in zip(positions[n_reserved:], pool_pick):
+            images[pos] = pool[pick]
+        pi_sup = np.zeros((n, n))
+        rows = np.flatnonzero(owners >= 0)
+        pi_sup[rows, owners[rows]] = 1.0
+
+        batch = reconstruct_pairs(v, t, pool, reserve_ratio=ratio, rng=21)
+        np.testing.assert_array_equal(batch.v_feats, images)
+        np.testing.assert_array_equal(batch.pi_sup, pi_sup)
+        np.testing.assert_array_equal(batch.reserved, reserved)
+        np.testing.assert_array_equal(batch.t_feats, t)

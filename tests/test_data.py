@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rematch.data import (
     SPLIT_TEST,
@@ -244,6 +245,35 @@ class TestRecallAtK:
     def test_oversized_k_rejected(self):
         with pytest.raises(ValueError):
             recall_at_k(np.zeros((4, 4)), k_list=(1, 5))
+
+    def test_nan_similarity_rejected(self):
+        s = np.zeros((4, 4))
+        s[2, 1] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            recall_at_k(s, k_list=(1,))
+
+    @given(seed=st.integers(0, 2**32 - 1), levels=st.integers(1, 4),
+           n=st.integers(1, 30))
+    @settings(max_examples=100, deadline=None)
+    def test_counted_ranks_equal_stable_sort_ranks(self, seed, levels, n):
+        # few distinct values (one: a constant matrix), so ties are common
+        rng = np.random.default_rng(seed)
+        s = rng.integers(0, levels, (n, n)) / levels - 0.5
+        truth = rng.permutation(n)
+        inverse = np.argsort(truth)
+
+        def sorted_ranks(matrix, target):
+            order = np.argsort(-matrix, axis=1, kind="stable")
+            return (order == target[:, None]).argmax(axis=1)
+
+        ks = tuple(range(1, n + 1))  # every cutoff: the whole rank distribution
+        expected = {}
+        for k in ks:
+            expected[f"r{k}_i2t"] = float(100.0 * (sorted_ranks(s, truth) < k).mean())
+            expected[f"r{k}_t2i"] = float(100.0 * (sorted_ranks(s.T, inverse) < k).mean())
+        expected["rsum"] = float(sum(expected[f"r{k}_{d}"] for k in ks
+                                     for d in ("i2t", "t2i")))
+        assert recall_at_k(s, ks, ground_truth=truth) == expected
 
 
 class TestIdentificationScore:

@@ -12,6 +12,7 @@ from rematch.losses import (
     rematch_loss,
     triplet_loss,
     triplet_loss_batch,
+    warmup_loss,
 )
 from rematch.transport import normalize_plan
 
@@ -178,3 +179,132 @@ class TestRematch:
         bad = np.array([[0.4, 0.4], [0.5, 0.5]])
         with pytest.raises(ValueError):
             rematch_loss(bad, bad.T, s, tau=0.5)
+
+
+# The formulas below are the losses as written before the warm-up terms
+# shared their softmaxes and the divergence terms their ratios. The library
+# must agree with them bit for bit, so that training payloads do not move.
+
+def softmax_rows(logits):
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def separate_probs(s, tau):
+    return softmax_rows(s / tau), softmax_rows(s.T / tau).T
+
+
+def separate_warmup(s, tau, eps, rce_weight):
+    n = s.shape[0]
+    p_v2t, p_t2v = separate_probs(s, tau)
+    nce = float(-(np.log(np.clip(np.diag(p_v2t), 1e-300, None))
+                  + np.log(np.clip(np.diag(p_t2v), 1e-300, None))).mean())
+    eye = np.eye(n)
+    nce_grad = ((p_v2t - eye) + (p_t2v - eye)) / (n * tau)
+    p_v2t, p_t2v = separate_probs(s, tau)
+    log_y = np.full((n, n), np.log(eps))
+    np.fill_diagonal(log_y, np.log1p(-eps))
+    rce = float(-((p_v2t * log_y).sum() + (p_t2v * log_y).sum()) / n)
+    rce_grad = (rows_backward(p_v2t, -log_y, tau)
+                + rows_backward(p_t2v.T, -log_y, tau).T) / n
+    return nce + rce_weight * rce, nce_grad + rce_weight * rce_grad
+
+
+def rows_backward(probs, dloss_dprobs, tau):
+    inner = (dloss_dprobs * probs).sum(axis=1, keepdims=True)
+    return probs * (dloss_dprobs - inner) / tau
+
+
+def floor_distribution(dist):
+    floored = np.maximum(dist, 1e-12)
+    return floored / floored.sum(axis=-1, keepdims=True)
+
+
+def direction_terms(refined, probs, variant):
+    r = floor_distribution(refined)
+    p = floor_distribution(probs)
+    if variant == "sym_kl":
+        forward = (r * np.log(r / p)).sum(axis=1)
+        backward = (p * np.log(p / r)).sum(axis=1)
+        return 0.5 * (forward + backward), 0.5 * (-r / p + np.log(p / r) + 1.0)
+    if variant == "kl":
+        return (r * np.log(r / p)).sum(axis=1), -r / p
+    return -(r * np.log(p)).sum(axis=1), -r / p
+
+
+def separate_rematch(refined_v2t, refined_t2v, s, tau, variant):
+    p_v2t, p_t2v = separate_probs(s, tau)
+    row_terms, d_rows = direction_terms(refined_v2t, p_v2t, variant)
+    col_terms, d_cols = direction_terms(refined_t2v.T, p_t2v.T, variant)
+    grad = (rows_backward(p_v2t, d_rows, tau)
+            + rows_backward(p_t2v.T, d_cols, tau).T) / s.shape[0]
+    return float(row_terms.mean() + col_terms.mean()), grad
+
+
+def scatter_triplet_grad(s, alpha):
+    n = s.shape[0]
+    off = s + np.where(np.eye(n, dtype=bool), -np.inf, 0.0)
+    j_star = off.argmax(axis=1)
+    h_star = off.argmax(axis=0)
+    diag = np.diag(s)
+    active_row = alpha - diag + off[np.arange(n), j_star] > 0
+    active_col = alpha - diag + off[h_star, np.arange(n)] > 0
+    grad = np.zeros_like(s)
+    idx = np.arange(n)
+    np.subtract.at(grad, (idx[active_row], idx[active_row]), 1.0)
+    np.add.at(grad, (idx[active_row], j_star[active_row]), 1.0)
+    np.subtract.at(grad, (idx[active_col], idx[active_col]), 1.0)
+    np.add.at(grad, (h_star[active_col], idx[active_col]), 1.0)
+    return grad
+
+
+def same_bits(a, b):
+    return np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
+
+
+class TestExactAgreement:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_warmup_equals_separate_terms(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 40))
+        s = rng.uniform(-1, 1, (n, n))
+        tau, eps, weight = (0.05, 1e-7, 1.0) if seed % 2 else (0.3, 1e-3, 0.7)
+        value, grad = warmup_loss(s, tau, eps, weight)
+        ref_value, ref_grad = separate_warmup(s, tau, eps, weight)
+        assert value == ref_value
+        assert same_bits(grad, ref_grad)
+
+    def test_warmup_equals_public_terms(self):
+        s = np.random.default_rng(3).uniform(-1, 1, (32, 32))
+        v1, g1 = infonce_loss(s, 0.05)
+        v2, g2 = rce_loss(s, 0.05, 1e-7)
+        value, grad = warmup_loss(s, 0.05, 1e-7, 1.0)
+        assert value == v1 + v2
+        assert same_bits(grad, g1 + g2)
+
+    @pytest.mark.parametrize("variant", ["sym_kl", "kl", "ce"])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_rematch_equals_unshared_ratios(self, variant, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 40))
+        s = rng.uniform(-1, 1, (n, n))
+        plan = rng.uniform(size=(n, n)) * (rng.uniform(size=(n, n)) > 0.5)
+        refined_v2t = normalize_plan(plan, "row")
+        refined_t2v = normalize_plan(plan, "column")
+        value, grad = rematch_loss(refined_v2t, refined_t2v, s, 0.05, variant)
+        ref_value, ref_grad = separate_rematch(refined_v2t, refined_t2v, s, 0.05,
+                                               variant)
+        assert value == ref_value
+        assert same_bits(grad, ref_grad)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_triplet_gradient_equals_scatter_adds(self, seed):
+        # coarse similarities: hardest negatives tie, and one cell can be the
+        # hardest negative of its row and of its column at once
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 30))
+        s = np.round(rng.uniform(-1, 1, (n, n)), 1)
+        if seed == 0:
+            s = np.zeros((n, n))
+        _, grad = triplet_loss_batch(s, 0.2)
+        assert same_bits(grad, scatter_triplet_grad(s, 0.2))
