@@ -13,15 +13,14 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 from dataclasses import fields
 
 import numpy as np
 
-from .data import load_dataset, make_benchmark, save_dataset
+from .data import atomic_write, load_dataset, make_benchmark, save_dataset
 from .flow_oracle import exact_ot_oracle
 from .pipeline import TrainConfig, evaluate, load_state, run_experiment, split_indices
-from .transport import SinkhornConfig, sinkhorn
+from .transport import SinkhornConfig, marginal_violation, sinkhorn
 
 OUT_DIR_ENV = "REMATCH_OUT_DIR"
 
@@ -62,17 +61,8 @@ def _emit(payload: dict, out: str | None) -> None:
         print(text)
         return
     out = _resolve_out(out)
-    directory = os.path.dirname(os.path.abspath(out))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text + "\n")
-        os.replace(tmp, out)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with atomic_write(out) as handle:
+        handle.write(text + "\n")
     print(out)
 
 
@@ -130,8 +120,6 @@ def _cmd_gen(args) -> int:
                         test_frac=args.test_frac, d_in_v=args.d_in_v,
                         d_in_t=args.d_in_t, latent_dim=args.latent_dim)
     out = _resolve_out(args.out)
-    directory = os.path.dirname(os.path.abspath(out))
-    os.makedirs(directory, exist_ok=True)
     save_dataset(ds, out)
     _note(f"wrote {len(ds)} pairs ({(ds.matched == 0).sum()} mismatched)")
     print(out)
@@ -193,8 +181,7 @@ def _cmd_oracle_check(args) -> int:
         marginal = np.full(args.size, 1.0 / args.size)
         result = sinkhorn(cost, marginal, marginal, cfg=cfg)
         all_converged &= result.converged
-        violation = max(np.abs(result.plan.sum(1) - marginal).max(),
-                        np.abs(result.plan.sum(0) - marginal).max())
+        violation = marginal_violation(result.plan, marginal, marginal)
         optimum = (exact_ot_oracle(cost, marginal, marginal,
                                    mass_scale=args.size).plan * cost).sum()
         gap = ((result.plan * cost).sum() - optimum) / max(abs(optimum), 1e-12)

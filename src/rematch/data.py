@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -29,6 +30,8 @@ __all__ = [
 
 SPLIT_POOL = 0
 SPLIT_TEST = 1
+
+RECALL_CUTOFFS = (1, 5, 10)
 
 _FORMAT_KIND = "paired-features"
 _FORMAT_VERSION = 1
@@ -191,6 +194,24 @@ def make_benchmark(n: int, classes: int, noise: float, mrate: float,
                    mrate=mrate)
 
 
+@contextmanager
+def atomic_write(path: str, mode: str = "w"):
+    """Open a temp file beside ``path`` and rename it onto ``path`` when the
+    block ends, so readers see the old file or the whole new one; the temp
+    file is removed if the block raises. Missing directories are created."""
+    directory = os.path.dirname(os.path.abspath(path))
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        with os.fdopen(fd, mode) as handle:
+            yield handle
+        os.replace(tmp_path, path)
+    except BaseException:
+        if os.path.exists(tmp_path):
+            os.unlink(tmp_path)
+        raise
+
+
 def save_dataset(ds: PairDataset, path: str) -> None:
     """Write the dataset as JSON lines: one header record, one record per pair.
 
@@ -209,27 +230,19 @@ def save_dataset(ds: PairDataset, path: str) -> None:
         "seed": int(ds.seed),
         "latent_dim": int(ds.latent_dim),
     }
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(json.dumps(header) + "\n")
-            for i in range(len(ds)):
-                record = {
-                    "index": i,
-                    "v_feat": ds.v_feats[i].tolist(),
-                    "t_feat": ds.t_feats[i].tolist(),
-                    "m": int(ds.matched[i]),
-                    "class": int(ds.v_class[i]),
-                    "t_class": int(ds.t_class[i]),
-                    "split": int(ds.split[i]),
-                }
-                handle.write(json.dumps(record) + "\n")
-        os.replace(tmp_path, path)
-    except BaseException:
-        if os.path.exists(tmp_path):
-            os.unlink(tmp_path)
-        raise
+    with atomic_write(path) as handle:
+        handle.write(json.dumps(header) + "\n")
+        for i in range(len(ds)):
+            record = {
+                "index": i,
+                "v_feat": ds.v_feats[i].tolist(),
+                "t_feat": ds.t_feats[i].tolist(),
+                "m": int(ds.matched[i]),
+                "class": int(ds.v_class[i]),
+                "t_class": int(ds.t_class[i]),
+                "split": int(ds.split[i]),
+            }
+            handle.write(json.dumps(record) + "\n")
 
 
 def _json_line(line: str, where: str) -> dict:
@@ -329,8 +342,9 @@ def load_dataset(path: str) -> PairDataset:
     )
 
 
-def recall_at_k(s, k_list=(1, 5, 10), ground_truth=None) -> dict:
-    """Recall@K in both directions over a one-to-one square similarity.
+def recall_at_k(s) -> dict:
+    """Recall@K for K in 1, 5 and 10, both directions, over a one-to-one
+    square similarity whose true pairs lie on the diagonal.
 
     Ties rank the lower index first. Values are percentages; ``rsum`` adds
     all six direction/cutoff combinations. A NaN similarity has no rank and
@@ -342,31 +356,25 @@ def recall_at_k(s, k_list=(1, 5, 10), ground_truth=None) -> dict:
     if np.isnan(s).any():
         raise ValueError("similarity matrix contains NaN")
     n = s.shape[0]
-    if max(k_list) > n:
-        raise ValueError(f"k={max(k_list)} exceeds split size {n}")
-    if ground_truth is None:
-        ground_truth = np.arange(n)
-    ground_truth = np.asarray(ground_truth)
+    if max(RECALL_CUTOFFS) > n:
+        raise ValueError(f"k={max(RECALL_CUTOFFS)} exceeds split size {n}")
 
-    index = np.arange(n)
+    target = np.diag(s)[:, None]
+    earlier = np.tri(n, k=-1, dtype=bool)  # column j < row i
 
-    def ranks(matrix, truth):
-        # the entries of each row that beat its truth: higher, or equal at a
-        # lower index
-        target = matrix[index, truth][:, None]
-        ahead = (matrix > target) | ((matrix == target) & (index < truth[:, None]))
-        return ahead.sum(axis=1)
+    def ranks(matrix):
+        # the entries of each row that beat its diagonal: higher, or equal at
+        # a lower index
+        return ((matrix > target) | ((matrix == target) & earlier)).sum(axis=1)
 
-    rank_i2t = ranks(s, ground_truth)
-    inverse = np.empty(n, dtype=np.int64)
-    inverse[ground_truth] = index
-    rank_t2i = ranks(s.T, inverse)
+    rank_i2t = ranks(s)
+    rank_t2i = ranks(s.T)
 
     metrics = {}
-    for k in k_list:
+    for k in RECALL_CUTOFFS:
         metrics[f"r{k}_i2t"] = float(100.0 * (rank_i2t < k).mean())
         metrics[f"r{k}_t2i"] = float(100.0 * (rank_t2i < k).mean())
-    metrics["rsum"] = float(sum(metrics[f"r{k}_{d}"] for k in k_list
+    metrics["rsum"] = float(sum(metrics[f"r{k}_{d}"] for k in RECALL_CUTOFFS
                                 for d in ("i2t", "t2i")))
     return metrics
 

@@ -16,6 +16,7 @@ __all__ = ["EncoderParams", "init_params", "similarity", "similarity_backward", 
            "check_finite_gradients"]
 
 _NORM_FLOOR = 1e-12
+_INIT_SCALE = 0.1
 
 
 @dataclass
@@ -29,23 +30,20 @@ class EncoderParams:
         return EncoderParams(self.w_v.copy(), self.w_t.copy())
 
 
-def init_params(d_in_v: int, d_in_t: int, d: int, rng,
-                scale: float = 0.1) -> EncoderParams:
-    """Gaussian init with deliberately small weights.
+def init_params(d_in_v: int, d_in_t: int, d: int, rng) -> EncoderParams:
+    """Gaussian init with deliberately small weights (scale 0.1).
 
     The gradient through row normalization scales inversely with the
-    pre-normalization row norm, so a small ``scale`` gives plain gradient
+    pre-normalization row norm, so a small scale gives plain gradient
     descent large effective early steps that anneal as the weights grow.
     This is what makes the small fixed learning rate workable without an
     adaptive optimizer.
     """
     if d < 2:
         raise ValueError("embedding dimension must be at least 2")
-    if scale <= 0:
-        raise ValueError("init scale must be positive")
     rng = np.random.default_rng(rng)
-    w_v = rng.normal(scale=scale / np.sqrt(d_in_v), size=(d_in_v, d))
-    w_t = rng.normal(scale=scale / np.sqrt(d_in_t), size=(d_in_t, d))
+    w_v = rng.normal(scale=_INIT_SCALE / np.sqrt(d_in_v), size=(d_in_v, d))
+    w_t = rng.normal(scale=_INIT_SCALE / np.sqrt(d_in_t), size=(d_in_t, d))
     return EncoderParams(w_v, w_t)
 
 

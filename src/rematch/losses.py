@@ -91,35 +91,41 @@ def triplet_loss(s, i: int, alpha: float):
     return float(value), grad
 
 
-def per_pair_triplet_losses(s, alpha: float) -> np.ndarray:
-    """Vector of hinge losses, one per diagonal pair."""
+def _hinge_terms(s, alpha: float):
+    """Both hinge arguments of every pair against its hardest in-batch negatives.
+
+    Returns ``(term_row, term_col, j_star, h_star)``: ``term_row[i]`` is
+    ``alpha - s_ii + s[i, j_star[i]]`` for the row's hardest negative, and
+    ``term_col[i]`` is ``alpha - s_ii + s[h_star[i], i]`` for the column's;
+    ties pick the first index.
+    """
     s = _as_square(s)
     n = s.shape[0]
     if n < 2:
         raise ValueError("need at least two pairs for in-batch negatives")
-    off = s + np.where(np.eye(n, dtype=bool), -np.inf, 0.0)
-    hardest_row = off.max(axis=1)
-    hardest_col = off.max(axis=0)
+    off = s.copy()
+    np.fill_diagonal(off, -np.inf)
+    j_star = off.argmax(axis=1)
+    h_star = off.argmax(axis=0)
     diag = np.diag(s)
-    return (np.maximum(alpha - diag + hardest_row, 0.0)
-            + np.maximum(alpha - diag + hardest_col, 0.0))
+    index = np.arange(n)
+    return (alpha - diag + off[index, j_star], alpha - diag + off[h_star, index],
+            j_star, h_star)
+
+
+def per_pair_triplet_losses(s, alpha: float) -> np.ndarray:
+    """Vector of hinge losses, one per diagonal pair."""
+    term_row, term_col, _, _ = _hinge_terms(s, alpha)
+    return np.maximum(term_row, 0.0) + np.maximum(term_col, 0.0)
 
 
 def triplet_loss_batch(s, alpha: float):
     """Sum of per-pair hinge losses with its gradient."""
-    s = _as_square(s)
-    n = s.shape[0]
-    if n < 2:
-        raise ValueError("need at least two pairs for in-batch negatives")
-    off = s + np.where(np.eye(n, dtype=bool), -np.inf, 0.0)
-    j_star = off.argmax(axis=1)
-    h_star = off.argmax(axis=0)
-    diag = np.diag(s)
-    term_row = alpha - diag + off[np.arange(n), j_star]
-    term_col = alpha - diag + off[h_star, np.arange(n)]
+    term_row, term_col, j_star, h_star = _hinge_terms(s, alpha)
     value = np.maximum(term_row, 0.0).sum() + np.maximum(term_col, 0.0).sum()
+    n = term_row.size
     # each update below names every cell at most once
-    grad = np.zeros_like(s)
+    grad = np.zeros((n, n))
     rows = np.flatnonzero(term_row > 0)
     cols = np.flatnonzero(term_col > 0)
     grad[rows, rows] -= 1.0

@@ -25,6 +25,8 @@ __all__ = [
 
 _SHAPE_MIN = 1e-3
 _SHAPE_MAX = 1e6
+# losses map into [_DELTA, 1 - _DELTA], strictly inside the beta support
+_DELTA = 1e-4
 
 
 def _check_unit_interval(x) -> None:
@@ -69,7 +71,6 @@ class BetaMixture:
     degenerate: bool = False
     norm_lo: float = 0.0
     norm_hi: float = 1.0
-    delta: float = 1e-4
     loglik_trace: list = field(default_factory=list)
 
     @property
@@ -86,8 +87,14 @@ class BetaMixture:
         span = self.norm_hi - self.norm_lo
         if span <= 0:
             return np.full_like(losses, 0.5)
-        unit = np.clip((losses - self.norm_lo) / span, 0.0, 1.0)
-        return self.delta + (1.0 - 2.0 * self.delta) * unit
+        return _to_unit(losses, self.norm_lo, span)
+
+
+def _to_unit(losses, lo: float, span: float):
+    """Min-max map of raw losses into [_DELTA, 1 - _DELTA], clipped to
+    ``[lo, lo + span]``. IEEE subtraction is monotone, so the clip is the
+    identity on the fitted losses: they map to the fit-time points exactly."""
+    return _DELTA + (1.0 - 2.0 * _DELTA) * np.clip(losses - lo, 0.0, span) / span
 
 
 def _moment_match(x, weights, total):
@@ -114,6 +121,11 @@ def _log_joint(log_x, log_1mx, params):
     return lo, hi
 
 
+def _responsibility(log_lo, log_hi):
+    """Posterior weight of the ``hi`` component from both log joints."""
+    return np.exp(log_hi - np.logaddexp(log_lo, log_hi))
+
+
 def _log_add(a, b):
     """Elementwise log(exp(a) + exp(b)) by a max shift; bit for bit what
     ``scipy.special.logsumexp`` returns over the two stacked rows."""
@@ -122,10 +134,10 @@ def _log_add(a, b):
 
 
 def fit_bmm(losses, em_iters: int = 50, tol: float = 1e-6,
-            rng_seed: int = 0, delta: float = 1e-4) -> BetaMixture:
+            rng_seed: int = 0) -> BetaMixture:
     """Fit the mixture by EM with moment-matching parameter updates.
 
-    Losses are min-max normalized into [delta, 1 - delta] first.
+    Losses are min-max normalized into [1e-4, 1 - 1e-4] first.
     Responsibilities start from a median split; EM stops when the
     log-likelihood gain drops below ``tol``, when ``em_iters`` is reached,
     or when a moment update would decrease the log-likelihood (the update
@@ -138,11 +150,24 @@ def fit_bmm(losses, em_iters: int = 50, tol: float = 1e-6,
         raise ValueError("losses must be finite")
 
     lo, hi = float(losses.min()), float(losses.max())
-    if hi - lo < 1e-12:
+    params, trace = None, []
+    if hi - lo >= 1e-12:
+        params, trace = _em(_to_unit(losses, lo, hi - lo), em_iters, tol, rng_seed)
+    if params is None:
         return BetaMixture(1.0, 1.0, 1.0, 1.0, weight_hi=0.0, degenerate=True,
-                           norm_lo=lo, norm_hi=hi, delta=delta)
+                           norm_lo=lo, norm_hi=hi)
 
-    x = delta + (1.0 - 2.0 * delta) * (losses - lo) / (hi - lo)
+    (a_lo, b_lo), (a_hi, b_hi), w_hi = params
+    if a_lo / (a_lo + b_lo) > a_hi / (a_hi + b_hi):
+        (a_lo, b_lo), (a_hi, b_hi) = (a_hi, b_hi), (a_lo, b_lo)
+        w_hi = 1.0 - w_hi
+    return BetaMixture(a_lo, b_lo, a_hi, b_hi, weight_hi=w_hi,
+                       norm_lo=lo, norm_hi=hi, loglik_trace=trace)
+
+
+def _em(x, em_iters: int, tol: float, rng_seed: int):
+    """EM over normalized losses ``x``; the accepted parameters (None when
+    no update was accepted) and the log-likelihood trace."""
     _check_unit_interval(x)
     # x is fixed across iterations, so its logs are taken once per fit
     log_x, log_1mx = np.log(x), np.log1p(-x)
@@ -174,18 +199,8 @@ def fit_bmm(losses, em_iters: int = 50, tol: float = 1e-6,
         if ll - prev_ll < tol and np.isfinite(prev_ll):
             break
         prev_ll = ll
-        resp_hi = np.exp(log_hi - np.logaddexp(log_lo, log_hi))
-
-    if params is None:
-        return BetaMixture(1.0, 1.0, 1.0, 1.0, weight_hi=0.0, degenerate=True,
-                           norm_lo=lo, norm_hi=hi, delta=delta)
-
-    (a_lo, b_lo), (a_hi, b_hi), w_hi = params
-    if a_lo / (a_lo + b_lo) > a_hi / (a_hi + b_hi):
-        (a_lo, b_lo), (a_hi, b_hi) = (a_hi, b_hi), (a_lo, b_lo)
-        w_hi = 1.0 - w_hi
-    return BetaMixture(a_lo, b_lo, a_hi, b_hi, weight_hi=w_hi,
-                       norm_lo=lo, norm_hi=hi, delta=delta, loglik_trace=trace)
+        resp_hi = _responsibility(log_lo, log_hi)
+    return params, trace
 
 
 def posterior(bmm: BetaMixture, loss):
@@ -195,8 +210,7 @@ def posterior(bmm: BetaMixture, loss):
     x = np.asarray(loss, dtype=np.float64)
     _check_unit_interval(x)
     params = ((bmm.alpha_lo, bmm.beta_lo), (bmm.alpha_hi, bmm.beta_hi), bmm.weight_hi)
-    log_lo, log_hi = _log_joint(np.log(x), np.log1p(-x), params)
-    w = np.exp(log_hi - np.logaddexp(log_lo, log_hi))
+    w = _responsibility(*_log_joint(np.log(x), np.log1p(-x), params))
     return w if w.ndim else float(w)
 
 

@@ -18,8 +18,6 @@ Three modes run the same epoch engine, one row each in ``_MODES``:
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 import time
 import zipfile
 from dataclasses import asdict, dataclass, field, fields
@@ -29,14 +27,15 @@ import numpy as np
 
 from . import costs as costs_mod
 from . import encoder as enc
-from .data import PairDataset, identification_score, recall_at_k
+from .data import (RECALL_CUTOFFS, PairDataset, atomic_write, identification_score,
+                   recall_at_k)
 from .losses import (
     per_pair_triplet_losses,
     rematch_loss,
     triplet_loss_batch,
     warmup_loss,
 )
-from .mixture import BetaMixture, fit_bmm, mismatch_probabilities, partition
+from .mixture import fit_bmm, mismatch_probabilities, partition
 from ._settings import check, choice, count, real, switch
 from .transport import SinkhornConfig, normalize_plan, partial_ot
 
@@ -143,7 +142,6 @@ class RunState:
     theta: costs_mod.CostNetParams
     epoch: int
     rng: np.random.Generator
-    bmm: BetaMixture | None = None
     history: list = field(default_factory=list)
     best_rsum: float = -1.0
     best_epoch: int = -1
@@ -269,7 +267,6 @@ def _identify(state: RunState, ds: PairDataset, cfg: TrainConfig,
                   rng_seed=cfg.seed)
     posteriors = mismatch_probabilities(bmm, losses)
     matched_pos, mismatched_pos = partition(posteriors, cfg.threshold)
-    state.bmm = bmm
     return train_idx[matched_pos], train_idx[mismatched_pos], bmm
 
 
@@ -456,7 +453,7 @@ def evaluate(params: enc.EncoderParams, ds: PairDataset,
 
 def random_ranking_rsum(n: int) -> float:
     """Expected recall sum of a uniformly random ranking."""
-    return float(sum(2 * 100.0 * k / n for k in (1, 5, 10)))
+    return float(sum(2 * 100.0 * k / n for k in RECALL_CUTOFFS))
 
 
 def _track_best(state: RunState, val_metrics: dict):
@@ -541,16 +538,8 @@ def save_state(state: RunState, cfg: TrainConfig, path: str) -> None:
         payload["adam_m_t"] = state.adam.m_t
         payload["adam_v_t"] = state.adam.v_t
         payload["adam_step"] = np.int64(state.adam.step)
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            np.savez_compressed(handle, **payload)
-        os.replace(tmp_path, path)
-    except BaseException:
-        if os.path.exists(tmp_path):
-            os.unlink(tmp_path)
-        raise
+    with atomic_write(path, "wb") as handle:
+        np.savez_compressed(handle, **payload)
 
 
 def load_state(path: str):

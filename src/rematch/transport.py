@@ -67,10 +67,6 @@ class TransportPlan:
     converged: bool
     iterations: int
 
-    @property
-    def total_mass(self) -> float:
-        return float(self.plan.sum())
-
 
 def _as_measure(x, name: str) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
@@ -349,8 +345,11 @@ def sinkhorn(cost, p, q, mask=None, cfg: SinkhornConfig | None = None) -> Transp
     return TransportPlan(plan=plan, converged=converged, iterations=iterations)
 
 
-# extend_partial rejects xi <= 0, so the border cost never falls below this
+# the border cost stays positive, as in the construction of the reduction
 _XI_FLOOR = 1e-12
+# a row or column of a plan whose sum is at most this per cell counts as
+# untransported
+_PLAN_FLOOR = 1e-12
 
 
 def default_xi(cost: np.ndarray) -> float:
@@ -368,32 +367,28 @@ def default_xi(cost: np.ndarray) -> float:
     return max(float(np.min(cost)), _XI_FLOOR)
 
 
-def default_a_big(cost: np.ndarray) -> float:
-    """Corner penalty strictly above every real cost."""
-    return float(np.asarray(cost).max()) + 1.0
-
-
-def extend_partial(cost, p, q, mask=None, rho: float = 0.0, xi: float | None = None,
-                   a_big: float | None = None):
+def extend_partial(cost, p, q, mask=None, rho: float = 0.0):
     """Reduce a partial problem to a balanced one via one virtual node per side.
 
-    The cost matrix gains a border row/column priced at ``xi`` and a corner
-    cell priced at ``2 * xi + a_big``; the border and corner are never
-    masked. The virtual column absorbs ``|p| - rho`` source mass and the
-    virtual row supplies ``|q| - rho`` target mass, so exactly ``rho`` moves
-    inside the original block at the optimum. Any ``xi > 0`` gives the same
-    optimal plan, because the border carries a fixed total mass (see
-    :func:`default_xi`); the default only makes the solve start close to it.
+    The cost matrix gains a border row/column priced at ``xi =
+    default_xi(cost)`` and a corner cell priced at ``2 * xi + max(cost) +
+    1``, dearer than any detour through the border and a real cell; the
+    border and corner are never masked. The virtual column absorbs
+    ``|p| - rho`` source mass and the virtual row supplies ``|q| - rho``
+    target mass, so exactly ``rho`` moves inside the original block at the
+    optimum. Any ``xi > 0`` gives the same optimal plan, because the border
+    carries a fixed total mass (see :func:`default_xi`); this one only makes
+    the solve start close to it.
 
     Returns
     -------
     (cost_ext, p_ext, q_ext, mask_ext)
         Arrays of shape (m+1, n+1), (m+1,), (n+1,), (m+1, n+1).
     """
-    return _extend(*_validate(cost, p, q, mask), rho, xi, a_big)
+    return _extend(*_validate(cost, p, q, mask), rho)
 
 
-def _extend(cost, p, q, mask, rho, xi=None, a_big=None):
+def _extend(cost, p, q, mask, rho):
     """:func:`extend_partial` on validated arrays."""
     m, n = cost.shape
     mass_p = p.sum()
@@ -402,14 +397,8 @@ def _extend(cost, p, q, mask, rho, xi=None, a_big=None):
     if rho < 0 or rho > budget + 1e-12:
         raise ValueError(f"rho={rho} outside [0, min(|p|, |q|)={budget:.17g}]")
     rho = min(rho, budget)
-    if xi is None:
-        xi = default_xi(cost)
-    if a_big is None:
-        a_big = default_a_big(cost)
-    if xi <= 0:
-        raise ValueError(f"xi must be positive, got {xi}")
-    if a_big <= cost.max():
-        raise ValueError(f"a_big={a_big} must exceed max cost {cost.max()}")
+    xi = default_xi(cost)
+    a_big = float(cost.max()) + 1.0
 
     cost_ext = np.empty((m + 1, n + 1))
     cost_ext[:m, :n] = cost
@@ -443,19 +432,17 @@ def partial_ot(cost, p, q, mask=None, rho: float = 0.0,
                          iterations=solved.iterations)
 
 
-def normalize_plan(plan, direction: str, floor: float = 1e-12, mask=None) -> np.ndarray:
+def normalize_plan(plan, direction: str, mask=None) -> np.ndarray:
     """Normalize a plan into row- or column-stochastic form.
 
-    Rows (or columns) whose pre-normalization sum is at most
-    ``floor * length`` are replaced by the uniform distribution over their
-    unmasked cells, so untransported slices still yield valid distributions.
+    Rows (or columns) whose pre-normalization sum is at most ``1e-12`` per
+    cell are replaced by the uniform distribution over their unmasked cells,
+    so untransported slices still yield valid distributions.
 
     Parameters
     ----------
     plan : (m, n) array_like of nonnegative reals
     direction : {"row", "column"}
-    floor : float
-        Per-cell scale below which a slice counts as untransported.
     mask : optional binary matrix restricting the uniform fallback support.
     """
     plan = np.asarray(plan, dtype=np.float64)
@@ -463,8 +450,6 @@ def normalize_plan(plan, direction: str, floor: float = 1e-12, mask=None) -> np.
         raise ValueError("plan must be a matrix")
     if np.any(plan < 0):
         raise ValueError("plan entries must be nonnegative")
-    if floor < 0:
-        raise ValueError("floor must be nonnegative")
     if direction not in ("row", "column"):
         raise ValueError(f"direction must be 'row' or 'column', got {direction!r}")
     mask = _as_mask(mask, plan.shape)
@@ -475,7 +460,7 @@ def normalize_plan(plan, direction: str, floor: float = 1e-12, mask=None) -> np.
 
     sums = work.sum(axis=1)
     length = work.shape[1]
-    low = sums <= floor * length
+    low = sums <= _PLAN_FLOOR * length
     counts = support.sum(axis=1)
     if np.any(low & (counts == 0)):
         raise ValueError("cannot fall back to uniform: a slice has no unmasked cells")

@@ -2,6 +2,7 @@
 reproducibility of the file outputs."""
 
 import argparse
+import hashlib
 import json
 import subprocess
 import sys
@@ -114,6 +115,35 @@ class TestGenTrain:
         payload = json.loads(capsys.readouterr().out)
         assert payload["schema"] == "eval-metrics/1"
         assert "rsum" in payload["test"]
+
+
+class TestPinnedOutputs:
+    # sha256 of the bytes each writer leaves, recorded like the payload
+    # digests in test_pipeline (numpy 2.4, scipy-openblas, x86-64); a change
+    # to how files are written must leave them be
+    def test_gen_file_bytes(self, tmp_path, capsys):
+        path = make_dataset(tmp_path, capsys)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "b424c5a39f56c6acf9246c0a33152dd7e92f0e7a2e74b905f678b8d8a5757551")
+
+    def test_checkpoint_entry_bytes(self, tmp_path, capsys):
+        data = make_dataset(tmp_path, capsys)
+        state = tmp_path / "checkpoint.npz"
+        assert main(["train", "--data", str(data), "--out", str(tmp_path / "m.json"),
+                     "--state-out", str(state), "--optimizer", "adam", *FAST]) == 0
+        # the zip headers carry timestamps, so the arrays are hashed, not the file
+        digest = hashlib.sha256()
+        with np.load(state) as archive:
+            for key in sorted(archive.files):
+                digest.update(key.encode())
+                digest.update(archive[key].tobytes())
+        assert digest.hexdigest() == (
+            "f1b83805115aa48ec15c9d3ad8279594fded8517c7c05c86ab2ee46a20637316")
+
+    def test_oracle_check_stdout(self, capsys):
+        assert main(["oracle-check", "--instances", "30", "--size", "4"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+            "1ed0805cb84ee1a20ef2043d2d4d22b06fbb965f3b1f521d3c975e2d233f2dce")
 
 
 class TestAblate:
@@ -319,6 +349,13 @@ class TestOutputDirectory:
         capsys.readouterr()
         assert code == 0
         assert (tmp_path / "nested" / "ds.jsonl").exists()
+
+    def test_state_out_creates_its_directory(self, tmp_path, capsys):
+        data = make_dataset(tmp_path, capsys)
+        state = tmp_path / "runs" / "checkpoint.npz"
+        assert main(["train", "--data", str(data), "--state-out", str(state),
+                     *FAST]) == 0
+        assert state.exists()
 
 
 class TestConsoleScript:

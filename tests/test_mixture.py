@@ -1,10 +1,13 @@
 """Mixture-model tests: density, EM fit, posteriors, and the split rule."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+import rematch.mixture as mixture
 from rematch.mixture import (
     BetaMixture,
     _log_add,
@@ -64,6 +67,16 @@ class TestFitBmm:
         bmm = fit_bmm(np.full(50, 0.5))
         assert bmm.degenerate
         assert bmm.weight_hi == 0.0
+
+    def test_normalize_reproduces_the_fit_time_points(self):
+        # the split reads posteriors at bmm.normalize(losses), so those must
+        # be exactly the points the mixture was fitted on
+        rng = np.random.default_rng(8)
+        losses = np.concatenate([rng.gamma(2.0, 0.1, 240), rng.gamma(8.0, 0.1, 120)])
+        with mock.patch.object(mixture, "_check_unit_interval",
+                               wraps=mixture._check_unit_interval) as check:
+            bmm = fit_bmm(losses)
+        np.testing.assert_array_equal(bmm.normalize(losses), check.call_args.args[0])
 
     def test_too_few_samples_rejected(self):
         with pytest.raises(ValueError):

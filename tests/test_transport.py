@@ -336,13 +336,14 @@ class TestExtendPartial:
         assert p_ext.sum() == pytest.approx(q_ext.sum())
 
     def test_border_and_corner_construction(self):
-        cost = np.array([[0.0, 1.0], [1.0, 0.0]])
+        # border: the cheapest real cost; corner: 2 * border + max cost + 1
+        cost = np.array([[0.4, 1.0], [1.0, 0.6]])
         cost_ext, _, _, mask_ext = extend_partial(
-            cost, [0.5, 0.5], [0.5, 0.5], rho=0.5, xi=0.1, a_big=2.0)
+            cost, [0.5, 0.5], [0.5, 0.5], rho=0.5)
         expected = np.array([
-            [0.0, 1.0, 0.1],
-            [1.0, 0.0, 0.1],
-            [0.1, 0.1, 2.2],
+            [0.4, 1.0, 0.4],
+            [1.0, 0.6, 0.4],
+            [0.4, 0.4, 2.8],
         ])
         np.testing.assert_allclose(cost_ext, expected)
         assert mask_ext.all()
@@ -358,10 +359,6 @@ class TestExtendPartial:
         p = q = [0.5, 0.5]
         with pytest.raises(ValueError, match="rho"):
             extend_partial(np.zeros((2, 2)), p, q, rho=1.5)
-        with pytest.raises(ValueError, match="xi"):
-            extend_partial(np.zeros((2, 2)), p, q, rho=0.5, xi=0.0)
-        with pytest.raises(ValueError, match="a_big"):
-            extend_partial(np.ones((2, 2)), p, q, rho=0.5, xi=0.1, a_big=1.0)
 
     @pytest.mark.parametrize("xi", [0.01, 1.0, 10.0])
     def test_border_cost_is_a_gauge(self, xi):
@@ -373,8 +370,11 @@ class TestExtendPartial:
         mask = 1 - np.eye(n, dtype=int)
         cfg = SinkhornConfig(lam=0.01, max_iter=20000, tol=1e-12)
         default = partial_ot(cost, uniform(n), uniform(n), mask, rho=0.3, cfg=cfg)
-        shifted = sinkhorn(*extend_partial(cost, uniform(n), uniform(n), mask,
-                                           rho=0.3, xi=xi), cfg)
+        cost_ext, p_ext, q_ext, mask_ext = extend_partial(
+            cost, uniform(n), uniform(n), mask, rho=0.3)
+        cost_ext[:n, n] = cost_ext[n, :n] = xi
+        cost_ext[n, n] = 2.0 * xi + cost.max() + 1.0
+        shifted = sinkhorn(cost_ext, p_ext, q_ext, mask_ext, cfg)
         assert default.converged and shifted.converged
         np.testing.assert_allclose(shifted.plan[:n, :n], default.plan, rtol=0, atol=1e-12)
 
