@@ -17,7 +17,7 @@ from .data import (
     recall_at_k,
     save_dataset,
 )
-from .encoder import EncoderParams, init_params, sgd_step, similarity, similarity_backward
+from .encoder import EncoderParams, init_params, similarity, similarity_backward
 from .flow_oracle import exact_ot_oracle
 from .losses import (
     infonce_loss,
@@ -78,7 +78,6 @@ __all__ = [
     "run_experiment",
     "save_dataset",
     "save_state",
-    "sgd_step",
     "similarity",
     "similarity_backward",
     "sinkhorn",

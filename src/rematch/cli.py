@@ -19,7 +19,8 @@ import numpy as np
 
 from .data import atomic_write, load_dataset, make_benchmark, save_dataset
 from .flow_oracle import exact_ot_oracle
-from .pipeline import TrainConfig, evaluate, load_state, run_experiment, split_indices
+from .pipeline import (TrainConfig, evaluate, load_state, run_experiment, save_state,
+                       split_indices)
 from .transport import SinkhornConfig, marginal_violation, sinkhorn
 
 OUT_DIR_ENV = "REMATCH_OUT_DIR"
@@ -40,23 +41,9 @@ def _resolve_out(path: str) -> str:
     return path
 
 
-def _json_default(obj):
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON-serializable: {type(obj)}")
-
-
-def _dump_payload(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, default=_json_default)
-
-
 def _emit(payload: dict, out: str | None) -> None:
     """Write the payload to ``out`` (printing the path) or to stdout."""
-    text = _dump_payload(payload)
+    text = json.dumps(payload, sort_keys=True)
     if out is None:
         print(text)
         return
@@ -135,11 +122,10 @@ def _run_training(args, overrides=None) -> int:
     payload, state = run_experiment(cfg, ds, return_state=True)
     if overrides:
         payload["ablation"] = args.arm
+    _emit(payload, args.out)
     if args.state_out:
-        from .pipeline import save_state
         save_state(state, cfg, _resolve_out(args.state_out))
         _note(f"checkpoint written to {args.state_out}")
-    _emit(payload, args.out)
     return 0
 
 
@@ -278,7 +264,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError, FloatingPointError) as exc:
+    except (ValueError, OSError, FloatingPointError) as exc:
         _note(f"error: {exc}")
         return 1
 

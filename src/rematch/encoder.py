@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["EncoderParams", "init_params", "similarity", "similarity_backward", "sgd_step",
-           "check_finite_gradients"]
+__all__ = ["EncoderParams", "init_params", "similarity", "similarity_backward"]
 
 _NORM_FLOOR = 1e-12
 _INIT_SCALE = 0.1
@@ -94,20 +93,3 @@ def similarity_backward(cache, grad_s):
     grad_raw_t = _unit_backward(grad_unit_t, unit_t, norm_t)
     return v_feats.T @ grad_raw_v, t_feats.T @ grad_raw_t
 
-
-def check_finite_gradients(grad_w_v, grad_w_t) -> None:
-    """Raise ``FloatingPointError`` naming the projection whose gradient is
-    not finite; every optimizer step runs this check first."""
-    for name, grad in (("visual", grad_w_v), ("text", grad_w_t)):
-        if not np.all(np.isfinite(grad)):
-            raise FloatingPointError(f"non-finite gradient in the {name} projection")
-
-
-def sgd_step(params: EncoderParams, grad_w_v, grad_w_t, lr: float) -> EncoderParams:
-    """Plain gradient-descent update; aborts on non-finite gradients."""
-    if lr < 0:
-        raise ValueError("learning rate must be nonnegative")
-    grad_w_v = np.asarray(grad_w_v, dtype=np.float64)
-    grad_w_t = np.asarray(grad_w_t, dtype=np.float64)
-    check_finite_gradients(grad_w_v, grad_w_t)
-    return EncoderParams(params.w_v - lr * grad_w_v, params.w_t - lr * grad_w_t)

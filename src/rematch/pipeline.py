@@ -173,17 +173,18 @@ def _adam_update(moment, second, grad, step):
 
 def _apply_update(state: RunState, cfg: TrainConfig, grad_w_v, grad_w_t,
                   lr: float) -> None:
-    """One optimizer step on the encoder parameters."""
-    if cfg.optimizer == "sgd":
-        state.params = enc.sgd_step(state.params, grad_w_v, grad_w_t, lr)
-        return
-    enc.check_finite_gradients(grad_w_v, grad_w_t)
-    adam = state.adam
-    adam.step += 1
-    delta_v = _adam_update(adam.m_v, adam.v_v, grad_w_v, adam.step)
-    delta_t = _adam_update(adam.m_t, adam.v_t, grad_w_t, adam.step)
-    state.params = enc.EncoderParams(state.params.w_v - lr * delta_v,
-                                     state.params.w_t - lr * delta_t)
+    """One ``cfg.optimizer`` step on the encoder parameters; a non-finite
+    gradient raises ``FloatingPointError`` naming its projection first."""
+    for name, grad in (("visual", grad_w_v), ("text", grad_w_t)):
+        if not np.all(np.isfinite(grad)):
+            raise FloatingPointError(f"non-finite gradient in the {name} projection")
+    if cfg.optimizer == "adam":
+        adam = state.adam
+        adam.step += 1
+        grad_w_v = _adam_update(adam.m_v, adam.v_v, grad_w_v, adam.step)
+        grad_w_t = _adam_update(adam.m_t, adam.v_t, grad_w_t, adam.step)
+    state.params = enc.EncoderParams(state.params.w_v - lr * grad_w_v,
+                                     state.params.w_t - lr * grad_w_t)
 
 
 def split_indices(cfg: TrainConfig, ds: PairDataset):
@@ -211,25 +212,34 @@ def _batches(indices: np.ndarray, batch_size: int, rng) -> list:
     return chunks
 
 
-def _grads(state: RunState, ds: PairDataset, batch: np.ndarray, loss_fn):
-    """Loss of one batch and its gradients w.r.t. both projections."""
-    s, cache = enc.similarity(state.params, ds.v_feats[batch], ds.t_feats[batch])
-    value, grad_s = loss_fn(s)
-    return value, enc.similarity_backward(cache, grad_s)
+def _step(state: RunState, ds: PairDataset, cfg: TrainConfig, terms,
+          lr: float) -> float:
+    """One encoder update on the summed loss of ``(batch, loss_fn)`` terms.
+
+    Each ``loss_fn`` maps the batch's similarity matrix to its loss and the
+    loss gradient w.r.t. the similarities. Returns the summed loss.
+    """
+    value = 0.0
+    grad_w_v = np.zeros_like(state.params.w_v)
+    grad_w_t = np.zeros_like(state.params.w_t)
+    for batch, loss_fn in terms:
+        s, cache = enc.similarity(state.params, ds.v_feats[batch], ds.t_feats[batch])
+        term, grad_s = loss_fn(s)
+        term_v, term_t = enc.similarity_backward(cache, grad_s)
+        value += term
+        grad_w_v += term_v
+        grad_w_t += term_t
+    _apply_update(state, cfg, grad_w_v, grad_w_t, lr)
+    return value
 
 
 def _fit(state: RunState, ds: PairDataset, cfg: TrainConfig,
          indices: np.ndarray, loss_fn, lr: float) -> float:
     """One shuffled pass over ``indices``, one step per batch; the mean loss."""
-    total, count = 0.0, 0
-    for batch in _batches(indices, cfg.batch_size, state.rng):
-        if batch.size < 2:
-            continue
-        value, grads = _grads(state, ds, batch, loss_fn)
-        _apply_update(state, cfg, *grads, lr=lr)
-        total += value
-        count += 1
-    return total / max(count, 1)
+    batches = [batch for batch in _batches(indices, cfg.batch_size, state.rng)
+               if batch.size >= 2]
+    total = sum(_step(state, ds, cfg, [(batch, loss_fn)], lr) for batch in batches)
+    return total / max(len(batches), 1)
 
 
 def warmup(state: RunState, ds: PairDataset, cfg: TrainConfig,
@@ -385,18 +395,9 @@ def _rematch_steps(state: RunState, ds: PairDataset, cfg: TrainConfig,
                 state.theta, clipped = _cost_update(state, ds, cfg, batch,
                                                     mismatched_idx)
                 state.clip_events += int(clipped)
-        value = 0.0
-        grad_w_v = np.zeros_like(state.params.w_v)
-        grad_w_t = np.zeros_like(state.params.w_t)
-        for pool, loss_fn in terms:
-            if pool.size >= 2:
-                batch = _sample(state.rng, pool, cfg.batch_size)
-                term, (term_v, term_t) = _grads(state, ds, batch, loss_fn)
-                value += term
-                grad_w_v += term_v
-                grad_w_t += term_t
-        _apply_update(state, cfg, grad_w_v, grad_w_t, lr=lr)
-        total += value
+        batches = [(_sample(state.rng, pool, cfg.batch_size), loss_fn)
+                   for pool, loss_fn in terms if pool.size >= 2]
+        total += _step(state, ds, cfg, batches, lr)
     return total / max(steps, 1), solves
 
 

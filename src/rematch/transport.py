@@ -126,11 +126,6 @@ def _check_feasible(active: np.ndarray, p: np.ndarray, q: np.ndarray, tol: float
         )
 
 
-# Alternating scaling stalls at O(1/iteration) on near-degenerate instances
-# (permutation-support optima), so after this many sweeps the remaining
-# equilibration runs as damped Newton on the same marginal equations. The
-# fixed point and the diag(a) K diag(b) output form are unchanged.
-_NEWTON_AFTER = 1
 # Only a safeguard since the partial reduction starts in the right gauge
 # (see default_xi): a full Newton step from a far start can move a scaling
 # exponent by orders of magnitude more than the linearized marginals can be
@@ -218,52 +213,49 @@ def _marginal_fit(plan, p, q) -> _Fit:
                 float(dev_r.sum() + dev_c.sum()))
 
 
-def _newton(log_kernel, p, q, log_a, log_b, plan, fit: _Fit, budget, tol):
-    """Equilibrate marginals of exp(log_a + log_kernel + log_b) by Newton steps.
+def _newton_step(log_kernel, p, q, free, log_a, log_b, plan, fit: _Fit):
+    """One damped Newton step on the scaling exponents, or ``None`` on a stall.
 
-    Works on the scaling exponents directly; zero-mass rows/columns are
-    frozen at -inf. Steps continue while the summed residual exceeds
-    ``tol``; each is a backtracking line search on the worst marginal
-    violation. Returns the exponents, their plan and its fit, and the steps
-    spent.
+    Only the ``free`` (positive-mass) rows and columns move; zero-mass ones
+    stay frozen at -inf. The step is a backtracking line search on the worst
+    marginal violation; a singular system or a search that finds no
+    improving step is a stall. Returns the new exponents, their plan and its
+    fit.
     """
-    free_r = _free(p)
-    free_c = _free(q)
-    spent = 0
-    while spent < budget and fit.residual > tol:
-        spent += 1
-        rows = fit.rows[free_r]
-        cols = fit.cols[free_c]
-        damping = 1e-12 * max(rows.max(), cols.max(), 1e-30)
-        try:
-            dx, dy = _newton_direction(plan[free_r][:, free_c], rows, cols,
-                                       rows - p[free_r], cols - q[free_c], damping)
-        except np.linalg.LinAlgError:
-            break
-        # the largest |dx_i + dy_j|; the gauge shift dx + c, dy - c drops out
-        span = max(dx.max() + dy.max(), -(dx.min() + dy.min()))
-        step = min(1.0, _MAX_LOG_STEP / span) if span > 0 else 1.0
-        for _ in range(60):
-            cand_a = log_a.copy()
-            cand_b = log_b.copy()
-            cand_a[free_r] += step * dx
-            cand_b[free_c] += step * dy
-            with np.errstate(over="ignore"):
-                cand_plan = _realize(log_kernel, cand_a, cand_b)
-                cand_fit = _marginal_fit(cand_plan, p, q)
-            if cand_fit.worst < fit.worst:
-                log_a, log_b, plan, fit = cand_a, cand_b, cand_plan, cand_fit
-                break
-            step *= 0.5
-        else:  # the line search found no improving step
-            break
-    return log_a, log_b, plan, fit, spent
+    free_r, free_c = free
+    rows = fit.rows[free_r]
+    cols = fit.cols[free_c]
+    damping = 1e-12 * max(rows.max(), cols.max(), 1e-30)
+    try:
+        dx, dy = _newton_direction(plan[free_r][:, free_c], rows, cols,
+                                   rows - p[free_r], cols - q[free_c], damping)
+    except np.linalg.LinAlgError:
+        return None
+    # the largest |dx_i + dy_j|; the gauge shift dx + c, dy - c drops out
+    span = max(dx.max() + dy.max(), -(dx.min() + dy.min()))
+    step = min(1.0, _MAX_LOG_STEP / span) if span > 0 else 1.0
+    for _ in range(60):
+        cand_a = log_a.copy()
+        cand_b = log_b.copy()
+        cand_a[free_r] += step * dx
+        cand_b[free_c] += step * dy
+        with np.errstate(over="ignore"):
+            cand_plan = _realize(log_kernel, cand_a, cand_b)
+            cand_fit = _marginal_fit(cand_plan, p, q)
+        if cand_fit.worst < fit.worst:
+            return cand_a, cand_b, cand_plan, cand_fit
+        step *= 0.5
+    return None
 
 
 def _solve(cost, p, q, mask, cfg: SinkhornConfig):
-    """Log-domain sweeps, then Newton, then sweeps again if Newton stalls.
+    """One log-domain sweep, then Newton steps, then sweeps once Newton stalls.
 
-    Inputs are validated by the caller. Every sweep and Newton step counts
+    Alternating scaling stalls at O(1/iteration) on near-degenerate instances
+    (permutation-support optima), so after the first sweep the equilibration
+    runs as damped Newton on the same marginal equations; the fixed point and
+    the diag(a) K diag(b) output form are unchanged. Inputs are validated by
+    the caller. Every iteration, a stalled Newton step included, counts
     toward ``cfg.max_iter`` and is followed by a convergence check.
     """
     log_kernel = np.where(mask, -cost / cfg.lam, -np.inf)
@@ -272,21 +264,20 @@ def _solve(cost, p, q, mask, cfg: SinkhornConfig):
         log_p = np.log(p)
         log_q = np.log(q)
     log_b = np.where(np.isneginf(log_q), -np.inf, 0.0)
-    log_a, plan, fit, iterations = None, None, _Fit(None, None, np.inf, np.inf), 0
-
-    def sweep_until(stop):
-        nonlocal log_a, log_b, plan, fit, iterations
-        while iterations < stop and fit.residual > cfg.tol:
-            iterations += 1
+    free = _free(p), _free(q)
+    log_a, plan, fit = None, None, _Fit(None, None, np.inf, np.inf)
+    iterations, stalled = 0, False
+    while iterations < cfg.max_iter and fit.residual > cfg.tol:
+        iterations += 1
+        if iterations == 1 or stalled:
             log_a, log_b = _sweep(log_kernel, log_p, log_q, log_b)
             plan = _realize(log_kernel, log_a, log_b)
             fit = _marginal_fit(plan, p, q)
-
-    sweep_until(min(cfg.max_iter, _NEWTON_AFTER))
-    log_a, log_b, plan, fit, spent = _newton(
-        log_kernel, p, q, log_a, log_b, plan, fit, cfg.max_iter - iterations, cfg.tol)
-    iterations += spent
-    sweep_until(cfg.max_iter)
+        else:
+            step = _newton_step(log_kernel, p, q, free, log_a, log_b, plan, fit)
+            stalled = step is None  # the stalled step counts; sweeps take over
+            if not stalled:
+                log_a, log_b, plan, fit = step
     return plan, fit.residual <= cfg.tol, iterations
 
 

@@ -189,6 +189,36 @@ class TestErrorHandling:
         assert code == 1
         assert "error" in captured.err
 
+    def test_data_directory_reports_one_line(self, tmp_path, capsys):
+        code = main(["train", "--data", str(tmp_path), *FAST])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+
+    def test_unwritable_out_reports_one_line(self, tmp_path, capsys):
+        data = make_dataset(tmp_path, capsys)
+        (tmp_path / "afile").write_text("a regular file\n")
+        code = main(["train", "--data", str(data), "--out",
+                     str(tmp_path / "afile" / "m.json"), *FAST])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert captured.err.strip().splitlines()[-1].startswith("error:")
+
+    def test_unwritable_state_out_still_emits_the_payload(self, tmp_path, capsys):
+        data = make_dataset(tmp_path, capsys)
+        (tmp_path / "afile").write_text("a regular file\n")
+        code = main(["train", "--data", str(data), "--state-out",
+                     str(tmp_path / "afile" / "ck.npz"), *FAST])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert set(json.loads(captured.out)) == METRIC_KEYS
+        assert "Traceback" not in captured.err
+        assert captured.err.strip().splitlines()[-1].startswith("error:")
+
     @staticmethod
     def edited_checkpoint(tmp_path, capsys, edit):
         data = make_dataset(tmp_path, capsys)

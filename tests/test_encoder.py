@@ -1,11 +1,23 @@
-"""Encoder tests: geometry of the similarity map and the full gradient chain."""
+"""Encoder tests: geometry of the similarity map, the full gradient chain, and
+the plain gradient-descent update the training loop applies to the encoder."""
 
 import numpy as np
 import pytest
 
-from rematch.encoder import EncoderParams, init_params, sgd_step, similarity, similarity_backward
+from rematch.costs import CostNetParams
+from rematch.encoder import EncoderParams, init_params, similarity, similarity_backward
 from rematch.losses import infonce_loss, rce_loss, rematch_loss, triplet_loss_batch
+from rematch.pipeline import RunState, TrainConfig, _apply_update
 from rematch.transport import normalize_plan
+
+SGD = TrainConfig(optimizer="sgd")
+
+
+def sgd_update(params, grad_w_v, grad_w_t, lr):
+    """The encoder parameters after one training-loop update with plain SGD."""
+    state = RunState(params=params, theta=CostNetParams(), epoch=0, rng=None)
+    _apply_update(state, SGD, grad_w_v, grad_w_t, lr)
+    return state.params
 
 
 class TestSimilarity:
@@ -123,7 +135,7 @@ class TestSgdStep:
     def test_zero_gradient_is_identity(self):
         rng = np.random.default_rng(4)
         params = init_params(4, 4, 3, rng)
-        out = sgd_step(params, np.zeros_like(params.w_v),
+        out = sgd_update(params, np.zeros_like(params.w_v),
                        np.zeros_like(params.w_t), lr=0.1)
         np.testing.assert_array_equal(out.w_v, params.w_v)
         np.testing.assert_array_equal(out.w_t, params.w_t)
@@ -131,9 +143,17 @@ class TestSgdStep:
     def test_zero_learning_rate_is_identity(self):
         rng = np.random.default_rng(5)
         params = init_params(4, 4, 3, rng)
-        out = sgd_step(params, rng.normal(size=(4, 3)), rng.normal(size=(4, 3)),
+        out = sgd_update(params, rng.normal(size=(4, 3)), rng.normal(size=(4, 3)),
                        lr=0.0)
         np.testing.assert_array_equal(out.w_v, params.w_v)
+
+    def test_step_is_minus_lr_times_gradient(self):
+        rng = np.random.default_rng(8)
+        params = init_params(4, 5, 3, rng)
+        grad_w_v, grad_w_t = rng.normal(size=(4, 3)), rng.normal(size=(5, 3))
+        out = sgd_update(params, grad_w_v, grad_w_t, lr=0.25)
+        np.testing.assert_array_equal(out.w_v, params.w_v - 0.25 * grad_w_v)
+        np.testing.assert_array_equal(out.w_t, params.w_t - 0.25 * grad_w_t)
 
     def test_descends_a_smooth_loss(self):
         rng = np.random.default_rng(6)
@@ -146,7 +166,7 @@ class TestSgdStep:
             value, grad_s = infonce_loss(s, 0.5)
             losses.append(value)
             grads = similarity_backward(cache, grad_s)
-            params = sgd_step(params, *grads, lr=0.05)
+            params = sgd_update(params, *grads, lr=0.05)
         assert losses[-1] < losses[0]
 
     def test_rejects_non_finite_gradient(self):
@@ -154,4 +174,4 @@ class TestSgdStep:
         params = init_params(3, 3, 2, rng)
         bad = np.full((3, 2), np.nan)
         with pytest.raises(FloatingPointError, match="visual"):
-            sgd_step(params, bad, np.zeros((3, 2)), lr=0.1)
+            sgd_update(params, bad, np.zeros((3, 2)), lr=0.1)

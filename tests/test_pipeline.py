@@ -367,6 +367,19 @@ class TestRunExperiment:
         text = json.dumps(payload, sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
+    # the same digests with plain SGD, the default optimizer
+    @pytest.mark.parametrize("mode,digest", [
+        ("rematch", "811b76ac8a3c3f6f29d390f093846fa0a22b93a2063ebde6985ed92e4fea0c64"),
+        ("naive", "6bf0908dd36be57ff130866cc014a942042824b2653471284b8c5b12fab9aac2"),
+        ("discard", "b4101227158cb27b11ef24d370abd7d366fa8d0609b221433393afcc1043218a"),
+    ])
+    def test_pinned_sgd_payload_bytes_per_mode(self, determinism_ds, mode, digest):
+        cfg = TrainConfig(mode=mode, **{**DETERMINISM, "optimizer": "sgd"})
+        payload = run_experiment(cfg, determinism_ds)
+        payload.pop("timing")
+        text = json.dumps(payload, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
     def test_unconverged_plans_skip_the_rematch_term(self, determinism_ds,
                                                      monkeypatch):
         # one scaling sweep cannot meet ot_tol, so every solve is counted as

@@ -1,6 +1,8 @@
 """Solver contract tests: masked scaling, the virtual-node reduction, and
 plan normalization."""
 
+import hashlib
+
 import numpy as np
 import pytest
 import scipy.special
@@ -255,6 +257,40 @@ class TestSolverInternals:
                          cfg=SinkhornConfig(lam=0.01, max_iter=3000, tol=1e-6))
         assert res.converged
         assert len(realized) <= res.iterations + 3
+
+    # a 32-pair training-shaped solve whose k-th Newton system is singular:
+    # its iterations and the sha256 of its plan bytes, pinned like the
+    # criterion-1 iterations above
+    @pytest.mark.parametrize("stall_at,iterations,digest", [
+        (1, 63, "59cf1dea3ad9e90b8b04a38848a497218b33993c24b9fea9b680900d21802aad"),
+        (2, 61, "c29e9201f5c03594e76cde699a2af786b480575ba7f349e6f4fd44e608ba8f1c"),
+    ])
+    def test_newton_stall_falls_back_to_sweeps(self, monkeypatch, stall_at,
+                                               iterations, digest):
+        directions, sweeps = [], []
+        direction, sweep = transport._newton_direction, transport._sweep
+
+        def singular_at_k(*args):
+            directions.append(1)
+            if len(directions) == stall_at:
+                raise np.linalg.LinAlgError("singular matrix")
+            return direction(*args)
+
+        monkeypatch.setattr(transport, "_newton_direction", singular_at_k)
+        monkeypatch.setattr(transport, "_sweep",
+                            lambda *args: sweeps.append(1) or sweep(*args))
+        rng = np.random.default_rng(0)
+        n = 32
+        res = partial_ot(rng.uniform(0.5, 1.5, (n, n)), uniform(n), uniform(n),
+                         1 - np.eye(n, dtype=int), rho=0.1,
+                         cfg=SinkhornConfig(lam=0.05, max_iter=3000, tol=1e-6))
+        assert res.converged
+        # no Newton step after the stall; the first sweep, the Newton steps,
+        # the stalled one and the fallback sweeps each count one iteration
+        assert len(directions) == stall_at
+        assert len(sweeps) == res.iterations - stall_at
+        assert res.iterations == iterations
+        assert hashlib.sha256(res.plan.tobytes()).hexdigest() == digest
 
     def test_thousand_pair_solve_runs_newton(self):
         # every size takes the Newton path: sweeps alone needed 59 iterations
