@@ -24,10 +24,9 @@ from .losses import (
     matching_probs,
     rce_loss,
     rematch_loss,
-    triplet_loss,
     triplet_loss_batch,
 )
-from .mixture import BetaMixture, beta_log_pdf, fit_bmm, mismatch_probabilities, partition, posterior
+from .mixture import BetaMixture, fit_bmm, mismatch_probabilities, partition, posterior
 from .pipeline import RunState, TrainConfig, load_state, run_experiment, save_state
 from .transport import (
     InfeasibleProblemError,
@@ -51,7 +50,6 @@ __all__ = [
     "SinkhornConfig",
     "TrainConfig",
     "TransportPlan",
-    "beta_log_pdf",
     "corrupt",
     "cost_forward",
     "cost_net_step",
@@ -81,6 +79,5 @@ __all__ = [
     "similarity",
     "similarity_backward",
     "sinkhorn",
-    "triplet_loss",
     "triplet_loss_batch",
 ]

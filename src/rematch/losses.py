@@ -12,7 +12,6 @@ import numpy as np
 
 __all__ = [
     "matching_probs",
-    "triplet_loss",
     "per_pair_triplet_losses",
     "triplet_loss_batch",
     "infonce_loss",
@@ -57,38 +56,6 @@ def matching_probs(s, tau: float):
     p_v2t = _softmax_rows(logits)
     p_t2v = _softmax_rows(logits.T).T
     return p_v2t, p_t2v
-
-
-def triplet_loss(s, i: int, alpha: float):
-    """Hinge loss of pair ``i`` against its hardest in-batch negatives.
-
-    Value: ``[alpha - s_ii + max_{j!=i} s_ij]_+ + [alpha - s_ii + max_{j!=i} s_ji]_+``.
-    The gradient touches only the diagonal cell and the two argmax cells;
-    ties pick the first index.
-    """
-    s = _as_square(s)
-    n = s.shape[0]
-    if n < 2:
-        raise ValueError("need at least two pairs for in-batch negatives")
-    if not 0 <= i < n:
-        raise IndexError(f"pair index {i} out of range for batch of {n}")
-    row = s[i].copy()
-    col = s[:, i].copy()
-    row[i] = -np.inf
-    col[i] = -np.inf
-    j_star = int(np.argmax(row))
-    h_star = int(np.argmax(col))
-    term_row = alpha - s[i, i] + row[j_star]
-    term_col = alpha - s[i, i] + col[h_star]
-    value = max(term_row, 0.0) + max(term_col, 0.0)
-    grad = np.zeros_like(s)
-    if term_row > 0:
-        grad[i, i] -= 1.0
-        grad[i, j_star] += 1.0
-    if term_col > 0:
-        grad[i, i] -= 1.0
-        grad[h_star, i] += 1.0
-    return float(value), grad
 
 
 def _hinge_terms(s, alpha: float):

@@ -9,14 +9,13 @@ probability.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import betaln
 
 __all__ = [
     "BetaMixture",
-    "beta_log_pdf",
     "fit_bmm",
     "posterior",
     "mismatch_probabilities",
@@ -39,18 +38,21 @@ def _check_shapes(alpha: float, beta: float) -> None:
         raise ValueError("shape parameters must be positive")
 
 
+def _log_beta(alpha: float, beta: float) -> float:
+    """log B(alpha, beta) as ``lgamma(alpha) + lgamma(beta) - lgamma(alpha + beta)``.
+
+    Over the fitted shape box [1e-3, 1e6]^2 it agrees with
+    ``scipy.special.betaln`` to ``16 * eps * max(1, |lgamma(alpha)|,
+    |lgamma(beta)|, |lgamma(alpha + beta)|)``, and to 1e-11 absolute on
+    [0.1, 1e3]^2: the terms cancel, so the error scales with the largest
+    of them rather than with the result.
+    """
+    return math.lgamma(alpha) + math.lgamma(beta) - math.lgamma(alpha + beta)
+
+
 def _log_density(log_x, log_1mx, alpha: float, beta: float):
     """Beta(alpha, beta) log density from precomputed log(x) and log(1 - x)."""
-    return (alpha - 1.0) * log_x + (beta - 1.0) * log_1mx - betaln(alpha, beta)
-
-
-def beta_log_pdf(x, alpha: float, beta: float):
-    """Log density of Beta(alpha, beta) at x, for x strictly inside (0, 1)."""
-    x = np.asarray(x, dtype=np.float64)
-    _check_unit_interval(x)
-    _check_shapes(alpha, beta)
-    out = _log_density(np.log(x), np.log1p(-x), alpha, beta)
-    return out if out.ndim else float(out)
+    return (alpha - 1.0) * log_x + (beta - 1.0) * log_1mx - _log_beta(alpha, beta)
 
 
 @dataclass

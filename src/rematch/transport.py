@@ -385,6 +385,8 @@ def _extend(cost, p, q, mask, rho):
     mass_p = p.sum()
     mass_q = q.sum()
     budget = min(mass_p, mass_q)
+    if not np.isfinite(rho):
+        raise ValueError(f"rho must be finite, got {rho}")
     if rho < 0 or rho > budget + 1e-12:
         raise ValueError(f"rho={rho} outside [0, min(|p|, |q|)={budget:.17g}]")
     rho = min(rho, budget)
@@ -439,6 +441,8 @@ def normalize_plan(plan, direction: str, mask=None) -> np.ndarray:
     plan = np.asarray(plan, dtype=np.float64)
     if plan.ndim != 2:
         raise ValueError("plan must be a matrix")
+    if not np.all(np.isfinite(plan)):
+        raise ValueError("plan contains non-finite entries")
     if np.any(plan < 0):
         raise ValueError("plan entries must be nonnegative")
     if direction not in ("row", "column"):

@@ -138,7 +138,7 @@ class TestPinnedOutputs:
                 digest.update(key.encode())
                 digest.update(archive[key].tobytes())
         assert digest.hexdigest() == (
-            "f1b83805115aa48ec15c9d3ad8279594fded8517c7c05c86ab2ee46a20637316")
+            "bb8012b74809c0f981abcf7f7aec6276a8be2a530b3856bca4892571b1c1b162")
 
     def test_oracle_check_stdout(self, capsys):
         assert main(["oracle-check", "--instances", "30", "--size", "4"]) == 0

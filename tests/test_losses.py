@@ -10,7 +10,6 @@ from rematch.losses import (
     per_pair_triplet_losses,
     rce_loss,
     rematch_loss,
-    triplet_loss,
     triplet_loss_batch,
     warmup_loss,
 )
@@ -48,17 +47,40 @@ def random_refined(rng, n):
     return normalize_plan(plan, "row"), normalize_plan(plan, "column")
 
 
+def triplet_loss(s, i, alpha):
+    """Reference: hinge loss of pair ``i`` against its hardest in-batch
+    negatives, ``[alpha - s_ii + max_{j!=i} s_ij]_+ + [alpha - s_ii +
+    max_{j!=i} s_ji]_+``, and its gradient; ties pick the first index."""
+    s = np.asarray(s, dtype=np.float64)
+    others = np.arange(len(s)) != i
+    j_star = np.flatnonzero(others)[np.argmax(s[i, others])]
+    h_star = np.flatnonzero(others)[np.argmax(s[others, i])]
+    grad = np.zeros_like(s)
+    value = 0.0
+    for cell in ((i, j_star), (h_star, i)):
+        term = alpha - s[i, i] + s[cell]
+        if term > 0:
+            value += term
+            grad[i, i] -= 1.0
+            grad[cell] += 1.0
+    return value, grad
+
+
 class TestTriplet:
     def test_satisfied_margin_gives_zero(self):
         s = np.array([[0.9, 0.2], [0.3, 0.8]])
         value, grad = triplet_loss(s, 0, alpha=0.2)
         assert value == 0.0
         assert np.all(grad == 0.0)
+        total, grad = triplet_loss_batch(s, alpha=0.2)
+        assert total == 0.0
+        assert np.all(grad == 0.0)
 
     def test_inverted_similarities(self):
         s = np.array([[0.1, 0.9], [0.9, 0.1]])
         value, _ = triplet_loss(s, 0, alpha=0.2)
         assert value == pytest.approx(2.0)
+        assert per_pair_triplet_losses(s, 0.2)[0] == pytest.approx(2.0)
 
     def test_gradient_touches_three_cells_at_most(self):
         rng = np.random.default_rng(8)
@@ -69,10 +91,12 @@ class TestTriplet:
     def test_batch_agrees_with_per_pair_sum(self):
         rng = np.random.default_rng(1)
         s = rng.uniform(-1, 1, (6, 6))
-        total, _ = triplet_loss_batch(s, alpha=0.2)
+        total, grad = triplet_loss_batch(s, alpha=0.2)
         assert total == pytest.approx(per_pair_triplet_losses(s, 0.2).sum())
         assert total == pytest.approx(
             sum(triplet_loss(s, i, 0.2)[0] for i in range(6)))
+        np.testing.assert_array_equal(
+            grad, sum(triplet_loss(s, i, 0.2)[1] for i in range(6)))
 
     def test_gradient_matches_finite_differences(self):
         checked = 0
@@ -88,7 +112,9 @@ class TestTriplet:
 
     def test_single_pair_rejected(self):
         with pytest.raises(ValueError):
-            triplet_loss(np.array([[1.0]]), 0, 0.2)
+            triplet_loss_batch(np.array([[1.0]]), 0.2)
+        with pytest.raises(ValueError):
+            per_pair_triplet_losses(np.array([[1.0]]), 0.2)
 
 
 class TestMatchingProbs:

@@ -1,22 +1,32 @@
 """Mixture-model tests: density, EM fit, posteriors, and the split rule."""
 
+import math
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.special import betaln
 
 import rematch.mixture as mixture
 from rematch.mixture import (
     BetaMixture,
     _log_add,
-    beta_log_pdf,
+    _log_beta,
+    _log_density,
     fit_bmm,
     mismatch_probabilities,
     partition,
     posterior,
 )
+
+
+def beta_log_pdf(x, alpha, beta):
+    """Reference: log density of Beta(alpha, beta) at x, through the
+    library's density kernel."""
+    x = np.float64(x)
+    return float(_log_density(np.log(x), np.log1p(-x), alpha, beta))
 
 
 class TestBetaLogPdf:
@@ -35,10 +45,36 @@ class TestBetaLogPdf:
         assert beta_log_pdf(x, alpha, beta) == pytest.approx(expected, rel=1e-12)
 
     def test_rejects_boundary(self):
+        bmm = BetaMixture(2.0, 5.0, 5.0, 2.0, weight_hi=0.5)
         with pytest.raises(ValueError):
-            beta_log_pdf(0.0, 2.0, 2.0)
+            posterior(bmm, 0.0)
         with pytest.raises(ValueError):
-            beta_log_pdf(1.0, 2.0, 2.0)
+            posterior(bmm, 1.0)
+
+
+def log_uniform_shapes(lo, hi, grid=200, random=0):
+    """Shape pairs: a log-spaced ``grid`` x ``grid`` lattice over [lo, hi]^2,
+    then ``random`` log-uniform draws from the same box."""
+    axis = np.geomspace(lo, hi, grid)
+    a, b = (g.ravel() for g in np.meshgrid(axis, axis))
+    drawn = np.exp(np.random.default_rng(11).uniform(np.log(lo), np.log(hi), (2, random)))
+    return np.concatenate([a, drawn[0]]), np.concatenate([b, drawn[1]])
+
+
+class TestLogBeta:
+    # the normaliser's accuracy contract, stated in _log_beta's docstring
+    def test_relative_to_the_largest_lgamma_term_on_the_shape_box(self):
+        a, b = log_uniform_shapes(mixture._SHAPE_MIN, mixture._SHAPE_MAX, random=200_000)
+        lgamma = np.vectorize(math.lgamma)
+        scale = np.max([np.ones_like(a), np.abs(lgamma(a)), np.abs(lgamma(b)),
+                        np.abs(lgamma(a + b))], axis=0)
+        err = np.abs(np.vectorize(_log_beta)(a, b) - betaln(a, b))
+        err /= np.finfo(np.float64).eps * scale
+        assert err.max() <= 16.0
+
+    def test_absolute_on_moderate_shapes(self):
+        a, b = log_uniform_shapes(0.1, 1e3)
+        assert np.abs(np.vectorize(_log_beta)(a, b) - betaln(a, b)).max() <= 1e-11
 
 
 def two_component_sample(seed, n=2000):
@@ -117,11 +153,36 @@ def desk_sized_losses():
     return np.where(from_hi, rng.beta(6, 3, 360), rng.beta(2, 6, 360)) * 1.5
 
 
-# fits recorded before the EM loop was restructured; any change to the
+# fits recorded with the normaliser from math.lgamma; any change to the
 # arithmetic of an iteration shows here bit for bit
 PINNED_FITS = {
     "desk": (
         desk_sized_losses, {},
+        (2.1151766948929778, 7.349475196324032, 2.8129748536401,
+         1.53977994715872, 0.456154357023481),
+        [-17.407484113202585, 2.073008109166148, 7.87711611498264,
+         10.482585337828768, 11.897324929960018, 12.753076685139746,
+         13.306575466666603, 13.68060618121399, 13.940933971432676,
+         14.125819311869865, 14.258946292071522, 14.355686202577058,
+         14.42638403867064, 14.478198724942155, 14.516190907523205,
+         14.543996132065153, 14.564257979742838, 14.578916078553265,
+         14.589402947433525, 14.596781596991393, 14.601843476121914,
+         14.605179194542577, 14.607230153408922, 14.608326552314205,
+         14.608715539260936],
+    ),
+    "two-component-seed-3": (
+        lambda: two_component_sample(seed=3)[0], dict(em_iters=100, tol=1e-10),
+        (1.7589036763490897, 6.997227890688838, 7.478350411935721,
+         1.8315355913063134, 0.5014608053807633),
+        [249.76482289159406, 258.45769562378456, 259.3672017686959,
+         259.52527594569364, 259.5515197017486],
+    ),
+}
+
+# the same fits with scipy.special.betaln as the normaliser; the two may
+# differ only by the rounding of log B(alpha, beta)
+SCIPY_BETALN_FITS = {
+    "desk": (
         (2.115176694892977, 7.34947519632403, 2.8129748536400987,
          1.5397799471587197, 0.45615435702348117),
         [-17.407484113202425, 2.0730081091652455, 7.877116114982523,
@@ -135,7 +196,6 @@ PINNED_FITS = {
          14.608715539260796],
     ),
     "two-component-seed-3": (
-        lambda: two_component_sample(seed=3)[0], dict(em_iters=100, tol=1e-10),
         (1.7589036763490893, 6.997227890688838, 7.478350411935718,
          1.8315355913063127, 0.5014608053807633),
         [249.76482289159674, 258.4576956237836, 259.36720176869767,
@@ -153,6 +213,16 @@ class TestPinnedFits:
         assert (bmm.alpha_lo, bmm.beta_lo, bmm.alpha_hi, bmm.beta_hi,
                 bmm.weight_hi) == params
         assert bmm.loglik_trace == trace
+
+    @pytest.mark.parametrize("name", sorted(SCIPY_BETALN_FITS))
+    def test_agrees_with_the_scipy_betaln_fit(self, name):
+        make, kwargs, _, _ = PINNED_FITS[name]
+        params, trace = SCIPY_BETALN_FITS[name]
+        bmm = fit_bmm(make(), **kwargs)
+        np.testing.assert_allclose((bmm.alpha_lo, bmm.beta_lo, bmm.alpha_hi,
+                                    bmm.beta_hi, bmm.weight_hi), params, rtol=1e-12, atol=0)
+        assert len(bmm.loglik_trace) == len(trace)
+        np.testing.assert_allclose(bmm.loglik_trace, trace, rtol=0, atol=1e-9)
 
     def test_two_term_reduction_matches_scipy_logsumexp(self):
         from scipy.special import logsumexp

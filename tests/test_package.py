@@ -21,10 +21,10 @@ def test_star_import_binds_every_exported_name():
 
 
 def test_import_loads_no_heavy_optional_modules():
-    # the exact oracle needs only numpy; networkx, scipy.optimize and
-    # scipy.sparse would each add 0.1-0.4 s to every cold start
-    probe = ("import sys, rematch; print(sorted(m for m in sys.modules if m.split('.')[0] == "
-             "'networkx' or m.startswith(('scipy.optimize', 'scipy.sparse'))))")
+    # the library needs only numpy; networkx or any part of scipy would add
+    # 0.1-0.4 s to every cold start
+    probe = ("import sys, rematch; print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] in ('networkx', 'scipy')))")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     result = subprocess.run([sys.executable, "-c", probe], env=env,
                             capture_output=True, text=True, timeout=60)

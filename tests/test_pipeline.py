@@ -357,7 +357,7 @@ class TestRunExperiment:
     # number a run computes moves these on purpose; re-record them then and
     # say why. A change meant only to speed a run up must leave them be.
     @pytest.mark.parametrize("mode,digest", [
-        ("rematch", "3cec4d53f8bb4b58f13ce33c45d585f0b0050cec7911c7fde68ee4f9a29c9176"),
+        ("rematch", "332b7223a1c6caf27f30085dcd4dd5afbec85f6a9445dd063ad37e4de4b4b169"),
         ("naive", "e8713239cc218d49b77bab9e32db73aec55371e01bf7e1371a3d0ddf81a3f50c"),
         ("discard", "6da8ac3de4c668ee88bb1a0fc16d25ceaeb4155f236069428eae9066a4600874"),
     ])
@@ -369,7 +369,7 @@ class TestRunExperiment:
 
     # the same digests with plain SGD, the default optimizer
     @pytest.mark.parametrize("mode,digest", [
-        ("rematch", "811b76ac8a3c3f6f29d390f093846fa0a22b93a2063ebde6985ed92e4fea0c64"),
+        ("rematch", "2c6170ebdeea4c295d8dc695b7191a27d50fba74ebf18199e94d179b96889506"),
         ("naive", "6bf0908dd36be57ff130866cc014a942042824b2653471284b8c5b12fab9aac2"),
         ("discard", "b4101227158cb27b11ef24d370abd7d366fa8d0609b221433393afcc1043218a"),
     ])

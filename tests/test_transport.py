@@ -396,6 +396,16 @@ class TestExtendPartial:
         with pytest.raises(ValueError, match="rho"):
             extend_partial(np.zeros((2, 2)), p, q, rho=1.5)
 
+    @pytest.mark.parametrize("rho", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rho_rejected_by_extend_partial(self, rho):
+        with pytest.raises(ValueError, match="rho"):
+            extend_partial(np.zeros((2, 2)), [0.5, 0.5], [0.5, 0.5], rho=rho)
+
+    @pytest.mark.parametrize("rho", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rho_rejected_by_partial_ot(self, rho):
+        with pytest.raises(ValueError, match="rho"):
+            partial_ot(np.zeros((2, 2)), [0.5, 0.5], [0.5, 0.5], rho=rho, cfg=CFG_TIGHT)
+
     @pytest.mark.parametrize("xi", [0.01, 1.0, 10.0])
     def test_border_cost_is_a_gauge(self, xi):
         # the border carries a fixed total mass, so any xi > 0 gives the
@@ -574,6 +584,11 @@ class TestNormalizePlan:
     def test_rejects_negative_entries(self):
         with pytest.raises(ValueError):
             normalize_plan(np.array([[-0.1, 0.2]]), "row")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            normalize_plan(np.array([[bad, 1.0], [1.0, 1.0]]), "row")
 
     def test_rejects_unknown_direction(self):
         with pytest.raises(ValueError):
