@@ -15,7 +15,6 @@ import numpy as np
 
 __all__ = [
     "CostNetParams",
-    "ReconstructedBatch",
     "cost_forward",
     "cost_forward_with_grads",
     "reconstruct_pairs",
@@ -60,60 +59,39 @@ def cost_forward_with_grads(s, theta: CostNetParams):
     return _softplus(pre), sig * s, sig
 
 
-@dataclass(frozen=True)
-class ReconstructedBatch:
-    """A rebuilt supervision batch.
-
-    ``v_feats`` rows are a mix of reserved matching images (shuffled over
-    batch positions) and substitutes drawn from the mismatched pool;
-    ``t_feats`` keeps the original captions in place. ``pi_sup[i, j] = 1``
-    iff the image now in row ``i`` is the true match of caption ``j``.
-    """
-
-    v_feats: np.ndarray
-    t_feats: np.ndarray
-    pi_sup: np.ndarray
-    reserved: np.ndarray  # caption slots whose true image stayed in the batch
-
-
-def reconstruct_pairs(v_matched, t_matched, v_pool, reserve_ratio: float,
-                      rng) -> ReconstructedBatch:
+def reconstruct_pairs(v_matched, t_matched, v_pool, reserve_ratio: float, rng):
     """Rebuild a matched batch with known supervision.
 
     A ``reserve_ratio`` fraction of caption slots (rounded half-up) keeps
     its true image; the rest get images sampled without replacement from
-    ``v_pool``. All images are then dealt to random row positions, so the
-    supervised cells land anywhere in the matrix, not just the diagonal.
+    ``v_pool``. A pool too small for that is used up and the remaining slots
+    keep their true images too. All images are then dealt to random row
+    positions, so the supervised cells land anywhere in the matrix, not just
+    the diagonal. Returns ``(v_feats, pi_sup)``: the rebuilt image rows, for
+    the captions ``t_matched`` left in place, and ``pi_sup[i, j] = 1`` iff
+    the image in row ``i`` is the true match of caption ``j``.
     """
     v_matched = np.asarray(v_matched, dtype=np.float64)
-    t_matched = np.asarray(t_matched, dtype=np.float64)
     v_pool = np.asarray(v_pool, dtype=np.float64)
     n = v_matched.shape[0]
-    if t_matched.shape[0] != n:
+    if np.shape(t_matched)[0] != n:
         raise ValueError("visual and text batches must have equal length")
     if not 0 < reserve_ratio <= 1:
         raise ValueError("reserve_ratio must lie in (0, 1]")
     rng = np.random.default_rng(rng)
 
-    n_reserved = int(np.floor(reserve_ratio * n + 0.5))
-    n_substituted = n - n_reserved
-    if v_pool.shape[0] < n_substituted:
-        raise ValueError(
-            f"mismatch pool has {v_pool.shape[0]} images but "
-            f"{n_substituted} substitutions are needed"
-        )
-
+    n_reserved = max(int(np.floor(reserve_ratio * n + 0.5)), n - v_pool.shape[0])
     reserved = np.sort(rng.permutation(n)[:n_reserved])
     positions = rng.permutation(n)
     kept_rows, substitute_rows = positions[:n_reserved], positions[n_reserved:]
     images = np.empty_like(v_matched)
     images[kept_rows] = v_matched[reserved]
-    pool_pick = rng.choice(v_pool.shape[0], size=n_substituted, replace=False)
+    pool_pick = rng.choice(v_pool.shape[0], size=n - n_reserved, replace=False)
     images[substitute_rows] = v_pool[pool_pick]
 
     pi_sup = np.zeros((n, n))
     pi_sup[kept_rows, reserved] = 1.0
-    return ReconstructedBatch(images, t_matched.copy(), pi_sup, reserved)
+    return images, pi_sup
 
 
 def cost_net_step(theta: CostNetParams, sims, pi_sup, lr: float,
@@ -125,8 +103,9 @@ def cost_net_step(theta: CostNetParams, sims, pi_sup, lr: float,
     clamped into ``[-bound, bound]``; the returned flag reports whether the
     clamp engaged.
     """
-    if lr <= 0:
-        raise ValueError("learning rate must be positive")
+    for name, value in (("lr", lr), ("bound", bound)):
+        if not (np.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value}")
     sims = np.asarray(sims, dtype=np.float64)
     pi_sup = np.asarray(pi_sup, dtype=np.float64)
     if sims.shape != pi_sup.shape:

@@ -67,18 +67,6 @@ class PairDataset:
     def __len__(self) -> int:
         return self.v_feats.shape[0]
 
-    def subset(self, indices) -> "PairDataset":
-        indices = np.asarray(indices)
-        return replace(
-            self,
-            v_feats=self.v_feats[indices],
-            t_feats=self.t_feats[indices],
-            matched=self.matched[indices],
-            v_class=self.v_class[indices],
-            t_class=self.t_class[indices],
-            split=self.split[indices],
-        )
-
     @property
     def pool_indices(self) -> np.ndarray:
         return np.flatnonzero(self.split == SPLIT_POOL)
@@ -135,7 +123,8 @@ def _derangement(size: int, rng) -> np.ndarray:
 
 
 def corrupt(ds: PairDataset, mrate: float, rng_seed: int) -> PairDataset:
-    """Permute the captions of a random ``round(mrate * n)`` subset.
+    """Permute the captions of a random ``round(mrate * pool size)`` subset
+    of the pool rows; test rows never move.
 
     The permutation is a derangement within the subset, so every selected
     caption actually moves. A pair keeps ``matched = 1`` only if its new
@@ -147,14 +136,14 @@ def corrupt(ds: PairDataset, mrate: float, rng_seed: int) -> PairDataset:
         raise ValueError("mrate must lie in [0, 1)")
     if mrate == 0:
         return replace(ds, mrate=0.0)
-    n = len(ds)
+    pool = ds.pool_indices
     rng = np.random.default_rng(rng_seed)
-    count = int(round(mrate * n))
+    count = int(round(mrate * pool.size))
     if count == 1:
         count = 2
     if count == 0:
         return replace(ds, mrate=mrate)
-    selected = np.sort(rng.choice(n, size=count, replace=False))
+    selected = pool[np.sort(rng.choice(pool.size, size=count, replace=False))]
     perm = _derangement(count, rng)
     t_feats = ds.t_feats.copy()
     t_class = ds.t_class.copy()
@@ -169,8 +158,8 @@ def make_benchmark(n: int, classes: int, noise: float, mrate: float,
                    rng_seed: int, test_frac: float = 0.2, **gen_kwargs) -> PairDataset:
     """Generate, hold out a clean test split, and corrupt the rest.
 
-    The test split (``test_frac`` of items) is selected before corruption
-    and never touched, so evaluation always runs on clean pairs.
+    The test split (``test_frac`` of items) is selected before corruption,
+    which moves pool rows only, so evaluation always runs on clean pairs.
     """
     if not 0 <= test_frac < 1:
         raise ValueError("test_frac must lie in [0, 1)")
@@ -180,18 +169,7 @@ def make_benchmark(n: int, classes: int, noise: float, mrate: float,
     test_idx = rng.choice(n, size=n_test, replace=False)
     split = np.zeros(n, dtype=np.int8)
     split[test_idx] = SPLIT_TEST
-    ds = replace(ds, split=split)
-
-    pool_idx = np.flatnonzero(split == SPLIT_POOL)
-    corrupted_pool = corrupt(ds.subset(pool_idx), mrate, rng_seed=rng_seed + 1)
-    t_feats = ds.t_feats.copy()
-    t_class = ds.t_class.copy()
-    matched = ds.matched.copy()
-    t_feats[pool_idx] = corrupted_pool.t_feats
-    t_class[pool_idx] = corrupted_pool.t_class
-    matched[pool_idx] = corrupted_pool.matched
-    return replace(ds, t_feats=t_feats, t_class=t_class, matched=matched,
-                   mrate=mrate)
+    return corrupt(replace(ds, split=split), mrate, rng_seed=rng_seed + 1)
 
 
 @contextmanager

@@ -50,8 +50,8 @@ def matching_probs(s, tau: float):
     caption). Computed with max-subtraction for stability.
     """
     s = _as_square(s)
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    if not (np.isfinite(tau) and tau > 0):
+        raise ValueError(f"tau must be finite and positive, got {tau}")
     logits = s / tau
     p_v2t = _softmax_rows(logits)
     p_t2v = _softmax_rows(logits.T).T
@@ -70,6 +70,8 @@ def _hinge_terms(s, alpha: float):
     n = s.shape[0]
     if n < 2:
         raise ValueError("need at least two pairs for in-batch negatives")
+    if not np.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
     off = s.copy()
     np.fill_diagonal(off, -np.inf)
     j_star = off.argmax(axis=1)

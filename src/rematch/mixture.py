@@ -150,6 +150,10 @@ def fit_bmm(losses, em_iters: int = 50, tol: float = 1e-6,
         raise ValueError("need a flat vector of at least 10 losses")
     if not np.all(np.isfinite(losses)):
         raise ValueError("losses must be finite")
+    if em_iters < 1:
+        raise ValueError(f"em_iters must be at least 1, got {em_iters}")
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
 
     lo, hi = float(losses.min()), float(losses.max())
     params, trace = None, []
@@ -218,8 +222,6 @@ def posterior(bmm: BetaMixture, loss):
 
 def mismatch_probabilities(bmm: BetaMixture, raw_losses) -> np.ndarray:
     """Posterior mismatch probability for raw (unnormalized) losses."""
-    if bmm.degenerate:
-        return np.zeros(np.asarray(raw_losses).shape)
     return np.asarray(posterior(bmm, bmm.normalize(raw_losses)))
 
 

@@ -203,12 +203,14 @@ def current_lr(cfg: TrainConfig, epoch_number: int) -> float:
 
 
 def _batches(indices: np.ndarray, batch_size: int, rng) -> list:
-    """Shuffled batches; a trailing singleton is folded into its neighbor."""
+    """Shuffled batches of at least two pairs; a trailing singleton is folded
+    into its neighbor, or dropped when it has none."""
     order = rng.permutation(indices)
     chunks = [order[i:i + batch_size] for i in range(0, order.size, batch_size)]
-    if len(chunks) > 1 and chunks[-1].size < 2:
-        chunks[-2] = np.concatenate([chunks[-2], chunks[-1]])
-        chunks.pop()
+    if chunks and chunks[-1].size < 2:
+        lone = chunks.pop()
+        if chunks:
+            chunks[-1] = np.concatenate([chunks[-1], lone])
     return chunks
 
 
@@ -236,8 +238,7 @@ def _step(state: RunState, ds: PairDataset, cfg: TrainConfig, terms,
 def _fit(state: RunState, ds: PairDataset, cfg: TrainConfig,
          indices: np.ndarray, loss_fn, lr: float) -> float:
     """One shuffled pass over ``indices``, one step per batch; the mean loss."""
-    batches = [batch for batch in _batches(indices, cfg.batch_size, state.rng)
-               if batch.size >= 2]
+    batches = _batches(indices, cfg.batch_size, state.rng)
     total = sum(_step(state, ds, cfg, [(batch, loss_fn)], lr) for batch in batches)
     return total / max(len(batches), 1)
 
@@ -261,8 +262,6 @@ def per_sample_losses(state: RunState, ds: PairDataset, cfg: TrainConfig,
     eval_rng = np.random.default_rng((cfg.seed, state.epoch, 0xE7A1))
     losses = np.zeros(train_idx.size)
     for pos in _batches(np.arange(train_idx.size), cfg.batch_size, eval_rng):
-        if pos.size < 2:
-            continue
         batch = train_idx[pos]
         s, _ = enc.similarity(state.params, ds.v_feats[batch], ds.t_feats[batch])
         losses[pos] = per_pair_triplet_losses(s, cfg.alpha)
@@ -271,19 +270,14 @@ def per_sample_losses(state: RunState, ds: PairDataset, cfg: TrainConfig,
 
 def _identify(state: RunState, ds: PairDataset, cfg: TrainConfig,
               train_idx: np.ndarray):
-    """Fit the loss mixture and split training rows by mismatch posterior."""
+    """Fit the loss mixture and split training rows by mismatch posterior;
+    the matched and mismatched positions in ``train_idx``, and the fit."""
     losses = per_sample_losses(state, ds, cfg, train_idx)
     bmm = fit_bmm(losses, em_iters=cfg.em_iters, tol=cfg.em_tol,
                   rng_seed=cfg.seed)
-    posteriors = mismatch_probabilities(bmm, losses)
-    matched_pos, mismatched_pos = partition(posteriors, cfg.threshold)
-    return train_idx[matched_pos], train_idx[mismatched_pos], bmm
-
-
-def _positions(universe: np.ndarray, subset: np.ndarray) -> np.ndarray:
-    """Positions in ``universe`` (distinct, any order) of ``subset``'s entries."""
-    order = np.argsort(universe)
-    return order[np.searchsorted(universe, subset, sorter=order)]
+    matched_pos, mismatched_pos = partition(mismatch_probabilities(bmm, losses),
+                                            cfg.threshold)
+    return matched_pos, mismatched_pos, bmm
 
 
 def _sample(rng, indices: np.ndarray, size: int) -> np.ndarray:
@@ -344,21 +338,13 @@ def refine_batch(state: RunState, s_mis: np.ndarray, cfg: TrainConfig):
 def _cost_update(state: RunState, ds: PairDataset, cfg: TrainConfig,
                  matched_batch: np.ndarray, mismatched_idx: np.ndarray):
     """One supervised descent step on the cost map from a rebuilt batch."""
-    n = matched_batch.size
-    pool_size = mismatched_idx.size
-    reserve_ratio = cfg.reserve_ratio
-    needed = n - int(np.floor(reserve_ratio * n + 0.5))
-    if needed > pool_size:
-        # not enough mismatched images to substitute; reserve more slots
-        reserve_ratio = (n - pool_size) / n
-    pool = (ds.v_feats[mismatched_idx] if pool_size
-            else np.empty((0, ds.v_feats.shape[1])))
-    rebuilt = costs_mod.reconstruct_pairs(
-        ds.v_feats[matched_batch], ds.t_feats[matched_batch], pool,
-        reserve_ratio, state.rng)
-    sims, _ = enc.similarity(state.params, rebuilt.v_feats, rebuilt.t_feats)
-    return costs_mod.cost_net_step(state.theta, sims, rebuilt.pi_sup,
-                                   cfg.lr_cost, cfg.cost_bound)
+    t_feats = ds.t_feats[matched_batch]
+    v_feats, pi_sup = costs_mod.reconstruct_pairs(
+        ds.v_feats[matched_batch], t_feats, ds.v_feats[mismatched_idx],
+        cfg.reserve_ratio, state.rng)
+    sims, _ = enc.similarity(state.params, v_feats, t_feats)
+    return costs_mod.cost_net_step(state.theta, sims, pi_sup, cfg.lr_cost,
+                                   cfg.cost_bound)
 
 
 def _rematch_steps(state: RunState, ds: PairDataset, cfg: TrainConfig,
@@ -410,11 +396,12 @@ def _epoch(state: RunState, ds: PairDataset, cfg: TrainConfig,
     record = {"epoch": epoch_number, "phase": "warmup" if warm else "train", "lr": lr}
     rows = train_idx
     if mode.identify and not warm:
-        rows, mismatched_idx, bmm = _identify(state, ds, cfg, train_idx)
+        matched_pos, mismatched_pos, bmm = _identify(state, ds, cfg, train_idx)
+        rows, mismatched_idx = train_idx[matched_pos], train_idx[mismatched_pos]
         record["partition"] = {"matched": int(rows.size),
                                "mismatched": int(mismatched_idx.size)}
         record["identification"] = identification_score(
-            _positions(train_idx, mismatched_idx), ds.matched[train_idx])
+            mismatched_pos, ds.matched[train_idx])
     if warm:
         loss = _fit(state, ds, cfg, rows,
                     lambda s: warmup_loss(s, cfg.tau, cfg.eps, cfg.rce_weight), lr)

@@ -105,25 +105,18 @@ def _as_mask(mask, shape) -> np.ndarray:
 
 def marginal_violation(plan: np.ndarray, p: np.ndarray, q: np.ndarray) -> float:
     """Worst absolute deviation of the plan's marginals from (p, q)."""
-    row = np.abs(plan.sum(axis=1) - p).max()
-    col = np.abs(plan.sum(axis=0) - q).max()
-    return float(max(row, col))
+    return _marginal_fit(plan, p, q).worst
 
 
 def _check_feasible(active: np.ndarray, p: np.ndarray, q: np.ndarray, tol: float):
     """Every positive-mass row/column needs at least one usable kernel cell."""
-    dead_rows = (~active.any(axis=1)) & (p > tol)
-    if dead_rows.any():
-        raise InfeasibleProblemError(
-            f"rows {np.flatnonzero(dead_rows).tolist()} carry mass but have no "
-            "unmasked kernel entries"
-        )
-    dead_cols = (~active.any(axis=0)) & (q > tol)
-    if dead_cols.any():
-        raise InfeasibleProblemError(
-            f"columns {np.flatnonzero(dead_cols).tolist()} carry mass but have no "
-            "unmasked kernel entries"
-        )
+    for name, axis, mass in (("rows", 1, p), ("columns", 0, q)):
+        dead = (~active.any(axis=axis)) & (mass > tol)
+        if dead.any():
+            raise InfeasibleProblemError(
+                f"{name} {np.flatnonzero(dead).tolist()} carry mass but have no "
+                "unmasked kernel entries"
+            )
 
 
 # Only a safeguard since the partial reduction starts in the right gauge

@@ -305,9 +305,8 @@ def test_criterion_6_identification_regression():
     train_idx, _, _ = pl.split_indices(cfg, ds)
     state = pl.init_state(cfg, ds)
     pl.warmup(state, ds, cfg, train_idx)
-    _, mismatched, _ = pl._identify(state, ds, cfg, train_idx)
-    score = identification_score(pl._positions(train_idx, mismatched),
-                                 ds.matched[train_idx])
+    _, mismatched_pos, _ = pl._identify(state, ds, cfg, train_idx)
+    score = identification_score(mismatched_pos, ds.matched[train_idx])
     frozen = 0.9198606271777003  # first measurement, kept as regression value
     ok = score["f1"] >= 0.8 and abs(score["f1"] - frozen) < 1e-9
     report(6, ok, f"f1={score['f1']:.4f} (frozen {frozen:.4f})")

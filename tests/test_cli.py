@@ -4,6 +4,7 @@ reproducibility of the file outputs."""
 import argparse
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import rematch
 import rematch.encoder as enc
 import rematch.pipeline as pl
 from rematch.cli import build_parser, main
@@ -390,9 +392,12 @@ class TestOutputDirectory:
 
 class TestConsoleScript:
     def test_installed_entry_point(self, tmp_path):
+        # the child process imports the same package as this one
+        package_root = Path(rematch.__file__).resolve().parents[1]
         result = subprocess.run(
             [sys.executable, "-m", "rematch.cli", "oracle-check",
              "--instances", "5", "--size", "3"],
+            env=dict(os.environ, PYTHONPATH=str(package_root)),
             capture_output=True, text=True)
         assert result.returncode == 0
         payload = json.loads(result.stdout)

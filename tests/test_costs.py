@@ -3,6 +3,7 @@ the supervised descent step."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rematch.costs import (
     CostNetParams,
@@ -56,52 +57,63 @@ class TestReconstructPairs:
 
     def test_full_reserve_gives_permutation_supervision(self):
         v, t, pool = self.make_batch()
-        batch = reconstruct_pairs(v, t, pool, reserve_ratio=1.0, rng=3)
-        assert batch.pi_sup.sum() == 6
-        np.testing.assert_array_equal(batch.pi_sup.sum(axis=0), np.ones(6))
-        np.testing.assert_array_equal(batch.pi_sup.sum(axis=1), np.ones(6))
+        _, pi_sup = reconstruct_pairs(v, t, pool, reserve_ratio=1.0, rng=3)
+        assert pi_sup.sum() == 6
+        np.testing.assert_array_equal(pi_sup.sum(axis=0), np.ones(6))
+        np.testing.assert_array_equal(pi_sup.sum(axis=1), np.ones(6))
 
     def test_half_reserve_counts(self):
         v, t, pool = self.make_batch(n=4)
-        batch = reconstruct_pairs(v, t, pool, reserve_ratio=0.5, rng=1)
-        assert batch.pi_sup.sum() == 2
-        assert batch.reserved.size == 2
+        _, pi_sup = reconstruct_pairs(v, t, pool, reserve_ratio=0.5, rng=1)
+        assert pi_sup.sum() == 2
+        assert np.flatnonzero(pi_sup.any(axis=0)).size == 2
 
     def test_half_up_rounding(self):
         v, t, pool = self.make_batch(n=5)
-        batch = reconstruct_pairs(v, t, pool, reserve_ratio=0.5, rng=1)
-        assert batch.pi_sup.sum() == 3
+        _, pi_sup = reconstruct_pairs(v, t, pool, reserve_ratio=0.5, rng=1)
+        assert pi_sup.sum() == 3
 
     def test_supervised_cells_point_at_true_images(self):
         v, t, pool = self.make_batch(seed=5)
-        batch = reconstruct_pairs(v, t, pool, reserve_ratio=0.5, rng=7)
-        rows, cols = np.nonzero(batch.pi_sup)
+        images, pi_sup = reconstruct_pairs(v, t, pool, reserve_ratio=0.5, rng=7)
+        rows, cols = np.nonzero(pi_sup)
         for row, col in zip(rows, cols):
-            np.testing.assert_array_equal(batch.v_feats[row], v[col])
-        assert np.all(np.isin(cols, batch.reserved))
-
-    def test_captions_stay_in_place(self):
-        v, t, pool = self.make_batch()
-        batch = reconstruct_pairs(v, t, pool, reserve_ratio=0.5, rng=2)
-        np.testing.assert_array_equal(batch.t_feats, t)
+            np.testing.assert_array_equal(images[row], v[col])
 
     def test_at_most_one_supervised_cell_per_row_and_column(self):
         v, t, pool = self.make_batch(n=8, seed=9)
-        batch = reconstruct_pairs(v, t, pool, reserve_ratio=0.7, rng=11)
-        assert batch.pi_sup.sum(axis=0).max() <= 1
-        assert batch.pi_sup.sum(axis=1).max() <= 1
+        _, pi_sup = reconstruct_pairs(v, t, pool, reserve_ratio=0.7, rng=11)
+        assert pi_sup.sum(axis=0).max() <= 1
+        assert pi_sup.sum(axis=1).max() <= 1
 
     def test_seeded_determinism(self):
         v, t, pool = self.make_batch()
         a = reconstruct_pairs(v, t, pool, reserve_ratio=0.5, rng=42)
         b = reconstruct_pairs(v, t, pool, reserve_ratio=0.5, rng=42)
-        np.testing.assert_array_equal(a.pi_sup, b.pi_sup)
-        np.testing.assert_array_equal(a.v_feats, b.v_feats)
+        np.testing.assert_array_equal(a[0], b[0])
+        np.testing.assert_array_equal(a[1], b[1])
 
-    def test_insufficient_pool_rejected(self):
-        v, t, _ = self.make_batch()
-        with pytest.raises(ValueError, match="pool"):
-            reconstruct_pairs(v, t, np.zeros((1, 4)), reserve_ratio=0.5, rng=0)
+    @given(n=st.integers(1, 30), data=st.data(),
+           reserve_ratio=st.floats(0.01, 1.0), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_short_pool_is_used_up(self, n, data, reserve_ratio, seed):
+        # pool sizes 0..n: a pool smaller than the substitutions the reserve
+        # ratio asks for is used up, and every other slot stays supervised
+        pool_size = data.draw(st.integers(0, n), label="pool_size")
+        rng = np.random.default_rng(seed)
+        v, t = rng.normal(size=(n, 3)), rng.normal(size=(n, 3))
+        pool = rng.normal(size=(pool_size, 3))
+        images, pi_sup = reconstruct_pairs(v, t, pool, reserve_ratio, rng=seed)
+        substitutes = min(n - int(np.floor(reserve_ratio * n + 0.5)), pool_size)
+        assert pi_sup.sum() == n - substitutes
+        reserved = np.flatnonzero(pi_sup.any(axis=0))
+        assert reserved.size == n - substitutes
+        rows = pi_sup.argmax(axis=0)[reserved]
+        np.testing.assert_array_equal(images[rows], v[reserved])
+        unsupervised = images[~pi_sup.any(axis=1)]
+        picks = [np.flatnonzero((pool == row).all(axis=1)) for row in unsupervised]
+        assert all(pick.size == 1 for pick in picks)
+        assert len({int(pick[0]) for pick in picks}) == substitutes
 
 
 class TestCostNetStep:
@@ -136,6 +148,15 @@ class TestCostNetStep:
         assert np.all(diffs <= 1e-12)
         assert trace[-1] < trace[0]
         assert abs(diffs[-1]) < abs(diffs[0])
+
+    @pytest.mark.parametrize("name,value", [
+        ("lr", np.nan), ("lr", np.inf), ("lr", 0.0), ("bound", np.nan),
+        ("bound", np.inf), ("bound", -1.0), ("bound", 0.0),
+    ])
+    def test_bad_scalar_arguments_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            cost_net_step(CostNetParams(), np.full((2, 2), 0.5), np.eye(2),
+                          **{"lr": 0.1, name: value})
 
     def test_parameter_bound_engages(self):
         theta = CostNetParams(w=-1.0, b=0.0)
@@ -185,8 +206,8 @@ class TestExactAgreement:
         rows = np.flatnonzero(owners >= 0)
         pi_sup[rows, owners[rows]] = 1.0
 
-        batch = reconstruct_pairs(v, t, pool, reserve_ratio=ratio, rng=21)
-        np.testing.assert_array_equal(batch.v_feats, images)
-        np.testing.assert_array_equal(batch.pi_sup, pi_sup)
-        np.testing.assert_array_equal(batch.reserved, reserved)
-        np.testing.assert_array_equal(batch.t_feats, t)
+        got_images, got_pi_sup = reconstruct_pairs(v, t, pool, reserve_ratio=ratio,
+                                                   rng=21)
+        np.testing.assert_array_equal(got_images, images)
+        np.testing.assert_array_equal(got_pi_sup, pi_sup)
+        np.testing.assert_array_equal(np.flatnonzero(got_pi_sup.any(axis=0)), reserved)

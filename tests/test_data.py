@@ -112,6 +112,17 @@ class TestMakeBenchmark:
         broken = (ds.matched[pool] == 0).mean()
         assert 0.3 < broken <= 0.4
 
+    @pytest.mark.parametrize("mrate", [0.0, 0.4])
+    def test_corrupting_again_leaves_the_test_rows(self, mrate):
+        ds = make_benchmark(n=200, classes=10, noise=0.1, mrate=mrate, rng_seed=0)
+        out = corrupt(ds, mrate=0.5, rng_seed=9)
+        test = ds.test_indices
+        for name in ("v_feats", "t_feats", "matched", "v_class", "t_class", "split"):
+            before, after = getattr(ds, name)[test], getattr(out, name)[test]
+            assert after.tobytes() == before.tobytes(), name
+        moved = (out.t_feats != ds.t_feats).any(axis=1)
+        assert moved.sum() == round(0.5 * ds.pool_indices.size)
+
     def test_deterministic(self):
         a = make_benchmark(n=100, classes=5, noise=0.1, mrate=0.3, rng_seed=9)
         b = make_benchmark(n=100, classes=5, noise=0.1, mrate=0.3, rng_seed=9)

@@ -116,8 +116,21 @@ class TestTriplet:
         with pytest.raises(ValueError):
             per_pair_triplet_losses(np.array([[1.0]]), 0.2)
 
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf])
+    def test_non_finite_margin_rejected(self, alpha):
+        s = np.random.default_rng(0).uniform(-1, 1, (3, 3))
+        for loss in (triplet_loss_batch, per_pair_triplet_losses):
+            with pytest.raises(ValueError, match="alpha"):
+                loss(s, alpha)
+
 
 class TestMatchingProbs:
+    @pytest.mark.parametrize("tau", [np.nan, np.inf, 0.0, -0.5])
+    def test_bad_temperature_rejected(self, tau):
+        for loss in (matching_probs, infonce_loss, rce_loss, warmup_loss):
+            with pytest.raises(ValueError, match="tau"):
+                loss(np.eye(3), tau)
+
     def test_flat_similarities_give_uniform(self):
         p_v2t, p_t2v = matching_probs(np.zeros((2, 2)), tau=0.7)
         np.testing.assert_allclose(p_v2t, 0.5)

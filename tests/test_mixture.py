@@ -118,6 +118,15 @@ class TestFitBmm:
         with pytest.raises(ValueError):
             fit_bmm(np.linspace(0.1, 0.9, 5))
 
+    @pytest.mark.parametrize("name,value", [
+        ("em_iters", 0), ("em_iters", -1), ("tol", np.nan), ("tol", np.inf),
+        ("tol", 0.0), ("tol", -1e-6),
+    ])
+    def test_bad_scalar_arguments_rejected(self, name, value):
+        draws, _ = two_component_sample(seed=0)
+        with pytest.raises(ValueError, match=name):
+            fit_bmm(draws, **{name: value})
+
     def test_order_invariance(self):
         draws, _ = two_component_sample(seed=4)
         rng = np.random.default_rng(9)

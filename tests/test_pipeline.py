@@ -141,6 +141,12 @@ class TestWarmup:
         assert metrics["r1_i2t"] > 100.0 / val_idx.size
         assert metrics["rsum"] > baseline
 
+    def test_batches_hold_at_least_two_pairs(self):
+        rng = np.random.default_rng(0)
+        assert pl._batches(np.array([7]), 4, rng) == []
+        assert [batch.size for batch in pl._batches(np.arange(9), 4, rng)] == [4, 5]
+        assert [batch.size for batch in pl._batches(np.arange(8), 4, rng)] == [4, 4]
+
     def test_fixed_batch_loss_non_increasing(self, clean_ds):
         # evaluated on frozen batches so the trace reflects optimization,
         # not epoch-to-epoch batch composition
@@ -209,18 +215,10 @@ class TestIdentification:
         train_idx, _, _ = split_indices(cfg, noisy_ds)
         state = init_state(cfg, noisy_ds)
         warmup(state, noisy_ds, cfg, train_idx)
-        _, mismatched, _ = pl._identify(state, noisy_ds, cfg, train_idx)
-        score = identification_score(pl._positions(train_idx, mismatched),
-                                     noisy_ds.matched[train_idx])
+        _, mismatched_pos, _ = pl._identify(state, noisy_ds, cfg, train_idx)
+        score = identification_score(mismatched_pos, noisy_ds.matched[train_idx])
         assert score["f1"] >= 0.8
         assert score["f1"] == pytest.approx(0.9198606271777003, abs=1e-9)
-
-    def test_positions_in_an_unsorted_universe(self):
-        rng = np.random.default_rng(5)
-        universe = rng.permutation(np.arange(0, 300, 3))
-        subset = rng.choice(universe, size=40, replace=False)
-        expected = [list(universe).index(value) for value in subset]
-        np.testing.assert_array_equal(pl._positions(universe, subset), expected)
 
 
 class TestTrainEpoch:
@@ -287,12 +285,12 @@ class TestTrainEpoch:
 
         with mock.patch.object(pl.costs_mod, "reconstruct_pairs", spy):
             pl._cost_update(state, clean_ds, cfg, matched_batch, mismatched_idx)
-        batch, = rebuilt
+        (images, pi_sup), = rebuilt
         needed = n - int(np.floor(reserve_ratio * n + 0.5))
         substitutes = min(needed, pool_size)
-        assert batch.pi_sup.sum() == n - substitutes
-        assert batch.reserved.size == n - substitutes
-        unsupervised = batch.v_feats[batch.pi_sup.sum(axis=1) == 0]
+        assert pi_sup.sum() == n - substitutes
+        assert np.flatnonzero(pi_sup.any(axis=0)).size == n - substitutes
+        unsupervised = images[pi_sup.sum(axis=1) == 0]
         assert unsupervised.shape[0] == substitutes
         pool = clean_ds.v_feats[mismatched_idx]
         picks = [np.flatnonzero((pool == row).all(axis=1)) for row in unsupervised]
@@ -360,7 +358,7 @@ class TestRunExperiment:
         ("rematch", "332b7223a1c6caf27f30085dcd4dd5afbec85f6a9445dd063ad37e4de4b4b169"),
         ("naive", "e8713239cc218d49b77bab9e32db73aec55371e01bf7e1371a3d0ddf81a3f50c"),
         ("discard", "6da8ac3de4c668ee88bb1a0fc16d25ceaeb4155f236069428eae9066a4600874"),
-    ])
+    ], ids=["rematch", "naive", "discard"])
     def test_pinned_payload_bytes_per_mode(self, determinism_ds, mode, digest):
         payload = run_experiment(TrainConfig(mode=mode, **DETERMINISM), determinism_ds)
         payload.pop("timing")
@@ -372,7 +370,7 @@ class TestRunExperiment:
         ("rematch", "2c6170ebdeea4c295d8dc695b7191a27d50fba74ebf18199e94d179b96889506"),
         ("naive", "6bf0908dd36be57ff130866cc014a942042824b2653471284b8c5b12fab9aac2"),
         ("discard", "b4101227158cb27b11ef24d370abd7d366fa8d0609b221433393afcc1043218a"),
-    ])
+    ], ids=["rematch", "naive", "discard"])
     def test_pinned_sgd_payload_bytes_per_mode(self, determinism_ds, mode, digest):
         cfg = TrainConfig(mode=mode, **{**DETERMINISM, "optimizer": "sgd"})
         payload = run_experiment(cfg, determinism_ds)

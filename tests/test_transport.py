@@ -264,7 +264,7 @@ class TestSolverInternals:
     @pytest.mark.parametrize("stall_at,iterations,digest", [
         (1, 63, "59cf1dea3ad9e90b8b04a38848a497218b33993c24b9fea9b680900d21802aad"),
         (2, 61, "c29e9201f5c03594e76cde699a2af786b480575ba7f349e6f4fd44e608ba8f1c"),
-    ])
+    ], ids=["stall-1", "stall-2"])
     def test_newton_stall_falls_back_to_sweeps(self, monkeypatch, stall_at,
                                                iterations, digest):
         directions, sweeps = [], []
