@@ -48,9 +48,8 @@ print(f"\n{'step':>6} {'w':>8} {'b':>8} {'charged cost':>13}")
 step_rng = np.random.default_rng(1)
 for step in range(400):
     batch = step_rng.choice(clean, size=64, replace=False)
-    images, pi_sup = reconstruct_pairs(ds.v_feats[batch], ds.t_feats[batch],
-                                       ds.v_feats[broken], reserve_ratio=0.5,
-                                       rng=step_rng)
+    images, pi_sup = reconstruct_pairs(ds.v_feats[batch], ds.v_feats[broken],
+                                       reserve_ratio=0.5, rng=step_rng)
     sims, _ = similarity(state.params, images, ds.t_feats[batch])
     charged = (pi_sup * cost_forward(sims, theta)).sum()
     theta, _ = cost_net_step(theta, sims, pi_sup, lr=1e-3)

@@ -59,23 +59,23 @@ def cost_forward_with_grads(s, theta: CostNetParams):
     return _softplus(pre), sig * s, sig
 
 
-def reconstruct_pairs(v_matched, t_matched, v_pool, reserve_ratio: float, rng):
+def reconstruct_pairs(v_matched, v_pool, reserve_ratio: float, rng):
     """Rebuild a matched batch with known supervision.
 
-    A ``reserve_ratio`` fraction of caption slots (rounded half-up) keeps
+    Row ``j`` of ``v_matched`` is the true image of the batch's caption
+    ``j``; the captions stay in place, so they are not an argument. A
+    ``reserve_ratio`` fraction of caption slots (rounded half-up) keeps
     its true image; the rest get images sampled without replacement from
     ``v_pool``. A pool too small for that is used up and the remaining slots
     keep their true images too. All images are then dealt to random row
     positions, so the supervised cells land anywhere in the matrix, not just
-    the diagonal. Returns ``(v_feats, pi_sup)``: the rebuilt image rows, for
-    the captions ``t_matched`` left in place, and ``pi_sup[i, j] = 1`` iff
-    the image in row ``i`` is the true match of caption ``j``.
+    the diagonal. Returns ``(v_feats, pi_sup)``: the rebuilt image rows and
+    ``pi_sup[i, j] = 1`` iff the image in row ``i`` is the true match of
+    caption ``j``.
     """
     v_matched = np.asarray(v_matched, dtype=np.float64)
     v_pool = np.asarray(v_pool, dtype=np.float64)
     n = v_matched.shape[0]
-    if np.shape(t_matched)[0] != n:
-        raise ValueError("visual and text batches must have equal length")
     if not 0 < reserve_ratio <= 1:
         raise ValueError("reserve_ratio must lie in (0, 1]")
     rng = np.random.default_rng(rng)

@@ -219,12 +219,15 @@ def _step(state: RunState, ds: PairDataset, cfg: TrainConfig, terms,
     """One encoder update on the summed loss of ``(batch, loss_fn)`` terms.
 
     Each ``loss_fn`` maps the batch's similarity matrix to its loss and the
-    loss gradient w.r.t. the similarities. Returns the summed loss.
+    loss gradient w.r.t. the similarities; a term without a batch (``None``,
+    see :func:`_sample`) adds nothing. Returns the summed loss.
     """
     value = 0.0
     grad_w_v = np.zeros_like(state.params.w_v)
     grad_w_t = np.zeros_like(state.params.w_t)
     for batch, loss_fn in terms:
+        if batch is None:
+            continue
         s, cache = enc.similarity(state.params, ds.v_feats[batch], ds.t_feats[batch])
         term, grad_s = loss_fn(s)
         term_v, term_t = enc.similarity_backward(cache, grad_s)
@@ -280,9 +283,13 @@ def _identify(state: RunState, ds: PairDataset, cfg: TrainConfig,
     return matched_pos, mismatched_pos, bmm
 
 
-def _sample(rng, indices: np.ndarray, size: int) -> np.ndarray:
-    take = min(size, indices.size)
-    return rng.choice(indices, size=take, replace=False)
+def _sample(rng, indices: np.ndarray, size: int) -> np.ndarray | None:
+    """A batch of up to ``size`` distinct rows of ``indices``, or ``None``
+    without a draw when fewer than two are left: a batch has two pairs or
+    more."""
+    if indices.size < 2:
+        return None
+    return rng.choice(indices, size=min(size, indices.size), replace=False)
 
 
 def _cost(state: RunState, cfg: TrainConfig, s: np.ndarray) -> np.ndarray:
@@ -338,11 +345,10 @@ def refine_batch(state: RunState, s_mis: np.ndarray, cfg: TrainConfig):
 def _cost_update(state: RunState, ds: PairDataset, cfg: TrainConfig,
                  matched_batch: np.ndarray, mismatched_idx: np.ndarray):
     """One supervised descent step on the cost map from a rebuilt batch."""
-    t_feats = ds.t_feats[matched_batch]
     v_feats, pi_sup = costs_mod.reconstruct_pairs(
-        ds.v_feats[matched_batch], t_feats, ds.v_feats[mismatched_idx],
-        cfg.reserve_ratio, state.rng)
-    sims, _ = enc.similarity(state.params, v_feats, t_feats)
+        ds.v_feats[matched_batch], ds.v_feats[mismatched_idx], cfg.reserve_ratio,
+        state.rng)
+    sims, _ = enc.similarity(state.params, v_feats, ds.t_feats[matched_batch])
     return costs_mod.cost_net_step(state.theta, sims, pi_sup, cfg.lr_cost,
                                    cfg.cost_bound)
 
@@ -377,12 +383,12 @@ def _rematch_steps(state: RunState, ds: PairDataset, cfg: TrainConfig,
     for _ in range(steps):
         if cfg.cost_mode == "learned":
             batch = _sample(state.rng, matched_idx, cfg.batch_size)
-            if batch.size >= 2:
+            if batch is not None:
                 state.theta, clipped = _cost_update(state, ds, cfg, batch,
                                                     mismatched_idx)
                 state.clip_events += int(clipped)
         batches = [(_sample(state.rng, pool, cfg.batch_size), loss_fn)
-                   for pool, loss_fn in terms if pool.size >= 2]
+                   for pool, loss_fn in terms]
         total += _step(state, ds, cfg, batches, lr)
     return total / max(steps, 1), solves
 

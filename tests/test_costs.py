@@ -52,44 +52,43 @@ class TestCostForward:
 class TestReconstructPairs:
     def make_batch(self, n=6, pool=10, d=4, seed=0):
         rng = np.random.default_rng(seed)
-        return (rng.normal(size=(n, d)), rng.normal(size=(n, d)),
-                rng.normal(size=(pool, d)))
+        return rng.normal(size=(n, d)), rng.normal(size=(pool, d))
 
     def test_full_reserve_gives_permutation_supervision(self):
-        v, t, pool = self.make_batch()
-        _, pi_sup = reconstruct_pairs(v, t, pool, reserve_ratio=1.0, rng=3)
+        v, pool = self.make_batch()
+        _, pi_sup = reconstruct_pairs(v, pool, reserve_ratio=1.0, rng=3)
         assert pi_sup.sum() == 6
         np.testing.assert_array_equal(pi_sup.sum(axis=0), np.ones(6))
         np.testing.assert_array_equal(pi_sup.sum(axis=1), np.ones(6))
 
     def test_half_reserve_counts(self):
-        v, t, pool = self.make_batch(n=4)
-        _, pi_sup = reconstruct_pairs(v, t, pool, reserve_ratio=0.5, rng=1)
+        v, pool = self.make_batch(n=4)
+        _, pi_sup = reconstruct_pairs(v, pool, reserve_ratio=0.5, rng=1)
         assert pi_sup.sum() == 2
         assert np.flatnonzero(pi_sup.any(axis=0)).size == 2
 
     def test_half_up_rounding(self):
-        v, t, pool = self.make_batch(n=5)
-        _, pi_sup = reconstruct_pairs(v, t, pool, reserve_ratio=0.5, rng=1)
+        v, pool = self.make_batch(n=5)
+        _, pi_sup = reconstruct_pairs(v, pool, reserve_ratio=0.5, rng=1)
         assert pi_sup.sum() == 3
 
     def test_supervised_cells_point_at_true_images(self):
-        v, t, pool = self.make_batch(seed=5)
-        images, pi_sup = reconstruct_pairs(v, t, pool, reserve_ratio=0.5, rng=7)
+        v, pool = self.make_batch(seed=5)
+        images, pi_sup = reconstruct_pairs(v, pool, reserve_ratio=0.5, rng=7)
         rows, cols = np.nonzero(pi_sup)
         for row, col in zip(rows, cols):
             np.testing.assert_array_equal(images[row], v[col])
 
     def test_at_most_one_supervised_cell_per_row_and_column(self):
-        v, t, pool = self.make_batch(n=8, seed=9)
-        _, pi_sup = reconstruct_pairs(v, t, pool, reserve_ratio=0.7, rng=11)
+        v, pool = self.make_batch(n=8, seed=9)
+        _, pi_sup = reconstruct_pairs(v, pool, reserve_ratio=0.7, rng=11)
         assert pi_sup.sum(axis=0).max() <= 1
         assert pi_sup.sum(axis=1).max() <= 1
 
     def test_seeded_determinism(self):
-        v, t, pool = self.make_batch()
-        a = reconstruct_pairs(v, t, pool, reserve_ratio=0.5, rng=42)
-        b = reconstruct_pairs(v, t, pool, reserve_ratio=0.5, rng=42)
+        v, pool = self.make_batch()
+        a = reconstruct_pairs(v, pool, reserve_ratio=0.5, rng=42)
+        b = reconstruct_pairs(v, pool, reserve_ratio=0.5, rng=42)
         np.testing.assert_array_equal(a[0], b[0])
         np.testing.assert_array_equal(a[1], b[1])
 
@@ -101,9 +100,9 @@ class TestReconstructPairs:
         # ratio asks for is used up, and every other slot stays supervised
         pool_size = data.draw(st.integers(0, n), label="pool_size")
         rng = np.random.default_rng(seed)
-        v, t = rng.normal(size=(n, 3)), rng.normal(size=(n, 3))
+        v = rng.normal(size=(n, 3))
         pool = rng.normal(size=(pool_size, 3))
-        images, pi_sup = reconstruct_pairs(v, t, pool, reserve_ratio, rng=seed)
+        images, pi_sup = reconstruct_pairs(v, pool, reserve_ratio, rng=seed)
         substitutes = min(n - int(np.floor(reserve_ratio * n + 0.5)), pool_size)
         assert pi_sup.sum() == n - substitutes
         reserved = np.flatnonzero(pi_sup.any(axis=0))
@@ -187,8 +186,7 @@ class TestExactAgreement:
     def test_rebuilt_batch_equals_the_row_by_row_build(self, ratio):
         n = 9
         feats = np.random.default_rng(4)
-        v, t, pool = (feats.normal(size=(n, 4)), feats.normal(size=(n, 4)),
-                      feats.normal(size=(12, 4)))
+        v, pool = feats.normal(size=(n, 4)), feats.normal(size=(12, 4))
         rng = np.random.default_rng(21)
         n_reserved = int(np.floor(ratio * n + 0.5))
         slots = rng.permutation(n)
@@ -206,7 +204,7 @@ class TestExactAgreement:
         rows = np.flatnonzero(owners >= 0)
         pi_sup[rows, owners[rows]] = 1.0
 
-        got_images, got_pi_sup = reconstruct_pairs(v, t, pool, reserve_ratio=ratio,
+        got_images, got_pi_sup = reconstruct_pairs(v, pool, reserve_ratio=ratio,
                                                    rng=21)
         np.testing.assert_array_equal(got_images, images)
         np.testing.assert_array_equal(got_pi_sup, pi_sup)

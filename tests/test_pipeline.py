@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import rematch.encoder as enc
 import rematch.pipeline as pl
+import rematch.transport as transport
 from rematch.data import identification_score, make_benchmark
 from rematch.losses import warmup_loss
 from rematch.pipeline import (
@@ -146,6 +147,15 @@ class TestWarmup:
         assert pl._batches(np.array([7]), 4, rng) == []
         assert [batch.size for batch in pl._batches(np.arange(9), 4, rng)] == [4, 5]
         assert [batch.size for batch in pl._batches(np.arange(8), 4, rng)] == [4, 4]
+
+    def test_sampled_batches_hold_at_least_two_pairs(self):
+        # fewer than two rows give no batch and leave the generator as it was
+        rng = np.random.default_rng(0)
+        assert pl._sample(rng, np.array([], dtype=int), 4) is None
+        assert pl._sample(rng, np.array([7]), 4) is None
+        assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+        assert sorted(pl._sample(rng, np.array([7, 9]), 4)) == [7, 9]
+        assert pl._sample(rng, np.arange(9), 4).size == 4
 
     def test_fixed_batch_loss_non_increasing(self, clean_ds):
         # evaluated on frozen batches so the trace reflects optimization,
@@ -377,6 +387,24 @@ class TestRunExperiment:
         payload.pop("timing")
         text = json.dumps(payload, sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    # the same digest for a batch-128 rematch run: its solves have 129 free
+    # columns, so their Newton directions come from CG (the pins above stay
+    # below transport._CG_MIN_DIM)
+    def test_pinned_payload_bytes_at_batch_128(self, monkeypatch):
+        cg_directions = []
+        schur_cg = transport._schur_cg
+        monkeypatch.setattr(transport, "_schur_cg",
+                            lambda *args: cg_directions.append(1) or schur_cg(*args))
+        ds = make_benchmark(n=400, classes=10, noise=0.1, mrate=0.6, rng_seed=5)
+        cfg = TrainConfig(mode="rematch", seed=5, optimizer="adam", warmup_epochs=2,
+                          train_epochs=2, lr_decay_epoch=3, batch_size=128)
+        payload = run_experiment(cfg, ds)
+        payload.pop("timing")
+        text = json.dumps(payload, sort_keys=True)
+        assert cg_directions
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "5dfbabb61a7b06dbe9e94d04f9bff1c85a3ddb1040bb750045c3a3e5ae1d682b")
 
     def test_unconverged_plans_skip_the_rematch_term(self, determinism_ds,
                                                      monkeypatch):

@@ -31,6 +31,44 @@ def uniform(n):
 CFG_TIGHT = SinkhornConfig(lam=0.02, max_iter=20000, tol=1e-10)
 
 
+def newton_system(rng, m, n, low, high):
+    """A damped Newton system of the marginal map at a random plan.
+
+    The plan is masked and partly empty: about a fifth of its rows and
+    columns carry no mass, and its free rows and columns miss marginals that
+    are their own sums scaled by U(low, high). Returns ``(block, rows, cols,
+    res_r, res_c)`` on the free rows and columns, the undamped Jacobian
+    built densely, and the damping the solver would use.
+    """
+    cost = rng.uniform(0, 1, (m, n))
+    mask = rng.uniform(size=(m, n)) > 0.3
+    mask[:, 0] = mask[0, :] = True
+    log_a = rng.normal(size=m)
+    log_b = rng.normal(size=n)
+    log_a[rng.uniform(size=m) < 0.2] = -np.inf
+    log_b[rng.uniform(size=n) < 0.2] = -np.inf
+    log_a[0] = log_b[0] = 0.0
+    plan = np.exp(log_a[:, None] + np.where(mask, -cost / 0.1, -np.inf)
+                  + log_b[None, :])
+    p = plan.sum(axis=1) * rng.uniform(low, high, m) * np.isfinite(log_a)
+    q = plan.sum(axis=0) * rng.uniform(low, high, n) * np.isfinite(log_b)
+    q *= p.sum() / q.sum()
+    free_r = np.flatnonzero(p > 0)
+    free_c = np.flatnonzero(q > 0)
+    block = plan[np.ix_(free_r, free_c)]
+    rows, cols = plan.sum(axis=1)[free_r], plan.sum(axis=0)[free_c]
+    res_r, res_c = rows - p[free_r], cols - q[free_c]
+    damping = 1e-12 * max(rows.max(), cols.max())
+
+    k, nr = free_r.size + free_c.size, free_r.size
+    jac = np.zeros((k, k))
+    jac[:nr, :nr] = np.diag(rows)
+    jac[:nr, nr:] = block
+    jac[nr:, :nr] = block.T
+    jac[nr:, nr:] = np.diag(cols)
+    return (block, rows, cols, res_r, res_c), jac, damping
+
+
 class TestSinkhorn:
     def test_zero_cost_gives_product_measure(self):
         res = sinkhorn(np.zeros((2, 2)), [0.5, 0.5], [0.5, 0.5],
@@ -258,14 +296,16 @@ class TestSolverInternals:
         assert res.converged
         assert len(realized) <= res.iterations + 3
 
-    # a 32-pair training-shaped solve whose k-th Newton system is singular:
-    # its iterations and the sha256 of its plan bytes, pinned like the
-    # criterion-1 iterations above
-    @pytest.mark.parametrize("stall_at,iterations,digest", [
-        (1, 63, "59cf1dea3ad9e90b8b04a38848a497218b33993c24b9fea9b680900d21802aad"),
-        (2, 61, "c29e9201f5c03594e76cde699a2af786b480575ba7f349e6f4fd44e608ba8f1c"),
-    ], ids=["stall-1", "stall-2"])
-    def test_newton_stall_falls_back_to_sweeps(self, monkeypatch, stall_at,
+    # a training-shaped solve of n pairs whose k-th Newton system is
+    # singular: its iterations and the sha256 of its plan bytes, pinned like
+    # the criterion-1 iterations above. The 32-pair solves take dense
+    # directions, the 128-pair one CG directions.
+    @pytest.mark.parametrize("n,stall_at,iterations,digest", [
+        (32, 1, 63, "59cf1dea3ad9e90b8b04a38848a497218b33993c24b9fea9b680900d21802aad"),
+        (32, 2, 61, "c29e9201f5c03594e76cde699a2af786b480575ba7f349e6f4fd44e608ba8f1c"),
+        (128, 2, 59, "7dc6b6c22a7dc39ce2a7bad928b10a2f609d3284fae91f16dd405509e32174ac"),
+    ], ids=["stall-1", "stall-2", "stall-cg"])
+    def test_newton_stall_falls_back_to_sweeps(self, monkeypatch, n, stall_at,
                                                iterations, digest):
         directions, sweeps = [], []
         direction, sweep = transport._newton_direction, transport._sweep
@@ -280,7 +320,6 @@ class TestSolverInternals:
         monkeypatch.setattr(transport, "_sweep",
                             lambda *args: sweeps.append(1) or sweep(*args))
         rng = np.random.default_rng(0)
-        n = 32
         res = partial_ot(rng.uniform(0.5, 1.5, (n, n)), uniform(n), uniform(n),
                          1 - np.eye(n, dtype=int), rho=0.1,
                          cfg=SinkhornConfig(lam=0.05, max_iter=3000, tol=1e-6))
@@ -307,47 +346,65 @@ class TestSolverInternals:
     def test_schur_direction_matches_dense_jacobian(self, seed):
         rng = np.random.default_rng(seed)
         m, n = int(rng.integers(2, 9)), int(rng.integers(2, 9))
-        # a masked, partly empty plan whose free rows and columns carry mass
-        cost = rng.uniform(0, 1, (m, n))
-        mask = rng.uniform(size=(m, n)) > 0.3
-        mask[:, 0] = mask[0, :] = True
-        log_a = rng.normal(size=m)
-        log_b = rng.normal(size=n)
-        log_a[rng.uniform(size=m) < 0.2] = -np.inf
-        log_b[rng.uniform(size=n) < 0.2] = -np.inf
-        log_a[0] = log_b[0] = 0.0
-        plan = np.exp(log_a[:, None] + np.where(mask, -cost / 0.1, -np.inf)
-                      + log_b[None, :])
-        p = plan.sum(axis=1) * rng.uniform(0.8, 1.2, m) * np.isfinite(log_a)
-        q = plan.sum(axis=0) * rng.uniform(0.8, 1.2, n) * np.isfinite(log_b)
-        q *= p.sum() / q.sum()
-        free_r = np.flatnonzero(p > 0)
-        free_c = np.flatnonzero(q > 0)
-        block = plan[np.ix_(free_r, free_c)]
-        rows, cols = plan.sum(axis=1)[free_r], plan.sum(axis=0)[free_c]
-        res_r, res_c = rows - p[free_r], cols - q[free_c]
-        damping = 1e-12 * max(rows.max(), cols.max())
-
-        k, nr = free_r.size + free_c.size, free_r.size
-        jac = np.zeros((k, k))
-        jac[:nr, :nr] = np.diag(rows)
-        jac[:nr, nr:] = block
-        jac[nr:, :nr] = block.T
-        jac[nr:, nr:] = np.diag(cols)
+        system, jac, damping = newton_system(rng, m, n, 0.8, 1.2)
+        block, rows, cols, res_r, res_c = system
+        k, nr = jac.shape[0], rows.size
         dense = np.linalg.solve(jac + damping * np.eye(k),
                                 -np.concatenate([res_r, res_c]))
-        dx, dy = _newton_direction(block, rows, cols, res_r, res_c, damping)
+        dx, dy = _newton_direction(*system, damping)
         schur = np.concatenate([dx, dy])
 
         # Shifting every row exponent up and every column exponent down by
         # the same amount leaves the plan unchanged, and the damped system is
         # ill-conditioned only along that direction: compare the component
         # the plan sees, and the change of every cell's log-mass.
-        gauge = np.concatenate([np.ones(nr), -np.ones(free_c.size)]) / np.sqrt(k)
+        gauge = np.concatenate([np.ones(nr), -np.ones(cols.size)]) / np.sqrt(k)
         np.testing.assert_allclose(schur - (schur @ gauge) * gauge,
                                    dense - (dense @ gauge) * gauge, rtol=0, atol=1e-10)
         np.testing.assert_allclose(dx[:, None] + dy[None, :],
                                    dense[:nr, None] + dense[None, nr:], rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("spread", [0.2, 1e-4, 1e-8])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_cg_direction_meets_the_forcing_term(self, seed, spread):
+        # training-sized systems take the CG path, which promises the damped
+        # Newton residual ||J d + F|| <= min(0.1, ||F||) * ||F||, not an exact
+        # direction; spread sets ||F||, so both branches of the min occur
+        rng = np.random.default_rng(seed)
+        m, n = (int(size) for size in rng.integers(80, 140, size=2))
+        system, jac, damping = newton_system(rng, m, n, 1 - spread, 1 + spread)
+        assert system[2].size >= transport._CG_MIN_DIM
+        dx, dy = _newton_direction(*system, damping)
+        residual = np.concatenate(system[3:])
+        norm_f = np.linalg.norm(residual)
+        step = np.concatenate([dx, dy])
+        miss = np.linalg.norm(jac @ step + damping * step + residual)
+        assert miss <= min(transport._ETA_MAX, norm_f) * norm_f
+
+    def test_cg_direction_that_misses_the_forcing_term_stalls(self, monkeypatch):
+        # a NaN cap makes a forcing term no residual meets: the direction
+        # raises, the Newton step stalls, and sweeps finish the solve
+        monkeypatch.setattr(transport, "_ETA_MAX", float("nan"))
+        system, _, damping = newton_system(np.random.default_rng(0), 96, 96, 0.8, 1.2)
+        assert system[2].size >= transport._CG_MIN_DIM
+        with pytest.raises(np.linalg.LinAlgError):
+            _newton_direction(*system, damping)
+
+        directions, sweeps = [], []
+        direction, sweep = transport._newton_direction, transport._sweep
+        monkeypatch.setattr(transport, "_newton_direction",
+                            lambda *args: directions.append(1) or direction(*args))
+        monkeypatch.setattr(transport, "_sweep",
+                            lambda *args: sweeps.append(1) or sweep(*args))
+        rng = np.random.default_rng(0)
+        n = 64
+        cfg = SinkhornConfig(lam=0.05, max_iter=3000, tol=1e-6)
+        res = partial_ot(rng.uniform(0.5, 1.5, (n, n)), uniform(n), uniform(n),
+                         1 - np.eye(n, dtype=int), rho=0.1, cfg=cfg)
+        assert res.converged
+        assert abs(res.plan.sum() - 0.1) <= cfg.tol
+        assert len(directions) == 1
+        assert len(sweeps) == res.iterations - 1
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=50, deadline=None)
