@@ -47,7 +47,7 @@ result = partial_ot(cost, marginal, marginal, mask, rho=0.25, cfg=cfg)
 print("\nrow mass at rho=0.25 (candidate rows soak up the budget):")
 print(result.plan.sum(axis=1))
 
-rows = normalize_plan(result.plan, "row", mask=mask)
+rows, _ = normalize_plan(result.plan, mask=mask)
 untransported = result.plan.sum(axis=1) < 0.25 / n * 0.5
 print("\nnormalized profile of one transported row (a near point mass):")
 print(rows[0])

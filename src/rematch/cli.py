@@ -17,6 +17,7 @@ from dataclasses import fields
 
 import numpy as np
 
+from ._settings import require
 from .data import atomic_write, load_dataset, make_benchmark, save_dataset
 from .flow_oracle import exact_ot_oracle
 from .pipeline import (TrainConfig, evaluate, load_state, run_experiment, save_state,
@@ -155,9 +156,8 @@ def _cmd_eval(args) -> int:
 
 def _cmd_oracle_check(args) -> int:
     cfg = SinkhornConfig(lam=args.lam, max_iter=args.max_iter, tol=args.tol)
-    for flag, value in (("--instances", args.instances), ("--size", args.size)):
-        if value < 1:
-            raise ValueError(f"{flag} must be at least 1, got {value}")
+    require("--instances", args.instances, 1)
+    require("--size", args.size, 1)
     max_gap = 0.0
     max_violation = 0.0
     all_converged = True

@@ -13,10 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._settings import require
+
 __all__ = [
     "CostNetParams",
     "cost_forward",
-    "cost_forward_with_grads",
+    "cost_grads",
     "reconstruct_pairs",
     "cost_net_step",
 ]
@@ -32,10 +34,6 @@ class CostNetParams:
     b: float = 1.0
 
 
-def _softplus(x):
-    return np.logaddexp(0.0, x)
-
-
 def _sigmoid(x):
     out = np.empty_like(x)
     pos = x >= 0
@@ -48,15 +46,14 @@ def _sigmoid(x):
 def cost_forward(s, theta: CostNetParams) -> np.ndarray:
     """Elementwise positive cost ``softplus(w * s + b)``."""
     s = np.asarray(s, dtype=np.float64)
-    return _softplus(theta.w * s + theta.b)
+    return np.logaddexp(0.0, theta.w * s + theta.b)
 
 
-def cost_forward_with_grads(s, theta: CostNetParams):
-    """Cost matrix plus its elementwise parameter derivatives."""
+def cost_grads(s, theta: CostNetParams):
+    """Elementwise derivatives ``(d cost / d w, d cost / d b)`` of the cost."""
     s = np.asarray(s, dtype=np.float64)
-    pre = theta.w * s + theta.b
-    sig = _sigmoid(pre)
-    return _softplus(pre), sig * s, sig
+    sig = _sigmoid(theta.w * s + theta.b)  # d cost / d pre-activation
+    return sig * s, sig
 
 
 def reconstruct_pairs(v_matched, v_pool, reserve_ratio: float, rng):
@@ -76,8 +73,10 @@ def reconstruct_pairs(v_matched, v_pool, reserve_ratio: float, rng):
     v_matched = np.asarray(v_matched, dtype=np.float64)
     v_pool = np.asarray(v_pool, dtype=np.float64)
     n = v_matched.shape[0]
-    if not 0 < reserve_ratio <= 1:
-        raise ValueError("reserve_ratio must lie in (0, 1]")
+    require("reserve_ratio", reserve_ratio, "(0, 1]")
+    if v_pool.shape[1:] != v_matched.shape[1:]:
+        raise ValueError(f"v_pool rows have shape {v_pool.shape[1:]}, "
+                         f"v_matched rows {v_matched.shape[1:]}")
     rng = np.random.default_rng(rng)
 
     n_reserved = max(int(np.floor(reserve_ratio * n + 0.5)), n - v_pool.shape[0])
@@ -103,16 +102,15 @@ def cost_net_step(theta: CostNetParams, sims, pi_sup, lr: float,
     clamped into ``[-bound, bound]``; the returned flag reports whether the
     clamp engaged.
     """
-    for name, value in (("lr", lr), ("bound", bound)):
-        if not (np.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be finite and positive, got {value}")
+    require("lr", lr, "(0, inf)")
+    require("bound", bound, "(0, inf)")
     sims = np.asarray(sims, dtype=np.float64)
     pi_sup = np.asarray(pi_sup, dtype=np.float64)
     if sims.shape != pi_sup.shape:
         raise ValueError("similarity and supervision shapes disagree")
-    sig = _sigmoid(theta.w * sims + theta.b)  # d cost / d pre-activation
-    grad_w = float((pi_sup * (sig * sims)).sum())
-    grad_b = float((pi_sup * sig).sum())
+    d_w, d_b = cost_grads(sims, theta)
+    grad_w = float((pi_sup * d_w).sum())
+    grad_b = float((pi_sup * d_b).sum())
     new_w = theta.w - lr * grad_w
     new_b = theta.b - lr * grad_b
     clipped = abs(new_w) > bound or abs(new_b) > bound

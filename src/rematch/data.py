@@ -17,6 +17,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from ._settings import require
+
 __all__ = [
     "PairDataset",
     "generate",
@@ -84,14 +86,12 @@ def generate(n: int, classes: int, noise: float, rng_seed: int,
     prototype plus isotropic Gaussian noise; all pairs start matched.
     Deterministic per seed.
     """
-    if not n >= classes >= 2:
-        raise ValueError("need n >= classes >= 2")
-    if not (np.isfinite(noise) and noise >= 0):
-        raise ValueError(f"noise must be finite and nonnegative, got {noise}")
+    require("classes", classes, 2)
+    require("n", n, classes)
+    require("noise", noise, "[0, inf)")
     for name, width in (("d_in_v", d_in_v), ("d_in_t", d_in_t),
                         ("latent_dim", latent_dim)):
-        if width < 1:
-            raise ValueError(f"{name} must be at least 1, got {width}")
+        require(name, width, 1)
     rng = np.random.default_rng(rng_seed)
     prototypes = rng.normal(size=(classes, latent_dim))
     map_v = rng.normal(scale=1.0 / np.sqrt(latent_dim), size=(latent_dim, d_in_v))
@@ -132,8 +132,7 @@ def corrupt(ds: PairDataset, mrate: float, rng_seed: int) -> PairDataset:
     0. A forced subset of one is widened to two, the smallest that admits a
     derangement.
     """
-    if not 0 <= mrate < 1:
-        raise ValueError("mrate must lie in [0, 1)")
+    require("mrate", mrate, "[0, 1)")
     if mrate == 0:
         return replace(ds, mrate=0.0)
     pool = ds.pool_indices
@@ -161,8 +160,7 @@ def make_benchmark(n: int, classes: int, noise: float, mrate: float,
     The test split (``test_frac`` of items) is selected before corruption,
     which moves pool rows only, so evaluation always runs on clean pairs.
     """
-    if not 0 <= test_frac < 1:
-        raise ValueError("test_frac must lie in [0, 1)")
+    require("test_frac", test_frac, "[0, 1)")
     ds = generate(n, classes, noise, rng_seed, **gen_kwargs)
     rng = np.random.default_rng((rng_seed, 0x7e57))
     n_test = int(round(test_frac * n))
@@ -359,10 +357,13 @@ def recall_at_k(s) -> dict:
 
 def identification_score(predicted_mismatched, matched_flags) -> dict:
     """Precision/recall/F1 of a mismatch prediction, mismatched = positive."""
-    matched_flags = np.asarray(matched_flags)
-    predicted = np.zeros(matched_flags.shape[0], dtype=bool)
-    predicted[np.asarray(predicted_mismatched, dtype=np.int64)] = True
-    actual = matched_flags == 0
+    actual = np.asarray(matched_flags) == 0
+    n = actual.shape[0]
+    index = np.asarray(predicted_mismatched, dtype=np.int64)
+    if np.any((index < 0) | (index >= n)):
+        raise ValueError(f"predicted indices must lie in 0..{n - 1}")
+    predicted = np.zeros(n, dtype=bool)
+    predicted[index] = True
     tp = int((predicted & actual).sum())
     fp = int((predicted & ~actual).sum())
     fn = int((~predicted & actual).sum())

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._settings import require
+
 __all__ = ["EncoderParams", "init_params", "similarity", "similarity_backward"]
 
 _NORM_FLOOR = 1e-12
@@ -38,8 +40,7 @@ def init_params(d_in_v: int, d_in_t: int, d: int, rng) -> EncoderParams:
     This is what makes the small fixed learning rate workable without an
     adaptive optimizer.
     """
-    if d < 2:
-        raise ValueError("embedding dimension must be at least 2")
+    require("d", d, 2)
     rng = np.random.default_rng(rng)
     w_v = rng.normal(scale=_INIT_SCALE / np.sqrt(d_in_v), size=(d_in_v, d))
     w_t = rng.normal(scale=_INIT_SCALE / np.sqrt(d_in_t), size=(d_in_t, d))

@@ -10,15 +10,16 @@ the units back gives an exact vertex of the transportation polytope whose
 objective is the LP optimum up to the cost quantization (~1e-12 per unit
 mass). Needs nothing beyond numpy.
 
-Deliberately shares no code with the scaling solver in
-:mod:`rematch.transport`.
+Deliberately shares no solver code with :mod:`rematch.transport`; only
+the input checks are common.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .transport import InfeasibleProblemError, TransportPlan, _as_cost, _as_mask, _as_measure
+from ._settings import require
+from .transport import InfeasibleProblemError, TransportPlan, _validate
 
 __all__ = ["exact_ot_oracle"]
 
@@ -67,17 +68,11 @@ def exact_ot_oracle(cost, p, q, mask=None, mass_scale: int = 1) -> TransportPlan
     0.3-0.5 s on a 2-vCPU host; 4x4 at one unit per side takes about
     0.2 ms.
     """
-    cost = _as_cost(cost)
-    p = _as_measure(p, "p")
-    q = _as_measure(q, "q")
+    cost, p, q, mask = _validate(cost, p, q, mask)
     m, n = cost.shape
     if m > _MAX_SIDE or n > _MAX_SIDE:
         raise ValueError(f"oracle is restricted to instances up to {_MAX_SIDE}x{_MAX_SIDE}")
-    if p.shape[0] != m or q.shape[0] != n:
-        raise ValueError("dimension mismatch between cost and measures")
-    mask = _as_mask(mask, cost.shape)
-    if not isinstance(mass_scale, (int, np.integer)) or mass_scale < 1:
-        raise ValueError(f"mass_scale must be a positive integer, got {mass_scale!r}")
+    require("mass_scale", mass_scale, 1)
     if np.abs(cost).max() > _MAX_ABS_COST:
         raise ValueError(f"oracle costs must lie within ±{_MAX_ABS_COST:g}")
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._settings import require
+
 __all__ = [
     "matching_probs",
     "per_pair_triplet_losses",
@@ -21,6 +23,7 @@ __all__ = [
 ]
 
 _KL_FLOOR = 1e-12
+_VARIANTS = ("sym_kl", "kl", "ce")  # divergences rematch_loss can score
 
 
 def _as_square(s) -> np.ndarray:
@@ -50,8 +53,7 @@ def matching_probs(s, tau: float):
     caption). Computed with max-subtraction for stability.
     """
     s = _as_square(s)
-    if not (np.isfinite(tau) and tau > 0):
-        raise ValueError(f"tau must be finite and positive, got {tau}")
+    require("tau", tau, "(0, inf)")
     logits = s / tau
     p_v2t = _softmax_rows(logits)
     p_t2v = _softmax_rows(logits.T).T
@@ -70,8 +72,7 @@ def _hinge_terms(s, alpha: float):
     n = s.shape[0]
     if n < 2:
         raise ValueError("need at least two pairs for in-batch negatives")
-    if not np.isfinite(alpha):
-        raise ValueError(f"alpha must be finite, got {alpha}")
+    require("alpha", alpha, "[0, inf)")
     off = s.copy()
     np.fill_diagonal(off, -np.inf)
     j_star = off.argmax(axis=1)
@@ -126,11 +127,6 @@ def _bounded_onehot_logs(n: int, eps: float) -> np.ndarray:
     return logs
 
 
-def _check_eps(eps: float) -> None:
-    if not 0 < eps < 0.5:
-        raise ValueError("eps must lie in (0, 0.5)")
-
-
 def _rce(p_v2t, p_t2v, tau: float, eps: float):
     """:func:`rce_loss` from the matching probabilities."""
     n = p_v2t.shape[0]
@@ -147,8 +143,7 @@ def rce_loss(s, tau: float, eps: float = 1e-7):
     The one-hot labels are bounded into ``[eps, 1 - eps]`` so every
     logarithm stays finite; predictions are the matching probabilities.
     """
-    s = _as_square(s)
-    _check_eps(eps)
+    require("eps", eps, "(0, 0.5)")
     return _rce(*matching_probs(s, tau), tau, eps)
 
 
@@ -158,7 +153,8 @@ def warmup_loss(s, tau: float, eps: float = 1e-7, rce_weight: float = 1.0):
     Both terms read one set of matching probabilities.
     """
     probs = matching_probs(s, tau)
-    _check_eps(eps)
+    require("eps", eps, "(0, 0.5)")
+    require("rce_weight", rce_weight, "[0, inf)")
     v1, g1 = _infonce(*probs, tau)
     v2, g2 = _rce(*probs, tau, eps)
     return v1 + rce_weight * v2, g1 + rce_weight * g2
@@ -178,8 +174,6 @@ def _kl_direction_terms(refined: np.ndarray, probs: np.ndarray, variant: str):
     """
     r = _floor_distribution(refined)
     p = _floor_distribution(probs)
-    if variant not in ("sym_kl", "kl", "ce"):
-        raise ValueError(f"unknown rematch variant {variant!r}")
     ratio = r / p
     if variant == "ce":
         return -(r * np.log(p)).sum(axis=1), -ratio
@@ -201,6 +195,7 @@ def rematch_loss(refined_v2t, refined_t2v, s, tau: float, variant: str = "sym_kl
     targets. Value is the batch mean.
     """
     s = _as_square(s)
+    require("variant", variant, {"choices": _VARIANTS})
     n = s.shape[0]
     refined_v2t = np.asarray(refined_v2t, dtype=np.float64)
     refined_t2v = np.asarray(refined_t2v, dtype=np.float64)

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._settings import require
+
 __all__ = [
     "BetaMixture",
     "fit_bmm",
@@ -29,13 +31,8 @@ _DELTA = 1e-4
 
 
 def _check_unit_interval(x) -> None:
-    if np.any(x <= 0) or np.any(x >= 1):
+    if not np.all((x > 0) & (x < 1)):
         raise ValueError("x must lie strictly inside (0, 1)")
-
-
-def _check_shapes(alpha: float, beta: float) -> None:
-    if alpha <= 0 or beta <= 0:
-        raise ValueError("shape parameters must be positive")
 
 
 def _log_beta(alpha: float, beta: float) -> float:
@@ -115,8 +112,6 @@ def _moment_match(x, weights, total):
 def _log_joint(log_x, log_1mx, params):
     """Per-sample log joint of each component, from log(x) and log(1 - x)."""
     (a_lo, b_lo), (a_hi, b_hi), w_hi = params
-    _check_shapes(a_lo, b_lo)
-    _check_shapes(a_hi, b_hi)
     w_hi = min(max(w_hi, 1e-12), 1.0 - 1e-12)
     lo = np.log1p(-w_hi) + _log_density(log_x, log_1mx, a_lo, b_lo)
     hi = np.log(w_hi) + _log_density(log_x, log_1mx, a_hi, b_hi)
@@ -150,10 +145,8 @@ def fit_bmm(losses, em_iters: int = 50, tol: float = 1e-6,
         raise ValueError("need a flat vector of at least 10 losses")
     if not np.all(np.isfinite(losses)):
         raise ValueError("losses must be finite")
-    if em_iters < 1:
-        raise ValueError(f"em_iters must be at least 1, got {em_iters}")
-    if not (np.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and positive, got {tol}")
+    require("em_iters", em_iters, 1)
+    require("tol", tol, "(0, inf)")
 
     lo, hi = float(losses.min()), float(losses.max())
     params, trace = None, []
@@ -213,6 +206,9 @@ def posterior(bmm: BetaMixture, loss):
     """Probability that a normalized loss came from the higher-mean component."""
     if bmm.degenerate:
         return np.zeros_like(np.asarray(loss, dtype=np.float64)) if np.ndim(loss) else 0.0
+    for name in ("alpha_lo", "beta_lo", "alpha_hi", "beta_hi"):
+        require(name, getattr(bmm, name), "(0, inf)")
+    require("weight_hi", bmm.weight_hi, "[0, 1]")
     x = np.asarray(loss, dtype=np.float64)
     _check_unit_interval(x)
     params = ((bmm.alpha_lo, bmm.beta_lo), (bmm.alpha_hi, bmm.beta_hi), bmm.weight_hi)
@@ -234,10 +230,9 @@ def partition(w, threshold: float = 0.5):
     w = np.asarray(w, dtype=np.float64)
     if w.ndim != 1:
         raise ValueError("w must be a vector")
-    if np.any(w < 0) or np.any(w > 1):
+    if not np.all((w >= 0) & (w <= 1)):
         raise ValueError("posteriors must lie in [0, 1]")
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError("threshold must lie in [0, 1]")
+    require("threshold", threshold, "[0, 1]")
     mismatched = np.flatnonzero(w > threshold)
     matched = np.flatnonzero(w <= threshold)
     return matched, mismatched

@@ -30,6 +30,7 @@ from . import encoder as enc
 from .data import (RECALL_CUTOFFS, PairDataset, atomic_write, identification_score,
                    recall_at_k)
 from .losses import (
+    _VARIANTS,
     per_pair_triplet_losses,
     rematch_loss,
     triplet_loss_batch,
@@ -99,7 +100,7 @@ class TrainConfig:
     cost_mode: str = choice("learned", ("learned", "cosine"))  # cosine: 1 - s
     mask_positives: bool = switch(True)
     partial: bool = switch(True)                  # False moves the full mass budget
-    rematch_variant: str = choice("sym_kl", ("sym_kl", "kl", "ce"))
+    rematch_variant: str = choice("sym_kl", _VARIANTS)
     em_iters: int = count(30, least=1)
     em_tol: float = real(1e-6, "(0, inf)")
     ot_tol: float = _solver_setting("tol", 1e-6)
@@ -337,8 +338,7 @@ def refine_batch(state: RunState, s_mis: np.ndarray, cfg: TrainConfig):
     rho = cfg.rho if cfg.partial else 1.0
     plan = partial_ot(_cost(state, cfg, s_mis), marginal, marginal, mask, rho=rho,
                       cfg=cfg.solver)
-    refined_v2t = normalize_plan(plan.plan, "row", mask=mask)
-    refined_t2v = normalize_plan(plan.plan, "column", mask=mask)
+    refined_v2t, refined_t2v = normalize_plan(plan.plan, mask=mask)
     return refined_v2t, refined_t2v, plan
 
 

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._settings import check, count, real
+from ._settings import check, count, real, require
 
 __all__ = [
     "InfeasibleProblemError",
@@ -108,14 +108,15 @@ def marginal_violation(plan: np.ndarray, p: np.ndarray, q: np.ndarray) -> float:
     return _marginal_fit(plan, p, q).worst
 
 
-def _check_feasible(active: np.ndarray, p: np.ndarray, q: np.ndarray, tol: float):
-    """Every positive-mass row/column needs at least one usable kernel cell."""
+def _check_feasible(mask: np.ndarray, p: np.ndarray, q: np.ndarray, tol: float):
+    """Every positive-mass row/column needs an open cell in a positive-mass column/row."""
+    usable = mask & (p > 0)[:, None] & (q > 0)[None, :]
     for name, axis, mass in (("rows", 1, p), ("columns", 0, q)):
-        dead = (~active.any(axis=axis)) & (mass > tol)
+        dead = (~usable.any(axis=axis)) & (mass > tol)
         if dead.any():
             raise InfeasibleProblemError(
                 f"{name} {np.flatnonzero(dead).tolist()} carry mass but have no "
-                "unmasked kernel entries"
+                "unmasked cell whose row and column both carry mass"
             )
 
 
@@ -442,9 +443,8 @@ def _extend(cost, p, q, mask, rho):
     mass_p = p.sum()
     mass_q = q.sum()
     budget = min(mass_p, mass_q)
-    if not np.isfinite(rho):
-        raise ValueError(f"rho must be finite, got {rho}")
-    if rho < 0 or rho > budget + 1e-12:
+    require("rho", rho, "[0, inf)")
+    if rho > budget + 1e-12:
         raise ValueError(f"rho={rho} outside [0, min(|p|, |q|)={budget:.17g}]")
     rho = min(rho, budget)
     xi = default_xi(cost)
@@ -482,17 +482,16 @@ def partial_ot(cost, p, q, mask=None, rho: float = 0.0,
                          iterations=solved.iterations)
 
 
-def normalize_plan(plan, direction: str, mask=None) -> np.ndarray:
-    """Normalize a plan into row- or column-stochastic form.
+def normalize_plan(plan, mask=None):
+    """The plan's row-stochastic and column-stochastic forms, in that order.
 
-    Rows (or columns) whose pre-normalization sum is at most ``1e-12`` per
-    cell are replaced by the uniform distribution over their unmasked cells,
-    so untransported slices still yield valid distributions.
+    A row (column) whose sum is at most ``1e-12`` per cell is replaced by the
+    uniform distribution over its unmasked cells, so untransported slices
+    still yield valid distributions.
 
     Parameters
     ----------
     plan : (m, n) array_like of nonnegative reals
-    direction : {"row", "column"}
     mask : optional binary matrix restricting the uniform fallback support.
     """
     plan = np.asarray(plan, dtype=np.float64)
@@ -502,23 +501,20 @@ def normalize_plan(plan, direction: str, mask=None) -> np.ndarray:
         raise ValueError("plan contains non-finite entries")
     if np.any(plan < 0):
         raise ValueError("plan entries must be nonnegative")
-    if direction not in ("row", "column"):
-        raise ValueError(f"direction must be 'row' or 'column', got {direction!r}")
     mask = _as_mask(mask, plan.shape)
+    return _row_stochastic(plan, mask), _row_stochastic(plan.T, mask.T).T
 
-    transposed = direction == "column"
-    work = plan.T if transposed else plan
-    support = (mask.T if transposed else mask).astype(np.float64)
 
+def _row_stochastic(work: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """:func:`normalize_plan`'s row form of a checked plan."""
+    support = mask.astype(np.float64)
     sums = work.sum(axis=1)
     length = work.shape[1]
     low = sums <= _PLAN_FLOOR * length
     counts = support.sum(axis=1)
     if np.any(low & (counts == 0)):
         raise ValueError("cannot fall back to uniform: a slice has no unmasked cells")
-
     safe = np.where(low, 1.0, sums)
     out = work / safe[:, None]
     fallback = support / np.where(counts == 0, 1.0, counts)[:, None]
-    out = np.where(low[:, None], fallback, out)
-    return out.T if transposed else out
+    return np.where(low[:, None], fallback, out)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import rematch.encoder as enc
-from rematch.costs import CostNetParams, cost_forward, cost_forward_with_grads
+from rematch.costs import CostNetParams, cost_forward, cost_grads
 from rematch.data import make_benchmark, identification_score
 from rematch.flow_oracle import exact_ot_oracle
 from rematch.losses import (
@@ -162,7 +162,7 @@ def _no_ties(s, gap=1e-3):
 
 def _refined_for(rng, n):
     plan = rng.uniform(0, 1, (n, n)) * (1 - np.eye(n))
-    return normalize_plan(plan, "row"), normalize_plan(plan, "column")
+    return normalize_plan(plan)
 
 
 def test_criterion_4_gradient_suite():
@@ -206,7 +206,7 @@ def test_criterion_4_gradient_suite():
         pi_sup = np.zeros((4, 4))
         pi_sup[np.arange(4), rng.permutation(4)] = (rng.random(4) < 0.7)
         theta = CostNetParams(float(rng.normal(-1, 0.3)), float(rng.normal(0, 0.5)))
-        _, dw_cells, db_cells = cost_forward_with_grads(s, theta)
+        dw_cells, db_cells = cost_grads(s, theta)
         analytic = np.array([(pi_sup * dw_cells).sum(), (pi_sup * db_cells).sum()])
         h = 1e-6
         numeric = np.array([
@@ -340,7 +340,7 @@ def test_criterion_8_untransported_rows_flatten():
     marginal = np.full(n, 1.0 / n)
     result = partial_ot(cost, marginal, marginal, mask, rho=0.25,
                         cfg=SinkhornConfig(lam=0.07, max_iter=20000, tol=1e-10))
-    rows = normalize_plan(result.plan, "row", mask=mask)
+    rows, _ = normalize_plan(result.plan, mask=mask)
     untransported = result.plan.sum(axis=1) < 0.25 / n * 0.5
     transported = ~untransported
     averaged = rows[untransported].mean(axis=0)

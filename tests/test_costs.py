@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from rematch.costs import (
     CostNetParams,
     cost_forward,
-    cost_forward_with_grads,
+    cost_grads,
     cost_net_step,
     reconstruct_pairs,
 )
@@ -39,7 +39,7 @@ class TestCostForward:
         rng = np.random.default_rng(1)
         s = rng.uniform(-1, 1, (4, 4))
         theta = CostNetParams(w=-0.7, b=0.4)
-        _, dw, db = cost_forward_with_grads(s, theta)
+        dw, db = cost_grads(s, theta)
         h = 1e-7
         num_dw = (cost_forward(s, CostNetParams(theta.w + h, theta.b))
                   - cost_forward(s, CostNetParams(theta.w - h, theta.b))) / (2 * h)
@@ -175,7 +175,7 @@ class TestExactAgreement:
         sims = rng.uniform(-1, 1, (n, n))
         pi = (rng.uniform(size=(n, n)) > 0.8).astype(float)
         theta = CostNetParams(w=float(rng.normal()), b=float(rng.normal()))
-        _, dw_cells, db_cells = cost_forward_with_grads(sims, theta)
+        dw_cells, db_cells = cost_grads(sims, theta)
         new_w = theta.w - 0.3 * float((pi * dw_cells).sum())
         new_b = theta.b - 0.3 * float((pi * db_cells).sum())
         out, clipped = cost_net_step(theta, sims, pi, lr=0.3)
@@ -209,3 +209,18 @@ class TestExactAgreement:
         np.testing.assert_array_equal(got_images, images)
         np.testing.assert_array_equal(got_pi_sup, pi_sup)
         np.testing.assert_array_equal(np.flatnonzero(got_pi_sup.any(axis=0)), reserved)
+
+
+class TestInputBoundaries:
+    @pytest.mark.parametrize("ratio", [0.0, 1.5, np.nan])
+    def test_bad_reserve_ratio_rejected(self, ratio):
+        with pytest.raises(ValueError, match="^reserve_ratio must be"):
+            reconstruct_pairs(np.ones((4, 3)), np.ones((4, 3)), ratio, 0)
+
+    def test_pool_rows_of_another_width_rejected(self):
+        with pytest.raises(ValueError, match="^v_pool rows"):
+            reconstruct_pairs(np.ones((3, 2)), np.ones((2, 3)), 0.5, 0)
+
+    def test_supervision_of_another_shape_rejected(self):
+        with pytest.raises(ValueError, match="shapes disagree"):
+            cost_net_step(CostNetParams(), np.zeros((2, 2)), np.eye(3), lr=0.1)

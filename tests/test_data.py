@@ -315,3 +315,63 @@ class TestIdentificationScore:
         assert score["precision"] == 0.5
         assert score["recall"] == 0.5
         assert score["f1"] == pytest.approx(0.5)
+
+
+class TestInputBoundaries:
+    @pytest.mark.parametrize("test_frac", [1.0, -0.1, np.nan])
+    def test_bad_test_fraction_rejected(self, test_frac):
+        with pytest.raises(ValueError, match="^test_frac must be"):
+            make_benchmark(n=50, classes=5, noise=0.1, mrate=0.2, rng_seed=0,
+                           test_frac=test_frac)
+
+    @pytest.mark.parametrize("kwargs,name", [
+        (dict(n=10.5), "n"), (dict(n=4), "n"), (dict(classes=1), "classes"),
+        (dict(noise=True), "noise"), (dict(noise=-0.1), "noise"),
+        (dict(latent_dim=0), "latent_dim"),
+    ])
+    def test_bad_generator_argument_rejected(self, kwargs, name):
+        args = {**dict(n=10, classes=5, noise=0.1, rng_seed=0), **kwargs}
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            generate(**args)
+
+    @pytest.mark.parametrize("mrate", [1.0, -0.1, np.nan])
+    def test_bad_mismatch_rate_rejected(self, mrate):
+        ds = generate(n=10, classes=5, noise=0.1, rng_seed=0)
+        with pytest.raises(ValueError, match="^mrate must be"):
+            corrupt(ds, mrate, rng_seed=0)
+
+    def test_record_that_is_not_an_object_rejected(self, tmp_path):
+        path, lines = TestSerialization.saved_lines(tmp_path)
+        path.write_text("\n".join(lines[:2] + ["[1, 2]"] + lines[3:]) + "\n")
+        with pytest.raises(ValueError, match="line 3: expected a JSON object"):
+            load_dataset(str(path))
+
+    def test_non_numeric_features_rejected(self, tmp_path):
+        path, lines = TestSerialization.saved_lines(tmp_path)
+        lines = TestSerialization.edit_record(lines, 2, v_feat=["a"] * 32)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="line 3: 'v_feat' must be a list of numbers"):
+            load_dataset(str(path))
+
+    def test_unknown_version_rejected(self, tmp_path):
+        path, lines = TestSerialization.saved_lines(tmp_path)
+        path.write_text("\n".join(TestSerialization.edit_record(lines, 0, version=2)) + "\n")
+        with pytest.raises(ValueError, match="unsupported format version 2"):
+            load_dataset(str(path))
+
+    @pytest.mark.parametrize("changes", [dict(n=-1), dict(d_in_v=0), dict(d_in_t=0)])
+    def test_bad_header_sizes_rejected(self, tmp_path, changes):
+        path, lines = TestSerialization.saved_lines(tmp_path)
+        path.write_text("\n".join(TestSerialization.edit_record(lines, 0, **changes)) + "\n")
+        with pytest.raises(ValueError, match="line 1: bad sizes"):
+            load_dataset(str(path))
+
+    def test_recall_needs_a_square_similarity(self):
+        with pytest.raises(ValueError, match="square"):
+            recall_at_k(np.zeros((10, 12)))
+
+    @pytest.mark.parametrize("predicted", [[-1], [5], [0, 3]])
+    def test_prediction_outside_the_rows_rejected(self, predicted):
+        # index -1 used to count row 2 as a true positive; 5 raised IndexError
+        with pytest.raises(ValueError, match=r"must lie in 0\.\.2"):
+            identification_score(predicted, [1, 1, 0])

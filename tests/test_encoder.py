@@ -123,8 +123,7 @@ class TestGradientChain:
     def test_rematch_chain(self):
         rng = np.random.default_rng(17)
         plan = rng.uniform(0, 1, (3, 3)) * (1 - np.eye(3))
-        refined_v2t = normalize_plan(plan, "row")
-        refined_t2v = normalize_plan(plan, "column")
+        refined_v2t, refined_t2v = normalize_plan(plan)
         for seed in range(5):
             err = chain_gradient_error(
                 lambda s: rematch_loss(refined_v2t, refined_t2v, s, 0.5), seed)
@@ -175,3 +174,16 @@ class TestSgdStep:
         bad = np.full((3, 2), np.nan)
         with pytest.raises(FloatingPointError, match="visual"):
             sgd_update(params, bad, np.zeros((3, 2)), lr=0.1)
+
+
+class TestInputBoundaries:
+    @pytest.mark.parametrize("d", [1, 0, 2.5, True])
+    def test_bad_embedding_dimension_rejected(self, d):
+        with pytest.raises(ValueError, match="^d must be an integer >= 2"):
+            init_params(3, 4, d, 0)
+
+    @pytest.mark.parametrize("v_width,t_width,needle", [(5, 4, "visual"), (3, 5, "text")])
+    def test_feature_width_must_match_the_projection(self, v_width, t_width, needle):
+        params = init_params(3, 4, 2, 0)
+        with pytest.raises(ValueError, match=f"^{needle} feature width"):
+            similarity(params, np.ones((2, v_width)), np.ones((2, t_width)))

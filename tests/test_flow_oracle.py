@@ -152,3 +152,14 @@ def _assignment_optimum(cost, int_p, int_q):
     units = cost[np.ix_(rows, cols)]
     r, c = linear_sum_assignment(units)
     return units[r, c].sum()
+
+
+class TestInputBoundaries:
+    def test_dimension_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="^dimension mismatch"):
+            exact_ot_oracle(np.zeros((2, 3)), uniform(2), uniform(2), mass_scale=2)
+
+    @pytest.mark.parametrize("mass_scale", [0, -2, 1.5, True])
+    def test_bad_mass_scale_rejected(self, mass_scale):
+        with pytest.raises(ValueError, match="^mass_scale must be an integer >= 1"):
+            exact_ot_oracle(np.zeros((2, 2)), uniform(2), uniform(2), mass_scale=mass_scale)

@@ -44,7 +44,7 @@ def no_hardest_negative_ties(s, gap=1e-3):
 
 def random_refined(rng, n):
     plan = rng.uniform(0, 1, (n, n)) * (1 - np.eye(n))
-    return normalize_plan(plan, "row"), normalize_plan(plan, "column")
+    return normalize_plan(plan)
 
 
 def triplet_loss(s, i, alpha):
@@ -328,8 +328,7 @@ class TestExactAgreement:
         n = int(rng.integers(2, 40))
         s = rng.uniform(-1, 1, (n, n))
         plan = rng.uniform(size=(n, n)) * (rng.uniform(size=(n, n)) > 0.5)
-        refined_v2t = normalize_plan(plan, "row")
-        refined_t2v = normalize_plan(plan, "column")
+        refined_v2t, refined_t2v = normalize_plan(plan)
         value, grad = rematch_loss(refined_v2t, refined_t2v, s, 0.05, variant)
         ref_value, ref_grad = separate_rematch(refined_v2t, refined_t2v, s, 0.05,
                                                variant)
@@ -347,3 +346,36 @@ class TestExactAgreement:
             s = np.zeros((n, n))
         _, grad = triplet_loss_batch(s, 0.2)
         assert same_bits(grad, scatter_triplet_grad(s, 0.2))
+
+
+class TestInputBoundaries:
+    def test_non_square_similarity_rejected(self):
+        for loss in (lambda s: triplet_loss_batch(s, 0.2), lambda s: matching_probs(s, 0.1)):
+            with pytest.raises(ValueError, match="must be square"):
+                loss(np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("eps", [0.0, 0.5, -1e-7, np.nan, "0.1"])
+    def test_bad_eps_rejected(self, eps):
+        for loss in (rce_loss, warmup_loss):
+            with pytest.raises(ValueError, match="^eps must be"):
+                loss(np.eye(3), 0.1, eps)
+
+    @pytest.mark.parametrize("weight", [-1.0, np.nan, np.inf, True])
+    def test_bad_rce_weight_rejected(self, weight):
+        with pytest.raises(ValueError, match="^rce_weight must be"):
+            warmup_loss(np.eye(3), 0.1, rce_weight=weight)
+
+    def test_unknown_variant_rejected(self):
+        needle = r"^variant must be one of \('sym_kl', 'kl', 'ce'\), got 'js'"
+        with pytest.raises(ValueError, match=needle):
+            rematch_loss(*normalize_plan(np.ones((3, 3))), np.eye(3), 0.1, variant="js")
+
+    def test_refined_of_another_shape_rejected(self):
+        with pytest.raises(ValueError, match="similarity shape"):
+            rematch_loss(*normalize_plan(np.ones((2, 2))), np.eye(3), 0.1)
+
+    def test_negative_refined_rejected(self):
+        refined = np.full((3, 3), 1.0 / 3.0)
+        refined[0] = [1.2, -0.1, -0.1]
+        with pytest.raises(ValueError, match="nonnegative"):
+            rematch_loss(refined, np.full((3, 3), 1.0 / 3.0), np.eye(3), 0.1)

@@ -341,3 +341,42 @@ class TestPartition:
     def test_invalid_posteriors_rejected(self):
         with pytest.raises(ValueError):
             partition([1.2, 0.5], 0.5)
+
+
+class TestInputBoundaries:
+    def test_non_finite_losses_rejected(self):
+        losses = np.append(np.linspace(0.1, 0.9, 10), np.nan)
+        with pytest.raises(ValueError, match="losses must be finite"):
+            fit_bmm(losses)
+
+    def test_posteriors_must_be_a_vector(self):
+        with pytest.raises(ValueError, match="w must be a vector"):
+            partition(np.full((2, 2), 0.5))
+
+    @pytest.mark.parametrize("threshold", [-0.5, 1.5, np.nan, None])
+    def test_bad_threshold_rejected(self, threshold):
+        with pytest.raises(ValueError, match="^threshold must be"):
+            partition([0.2, 0.8], threshold=threshold)
+
+    def test_non_finite_posterior_is_in_no_set_so_rejected(self):
+        # NaN fails both comparisons, so row 0 would land in neither set
+        with pytest.raises(ValueError, match="posteriors must lie in"):
+            partition([np.nan, 0.9])
+
+    @pytest.mark.parametrize("name", ["alpha_lo", "beta_lo", "alpha_hi", "beta_hi"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_shape_rejected(self, name, value):
+        shapes = dict(alpha_lo=2.0, beta_lo=8.0, alpha_hi=8.0, beta_hi=2.0)
+        bmm = BetaMixture(**{**shapes, name: value}, weight_hi=0.5)
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            posterior(bmm, 0.5)
+
+    @pytest.mark.parametrize("weight", [np.nan, 2.0, -0.1])
+    def test_bad_weight_rejected(self, weight):
+        # a weight of 2.0 used to be clamped to 1 - 1e-12, and NaN gave NaN
+        with pytest.raises(ValueError, match="^weight_hi must be"):
+            posterior(BetaMixture(2.0, 8.0, 8.0, 2.0, weight_hi=weight), 0.5)
+
+    def test_non_finite_normalized_loss_rejected(self):
+        with pytest.raises(ValueError, match="strictly inside"):
+            posterior(BetaMixture(2.0, 8.0, 8.0, 2.0, weight_hi=0.5), np.nan)

@@ -14,8 +14,10 @@ from hypothesis import given, settings, strategies as st
 import rematch.encoder as enc
 import rematch.pipeline as pl
 import rematch.transport as transport
+from rematch.costs import CostNetParams, cost_net_step, reconstruct_pairs
 from rematch.data import identification_score, make_benchmark
-from rematch.losses import warmup_loss
+from rematch.losses import matching_probs, rce_loss, triplet_loss_batch, warmup_loss
+from rematch.mixture import fit_bmm, partition
 from rematch.pipeline import (
     TrainConfig,
     evaluate,
@@ -57,6 +59,29 @@ BAD_SETTINGS = [
     ("val_frac", 1), ("cost_bound", 0), ("optimizer", "rmsprop"),
     ("optimizer", None),
 ]
+
+# each TrainConfig field that a library function also takes: the name of the
+# function's argument, and a call that passes it a value
+LIBRARY_ARGUMENTS = {
+    "tau": ("tau", lambda v: matching_probs(np.eye(3), v)),
+    "alpha": ("alpha", lambda v: triplet_loss_batch(np.eye(3), v)),
+    "eps": ("eps", lambda v: rce_loss(np.eye(3), 0.1, eps=v)),
+    "rce_weight": ("rce_weight", lambda v: warmup_loss(np.eye(3), 0.1, rce_weight=v)),
+    "threshold": ("threshold", lambda v: partition([0.2, 0.8], threshold=v)),
+    "reserve_ratio": ("reserve_ratio",
+                      lambda v: reconstruct_pairs(np.ones((4, 3)), np.ones((4, 3)), v, 0)),
+    "lr_cost": ("lr", lambda v: cost_net_step(CostNetParams(), np.zeros((2, 2)),
+                                              np.eye(2), lr=v)),
+    "cost_bound": ("bound", lambda v: cost_net_step(CostNetParams(), np.zeros((2, 2)),
+                                                    np.eye(2), lr=0.1, bound=v)),
+    "em_iters": ("em_iters", lambda v: fit_bmm(np.linspace(0.1, 0.9, 20), em_iters=v)),
+    "em_tol": ("tol", lambda v: fit_bmm(np.linspace(0.1, 0.9, 20), tol=v)),
+    "embed_dim": ("d", lambda v: enc.init_params(3, 3, v, 0)),
+    "rho": ("rho", lambda v: transport.partial_ot(np.zeros((2, 2)), [0.5, 0.5], [0.5, 0.5],
+                                                  rho=v, cfg=SinkhornConfig(lam=0.1))),
+}
+LIBRARY_BAD_SETTINGS = [(name, value) for name, value in BAD_SETTINGS
+                        if name in LIBRARY_ARGUMENTS]
 
 
 @pytest.fixture(scope="module")
@@ -115,6 +140,17 @@ class TestConfig:
     ])
     def test_boundary_and_int_values_accepted(self, name, value):
         assert getattr(TrainConfig(**{name: value}), name) == value
+
+    @pytest.mark.parametrize("name,value", LIBRARY_BAD_SETTINGS,
+                             ids=[f"{name}={value!r}" for name, value in LIBRARY_BAD_SETTINGS])
+    def test_library_rejects_what_the_config_rejects(self, name, value):
+        argument, call = LIBRARY_ARGUMENTS[name]
+        with pytest.raises(ValueError, match=rf"^{argument}\b"):
+            call(value)
+
+    @pytest.mark.parametrize("name", sorted(LIBRARY_ARGUMENTS))
+    def test_library_accepts_the_config_default(self, name):
+        LIBRARY_ARGUMENTS[name][1](getattr(TrainConfig(), name))
 
     def test_solver_settings_are_built_once(self):
         cfg = TrainConfig(lam=0.02, ot_max_iter=50, ot_tol=1e-4)

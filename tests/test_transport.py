@@ -594,18 +594,18 @@ class TestPartialOT:
 class TestNormalizePlan:
     def test_row_normalization(self):
         plan = np.array([[0.3, 0.1], [0.0, 0.6]])
-        out = normalize_plan(plan, "row")
+        out, _ = normalize_plan(plan)
         np.testing.assert_allclose(out, [[0.75, 0.25], [0.0, 1.0]])
 
     def test_column_normalization(self):
         plan = np.array([[0.3, 0.1], [0.1, 0.3]])
-        out = normalize_plan(plan, "column")
+        _, out = normalize_plan(plan)
         np.testing.assert_allclose(out.sum(axis=0), [1.0, 1.0])
 
     def test_zero_row_falls_back_to_uniform_over_unmasked(self):
         plan = np.array([[0.0, 0.0, 0.0], [0.2, 0.2, 0.2]])
         mask = np.array([[0, 1, 1], [1, 1, 1]])
-        out = normalize_plan(plan, "row", mask=mask)
+        out, _ = normalize_plan(plan, mask=mask)
         np.testing.assert_allclose(out[0], [0.0, 0.5, 0.5])
 
     def test_untransported_rows_of_partial_plan_are_near_uniform(self):
@@ -620,7 +620,7 @@ class TestNormalizePlan:
         res = partial_ot(cost, uniform(n), uniform(n), mask, rho=0.25,
                          cfg=SinkhornConfig(lam=0.07, max_iter=20000, tol=1e-10))
         assert res.converged
-        rows = normalize_plan(res.plan, "row", mask=mask)
+        rows, _ = normalize_plan(res.plan, mask=mask)
         untransported = res.plan.sum(axis=1) < 0.25 / n * 0.5
         assert untransported.sum() >= 3
         reference = np.where(mask[untransported].astype(bool), 1.0 / (n - 1), 0.0)
@@ -632,21 +632,79 @@ class TestNormalizePlan:
         rng = np.random.default_rng(seed)
         m, n = int(rng.integers(2, 6)), int(rng.integers(2, 6))
         plan = rng.uniform(0, 1, (m, n)) * (rng.uniform(size=(m, n)) > 0.3)
-        rows = normalize_plan(plan, "row")
-        cols = normalize_plan(plan, "column")
+        rows, cols = normalize_plan(plan)
         np.testing.assert_allclose(rows.sum(axis=1), 1.0, atol=1e-12)
         np.testing.assert_allclose(cols.sum(axis=0), 1.0, atol=1e-12)
         assert np.all(rows >= 0) and np.all(cols >= 0)
 
     def test_rejects_negative_entries(self):
         with pytest.raises(ValueError):
-            normalize_plan(np.array([[-0.1, 0.2]]), "row")
+            normalize_plan(np.array([[-0.1, 0.2]]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_entries(self, bad):
         with pytest.raises(ValueError, match="non-finite"):
-            normalize_plan(np.array([[bad, 1.0], [1.0, 1.0]]), "row")
+            normalize_plan(np.array([[bad, 1.0], [1.0, 1.0]]))
 
-    def test_rejects_unknown_direction(self):
-        with pytest.raises(ValueError):
-            normalize_plan(np.ones((2, 2)), "diagonal")
+
+class TestInputBoundaries:
+    CFG = SinkhornConfig(lam=0.1)
+
+    @pytest.mark.parametrize("p,needle", [
+        ([[0.5, 0.5]], r"^p must be a vector, got shape \(1, 2\)"),
+        ([np.nan, 1.0], "^p contains non-finite entries"),
+        ([-0.5, 1.5], "^p contains negative mass"),
+        ([0.0, 0.0], "^p carries no mass"),
+    ])
+    def test_bad_measure_rejected(self, p, needle):
+        with pytest.raises(ValueError, match=needle):
+            sinkhorn(np.zeros((2, 2)), p, uniform(2), cfg=self.CFG)
+
+    @pytest.mark.parametrize("cost,needle", [
+        (np.zeros(2), r"^cost must be a matrix, got shape \(2,\)"),
+        ([[np.inf, 0.0], [0.0, 0.0]], "^cost contains non-finite entries"),
+    ])
+    def test_bad_cost_rejected(self, cost, needle):
+        with pytest.raises(ValueError, match=needle):
+            sinkhorn(cost, uniform(2), uniform(2), cfg=self.CFG)
+
+    def test_mask_of_another_shape_rejected(self):
+        with pytest.raises(ValueError, match="^mask shape"):
+            sinkhorn(np.zeros((2, 2)), uniform(2), uniform(2), np.ones((3, 2)), self.CFG)
+
+    def test_open_cell_in_a_zero_mass_column_is_not_usable(self):
+        # row 0's only open cell lies in column 1, which carries no mass
+        with pytest.raises(InfeasibleProblemError,
+                           match=r"^rows \[0\] .* both carry mass"):
+            sinkhorn(np.zeros((2, 2)), [0.5, 0.5], [1.0, 0.0], [[0, 1], [1, 1]], self.CFG)
+
+    @pytest.mark.parametrize("cost,update", [
+        ([[1e300, 1e300], [0.0, 0.0]], "a-update"),
+        ([[0.0, 1e300], [0.0, 1e300]], "b-update"),
+    ])
+    def test_overflowing_kernel_collapses_the_scaling(self, cost, update):
+        # -cost / lam overflows to -inf, so a row (column) reaches no cell
+        with pytest.warns(RuntimeWarning, match="overflow"), \
+                pytest.raises(InfeasibleProblemError, match=f"collapsed: {update}"):
+            sinkhorn(np.array(cost), uniform(2), uniform(2), cfg=SinkhornConfig(lam=1e-10))
+
+    def test_plan_must_be_a_matrix(self):
+        with pytest.raises(ValueError, match="^plan must be a matrix"):
+            normalize_plan(np.ones(3))
+
+    @pytest.mark.parametrize("plan,mask", [
+        ([[0.0, 0.0], [0.5, 0.5]], [[0, 0], [1, 1]]),  # an empty row
+        ([[0.5, 0.0], [0.5, 0.0]], [[1, 0], [1, 0]]),  # an empty column
+    ])
+    def test_fallback_needs_an_unmasked_cell(self, plan, mask):
+        with pytest.raises(ValueError, match="no unmasked cells"):
+            normalize_plan(np.array(plan), mask=mask)
+
+    def test_both_forms_match_their_transposed_computation(self):
+        rng = np.random.default_rng(3)
+        plan = rng.uniform(0, 1, (4, 5)) * (rng.uniform(size=(4, 5)) > 0.4)
+        mask = (plan > 0) | (rng.uniform(size=(4, 5)) > 0.5)
+        rows, cols = normalize_plan(plan, mask=mask)
+        cols_t, rows_t = normalize_plan(plan.T, mask=mask.T)
+        assert rows.tobytes() == rows_t.T.tobytes()
+        assert cols.tobytes() == cols_t.T.tobytes()
