@@ -29,7 +29,7 @@ OUT_DIR_ENV = "REMATCH_OUT_DIR"
 ABLATION_ARMS = {
     "no-cost": {"cost_mode": "cosine"},
     "no-mask": {"mask_positives": False},
-    "no-partial": {"partial": False},
+    "no-partial": {"rho": 1.0},
     "kl": {"rematch_variant": "kl"},
     "infonce": {"rematch_variant": "ce"},
 }
@@ -114,14 +114,14 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _run_training(args, overrides=None) -> int:
-    cfg = TrainConfig(**{name: getattr(args, name) for name in _TRAIN_FLAG_HELP},
-                      **(overrides or {}))
+def _run_training(args, arm=None) -> int:
+    flags = {name: getattr(args, name) for name in _TRAIN_FLAG_HELP}
+    cfg = TrainConfig(**{**flags, **(arm or {})})  # the arm wins over a flag
     ds = load_dataset(args.data)
     _note(f"training mode={cfg.mode} on {args.data} "
           f"({cfg.warmup_epochs}+{cfg.train_epochs} epochs)")
     payload, state = run_experiment(cfg, ds, return_state=True)
-    if overrides:
+    if arm:
         payload["ablation"] = args.arm
     _emit(payload, args.out)
     if args.state_out:

@@ -93,17 +93,15 @@ def reconstruct_pairs(v_matched, v_pool, reserve_ratio: float, rng):
     return images, pi_sup
 
 
-def cost_net_step(theta: CostNetParams, sims, pi_sup, lr: float,
-                  bound: float = _PARAM_BOUND):
+def cost_net_step(theta: CostNetParams, sims, pi_sup, lr: float):
     """One descent step on the supervised transport cost.
 
     Gradient flows only through cells where ``pi_sup`` is 1; with no
     supervised cells the parameters are returned unchanged. Parameters are
-    clamped into ``[-bound, bound]``; the returned flag reports whether the
-    clamp engaged.
+    clamped into ``[-_PARAM_BOUND, _PARAM_BOUND]``; the returned flag reports
+    whether the clamp engaged.
     """
     require("lr", lr, "(0, inf)")
-    require("bound", bound, "(0, inf)")
     sims = np.asarray(sims, dtype=np.float64)
     pi_sup = np.asarray(pi_sup, dtype=np.float64)
     if sims.shape != pi_sup.shape:
@@ -113,7 +111,7 @@ def cost_net_step(theta: CostNetParams, sims, pi_sup, lr: float,
     grad_b = float((pi_sup * d_b).sum())
     new_w = theta.w - lr * grad_w
     new_b = theta.b - lr * grad_b
-    clipped = abs(new_w) > bound or abs(new_b) > bound
-    new_w = float(np.clip(new_w, -bound, bound))
-    new_b = float(np.clip(new_b, -bound, bound))
+    clipped = abs(new_w) > _PARAM_BOUND or abs(new_b) > _PARAM_BOUND
+    new_w = float(np.clip(new_w, -_PARAM_BOUND, _PARAM_BOUND))
+    new_b = float(np.clip(new_b, -_PARAM_BOUND, _PARAM_BOUND))
     return CostNetParams(new_w, new_b), clipped

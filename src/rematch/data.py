@@ -24,6 +24,7 @@ __all__ = [
     "generate",
     "corrupt",
     "make_benchmark",
+    "dataset_header",
     "save_dataset",
     "load_dataset",
     "recall_at_k",
@@ -37,6 +38,10 @@ RECALL_CUTOFFS = (1, 5, 10)
 
 _FORMAT_KIND = "paired-features"
 _FORMAT_VERSION = 1
+
+# each value of dataset_header and the rule of the function that made it
+_HEADER_RULES = {"n": 0, "d_in_v": 1, "d_in_t": 1, "classes": 2,
+                 "noise": "[0, inf)", "mrate": "[0, 1)", "seed": 0, "latent_dim": 1}
 
 
 @dataclass
@@ -188,15 +193,10 @@ def atomic_write(path: str, mode: str = "w"):
         raise
 
 
-def save_dataset(ds: PairDataset, path: str) -> None:
-    """Write the dataset as JSON lines: one header record, one record per pair.
-
-    Record fields: ``index, v_feat, t_feat, m, class, t_class, split``.
-    The write is atomic (temp file then rename).
-    """
-    header = {
-        "kind": _FORMAT_KIND,
-        "version": _FORMAT_VERSION,
+def dataset_header(ds: PairDataset) -> dict:
+    """The sizes and generator settings of ``ds``, as its file header and
+    run payloads record them."""
+    return {
         "n": len(ds),
         "d_in_v": int(ds.v_feats.shape[1]),
         "d_in_t": int(ds.t_feats.shape[1]),
@@ -206,6 +206,15 @@ def save_dataset(ds: PairDataset, path: str) -> None:
         "seed": int(ds.seed),
         "latent_dim": int(ds.latent_dim),
     }
+
+
+def save_dataset(ds: PairDataset, path: str) -> None:
+    """Write the dataset as JSON lines: one header record, one record per pair.
+
+    Record fields: ``index, v_feat, t_feat, m, class, t_class, split``.
+    The write is atomic (temp file then rename).
+    """
+    header = {"kind": _FORMAT_KIND, "version": _FORMAT_VERSION, **dataset_header(ds)}
     with atomic_write(path) as handle:
         handle.write(json.dumps(header) + "\n")
         for i in range(len(ds)):
@@ -260,10 +269,11 @@ def _features(record: dict, key: str, width: int, where: str) -> np.ndarray:
 def load_dataset(path: str) -> PairDataset:
     """Read a dataset written by :func:`save_dataset`.
 
-    The file is checked as it is read: one record per index ``0 .. n-1``
-    with the header's feature widths, finite features, ``m`` in {0, 1}, a
-    known split code and nonnegative integer class labels. Any departure
-    raises ``ValueError`` naming the line.
+    The file is checked as it is read: header values within the bounds that
+    :func:`generate` and :func:`corrupt` set, one record per index
+    ``0 .. n-1`` with the header's feature widths, finite features, ``m`` in
+    {0, 1}, a known split code and nonnegative integer class labels. Any
+    departure raises ``ValueError`` naming the line.
     """
     with open(path) as handle:
         where = f"{path}: line 1"
@@ -273,10 +283,10 @@ def load_dataset(path: str) -> PairDataset:
         if header.get("version") != _FORMAT_VERSION:
             raise ValueError(f"{path}: unsupported format version "
                              f"{header.get('version')}")
-        n, d_v, d_t = (_integer(header, key, where) for key in ("n", "d_in_v", "d_in_t"))
-        if n < 0 or d_v < 1 or d_t < 1:
-            raise ValueError(f"{where}: bad sizes n={n}, d_in_v={d_v}, d_in_t={d_t}")
-        meta = {key: _field(header, key, where)
+        for key, rule in _HEADER_RULES.items():
+            require(f"{where}: {key!r}", _field(header, key, where), rule)
+        n, d_v, d_t = header["n"], header["d_in_v"], header["d_in_t"]
+        meta = {key: header[key]
                 for key in ("mrate", "seed", "noise", "classes", "latent_dim")}
         v_feats = np.empty((n, d_v))
         t_feats = np.empty((n, d_t))

@@ -27,8 +27,8 @@ import numpy as np
 
 from . import costs as costs_mod
 from . import encoder as enc
-from .data import (RECALL_CUTOFFS, PairDataset, atomic_write, identification_score,
-                   recall_at_k)
+from .data import (RECALL_CUTOFFS, PairDataset, atomic_write, dataset_header,
+                   identification_score, recall_at_k)
 from .losses import (
     _VARIANTS,
     per_pair_triplet_losses,
@@ -44,19 +44,19 @@ __all__ = ["TrainConfig", "RunState", "init_state", "warmup", "per_sample_losses
            "train_epoch", "evaluate", "run_experiment",
            "save_state", "load_state", "random_ranking_rsum"]
 
-_STATE_VERSION = 2
+_STATE_VERSION = 3
 
 
 class _Mode(NamedTuple):
-    warmup: bool    # the first warmup_epochs train the warm-up objective
+    # an identifying mode first trains warmup_epochs on the warm-up objective
     identify: bool  # split rows by mismatch posterior, train on the matched ones
     rematch: bool   # sampled steps: cost-map update plus the rematch term
 
 
 _MODES = {
-    "rematch": _Mode(warmup=True, identify=True, rematch=True),
-    "naive": _Mode(warmup=False, identify=False, rematch=False),
-    "discard": _Mode(warmup=True, identify=True, rematch=False),
+    "rematch": _Mode(identify=True, rematch=True),
+    "naive": _Mode(identify=False, rematch=False),
+    "discard": _Mode(identify=True, rematch=False),
 }
 
 _ADAM_BETA1 = 0.9
@@ -87,7 +87,7 @@ class TrainConfig:
     alpha: float = real(0.2, "[0, inf)")          # triplet margin
     tau: float = real(0.05, "(0, inf)")           # softmax temperature
     eps: float = real(1e-7, "(0, 0.5)")           # reversed cross-entropy label bound
-    rho: float = real(0.1, "[0, 1]")              # transported mass budget
+    rho: float = real(0.1, "[0, 1]")              # transported mass budget; 1 is full OT
     lam: float = _solver_setting("lam", 0.01)     # entropic regularization
     reserve_ratio: float = real(0.5, "(0, 1]")    # kept-match fraction, rebuilt batches
     threshold: float = real(0.5, "[0, 1]")        # mismatch posterior split point
@@ -99,14 +99,11 @@ class TrainConfig:
     mode: str = choice("rematch", _MODES)
     cost_mode: str = choice("learned", ("learned", "cosine"))  # cosine: 1 - s
     mask_positives: bool = switch(True)
-    partial: bool = switch(True)                  # False moves the full mass budget
     rematch_variant: str = choice("sym_kl", _VARIANTS)
     em_iters: int = count(30, least=1)
-    em_tol: float = real(1e-6, "(0, inf)")
     ot_tol: float = _solver_setting("tol", 1e-6)
     ot_max_iter: int = _solver_setting("max_iter", 3000)
     val_frac: float = real(0.1, "(0, 1)")
-    cost_bound: float = real(50.0, "(0, inf)")
     optimizer: str = choice("sgd", ("sgd", "adam"))  # adam evens the term scales
 
     def __post_init__(self):
@@ -277,8 +274,7 @@ def _identify(state: RunState, ds: PairDataset, cfg: TrainConfig,
     """Fit the loss mixture and split training rows by mismatch posterior;
     the matched and mismatched positions in ``train_idx``, and the fit."""
     losses = per_sample_losses(state, ds, cfg, train_idx)
-    bmm = fit_bmm(losses, em_iters=cfg.em_iters, tol=cfg.em_tol,
-                  rng_seed=cfg.seed)
+    bmm = fit_bmm(losses, em_iters=cfg.em_iters, rng_seed=cfg.seed)
     matched_pos, mismatched_pos = partition(mismatch_probabilities(bmm, losses),
                                             cfg.threshold)
     return matched_pos, mismatched_pos, bmm
@@ -335,8 +331,7 @@ def refine_batch(state: RunState, s_mis: np.ndarray, cfg: TrainConfig):
     n = s_mis.shape[0]
     mask = _transport_mask(n, cfg)
     marginal = np.full(n, 1.0 / n)
-    rho = cfg.rho if cfg.partial else 1.0
-    plan = partial_ot(_cost(state, cfg, s_mis), marginal, marginal, mask, rho=rho,
+    plan = partial_ot(_cost(state, cfg, s_mis), marginal, marginal, mask, rho=cfg.rho,
                       cfg=cfg.solver)
     refined_v2t, refined_t2v = normalize_plan(plan.plan, mask=mask)
     return refined_v2t, refined_t2v, plan
@@ -349,8 +344,7 @@ def _cost_update(state: RunState, ds: PairDataset, cfg: TrainConfig,
         ds.v_feats[matched_batch], ds.v_feats[mismatched_idx], cfg.reserve_ratio,
         state.rng)
     sims, _ = enc.similarity(state.params, v_feats, ds.t_feats[matched_batch])
-    return costs_mod.cost_net_step(state.theta, sims, pi_sup, cfg.lr_cost,
-                                   cfg.cost_bound)
+    return costs_mod.cost_net_step(state.theta, sims, pi_sup, cfg.lr_cost)
 
 
 def _rematch_steps(state: RunState, ds: PairDataset, cfg: TrainConfig,
@@ -475,7 +469,7 @@ def run_experiment(cfg: TrainConfig, ds: PairDataset,
         raise ValueError("splits too small; need at least 10 rows in each")
     state = init_state(cfg, ds)
 
-    warm_epochs = cfg.warmup_epochs if _MODES[cfg.mode].warmup else 0
+    warm_epochs = cfg.warmup_epochs if _MODES[cfg.mode].identify else 0
     for _ in range(cfg.total_epochs):
         record = _epoch(state, ds, cfg, train_idx, warm=state.epoch < warm_epochs)
         record["val"] = evaluate(state.params, ds, val_idx)
@@ -487,12 +481,7 @@ def run_experiment(cfg: TrainConfig, ds: PairDataset,
         "schema": "run-metrics/1",
         "mode": cfg.mode,
         "config": asdict(cfg),
-        "dataset": {
-            "n": len(ds), "classes": int(ds.classes), "noise": float(ds.noise),
-            "mrate": float(ds.mrate), "seed": int(ds.seed),
-            "d_in_v": int(ds.v_feats.shape[1]), "d_in_t": int(ds.t_feats.shape[1]),
-            "latent_dim": int(ds.latent_dim),
-        },
+        "dataset": dataset_header(ds),
         "splits": {"train": int(train_idx.size), "val": int(val_idx.size),
                    "test": int(test_idx.size)},
         "epochs": state.history,

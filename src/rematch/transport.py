@@ -108,11 +108,11 @@ def marginal_violation(plan: np.ndarray, p: np.ndarray, q: np.ndarray) -> float:
     return _marginal_fit(plan, p, q).worst
 
 
-def _check_feasible(mask: np.ndarray, p: np.ndarray, q: np.ndarray, tol: float):
+def _check_feasible(mask: np.ndarray, p: np.ndarray, q: np.ndarray):
     """Every positive-mass row/column needs an open cell in a positive-mass column/row."""
     usable = mask & (p > 0)[:, None] & (q > 0)[None, :]
     for name, axis, mass in (("rows", 1, p), ("columns", 0, q)):
-        dead = (~usable.any(axis=axis)) & (mass > tol)
+        dead = (~usable.any(axis=axis)) & (mass > 0)
         if dead.any():
             raise InfeasibleProblemError(
                 f"{name} {np.flatnonzero(dead).tolist()} carry mass but have no "
@@ -317,7 +317,7 @@ def _solve(cost, p, q, mask, cfg: SinkhornConfig):
     toward ``cfg.max_iter`` and is followed by a convergence check.
     """
     log_kernel = np.where(mask, -cost / cfg.lam, -np.inf)
-    _check_feasible(mask, p, q, cfg.tol)
+    _check_feasible(mask, p, q)
     with np.errstate(divide="ignore"):
         log_p = np.log(p)
         log_q = np.log(q)

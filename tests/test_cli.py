@@ -2,6 +2,7 @@
 reproducibility of the file outputs."""
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -15,7 +16,7 @@ import pytest
 import rematch
 import rematch.encoder as enc
 import rematch.pipeline as pl
-from rematch.cli import build_parser, main
+from rematch.cli import _TRAIN_FLAG_HELP, ABLATION_ARMS, build_parser, main
 
 FAST = ["--warmup-epochs", "1", "--train-epochs", "1", "--lr-decay-epoch", "2",
         "--batch-size", "32"]
@@ -140,7 +141,7 @@ class TestPinnedOutputs:
                 digest.update(key.encode())
                 digest.update(archive[key].tobytes())
         assert digest.hexdigest() == (
-            "bb8012b74809c0f981abcf7f7aec6276a8be2a530b3856bca4892571b1c1b162")
+            "950180407d197d731e9566ce1ffa0655e929b22b830df59baa85c59d2ddad6e3")
 
     def test_oracle_check_stdout(self, capsys):
         assert main(["oracle-check", "--instances", "30", "--size", "4"]) == 0
@@ -152,7 +153,7 @@ class TestAblate:
     @pytest.mark.parametrize("arm,field,value", [
         ("no-cost", "cost_mode", "cosine"),
         ("no-mask", "mask_positives", False),
-        ("no-partial", "partial", False),
+        ("no-partial", "rho", 1.0),
         ("kl", "rematch_variant", "kl"),
         ("infonce", "rematch_variant", "ce"),
     ])
@@ -164,6 +165,14 @@ class TestAblate:
         payload = json.loads(captured.out)
         assert payload["ablation"] == arm
         assert payload["config"][field] == value
+
+    def test_arm_wins_over_a_flag(self, tmp_path, capsys):
+        data = make_dataset(tmp_path, capsys)
+        code = main(["ablate", "--arm", "no-partial", "--rho", "0.3",
+                     "--data", str(data), *FAST])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert json.loads(captured.out)["config"]["rho"] == 1.0
 
 
 class TestOracleCheck:
@@ -343,6 +352,13 @@ class TestSettingChecks:
         for command, table in recorded.items():
             actions = commands[command]._actions
             assert [flag_row(action) for action in actions] == table
+
+    def test_every_setting_is_reachable(self):
+        # a TrainConfig field that no flag and no ablation arm sets is a
+        # constant in disguise
+        arms = {name for arm in ABLATION_ARMS.values() for name in arm}
+        settings = {setting.name for setting in dataclasses.fields(pl.TrainConfig)}
+        assert settings - _TRAIN_FLAG_HELP.keys() - arms == set()
 
     @pytest.mark.parametrize("flags,name", [
         (["--noise", "nan"], "noise"),

@@ -359,11 +359,17 @@ class TestInputBoundaries:
         with pytest.raises(ValueError, match="unsupported format version 2"):
             load_dataset(str(path))
 
-    @pytest.mark.parametrize("changes", [dict(n=-1), dict(d_in_v=0), dict(d_in_t=0)])
+    @pytest.mark.parametrize("changes", [
+        dict(n=-1), dict(d_in_v=0), dict(d_in_t=0),
+        dict(mrate="abc"), dict(noise=-3), dict(classes=None),
+    ])
     def test_bad_header_sizes_rejected(self, tmp_path, changes):
+        # a header value out of its generator's bounds, e.g. "classes": null,
+        # used to load and fail later in training with a TypeError
+        (key, _), = changes.items()
         path, lines = TestSerialization.saved_lines(tmp_path)
         path.write_text("\n".join(TestSerialization.edit_record(lines, 0, **changes)) + "\n")
-        with pytest.raises(ValueError, match="line 1: bad sizes"):
+        with pytest.raises(ValueError, match=f"line 1: '{key}' must be"):
             load_dataset(str(path))
 
     def test_recall_needs_a_square_similarity(self):

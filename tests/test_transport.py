@@ -678,6 +678,15 @@ class TestInputBoundaries:
                            match=r"^rows \[0\] .* both carry mass"):
             sinkhorn(np.zeros((2, 2)), [0.5, 0.5], [1.0, 0.0], [[0, 1], [1, 1]], self.CFG)
 
+    @pytest.mark.parametrize("p,q,mask,needle", [
+        ([1e-12, 1 - 1e-12], [0.5, 0.5], [[0, 0], [1, 1]], r"^rows \[0\]"),
+        ([0.5, 0.5], [1e-12, 1 - 1e-12], [[0, 1], [0, 1]], r"^columns \[0\]"),
+    ], ids=["row", "column"])
+    def test_dead_slice_with_mass_below_tol_is_infeasible(self, p, q, mask, needle):
+        # the slice's mass is below the solver tolerance, yet no plan can carry it
+        with pytest.raises(InfeasibleProblemError, match=needle):
+            sinkhorn(np.zeros((2, 2)), p, q, mask, SinkhornConfig(lam=0.1, tol=1e-9))
+
     @pytest.mark.parametrize("cost,update", [
         ([[1e300, 1e300], [0.0, 0.0]], "a-update"),
         ([[0.0, 1e300], [0.0, 1e300]], "b-update"),
