@@ -24,7 +24,7 @@ ds = make_benchmark(n=500, classes=10, noise=0.1, mrate=0.4, rng_seed=0)
 cfg = TrainConfig(seed=0, warmup_epochs=10)
 train_idx, _, _ = split_indices(cfg, ds)
 state = init_state(cfg, ds)
-warmup(state, ds, cfg, train_idx)
+warmup(state, ds, cfg)
 
 flags = ds.matched[train_idx]
 clean = train_idx[flags == 1]

@@ -114,28 +114,21 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _run_training(args, arm=None) -> int:
+def _cmd_train(args) -> int:
+    """``train``, and ``ablate`` with its arm's settings winning over a flag."""
     flags = {name: getattr(args, name) for name in _TRAIN_FLAG_HELP}
-    cfg = TrainConfig(**{**flags, **(arm or {})})  # the arm wins over a flag
+    cfg = TrainConfig(**{**flags, **ABLATION_ARMS.get(args.arm, {})})
     ds = load_dataset(args.data)
     _note(f"training mode={cfg.mode} on {args.data} "
           f"({cfg.warmup_epochs}+{cfg.train_epochs} epochs)")
     payload, state = run_experiment(cfg, ds, return_state=True)
-    if arm:
+    if args.arm:
         payload["ablation"] = args.arm
     _emit(payload, args.out)
     if args.state_out:
         save_state(state, cfg, _resolve_out(args.state_out))
         _note(f"checkpoint written to {args.state_out}")
     return 0
-
-
-def _cmd_train(args) -> int:
-    return _run_training(args)
-
-
-def _cmd_ablate(args) -> int:
-    return _run_training(args, ABLATION_ARMS[args.arm])
 
 
 def _cmd_eval(args) -> int:
@@ -220,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--out", default=None,
                        help="metrics JSON file (stdout when omitted)")
     _add_train_flags(train)
-    train.set_defaults(func=_cmd_train)
+    train.set_defaults(func=_cmd_train, arm=None)
 
     ablate = sub.add_parser("ablate", help="train with one component toggled")
     ablate.add_argument("--arm", choices=sorted(ABLATION_ARMS), required=True,
@@ -232,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     ablate.add_argument("--out", default=None,
                         help="metrics JSON file (stdout when omitted)")
     _add_train_flags(ablate)
-    ablate.set_defaults(func=_cmd_ablate)
+    ablate.set_defaults(func=_cmd_train)
 
     ev = sub.add_parser("eval", help="evaluate a checkpoint on the test split")
     ev.add_argument("--data", required=True, help="dataset file from gen")

@@ -270,10 +270,11 @@ def load_dataset(path: str) -> PairDataset:
     """Read a dataset written by :func:`save_dataset`.
 
     The file is checked as it is read: header values within the bounds that
-    :func:`generate` and :func:`corrupt` set, one record per index
-    ``0 .. n-1`` with the header's feature widths, finite features, ``m`` in
-    {0, 1}, a known split code and nonnegative integer class labels. Any
-    departure raises ``ValueError`` naming the line.
+    :func:`generate` and :func:`corrupt` set (``n`` at least ``classes``),
+    one record per index ``0 .. n-1`` with the header's feature widths,
+    finite features, a known split code, nonnegative integer class labels,
+    and ``m`` 1 exactly where ``class`` equals ``t_class``. Any departure
+    raises ``ValueError`` naming the line.
     """
     with open(path) as handle:
         where = f"{path}: line 1"
@@ -285,6 +286,7 @@ def load_dataset(path: str) -> PairDataset:
                              f"{header.get('version')}")
         for key, rule in _HEADER_RULES.items():
             require(f"{where}: {key!r}", _field(header, key, where), rule)
+        require(f"{where}: 'n'", header["n"], header["classes"])
         n, d_v, d_t = header["n"], header["d_in_v"], header["d_in_t"]
         meta = {key: header[key]
                 for key in ("mrate", "seed", "noise", "classes", "latent_dim")}
@@ -319,6 +321,9 @@ def load_dataset(path: str) -> PairDataset:
                 if not 0 <= label < 2**63:
                     raise ValueError(f"{where}: {key!r} label {label} out of range")
                 labels[i] = label
+            if m != (v_class[i] == t_class[i]):
+                raise ValueError(f"{where}: 'm' must be {1 - m} for 'class' "
+                                 f"{v_class[i]} and 't_class' {t_class[i]}, got {m}")
     if not seen.all():
         raise ValueError(f"{path}: {int(seen.sum())} records for n={n} pairs "
                          f"(truncated file?)")

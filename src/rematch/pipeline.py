@@ -186,12 +186,15 @@ def _apply_update(state: RunState, cfg: TrainConfig, grad_w_v, grad_w_t,
 
 
 def split_indices(cfg: TrainConfig, ds: PairDataset):
-    """Carve validation rows out of the corrupted pool, deterministically."""
+    """Carve validation rows out of the corrupted pool, deterministically;
+    a split of fewer than 10 rows, too few to score, raises ``ValueError``."""
     pool = ds.pool_indices
     val_rng = np.random.default_rng((cfg.seed, 0x5A11))
     n_val = int(round(cfg.val_frac * pool.size))
     val = np.sort(val_rng.choice(pool, size=n_val, replace=False))
     train = np.setdiff1d(pool, val)
+    if min(train.size, val.size, ds.test_indices.size) < 10:
+        raise ValueError("splits too small; need at least 10 rows in each")
     return train, val, ds.test_indices
 
 
@@ -244,11 +247,16 @@ def _fit(state: RunState, ds: PairDataset, cfg: TrainConfig,
     return total / max(len(batches), 1)
 
 
-def warmup(state: RunState, ds: PairDataset, cfg: TrainConfig,
-           train_idx: np.ndarray) -> RunState:
-    """Full-data epochs on the InfoNCE + reversed-cross-entropy objective."""
-    for _ in range(cfg.warmup_epochs):
-        _epoch(state, ds, cfg, train_idx, warm=True)
+def _warm_epochs(cfg: TrainConfig) -> int:
+    """Leading epochs on the warm-up objective: those of an identifying mode."""
+    return cfg.warmup_epochs if _MODES[cfg.mode].identify else 0
+
+
+def warmup(state: RunState, ds: PairDataset, cfg: TrainConfig) -> RunState:
+    """The warm-up epochs the run has left (InfoNCE + reversed cross-entropy
+    on all training rows), as the full run trains them; naive has none."""
+    while state.epoch < _warm_epochs(cfg):
+        train_epoch(state, ds, cfg)
     return state
 
 
@@ -388,9 +396,12 @@ def _rematch_steps(state: RunState, ds: PairDataset, cfg: TrainConfig,
 
 
 def _epoch(state: RunState, ds: PairDataset, cfg: TrainConfig,
-           train_idx: np.ndarray, warm: bool = False) -> dict:
-    """One epoch of ``cfg.mode`` (or of warm-up); appends and returns its record."""
+           train_idx: np.ndarray, val_idx: np.ndarray) -> dict:
+    """The run's next epoch, warm-up or ``cfg.mode`` by ``state.epoch``. It is
+    validated and, from the last warm-up epoch on, kept if it is the best so
+    far; appends and returns its record."""
     mode = _MODES[cfg.mode]
+    warm = state.epoch < _warm_epochs(cfg)
     epoch_number = state.epoch + 1
     lr = current_lr(cfg, epoch_number)
     record = {"epoch": epoch_number, "phase": "warmup" if warm else "train", "lr": lr}
@@ -420,15 +431,20 @@ def _epoch(state: RunState, ds: PairDataset, cfg: TrainConfig,
         loss = _fit(state, ds, cfg, rows,
                     lambda s: triplet_loss_batch(s, cfg.alpha), lr)
     record["train_loss"] = loss
+    record["val"] = evaluate(state.params, ds, val_idx)
     state.epoch = epoch_number
     state.history.append(record)
+    if epoch_number >= _warm_epochs(cfg) and record["val"]["rsum"] > state.best_rsum:
+        state.best_rsum, state.best_epoch = record["val"]["rsum"], epoch_number
+        state.best_params = state.params.copy()
     return record
 
 
-def train_epoch(state: RunState, ds: PairDataset, cfg: TrainConfig,
-                train_idx: np.ndarray) -> RunState:
-    """One post-warm-up epoch of ``cfg.mode``, exactly as the full run trains it."""
-    _epoch(state, ds, cfg, train_idx)
+def train_epoch(state: RunState, ds: PairDataset, cfg: TrainConfig) -> RunState:
+    """The run's next epoch, warm-up or ``cfg.mode``, exactly as the full run
+    trains and validates it."""
+    train_idx, val_idx, _ = split_indices(cfg, ds)
+    _epoch(state, ds, cfg, train_idx, val_idx)
     return state
 
 
@@ -442,13 +458,6 @@ def evaluate(params: enc.EncoderParams, ds: PairDataset,
 def random_ranking_rsum(n: int) -> float:
     """Expected recall sum of a uniformly random ranking."""
     return float(sum(2 * 100.0 * k / n for k in RECALL_CUTOFFS))
-
-
-def _track_best(state: RunState, val_metrics: dict):
-    if val_metrics["rsum"] > state.best_rsum:
-        state.best_rsum = val_metrics["rsum"]
-        state.best_epoch = state.epoch
-        state.best_params = state.params.copy()
 
 
 def run_experiment(cfg: TrainConfig, ds: PairDataset,
@@ -465,18 +474,9 @@ def run_experiment(cfg: TrainConfig, ds: PairDataset,
     """
     started = time.time()
     train_idx, val_idx, test_idx = split_indices(cfg, ds)
-    if min(train_idx.size, val_idx.size, test_idx.size) < 10:
-        raise ValueError("splits too small; need at least 10 rows in each")
     state = init_state(cfg, ds)
-
-    warm_epochs = cfg.warmup_epochs if _MODES[cfg.mode].identify else 0
-    for _ in range(cfg.total_epochs):
-        record = _epoch(state, ds, cfg, train_idx, warm=state.epoch < warm_epochs)
-        record["val"] = evaluate(state.params, ds, val_idx)
-        if state.epoch >= warm_epochs:
-            _track_best(state, record["val"])
-
-    best_params = state.best_params if state.best_params is not None else state.params
+    while state.epoch < cfg.total_epochs:
+        _epoch(state, ds, cfg, train_idx, val_idx)
     payload = {
         "schema": "run-metrics/1",
         "mode": cfg.mode,
@@ -486,7 +486,7 @@ def run_experiment(cfg: TrainConfig, ds: PairDataset,
                    "test": int(test_idx.size)},
         "epochs": state.history,
         "best": {"epoch": state.best_epoch, "val_rsum": state.best_rsum},
-        "test": evaluate(best_params, ds, test_idx),
+        "test": evaluate(state.best_params, ds, test_idx),
         "random_baseline_rsum": random_ranking_rsum(test_idx.size),
         "cost_clip_events": state.clip_events,
         "timing": {"seconds": time.time() - started},
@@ -528,9 +528,10 @@ def save_state(state: RunState, cfg: TrainConfig, path: str) -> None:
 def load_state(path: str):
     """Restore a checkpoint saved by :func:`save_state`.
 
-    Returns ``(state, config)``; resuming training from the restored state
-    reproduces the original run exactly. A checkpoint of another version,
-    with a missing entry, or with a config that does not name exactly the
+    Returns ``(state, config)``; stepping the restored state with
+    :func:`train_epoch` until ``config.total_epochs`` ends exactly where the
+    uninterrupted run does. A checkpoint of another version, with a missing
+    entry, or with a config that does not name exactly the
     :class:`TrainConfig` fields raises ``ValueError``, and so does a file
     that is not a zip archive or whose entries cannot be read.
     """

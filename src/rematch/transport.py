@@ -507,14 +507,12 @@ def normalize_plan(plan, mask=None):
 
 def _row_stochastic(work: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """:func:`normalize_plan`'s row form of a checked plan."""
-    support = mask.astype(np.float64)
     sums = work.sum(axis=1)
-    length = work.shape[1]
-    low = sums <= _PLAN_FLOOR * length
-    counts = support.sum(axis=1)
-    if np.any(low & (counts == 0)):
-        raise ValueError("cannot fall back to uniform: a slice has no unmasked cells")
-    safe = np.where(low, 1.0, sums)
-    out = work / safe[:, None]
-    fallback = support / np.where(counts == 0, 1.0, counts)[:, None]
-    return np.where(low[:, None], fallback, out)
+    low = sums <= _PLAN_FLOOR * work.shape[1]
+    out = work / np.where(low, 1.0, sums)[:, None]
+    if low.any():
+        counts = mask[low].sum(axis=1)
+        if np.any(counts == 0):
+            raise ValueError("cannot fall back to uniform: a slice has no unmasked cells")
+        out[low] = mask[low] / counts[:, None]
+    return out

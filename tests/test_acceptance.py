@@ -304,7 +304,7 @@ def test_criterion_6_identification_regression():
     cfg = TrainConfig(seed=0)  # library defaults throughout
     train_idx, _, _ = pl.split_indices(cfg, ds)
     state = pl.init_state(cfg, ds)
-    pl.warmup(state, ds, cfg, train_idx)
+    pl.warmup(state, ds, cfg)
     _, mismatched_pos, _ = pl._identify(state, ds, cfg, train_idx)
     score = identification_score(mismatched_pos, ds.matched[train_idx])
     frozen = 0.9198606271777003  # first measurement, kept as regression value

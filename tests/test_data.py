@@ -197,6 +197,9 @@ class TestSerialization:
         (dict(t_feat=[float("nan")] * 32), "'t_feat' has non-finite"),
         (dict(t_class=1.5), "'t_class' must be an integer"),
         ({"class": 2**70}, "'class' label 1180591620717411303424 out"),
+        # a flipped match flag would score identification against the wrong truth
+        ({"m": 0, "class": 1, "t_class": 1}, "'m' must be 1 for 'class' 1 and 't_class' 1"),
+        ({"m": 1, "class": 1, "t_class": 2}, "'m' must be 0 for 'class' 1 and 't_class' 2"),
     ])
     def test_malformed_record_rejected(self, tmp_path, changes, needle):
         path, lines = self.saved_lines(tmp_path)
@@ -362,6 +365,7 @@ class TestInputBoundaries:
     @pytest.mark.parametrize("changes", [
         dict(n=-1), dict(d_in_v=0), dict(d_in_t=0),
         dict(mrate="abc"), dict(noise=-3), dict(classes=None),
+        dict(n=4),  # fewer pairs than the header's 5 classes
     ])
     def test_bad_header_sizes_rejected(self, tmp_path, changes):
         # a header value out of its generator's bounds, e.g. "classes": null,

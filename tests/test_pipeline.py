@@ -156,18 +156,17 @@ class TestConfig:
 class TestWarmup:
     def test_zero_epochs_only_touch_the_counter(self, clean_ds):
         cfg = TrainConfig(seed=0, warmup_epochs=0)
-        train_idx, _, _ = split_indices(cfg, clean_ds)
         state = init_state(cfg, clean_ds)
         before_v = state.params.w_v.copy()
-        warmup(state, clean_ds, cfg, train_idx)
+        warmup(state, clean_ds, cfg)
         assert state.epoch == 0
         np.testing.assert_array_equal(state.params.w_v, before_v)
 
     def test_beats_random_ranking_on_clean_data(self, clean_ds):
         cfg = TrainConfig(seed=0, warmup_epochs=5)
-        train_idx, val_idx, _ = split_indices(cfg, clean_ds)
+        _, val_idx, _ = split_indices(cfg, clean_ds)
         state = init_state(cfg, clean_ds)
-        warmup(state, clean_ds, cfg, train_idx)
+        warmup(state, clean_ds, cfg)
         metrics = evaluate(state.params, clean_ds, val_idx)
         baseline = random_ranking_rsum(val_idx.size)
         assert metrics["r1_i2t"] > 100.0 / val_idx.size
@@ -190,8 +189,9 @@ class TestWarmup:
 
     def test_fixed_batch_loss_non_increasing(self, clean_ds):
         # evaluated on frozen batches so the trace reflects optimization,
-        # not epoch-to-epoch batch composition
-        cfg = TrainConfig(seed=0, warmup_epochs=1)
+        # not epoch-to-epoch batch composition; each of the six steps is a
+        # warm-up epoch
+        cfg = TrainConfig(seed=0, warmup_epochs=6)
         train_idx, _, _ = split_indices(cfg, clean_ds)
         state = init_state(cfg, clean_ds)
         batches = pl._batches(train_idx, cfg.batch_size, np.random.default_rng(123))
@@ -206,8 +206,9 @@ class TestWarmup:
 
         trace = [frozen_loss()]
         for _ in range(6):
-            warmup(state, clean_ds, cfg, train_idx)
+            train_epoch(state, clean_ds, cfg)
             trace.append(frozen_loss())
+        assert [record["phase"] for record in state.history] == ["warmup"] * 6
         assert all(later <= earlier + 1e-9
                    for earlier, later in zip(trace, trace[1:]))
 
@@ -217,7 +218,7 @@ class TestPerSampleLosses:
         cfg = TrainConfig(seed=0, warmup_epochs=2)
         train_idx, _, _ = split_indices(cfg, noisy_ds)
         state = init_state(cfg, noisy_ds)
-        warmup(state, noisy_ds, cfg, train_idx)
+        warmup(state, noisy_ds, cfg)
         first = per_sample_losses(state, noisy_ds, cfg, train_idx)
         second = per_sample_losses(state, noisy_ds, cfg, train_idx)
         np.testing.assert_array_equal(first, second)
@@ -226,7 +227,7 @@ class TestPerSampleLosses:
         cfg = TrainConfig(seed=0)
         train_idx, _, _ = split_indices(cfg, noisy_ds)
         state = init_state(cfg, noisy_ds)
-        warmup(state, noisy_ds, cfg, train_idx)
+        warmup(state, noisy_ds, cfg)
         losses = per_sample_losses(state, noisy_ds, cfg, train_idx)
         flags = noisy_ds.matched[train_idx]
         assert losses[flags == 0].mean() > losses[flags == 1].mean()
@@ -255,7 +256,7 @@ class TestIdentification:
         cfg = TrainConfig(seed=0)
         train_idx, _, _ = split_indices(cfg, noisy_ds)
         state = init_state(cfg, noisy_ds)
-        warmup(state, noisy_ds, cfg, train_idx)
+        warmup(state, noisy_ds, cfg)
         _, mismatched_pos, _ = pl._identify(state, noisy_ds, cfg, train_idx)
         score = identification_score(mismatched_pos, noisy_ds.matched[train_idx])
         assert score["f1"] >= 0.8
@@ -271,7 +272,7 @@ class TestTrainEpoch:
         cfg = TrainConfig(seed=0, warmup_epochs=0, batch_size=24)
         train_idx, _, _ = split_indices(cfg, ds)
         state = init_state(cfg, ds)
-        train_epoch(state, ds, cfg, train_idx)
+        train_epoch(state, ds, cfg)
         record = state.history[-1]
         assert record["partition"]["mismatched"] == 0
         assert record["partition"]["matched"] == train_idx.size
@@ -279,10 +280,9 @@ class TestTrainEpoch:
 
     def test_epoch_records_required_blocks(self, noisy_ds):
         cfg = TrainConfig(seed=0, warmup_epochs=2, batch_size=64)
-        train_idx, _, _ = split_indices(cfg, noisy_ds)
         state = init_state(cfg, noisy_ds)
-        warmup(state, noisy_ds, cfg, train_idx)
-        train_epoch(state, noisy_ds, cfg, train_idx)
+        warmup(state, noisy_ds, cfg)
+        train_epoch(state, noisy_ds, cfg)
         record = state.history[-1]
         for key in ("bmm", "partition", "identification", "cost_gap",
                     "cost_params", "transport"):
@@ -298,11 +298,10 @@ class TestTrainEpoch:
         # initial values even though the encoder also moved
         cfg = TrainConfig(seed=0, warmup_epochs=2, batch_size=64,
                           lr_cost=1e-3)
-        train_idx, _, _ = split_indices(cfg, noisy_ds)
         state = init_state(cfg, noisy_ds)
-        warmup(state, noisy_ds, cfg, train_idx)
+        warmup(state, noisy_ds, cfg)
         theta_before = state.theta
-        train_epoch(state, noisy_ds, cfg, train_idx)
+        train_epoch(state, noisy_ds, cfg)
         assert state.theta != theta_before
 
     @given(n=st.integers(2, 40), data=st.data(),
@@ -457,36 +456,61 @@ class TestRunExperiment:
     @pytest.mark.parametrize("mode", ["rematch", "naive", "discard"])
     def test_public_epochs_retrace_the_run(self, determinism_ds, mode):
         cfg = TrainConfig(mode=mode, **DETERMINISM)
-        _, run = run_experiment(cfg, determinism_ds, return_state=True)
-        train_idx, _, _ = split_indices(cfg, determinism_ds)
+        payload, run = run_experiment(cfg, determinism_ds, return_state=True)
         state = init_state(cfg, determinism_ds)
-        if mode != "naive":  # naive trains its warm-up epochs on the triplet loss
-            warmup(state, determinism_ds, cfg, train_idx)
+        warmup(state, determinism_ds, cfg)  # naive has no warm-up epochs
         while state.epoch < cfg.total_epochs:
-            train_epoch(state, determinism_ds, cfg, train_idx)
-        np.testing.assert_array_equal(state.params.w_v, run.params.w_v)
-        np.testing.assert_array_equal(state.params.w_t, run.params.w_t)
-        assert state.theta == run.theta
+            train_epoch(state, determinism_ds, cfg)
+        assert state.history == payload["epochs"]
+        assert (state.best_epoch, state.best_rsum) == (payload["best"]["epoch"],
+                                                       payload["best"]["val_rsum"])
+        assert_same_run(state, run)
+
+    @pytest.mark.parametrize("mode", ["rematch", "naive", "discard"])
+    @pytest.mark.parametrize("rewarm", [False, True], ids=["train_epoch", "warmup"])
+    def test_resume_after_the_first_epoch_reproduces_the_run(
+            self, tmp_path, determinism_ds, mode, rewarm):
+        # epoch 1 is the first warm-up epoch of rematch and discard; after the
+        # resume, warmup trains only the warm-up epochs the run has left
+        cfg = TrainConfig(mode=mode, **DETERMINISM)
+        _, run = run_experiment(cfg, determinism_ds, return_state=True)
+        stopped = init_state(cfg, determinism_ds)
+        train_epoch(stopped, determinism_ds, cfg)
+        path = tmp_path / "epoch1.npz"
+        save_state(stopped, cfg, str(path))
+        resumed, cfg_back = load_state(str(path))
+        if rewarm:
+            warmup(resumed, determinism_ds, cfg_back)
+        while resumed.epoch < cfg_back.total_epochs:
+            train_epoch(resumed, determinism_ds, cfg_back)
+        assert_same_run(resumed, run)
 
     @pytest.mark.parametrize("mode", ["rematch", "discard"])
     def test_warmup_records_carry_their_own_validation(self, determinism_ds,
                                                        mode):
         cfg = TrainConfig(mode=mode, **DETERMINISM)
         payload = run_experiment(cfg, determinism_ds)
-        train_idx, val_idx, _ = split_indices(cfg, determinism_ds)
+        _, val_idx, _ = split_indices(cfg, determinism_ds)
         state = init_state(cfg, determinism_ds)
-        one_epoch = dataclasses.replace(cfg, warmup_epochs=1)
         records = [r for r in payload["epochs"] if r["phase"] == "warmup"]
         assert len(records) == cfg.warmup_epochs
         for record in records:
-            warmup(state, determinism_ds, one_epoch, train_idx)
+            train_epoch(state, determinism_ds, cfg)
+            assert state.history[-1] == record
             assert record["val"] == evaluate(state.params, determinism_ds, val_idx)
         assert payload["best"]["epoch"] >= cfg.warmup_epochs
 
     def test_too_small_splits_rejected(self):
+        # 5 validation rows: a stepped epoch must fail before it trains, not
+        # at its validation with the weights already moved
         ds = make_benchmark(n=60, classes=3, noise=0.1, mrate=0.3, rng_seed=0)
+        cfg = TrainConfig(seed=0, **SMALL)
         with pytest.raises(ValueError, match="splits"):
-            run_experiment(TrainConfig(seed=0, **SMALL), ds)
+            run_experiment(cfg, ds)
+        state = init_state(cfg, ds)
+        with pytest.raises(ValueError, match="splits"):
+            train_epoch(state, ds, cfg)
+        np.testing.assert_array_equal(state.params.w_v, init_state(cfg, ds).params.w_v)
 
 
 class TestOptimizerStep:
@@ -509,33 +533,44 @@ class TestOptimizerStep:
             assert state.adam.step == 0
 
 
+def assert_same_run(state, run):
+    """Two run states with equal weights, cost map, RNG stream, optimizer
+    moments, records and best checkpoint."""
+    np.testing.assert_array_equal(state.params.w_v, run.params.w_v)
+    np.testing.assert_array_equal(state.params.w_t, run.params.w_t)
+    assert state.theta == run.theta
+    assert state.rng.bit_generator.state == run.rng.bit_generator.state
+    assert state.epoch == run.epoch
+    assert state.history == run.history
+    assert all("val" in record for record in state.history)
+    assert (state.best_epoch, state.best_rsum) == (run.best_epoch, run.best_rsum)
+    np.testing.assert_array_equal(state.best_params.w_v, run.best_params.w_v)
+    np.testing.assert_array_equal(state.best_params.w_t, run.best_params.w_t)
+    assert state.clip_events == run.clip_events
+    if run.adam is not None:
+        assert state.adam.step == run.adam.step
+        for moment in ("m_v", "v_v", "m_t", "v_t"):
+            np.testing.assert_array_equal(getattr(state.adam, moment),
+                                          getattr(run.adam, moment))
+
+
 def assert_resume_reproduces_training(tmp_path, ds, cfg):
     """Two epochs, a checkpoint, one resumed epoch: as three straight epochs."""
-    train_idx, _, _ = split_indices(cfg, ds)
-
     straight = init_state(cfg, ds)
-    warmup(straight, ds, cfg, train_idx)
+    warmup(straight, ds, cfg)
     for _ in range(3):
-        train_epoch(straight, ds, cfg, train_idx)
+        train_epoch(straight, ds, cfg)
 
     stopped = init_state(cfg, ds)
-    warmup(stopped, ds, cfg, train_idx)
+    warmup(stopped, ds, cfg)
     for _ in range(2):
-        train_epoch(stopped, ds, cfg, train_idx)
+        train_epoch(stopped, ds, cfg)
     path = tmp_path / "checkpoint.npz"
     save_state(stopped, cfg, str(path))
     resumed, cfg_back = load_state(str(path))
     assert cfg_back == cfg
-    train_epoch(resumed, ds, cfg_back, train_idx)
-
-    np.testing.assert_array_equal(straight.params.w_v, resumed.params.w_v)
-    np.testing.assert_array_equal(straight.params.w_t, resumed.params.w_t)
-    assert straight.theta == resumed.theta
-    assert straight.epoch == resumed.epoch
-    assert straight.history == resumed.history
-    assert (straight.best_rsum, straight.best_epoch) == (resumed.best_rsum,
-                                                          resumed.best_epoch)
-    assert straight.clip_events == resumed.clip_events
+    train_epoch(resumed, ds, cfg_back)
+    assert_same_run(resumed, straight)
 
 
 class TestCheckpointing:
@@ -558,9 +593,8 @@ class TestCheckpointing:
     def test_adam_state_round_trips(self, tmp_path, noisy_ds):
         cfg = TrainConfig(seed=2, optimizer="adam", warmup_epochs=1,
                           train_epochs=1, batch_size=32)
-        train_idx, _, _ = split_indices(cfg, noisy_ds)
         state = init_state(cfg, noisy_ds)
-        warmup(state, noisy_ds, cfg, train_idx)
+        warmup(state, noisy_ds, cfg)
         path = tmp_path / "adam.npz"
         save_state(state, cfg, str(path))
         back, _ = load_state(str(path))
