@@ -55,12 +55,12 @@ def _embed(feats: np.ndarray, weights: np.ndarray):
     return unit, raw, norms
 
 
-def similarity(params: EncoderParams, v_feats, t_feats):
+def similarity(params: EncoderParams, v_feats, t_feats, out=None):
     """Cosine similarity matrix of a feature batch, plus a backprop cache.
 
     Returns ``(s, cache)`` where ``s[i, j]`` compares visual row ``i`` with
-    text row ``j``. Zero-norm embeddings are floored (and effectively
-    produce zero similarity rows).
+    text row ``j``; ``s`` is written into ``out`` when one is given. Zero-norm
+    embeddings are floored (and effectively produce zero similarity rows).
     """
     v_feats = np.asarray(v_feats, dtype=np.float64)
     t_feats = np.asarray(t_feats, dtype=np.float64)
@@ -70,7 +70,7 @@ def similarity(params: EncoderParams, v_feats, t_feats):
         raise ValueError("text feature width does not match the projection")
     unit_v, raw_v, norm_v = _embed(v_feats, params.w_v)
     unit_t, raw_t, norm_t = _embed(t_feats, params.w_t)
-    s = unit_v @ unit_t.T
+    s = np.matmul(unit_v, unit_t.T, out=out)
     cache = (v_feats, t_feats, unit_v, unit_t, norm_v, norm_t)
     return s, cache
 

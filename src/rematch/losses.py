@@ -26,6 +26,24 @@ _KL_FLOOR = 1e-12
 _VARIANTS = ("sym_kl", "kl", "ce")  # divergences rematch_loss can score
 
 
+class _Workspace:
+    """Named ``(n, n)`` float64 matrices that outlive a training step.
+
+    Each name keeps one flat buffer as large as the largest ``n`` asked for
+    so far; the matrix is a C-contiguous view of its head, so reductions
+    over it sum in the order a fresh array would.
+    """
+
+    def __init__(self):
+        self._flat = {}
+
+    def __call__(self, name: str, n: int) -> np.ndarray:
+        flat = self._flat.get(name)
+        if flat is None or flat.size < n * n:
+            flat = self._flat[name] = np.empty(n * n)
+        return flat[:n * n].reshape(n, n)
+
+
 def _as_square(s) -> np.ndarray:
     s = np.asarray(s, dtype=np.float64)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
@@ -34,33 +52,45 @@ def _as_square(s) -> np.ndarray:
 
 
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    """Row softmax, in place over ``logits``."""
+    logits -= logits.max(axis=1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=1, keepdims=True)
+    return logits
 
 
-def _rows_backward(probs: np.ndarray, dloss_dprobs: np.ndarray, tau: float) -> np.ndarray:
-    """Chain a per-row gradient in probability space through the row softmax."""
-    inner = (dloss_dprobs * probs).sum(axis=1, keepdims=True)
-    return probs * (dloss_dprobs - inner) / tau
+def _rows_backward(probs: np.ndarray, dloss_dprobs: np.ndarray, tau: float,
+                   out: np.ndarray) -> np.ndarray:
+    """Chain a per-row gradient in probability space through the row softmax,
+    into ``out``; its layout sets the order in which the rows are summed."""
+    inner = np.multiply(dloss_dprobs, probs, out=out).sum(axis=1, keepdims=True)
+    np.subtract(dloss_dprobs, inner, out=out)
+    out *= probs
+    out /= tau
+    return out
 
 
-def matching_probs(s, tau: float):
+def matching_probs(s, tau: float, *, work=None):
     """Row- and column-normalized matching probabilities.
 
     Returns ``(p_v2t, p_t2v)``: rows of ``p_v2t`` sum to one (captions
     scored per image), columns of ``p_t2v`` sum to one (images scored per
-    caption). Computed with max-subtraction for stability.
+    caption). Computed with max-subtraction for stability. With a
+    workspace ``work`` both live in it until its next use.
     """
     s = _as_square(s)
     require("tau", tau, "(0, inf)")
-    logits = s / tau
-    p_v2t = _softmax_rows(logits)
-    p_t2v = _softmax_rows(logits.T).T
-    return p_v2t, p_t2v
+    work = _Workspace() if work is None else work
+    n = s.shape[0]
+    p_v2t = np.divide(s, tau, out=work("p_v2t", n))
+    p_t2v = work("p_t2v", n)
+    p_t2v[...] = p_v2t
+    # the column softmax runs over the transposed view, as the rows of logits.T
+    _softmax_rows(p_t2v.T)
+    return _softmax_rows(p_v2t), p_t2v
 
 
-def _hinge_terms(s, alpha: float):
+def _hinge_terms(s, alpha: float, work):
     """Both hinge arguments of every pair against its hardest in-batch negatives.
 
     Returns ``(term_row, term_col, j_star, h_star)``: ``term_row[i]`` is
@@ -73,29 +103,36 @@ def _hinge_terms(s, alpha: float):
     if n < 2:
         raise ValueError("need at least two pairs for in-batch negatives")
     require("alpha", alpha, "[0, inf)")
-    off = s.copy()
+    off = work("off", n)
+    off[...] = s
     np.fill_diagonal(off, -np.inf)
     j_star = off.argmax(axis=1)
-    h_star = off.argmax(axis=0)
+    off_t = work("off_t", n)  # argmax over columns would copy them to rows
+    off_t[...] = off.T
+    h_star = off_t.argmax(axis=1)
     diag = np.diag(s)
     index = np.arange(n)
     return (alpha - diag + off[index, j_star], alpha - diag + off[h_star, index],
             j_star, h_star)
 
 
-def per_pair_triplet_losses(s, alpha: float) -> np.ndarray:
+def per_pair_triplet_losses(s, alpha: float, *, work=None) -> np.ndarray:
     """Vector of hinge losses, one per diagonal pair."""
-    term_row, term_col, _, _ = _hinge_terms(s, alpha)
+    work = _Workspace() if work is None else work
+    term_row, term_col, _, _ = _hinge_terms(s, alpha, work)
     return np.maximum(term_row, 0.0) + np.maximum(term_col, 0.0)
 
 
-def triplet_loss_batch(s, alpha: float):
-    """Sum of per-pair hinge losses with its gradient."""
-    term_row, term_col, j_star, h_star = _hinge_terms(s, alpha)
+def triplet_loss_batch(s, alpha: float, *, work=None):
+    """Sum of per-pair hinge losses with its gradient; with a workspace
+    ``work`` the gradient lives in it until its next use."""
+    work = _Workspace() if work is None else work
+    term_row, term_col, j_star, h_star = _hinge_terms(s, alpha, work)
     value = np.maximum(term_row, 0.0).sum() + np.maximum(term_col, 0.0).sum()
     n = term_row.size
     # each update below names every cell at most once
-    grad = np.zeros((n, n))
+    grad = work("grad", n)
+    grad.fill(0.0)
     rows = np.flatnonzero(term_row > 0)
     cols = np.flatnonzero(term_col > 0)
     grad[rows, rows] -= 1.0
@@ -105,36 +142,40 @@ def triplet_loss_batch(s, alpha: float):
     return float(value), grad
 
 
-def _infonce(p_v2t, p_t2v, tau: float):
+def _infonce(p_v2t, p_t2v, tau: float, work):
     """:func:`infonce_loss` from the matching probabilities."""
     n = p_v2t.shape[0]
     diag_v2t = np.clip(np.diag(p_v2t), 1e-300, None)
     diag_t2v = np.clip(np.diag(p_t2v), 1e-300, None)
     value = float(-(np.log(diag_v2t) + np.log(diag_t2v)).mean())
-    eye = np.eye(n)
-    grad = ((p_v2t - eye) + (p_t2v - eye)) / (n * tau)
+    # (p_v2t - eye) + (p_t2v - eye): off the diagonal x - 0.0 is x exactly
+    grad = np.add(p_v2t, p_t2v, out=work("nce", n))
+    np.fill_diagonal(grad, (np.diag(p_v2t) - 1.0) + (np.diag(p_t2v) - 1.0))
+    grad /= n * tau
     return value, grad
 
 
 def infonce_loss(s, tau: float):
     """Mean cross-entropy against one-hot targets, both directions."""
-    return _infonce(*matching_probs(s, tau), tau)
+    work = _Workspace()
+    return _infonce(*matching_probs(s, tau, work=work), tau, work)
 
 
-def _bounded_onehot_logs(n: int, eps: float) -> np.ndarray:
-    logs = np.full((n, n), np.log(eps))
-    np.fill_diagonal(logs, np.log1p(-eps))
-    return logs
-
-
-def _rce(p_v2t, p_t2v, tau: float, eps: float):
+def _rce(p_v2t, p_t2v, tau: float, eps: float, work):
     """:func:`rce_loss` from the matching probabilities."""
     n = p_v2t.shape[0]
-    log_y = _bounded_onehot_logs(n, eps)
-    value = float(-((p_v2t * log_y).sum() + (p_t2v * log_y).sum()) / n)
-    grad_v2t = _rows_backward(p_v2t, -log_y, tau)
-    grad_t2v = _rows_backward(p_t2v.T, -log_y, tau).T
-    return value, (grad_v2t + grad_t2v) / n
+    log_y = work("log_y", n)  # the bounded one-hot labels' logarithms
+    log_y.fill(np.log(eps))
+    np.fill_diagonal(log_y, np.log1p(-eps))
+    grad = work("rce", n)
+    value = float(-(np.multiply(p_v2t, log_y, out=grad).sum()
+                    + np.multiply(p_t2v, log_y, out=grad).sum()) / n)
+    np.negative(log_y, out=log_y)
+    _rows_backward(p_v2t, log_y, tau, grad)
+    # the column product of -log_y (C) and p_t2v.T (F) is C-ordered
+    grad += _rows_backward(p_t2v.T, log_y, tau, work("rce_t2v", n)).T
+    grad /= n
+    return value, grad
 
 
 def rce_loss(s, tau: float, eps: float = 1e-7):
@@ -144,25 +185,32 @@ def rce_loss(s, tau: float, eps: float = 1e-7):
     logarithm stays finite; predictions are the matching probabilities.
     """
     require("eps", eps, "(0, 0.5)")
-    return _rce(*matching_probs(s, tau), tau, eps)
+    work = _Workspace()
+    return _rce(*matching_probs(s, tau, work=work), tau, eps, work)
 
 
-def warmup_loss(s, tau: float, eps: float = 1e-7, rce_weight: float = 1.0):
+def warmup_loss(s, tau: float, eps: float = 1e-7, rce_weight: float = 1.0, *,
+                work=None):
     """Overconfidence-resistant warm-up objective: InfoNCE + weighted RCE.
 
-    Both terms read one set of matching probabilities.
+    Both terms read one set of matching probabilities. With a workspace
+    ``work`` the gradient lives in it until its next use.
     """
-    probs = matching_probs(s, tau)
+    work = _Workspace() if work is None else work
+    probs = matching_probs(s, tau, work=work)
     require("eps", eps, "(0, 0.5)")
     require("rce_weight", rce_weight, "[0, inf)")
-    v1, g1 = _infonce(*probs, tau)
-    v2, g2 = _rce(*probs, tau, eps)
-    return v1 + rce_weight * v2, g1 + rce_weight * g2
+    v1, g1 = _infonce(*probs, tau, work)
+    v2, g2 = _rce(*probs, tau, eps, work)
+    g2 *= rce_weight
+    g1 += g2
+    return v1 + rce_weight * v2, g1
 
 
 def _floor_distribution(dist: np.ndarray) -> np.ndarray:
     floored = np.maximum(dist, _KL_FLOOR)
-    return floored / floored.sum(axis=-1, keepdims=True)
+    floored /= floored.sum(axis=-1, keepdims=True)
+    return floored
 
 
 def _kl_direction_terms(refined: np.ndarray, probs: np.ndarray, variant: str):
@@ -175,14 +223,18 @@ def _kl_direction_terms(refined: np.ndarray, probs: np.ndarray, variant: str):
     r = _floor_distribution(refined)
     p = _floor_distribution(probs)
     ratio = r / p
-    if variant == "ce":
-        return -(r * np.log(p)).sum(axis=1), -ratio
-    forward = (r * np.log(ratio)).sum(axis=1)
-    if variant == "kl":
-        return forward, -ratio
-    log_p_over_r = np.log(p / r)
-    backward = (p * log_p_over_r).sum(axis=1)
-    return 0.5 * (forward + backward), 0.5 * (-ratio + log_p_over_r + 1.0)
+    work = np.empty_like(ratio)  # laid out as a fresh product, so rows sum alike
+    np.log(p if variant == "ce" else ratio, out=work)
+    forward = np.multiply(r, work, out=work).sum(axis=1)  # "ce": minus the loss
+    if variant != "sym_kl":
+        return -forward if variant == "ce" else forward, np.negative(ratio, out=ratio)
+    log_p_over_r = np.log(np.divide(p, r, out=r), out=r)
+    backward = np.multiply(p, log_p_over_r, out=work).sum(axis=1)
+    np.negative(ratio, out=ratio)
+    ratio += log_p_over_r
+    ratio += 1.0
+    ratio *= 0.5
+    return 0.5 * (forward + backward), ratio
 
 
 def rematch_loss(refined_v2t, refined_t2v, s, tau: float, variant: str = "sym_kl"):
@@ -211,7 +263,9 @@ def rematch_loss(refined_v2t, refined_t2v, s, tau: float, variant: str = "sym_kl
     row_terms, d_rows = _kl_direction_terms(refined_v2t, p_v2t, variant)
     col_terms, d_cols = _kl_direction_terms(refined_t2v.T, p_t2v.T, variant)
     value = float(row_terms.mean() + col_terms.mean())
-    grad = (_rows_backward(p_v2t, d_rows, tau)
-            + _rows_backward(p_t2v.T, d_cols, tau).T) / n
+    # each product keeps its direction's layout: the column terms are F-ordered
+    grad = _rows_backward(p_v2t, d_rows, tau, np.empty_like(d_rows))
+    grad += _rows_backward(p_t2v.T, d_cols, tau, np.empty_like(d_cols)).T
+    grad /= n
     return value, grad
 

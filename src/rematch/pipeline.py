@@ -31,6 +31,7 @@ from .data import (RECALL_CUTOFFS, PairDataset, atomic_write, dataset_header,
                    identification_score, recall_at_k)
 from .losses import (
     _VARIANTS,
+    _Workspace,
     per_pair_triplet_losses,
     rematch_loss,
     triplet_loss_batch,
@@ -134,7 +135,8 @@ class AdamState:
 
 @dataclass
 class RunState:
-    """Everything the loop owns: parameters, counters, and the RNG stream."""
+    """Everything the loop owns: parameters, counters, the RNG stream, and
+    the workspace of the step's n x n matrices (never checkpointed)."""
 
     params: enc.EncoderParams
     theta: costs_mod.CostNetParams
@@ -146,6 +148,7 @@ class RunState:
     best_params: enc.EncoderParams | None = None
     clip_events: int = 0
     adam: AdamState | None = None
+    work: _Workspace = field(default_factory=_Workspace, repr=False, compare=False)
 
 
 def init_state(cfg: TrainConfig, ds: PairDataset) -> RunState:
@@ -229,7 +232,8 @@ def _step(state: RunState, ds: PairDataset, cfg: TrainConfig, terms,
     for batch, loss_fn in terms:
         if batch is None:
             continue
-        s, cache = enc.similarity(state.params, ds.v_feats[batch], ds.t_feats[batch])
+        s, cache = enc.similarity(state.params, ds.v_feats[batch], ds.t_feats[batch],
+                                  out=state.work("s", batch.size))
         term, grad_s = loss_fn(s)
         term_v, term_t = enc.similarity_backward(cache, grad_s)
         value += term
@@ -272,8 +276,9 @@ def per_sample_losses(state: RunState, ds: PairDataset, cfg: TrainConfig,
     losses = np.zeros(train_idx.size)
     for pos in _batches(np.arange(train_idx.size), cfg.batch_size, eval_rng):
         batch = train_idx[pos]
-        s, _ = enc.similarity(state.params, ds.v_feats[batch], ds.t_feats[batch])
-        losses[pos] = per_pair_triplet_losses(s, cfg.alpha)
+        s, _ = enc.similarity(state.params, ds.v_feats[batch], ds.t_feats[batch],
+                              out=state.work("s", batch.size))
+        losses[pos] = per_pair_triplet_losses(s, cfg.alpha, work=state.work)
     return losses
 
 
@@ -378,7 +383,7 @@ def _rematch_steps(state: RunState, ds: PairDataset, cfg: TrainConfig,
                             cfg.rematch_variant)
 
     terms = ((mismatched_idx, rematch_objective),
-             (matched_idx, lambda s: triplet_loss_batch(s, cfg.alpha)))
+             (matched_idx, lambda s: triplet_loss_batch(s, cfg.alpha, work=state.work)))
     driver = matched_idx if matched_idx.size else train_idx
     steps = int(np.ceil(driver.size / cfg.batch_size))
     total = 0.0
@@ -415,7 +420,8 @@ def _epoch(state: RunState, ds: PairDataset, cfg: TrainConfig,
             mismatched_pos, ds.matched[train_idx])
     if warm:
         loss = _fit(state, ds, cfg, rows,
-                    lambda s: warmup_loss(s, cfg.tau, cfg.eps, cfg.rce_weight), lr)
+                    lambda s: warmup_loss(s, cfg.tau, cfg.eps, cfg.rce_weight,
+                                          work=state.work), lr)
     elif mode.rematch:
         loss, record["transport"] = _rematch_steps(state, ds, cfg, train_idx, rows,
                                                    mismatched_idx, lr)
@@ -429,7 +435,7 @@ def _epoch(state: RunState, ds: PairDataset, cfg: TrainConfig,
         record["cost_params"] = {"w": state.theta.w, "b": state.theta.b}
     else:
         loss = _fit(state, ds, cfg, rows,
-                    lambda s: triplet_loss_batch(s, cfg.alpha), lr)
+                    lambda s: triplet_loss_batch(s, cfg.alpha, work=state.work), lr)
     record["train_loss"] = loss
     record["val"] = evaluate(state.params, ds, val_idx)
     state.epoch = epoch_number
@@ -442,7 +448,10 @@ def _epoch(state: RunState, ds: PairDataset, cfg: TrainConfig,
 
 def train_epoch(state: RunState, ds: PairDataset, cfg: TrainConfig) -> RunState:
     """The run's next epoch, warm-up or ``cfg.mode``, exactly as the full run
-    trains and validates it."""
+    trains and validates it; a finished run raises ``ValueError``."""
+    if state.epoch >= cfg.total_epochs:
+        raise ValueError(f"the run is finished: epoch {state.epoch} of "
+                         f"{cfg.total_epochs} total epochs")
     train_idx, val_idx, _ = split_indices(cfg, ds)
     _epoch(state, ds, cfg, train_idx, val_idx)
     return state

@@ -50,6 +50,17 @@ class TestSimilarity:
         s2, _ = similarity(params, 7.3 * v, t * 0.1)
         np.testing.assert_allclose(s1, s2, atol=1e-12)
 
+    def test_out_receives_the_same_bits(self):
+        # a training batch's shape, where the product runs through BLAS
+        rng = np.random.default_rng(5)
+        params = init_params(32, 32, 16, rng)
+        v, t = rng.normal(size=(128, 32)), rng.normal(size=(128, 32))
+        fresh, _ = similarity(params, v, t)
+        out = np.full((128, 128), np.nan)
+        s, _ = similarity(params, v, t, out=out)
+        assert s is out
+        assert np.array_equal(s.view(np.int64), fresh.view(np.int64))
+
     def test_embeddings_unit_norm(self):
         rng = np.random.default_rng(3)
         params = init_params(6, 6, 4, rng)

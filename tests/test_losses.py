@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from rematch.losses import (
+    _Workspace,
     infonce_loss,
     matching_probs,
     per_pair_triplet_losses,
@@ -346,6 +347,73 @@ class TestExactAgreement:
             s = np.zeros((n, n))
         _, grad = triplet_loss_batch(s, 0.2)
         assert same_bits(grad, scatter_triplet_grad(s, 0.2))
+
+    # numpy's pairwise summation splits at 128 entries, and the trailing batch
+    # of a desk run holds 104 pairs
+    @pytest.mark.parametrize("n", [104, 128, 129])
+    def test_warmup_equals_separate_terms_at_batch_shapes(self, n):
+        s = np.random.default_rng(n).uniform(-1, 1, (n, n))
+        value, grad = warmup_loss(s, 0.05, 1e-7, 1.0)
+        ref_value, ref_grad = separate_warmup(s, 0.05, 1e-7, 1.0)
+        assert value == ref_value
+        assert same_bits(grad, ref_grad)
+
+    @pytest.mark.parametrize("variant", ["sym_kl", "kl", "ce"])
+    @pytest.mark.parametrize("n", [104, 128, 129])
+    def test_rematch_equals_unshared_ratios_at_batch_shapes(self, variant, n):
+        rng = np.random.default_rng(n)
+        s = rng.uniform(-1, 1, (n, n))
+        plan = rng.uniform(size=(n, n)) * (rng.uniform(size=(n, n)) > 0.5)
+        refined_v2t, refined_t2v = normalize_plan(plan)
+        value, grad = rematch_loss(refined_v2t, refined_t2v, s, 0.05, variant)
+        ref_value, ref_grad = separate_rematch(refined_v2t, refined_t2v, s, 0.05,
+                                               variant)
+        assert value == ref_value
+        assert same_bits(grad, ref_grad)
+
+    @pytest.mark.parametrize("n", [104, 128, 129])
+    def test_triplet_equals_reference_at_batch_shapes(self, n):
+        s = np.round(np.random.default_rng(n).uniform(-1, 1, (n, n)), 1)
+        _, grad = triplet_loss_batch(s, 0.2)
+        assert same_bits(grad, scatter_triplet_grad(s, 0.2))
+        per_pair = [triplet_loss(s, i, 0.2)[0] for i in range(n)]
+        assert same_bits(per_pair_triplet_losses(s, 0.2), per_pair)
+
+
+def flat_bits(result):
+    """Every float of a kernel result, as int64 bit patterns."""
+    parts = result if isinstance(result, tuple) else (result,)
+    return np.concatenate([np.asarray(part, dtype=np.float64).ravel().view(np.int64)
+                           for part in parts])
+
+
+REUSING_KERNELS = {
+    "warmup": lambda s, **kw: warmup_loss(s, 0.05, 1e-3, 0.7, **kw),
+    "triplet": lambda s, **kw: triplet_loss_batch(np.round(s, 1), 0.2, **kw),
+    "per_pair": lambda s, **kw: per_pair_triplet_losses(np.round(s, 1), 0.2, **kw),
+    "matching_probs": lambda s, **kw: matching_probs(s, 0.05, **kw),
+}
+
+
+class TestWorkspace:
+    @pytest.mark.parametrize("kernel", REUSING_KERNELS)
+    def test_reuse_across_sizes_keeps_the_bits(self, kernel):
+        # a smaller batch reads the head of buffers a larger one filled, and
+        # the next larger one reads what the smaller one left behind
+        loss = REUSING_KERNELS[kernel]
+        rng = np.random.default_rng(11)
+        work = _Workspace()
+        for n in (128, 104, 128):
+            s = rng.uniform(-1, 1, (n, n))
+            assert np.array_equal(flat_bits(loss(s, work=work)), flat_bits(loss(s)))
+
+    def test_views_are_c_contiguous_and_shared(self):
+        work = _Workspace()
+        big = work("a", 5)
+        small = work("a", 3)
+        assert small.flags.c_contiguous and small.shape == (3, 3)
+        assert np.shares_memory(big, small)
+        assert not np.shares_memory(small, work("b", 3))
 
 
 class TestInputBoundaries:

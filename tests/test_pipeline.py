@@ -5,6 +5,7 @@ import copy
 import dataclasses
 import hashlib
 import json
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -277,6 +278,40 @@ class TestTrainEpoch:
         assert record["partition"]["mismatched"] == 0
         assert record["partition"]["matched"] == train_idx.size
         assert record["bmm"] is None
+
+    def test_finished_run_refuses_another_epoch(self, determinism_ds):
+        cfg = TrainConfig(mode="discard", **dict(DETERMINISM, warmup_epochs=1,
+                                                 train_epochs=1))
+        _, state = run_experiment(cfg, determinism_ds, return_state=True)
+        params = state.params.copy()
+        with pytest.raises(ValueError, match="epoch 2 of 2 total epochs"):
+            train_epoch(state, determinism_ds, cfg)
+        warmup(state, determinism_ds, cfg)
+        assert state.epoch == 2 and len(state.history) == 2
+        np.testing.assert_array_equal(state.params.w_v, params.w_v)
+
+    def test_steps_reuse_the_workspace(self, noisy_ds):
+        # two n x n matrices at batch 128: once the first epochs have sized
+        # the workspace, a step allocates no n x n matrix of its own
+        cfg = TrainConfig(seed=0, mode="discard", optimizer="adam", warmup_epochs=1,
+                          train_epochs=1, batch_size=128)
+        state = init_state(cfg, noisy_ds)
+        warmup(state, noisy_ds, cfg)
+        train_epoch(state, noisy_ds, cfg)
+        batch = split_indices(cfg, noisy_ds)[0][:128]
+        losses = {
+            "warmup": lambda s: warmup_loss(s, cfg.tau, cfg.eps, cfg.rce_weight,
+                                            work=state.work),
+            "triplet": lambda s: triplet_loss_batch(s, cfg.alpha, work=state.work),
+        }
+        for name, loss in losses.items():
+            tracemalloc.start()
+            try:
+                pl._step(state, noisy_ds, cfg, [(batch, loss)], 1e-4)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 * 128 * 128 * 8, f"{name} step peaked at {peak} bytes"
 
     def test_epoch_records_required_blocks(self, noisy_ds):
         cfg = TrainConfig(seed=0, warmup_epochs=2, batch_size=64)
