@@ -18,6 +18,8 @@ import rematch.encoder as enc
 import rematch.pipeline as pl
 from rematch.cli import _TRAIN_FLAG_HELP, ABLATION_ARMS, build_parser, main
 
+from pinned import PINS, assert_pinned
+
 FAST = ["--warmup-epochs", "1", "--train-epochs", "1", "--lr-decay-epoch", "2",
         "--batch-size", "32"]
 
@@ -121,27 +123,17 @@ class TestGenTrain:
 
 
 class TestPinnedOutputs:
-    # sha256 of the bytes each writer leaves, recorded like the payload
-    # digests in test_pipeline (numpy 2.4, scipy-openblas, x86-64); a change
-    # to how files are written must leave them be
+    # sha256 of the bytes each writer leaves, recorded like the pins under
+    # tests/pins (numpy 2.4, scipy-openblas, x86-64); a change to how files
+    # are written must leave them be
     def test_gen_file_bytes(self, tmp_path, capsys):
         path = make_dataset(tmp_path, capsys)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "b424c5a39f56c6acf9246c0a33152dd7e92f0e7a2e74b905f678b8d8a5757551")
 
-    def test_checkpoint_entry_bytes(self, tmp_path, capsys):
-        data = make_dataset(tmp_path, capsys)
-        state = tmp_path / "checkpoint.npz"
-        assert main(["train", "--data", str(data), "--out", str(tmp_path / "m.json"),
-                     "--state-out", str(state), "--optimizer", "adam", *FAST]) == 0
-        # the zip headers carry timestamps, so the arrays are hashed, not the file
-        digest = hashlib.sha256()
-        with np.load(state) as archive:
-            for key in sorted(archive.files):
-                digest.update(key.encode())
-                digest.update(archive[key].tobytes())
-        assert digest.hexdigest() == (
-            "950180407d197d731e9566ce1ffa0655e929b22b830df59baa85c59d2ddad6e3")
+    def test_checkpoint_entry_bytes(self):
+        # one digest per archive entry, against tests/pins/checkpoint-adam.json
+        assert_pinned("checkpoint-adam", PINS["checkpoint-adam"]())
 
     def test_oracle_check_stdout(self, capsys):
         assert main(["oracle-check", "--instances", "30", "--size", "4"]) == 0

@@ -3,7 +3,6 @@ checkpoint resumability, and run-level determinism."""
 
 import copy
 import dataclasses
-import hashlib
 import json
 import tracemalloc
 from unittest import mock
@@ -34,11 +33,9 @@ from rematch.pipeline import (
 )
 from rematch.transport import SinkhornConfig
 
+from pinned import DETERMINISM, DETERMINISM_DATA, PINS, assert_pinned
+
 SMALL = dict(warmup_epochs=2, train_epochs=2, lr_decay_epoch=3, batch_size=32)
-# the dataset and schedule of acceptance criterion 9
-DETERMINISM_DATA = dict(n=200, classes=5, noise=0.1, mrate=0.4, rng_seed=3)
-DETERMINISM = dict(seed=3, optimizer="adam", warmup_epochs=3, train_epochs=3,
-                   lr_decay_epoch=4, batch_size=32)
 
 
 # at least one out-of-bounds value for every TrainConfig field
@@ -425,52 +422,28 @@ class TestRunExperiment:
         assert payload["epochs"][-1]["train_loss"] == pytest.approx(last_loss,
                                                                     abs=1e-9)
 
-    # sha256 of json.dumps(payload without "timing", sort_keys=True), recorded
-    # with numpy 2.4 and scipy-openblas on x86-64. A change that alters any
-    # number a run computes, or the settings the "config" echo lists, moves
-    # these on purpose; re-record them then and say why. A change meant only
-    # to speed a run up must leave them be.
-    @pytest.mark.parametrize("mode,digest", [
-        ("rematch", "65c5aa228663966ca123b2639fbd8e8d21bfd0ca2ddbdd3d9215aaaba61b0ad4"),
-        ("naive", "83042d41e5bc2552a0c5e62d841079e954b8147ddf1141de16a1c62f6adf6bcf"),
-        ("discard", "7fa787a526824edc13c34736fdbee880d6ab2ef1b8795fe0ab1c9c09376c97b6"),
-    ], ids=["rematch", "naive", "discard"])
-    def test_pinned_payload_bytes_per_mode(self, determinism_ds, mode, digest):
-        payload = run_experiment(TrainConfig(mode=mode, **DETERMINISM), determinism_ds)
-        payload.pop("timing")
-        text = json.dumps(payload, sort_keys=True)
-        assert hashlib.sha256(text.encode()).hexdigest() == digest
+    # payloads without "timing", byte for byte against their fixtures under
+    # tests/pins (pinned.py says when and how to re-record them)
+    @pytest.mark.parametrize("mode", ["rematch", "naive", "discard"])
+    def test_pinned_payload_bytes_per_mode(self, mode):
+        assert_pinned(f"{mode}-adam", PINS[f"{mode}-adam"]())
 
-    # the same digests with plain SGD, the default optimizer
-    @pytest.mark.parametrize("mode,digest", [
-        ("rematch", "b44b609e29ebddd601236dd7b88feea52b83cf1b89cb93828348d1353157033f"),
-        ("naive", "4651ab554f263db326f21c14ad54a476714cfe34edada73471622e244709ebf9"),
-        ("discard", "fb350dbcb9fcb90cea695f2d151caa9414383cd275433a2ebd64de0c82057176"),
-    ], ids=["rematch", "naive", "discard"])
-    def test_pinned_sgd_payload_bytes_per_mode(self, determinism_ds, mode, digest):
-        cfg = TrainConfig(mode=mode, **{**DETERMINISM, "optimizer": "sgd"})
-        payload = run_experiment(cfg, determinism_ds)
-        payload.pop("timing")
-        text = json.dumps(payload, sort_keys=True)
-        assert hashlib.sha256(text.encode()).hexdigest() == digest
+    # the same payloads with plain SGD, the default optimizer
+    @pytest.mark.parametrize("mode", ["rematch", "naive", "discard"])
+    def test_pinned_sgd_payload_bytes_per_mode(self, mode):
+        assert_pinned(f"{mode}-sgd", PINS[f"{mode}-sgd"]())
 
-    # the same digest for a batch-128 rematch run: its solves have 129 free
-    # columns, so their Newton directions come from CG (the pins above stay
-    # below transport._CG_MIN_DIM)
+    # a batch-128 rematch run: its solves have 129 free columns, so their
+    # Newton directions come from CG (the pins above stay below
+    # transport._CG_MIN_DIM)
     def test_pinned_payload_bytes_at_batch_128(self, monkeypatch):
         cg_directions = []
         schur_cg = transport._schur_cg
         monkeypatch.setattr(transport, "_schur_cg",
                             lambda *args: cg_directions.append(1) or schur_cg(*args))
-        ds = make_benchmark(n=400, classes=10, noise=0.1, mrate=0.6, rng_seed=5)
-        cfg = TrainConfig(mode="rematch", seed=5, optimizer="adam", warmup_epochs=2,
-                          train_epochs=2, lr_decay_epoch=3, batch_size=128)
-        payload = run_experiment(cfg, ds)
-        payload.pop("timing")
-        text = json.dumps(payload, sort_keys=True)
+        text = PINS["rematch-batch128"]()
         assert cg_directions
-        assert hashlib.sha256(text.encode()).hexdigest() == (
-            "ff5bae0dc129741d1ae7a79c2181314248d55b3abd48a0eac73d43782c6d89c9")
+        assert_pinned("rematch-batch128", text)
 
     def test_unconverged_plans_skip_the_rematch_term(self, determinism_ds,
                                                      monkeypatch):
