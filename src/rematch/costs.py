@@ -44,9 +44,16 @@ def _sigmoid(x):
 
 
 def cost_forward(s, theta: CostNetParams) -> np.ndarray:
-    """Elementwise positive cost ``softplus(w * s + b)``."""
-    s = np.asarray(s, dtype=np.float64)
-    return np.logaddexp(0.0, theta.w * s + theta.b)
+    """Elementwise positive cost ``softplus(w * s + b)``, taken as
+    ``max(x, 0) + log1p(exp(-|x|))``, which cannot overflow."""
+    x = np.asarray(theta.w * np.asarray(s, dtype=np.float64))
+    x += theta.b
+    tail = np.abs(x)
+    np.negative(tail, out=tail)
+    np.log1p(np.exp(tail, out=tail), out=tail)
+    np.maximum(x, 0.0, out=x)
+    x += tail
+    return x
 
 
 def cost_grads(s, theta: CostNetParams):
@@ -99,7 +106,8 @@ def cost_net_step(theta: CostNetParams, sims, pi_sup, lr: float):
     Gradient flows only through cells where ``pi_sup`` is 1; with no
     supervised cells the parameters are returned unchanged. Parameters are
     clamped into ``[-_PARAM_BOUND, _PARAM_BOUND]``; the returned flag reports
-    whether the clamp engaged.
+    whether the clamp engaged. A non-finite gradient, from a NaN similarity
+    or supervision cell, raises ``FloatingPointError``.
     """
     require("lr", lr, "(0, inf)")
     sims = np.asarray(sims, dtype=np.float64)
@@ -109,6 +117,8 @@ def cost_net_step(theta: CostNetParams, sims, pi_sup, lr: float):
     d_w, d_b = cost_grads(sims, theta)
     grad_w = float((pi_sup * d_w).sum())
     grad_b = float((pi_sup * d_b).sum())
+    if not np.isfinite([grad_w, grad_b]).all():
+        raise FloatingPointError("non-finite gradient of the cost map")
     new_w = theta.w - lr * grad_w
     new_b = theta.b - lr * grad_b
     clipped = abs(new_w) > _PARAM_BOUND or abs(new_b) > _PARAM_BOUND

@@ -162,19 +162,25 @@ def infonce_loss(s, tau: float):
 
 
 def _rce(p_v2t, p_t2v, tau: float, eps: float, work):
-    """:func:`rce_loss` from the matching probabilities."""
+    """:func:`rce_loss` from the matching probabilities, in closed form.
+
+    ``log_y`` is ``log(eps)`` off the diagonal and ``log1p(-eps)`` on it, so
+    each sum over it needs only the diagonals and the row (column) sums: row
+    ``i`` of the row term's gradient is ``p_i * (log(eps) * (r_i - 1) + gap *
+    (p_ii - [j == i])) / tau`` with ``gap = log1p(-eps) - log(eps)``, and
+    column ``j`` of the column term's likewise.
+    """
     n = p_v2t.shape[0]
-    log_y = work("log_y", n)  # the bounded one-hot labels' logarithms
-    log_y.fill(np.log(eps))
-    np.fill_diagonal(log_y, np.log1p(-eps))
-    grad = work("rce", n)
-    value = float(-(np.multiply(p_v2t, log_y, out=grad).sum()
-                    + np.multiply(p_t2v, log_y, out=grad).sum()) / n)
-    np.negative(log_y, out=log_y)
-    _rows_backward(p_v2t, log_y, tau, grad)
-    # the column product of -log_y (C) and p_t2v.T (F) is C-ordered
-    grad += _rows_backward(p_t2v.T, log_y, tau, work("rce_t2v", n)).T
-    grad /= n
+    log_off, gap = np.log(eps), np.log1p(-eps) - np.log(eps)
+    rows, cols = log_off * (p_v2t.sum(axis=1) - 1.0), log_off * (p_t2v.sum(axis=0) - 1.0)
+    d_v2t, d_t2v = np.diag(p_v2t), np.diag(p_t2v)
+    value = float(-(log_off * 2 * n + (rows + cols).sum()
+                    + gap * (d_v2t.sum() + d_t2v.sum())) / n)
+    grad = np.multiply(p_v2t, (rows + gap * d_v2t)[:, None], out=work("rce", n))
+    grad += np.multiply(p_t2v, cols + gap * d_t2v, out=work("rce_t2v", n))
+    grad.flat[::n + 1] = (d_v2t * (rows + gap * (d_v2t - 1.0))
+                          + d_t2v * (cols + gap * (d_t2v - 1.0)))
+    grad /= n * tau
     return value, grad
 
 
@@ -223,18 +229,18 @@ def _kl_direction_terms(refined: np.ndarray, probs: np.ndarray, variant: str):
     r = _floor_distribution(refined)
     p = _floor_distribution(probs)
     ratio = r / p
-    work = np.empty_like(ratio)  # laid out as a fresh product, so rows sum alike
-    np.log(p if variant == "ce" else ratio, out=work)
-    forward = np.multiply(r, work, out=work).sum(axis=1)  # "ce": minus the loss
+    log_ratio = np.log(p if variant == "ce" else ratio)
+    # r and p are fresh arrays laid out like the product, so rows sum alike
+    forward = np.multiply(r, log_ratio, out=r).sum(axis=1)  # "ce": minus the loss
     if variant != "sym_kl":
         return -forward if variant == "ce" else forward, np.negative(ratio, out=ratio)
-    log_p_over_r = np.log(np.divide(p, r, out=r), out=r)
-    backward = np.multiply(p, log_p_over_r, out=work).sum(axis=1)
+    # log(p / r) is -log(r / p), so one logarithm serves both directions
+    backward = np.multiply(p, log_ratio, out=p).sum(axis=1)
     np.negative(ratio, out=ratio)
-    ratio += log_p_over_r
+    ratio -= log_ratio
     ratio += 1.0
     ratio *= 0.5
-    return 0.5 * (forward + backward), ratio
+    return 0.5 * (forward - backward), ratio
 
 
 def rematch_loss(refined_v2t, refined_t2v, s, tau: float, variant: str = "sym_kl"):
@@ -255,8 +261,9 @@ def rematch_loss(refined_v2t, refined_t2v, s, tau: float, variant: str = "sym_kl
         raise ValueError("refined alignments must match the similarity shape")
     if np.any(refined_v2t < 0) or np.any(refined_t2v < 0):
         raise ValueError("refined alignments must be nonnegative")
-    if (np.abs(refined_v2t.sum(axis=1) - 1.0).max() > 1e-6
-            or np.abs(refined_t2v.sum(axis=0) - 1.0).max() > 1e-6):
+    # written so that a NaN sum fails the test too
+    if not (np.abs(refined_v2t.sum(axis=1) - 1.0).max() <= 1e-6
+            and np.abs(refined_t2v.sum(axis=0) - 1.0).max() <= 1e-6):
         raise ValueError("refined alignments must be normalized distributions")
 
     p_v2t, p_t2v = matching_probs(s, tau)

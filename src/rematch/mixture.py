@@ -118,16 +118,19 @@ def _log_joint(log_x, log_1mx, params):
     return lo, hi
 
 
-def _responsibility(log_lo, log_hi):
-    """Posterior weight of the ``hi`` component from both log joints."""
-    return np.exp(log_hi - np.logaddexp(log_lo, log_hi))
-
-
 def _log_add(a, b):
     """Elementwise log(exp(a) + exp(b)) by a max shift; bit for bit what
     ``scipy.special.logsumexp`` returns over the two stacked rows."""
     top = np.maximum(a, b)
     return top + np.log1p(np.exp(np.minimum(a, b) - top))
+
+
+def _evidence(log_x, log_1mx, params):
+    """Per-sample log evidence ``log p(x)`` and posterior weight of the
+    ``hi`` component, both from one log-sum of the two log joints."""
+    log_lo, log_hi = _log_joint(log_x, log_1mx, params)
+    log_p = _log_add(log_lo, log_hi)
+    return log_p, np.exp(log_hi - log_p)
 
 
 def fit_bmm(losses, em_iters: int = 50, tol: float = 1e-6,
@@ -189,8 +192,8 @@ def _em(x, em_iters: int, tol: float, rng_seed: int):
             _moment_match(x, resp_hi, total_hi),
             float(total_hi / x.size),
         )
-        log_lo, log_hi = _log_joint(log_x, log_1mx, candidate)
-        ll = float(_log_add(log_lo, log_hi).sum())
+        log_p, resp_hi = _evidence(log_x, log_1mx, candidate)
+        ll = float(log_p.sum())
         if ll < prev_ll:
             break
         params = candidate
@@ -198,7 +201,6 @@ def _em(x, em_iters: int, tol: float, rng_seed: int):
         if ll - prev_ll < tol and np.isfinite(prev_ll):
             break
         prev_ll = ll
-        resp_hi = _responsibility(log_lo, log_hi)
     return params, trace
 
 
@@ -212,7 +214,7 @@ def posterior(bmm: BetaMixture, loss):
     x = np.asarray(loss, dtype=np.float64)
     _check_unit_interval(x)
     params = ((bmm.alpha_lo, bmm.beta_lo), (bmm.alpha_hi, bmm.beta_hi), bmm.weight_hi)
-    w = _responsibility(*_log_joint(np.log(x), np.log1p(-x), params))
+    w = _evidence(np.log(x), np.log1p(-x), params)[1]
     return w if w.ndim else float(w)
 
 

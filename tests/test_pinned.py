@@ -37,4 +37,4 @@ def test_one_ulp_in_the_cost_map_fails_the_pin_naming_the_moved_keys(monkeypatch
     message = str(failure.value)
     assert "pin 'rematch-adam' differs" in message
     assert "largest float change per top-level key:" in message
-    assert "\n  epochs[3]." in message  # the first train epoch moved
+    assert "\n  epochs[" in message  # the cost map reaches the train epochs

@@ -4,6 +4,9 @@ checkpoint resumability, and run-level determinism."""
 import copy
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -309,6 +312,32 @@ class TestTrainEpoch:
             finally:
                 tracemalloc.stop()
             assert peak < 2 * 128 * 128 * 8, f"{name} step peaked at {peak} bytes"
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="counts glibc page faults")
+    def test_a_second_rematch_run_takes_few_page_faults(self):
+        # glibc hands freed memory back to the system below its trim threshold,
+        # and the next step faults it in again; a repeated desk rematch run
+        # takes 3-17 minor faults, and about 2,400 when _pair_costs takes the
+        # diagonal as row dots instead of from a similarity matrix large
+        # enough to raise that threshold
+        probe = """if True:
+            import resource
+            from rematch.data import make_benchmark
+            from rematch.pipeline import TrainConfig, run_experiment
+            ds = make_benchmark(n=500, classes=10, noise=0.1, mrate=0.6, rng_seed=0)
+            cfg = TrainConfig(mode="rematch", seed=0, optimizer="adam", warmup_epochs=2,
+                              train_epochs=4, lr_decay_epoch=5, batch_size=128)
+            for _ in range(2):
+                before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                run_experiment(cfg, ds)
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        """
+        src = os.path.join(os.path.dirname(pl.__file__), os.pardir)
+        env = {**os.environ, "PYTHONPATH": os.path.abspath(src), "OPENBLAS_NUM_THREADS": "1",
+               "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+        done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                              text=True, timeout=120, check=True)
+        assert int(done.stdout) < 500, f"second run took {done.stdout.strip()} minor faults"
 
     def test_epoch_records_required_blocks(self, noisy_ds):
         cfg = TrainConfig(seed=0, warmup_epochs=2, batch_size=64)
