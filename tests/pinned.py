@@ -32,6 +32,7 @@ from pathlib import Path
 PINS_DIR = Path(__file__).with_name("pins")
 RECORD = "PYTHONPATH=src python tests/pinned.py"
 SHOWN_PATHS = 10
+ABSENT = "<absent>"  # stands for a key path one of two texts lacks
 
 # the dataset and schedule of acceptance criterion 9
 DETERMINISM_DATA = dict(n=200, classes=5, noise=0.1, mrate=0.4, rng_seed=3)
@@ -118,11 +119,11 @@ def describe_difference(old_text: str, new_text: str) -> list[str]:
     and per top-level key the largest absolute and relative float change."""
     old, new = dict(_leaves(json.loads(old_text))), dict(_leaves(json.loads(new_text)))
     moved = [path for path in [*old, *(p for p in new if p not in old)]
-             if repr(old.get(path, KeyError)) != repr(new.get(path, KeyError))]
+             if repr(old.get(path, ABSENT)) != repr(new.get(path, ABSENT))]
     if not moved:
         return ["the texts differ, but every value agrees"]
     lines = [f"{len(moved)} key paths differ; the first {min(len(moved), SHOWN_PATHS)}:"]
-    lines += [f"  {path}: {old.get(path, '<absent>')!r} -> {new.get(path, '<absent>')!r}"
+    lines += [f"  {path}: {old.get(path, ABSENT)!r} -> {new.get(path, ABSENT)!r}"
               for path in moved[:SHOWN_PATHS]]
     largest = {}  # top-level key -> [(abs change, path), (rel change, path)]
     for path in moved:

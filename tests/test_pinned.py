@@ -20,7 +20,8 @@ def test_difference_names_paths_and_largest_changes():
     assert "  epochs[1].phase: 'train' -> 'eval'" in lines
     assert "  extra: '<absent>' -> True" in lines
     assert "  epochs: abs 0.5 at epochs[1].loss, rel 0.5 at epochs[1].loss" in lines
-    assert any(line.startswith("  test: abs 1e-09 at test.rsum, rel 4.17e-12") for line in lines)
+    assert any(line.startswith("  test: abs 1e-09 at test.rsum, rel 4.17e-12")
+               for line in lines)
 
 
 def test_same_values_in_another_layout_are_named_as_such():

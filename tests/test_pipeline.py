@@ -316,10 +316,10 @@ class TestTrainEpoch:
     @pytest.mark.skipif(sys.platform != "linux", reason="counts glibc page faults")
     def test_a_second_rematch_run_takes_few_page_faults(self):
         # glibc hands freed memory back to the system below its trim threshold,
-        # and the next step faults it in again; a repeated desk rematch run
-        # takes 3-17 minor faults, and about 2,400 when _pair_costs takes the
-        # diagonal as row dots instead of from a similarity matrix large
-        # enough to raise that threshold
+        # and the next step faults it in again. On a 2-vCPU x86-64 Linux host
+        # a repeated desk rematch run took 3-17 minor faults, and 2,400-3,000
+        # when _pair_costs took the diagonal as row dots instead of from a
+        # similarity matrix large enough (1 MB) to raise that threshold
         probe = """if True:
             import resource
             from rematch.data import make_benchmark
