@@ -1,11 +1,12 @@
 """Settings that state their own valid values, and the one check of a scalar.
 
 A dataclass field made by :func:`count`, :func:`real`, :func:`choice` or
-:func:`switch` carries its type and its valid values in its metadata, so a
-config class declares each setting, default and bounds together, in one
-line. :func:`check` runs those checks over every field of an instance; the
-command line reads the same metadata to type its flags, and :func:`require`
-checks a library function's scalar argument by the same rules.
+:func:`switch` carries its type, its valid values and, when a command-line
+flag sets it, that flag's help text in its metadata, so a config class
+declares each setting, default, bounds and help together.
+:func:`check` runs those checks over every field of an instance; the command
+line reads the same metadata to type and document its flags, and
+:func:`require` checks a library function's scalar argument by the same rules.
 """
 
 from __future__ import annotations
@@ -17,28 +18,28 @@ from numbers import Integral, Real
 import numpy as np
 
 
-def count(default, least: int):
+def count(default, least: int, help: str | None = None):
     """An integer setting of at least ``least``; a bool is not an integer."""
-    return field(default=default, metadata={"type": int, "rule": least})
+    return field(default=default, metadata={"type": int, "rule": least, "help": help})
 
 
-def real(default, interval: str):
+def real(default, interval: str, help: str | None = None):
     """A real setting inside ``interval``, written like ``"(0, 1]"``.
 
     An int is accepted. An ``inf`` end must be open, and no comparison
     admits NaN, so an accepted value is always finite.
     """
-    return field(default=default, metadata={"type": float, "rule": interval})
+    return field(default=default, metadata={"type": float, "rule": interval, "help": help})
 
 
-def choice(default, options):
+def choice(default, options, help: str | None = None):
     """A setting that must equal one of ``options``."""
-    return field(default=default, metadata={"choices": tuple(options)})
+    return field(default=default, metadata={"choices": tuple(options), "help": help})
 
 
-def switch(default: bool):
+def switch(default: bool, help: str | None = None):
     """An on/off setting that must be a bool."""
-    return field(default=default, metadata={"type": bool})
+    return field(default=default, metadata={"type": bool, "help": help})
 
 
 @lru_cache(maxsize=None)

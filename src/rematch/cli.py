@@ -58,46 +58,19 @@ def _note(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-# Help text of each training flag, in --help order. Each flag sets the
-# TrainConfig field of its name, whose type, default and choices it takes;
-# the flag is the field name with dashes, apart from ``lam``'s --lambda.
-_TRAIN_FLAG_HELP = {
-    "seed": "run seed; drives init, batching, and sampling",
-    "warmup_epochs": "initial full-data epochs on the overconfidence-resistant "
-                     "objective",
-    "train_epochs": "identification + rematching epochs after warm-up",
-    "lr_decay_epoch": "1-based epoch from which the model rate is cut 10x",
-    "batch_size": "pairs per step; also the negative-mining pool size",
-    "alpha": "margin of the hinge ranking loss",
-    "tau": "softmax temperature of the matching probabilities",
-    "eps": "label bound of the reversed cross-entropy",
-    "rho": "mass budget moved by the partial transport solve",
-    "lam": "entropic regularization of the transport solve",
-    "reserve_ratio": "kept-match fraction when rebuilding supervision batches",
-    "threshold": "mismatch-posterior split point",
-    "lr_model": "encoder learning rate",
-    "lr_cost": "cost-map learning rate",
-    "embed_dim": "shared embedding dimension",
-    "rce_weight": "weight of the reversed term during warm-up",
-    "mode": "rematch = full loop; naive = triplet on all data; "
-            "discard = triplet on the identified matched subset",
-    "optimizer": "encoder optimizer",
-    "em_iters": "mixture-fit iteration cap",
-    "ot_tol": "marginal tolerance of training-loop transport solves",
-    "ot_max_iter": "iteration cap of training-loop transport solves",
-    "val_frac": "fraction of the corrupted pool held out for validation",
-}
+# Each TrainConfig field with help text is a training flag, in field order: it
+# sets the field of its name and takes the field's type, default and choices.
+# The flag is the field name with dashes, apart from ``lam``'s --lambda.
+_TRAIN_FLAGS = tuple(setting for setting in fields(TrainConfig) if setting.metadata["help"])
 _FLAG_NAMES = {"lam": "--lambda"}
 
 
 def _add_train_flags(parser: argparse.ArgumentParser) -> None:
-    settings = {setting.name: setting for setting in fields(TrainConfig)}
-    for name, help_text in _TRAIN_FLAG_HELP.items():
-        setting = settings[name]
-        parser.add_argument(_FLAG_NAMES.get(name, "--" + name.replace("_", "-")),
-                            dest=name, type=setting.metadata.get("type"),
+    for setting in _TRAIN_FLAGS:
+        flag = _FLAG_NAMES.get(setting.name, "--" + setting.name.replace("_", "-"))
+        parser.add_argument(flag, dest=setting.name, type=setting.metadata.get("type"),
                             choices=setting.metadata.get("choices"),
-                            default=setting.default, help=help_text)
+                            default=setting.default, help=setting.metadata["help"])
     parser.add_argument("--state-out", default=None,
                         help="optional checkpoint file to write after training")
 
@@ -116,7 +89,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_train(args) -> int:
     """``train``, and ``ablate`` with its arm's settings winning over a flag."""
-    flags = {name: getattr(args, name) for name in _TRAIN_FLAG_HELP}
+    flags = {setting.name: getattr(args, setting.name) for setting in _TRAIN_FLAGS}
     cfg = TrainConfig(**{**flags, **ABLATION_ARMS.get(args.arm, {})})
     ds = load_dataset(args.data)
     _note(f"training mode={cfg.mode} on {args.data} "

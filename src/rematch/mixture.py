@@ -99,10 +99,11 @@ def _to_unit(losses, lo: float, span: float):
 def _moment_match(x, weights, total):
     """Beta shapes from a weighted mean/variance (method of moments);
     ``total`` is ``weights.sum()``."""
+    # x lies in [_DELTA, 1 - _DELTA], so the mean does too, and by the
+    # Bhatia-Davis bound var <= (mean - _DELTA)(1 - _DELTA - mean), below
+    # mean(1 - mean): only a near-constant component needs the floor
     mean = float((weights * x).sum() / total)
-    var = float((weights * (x - mean) ** 2).sum() / total)
-    mean = min(max(mean, 1e-6), 1.0 - 1e-6)
-    var = min(max(var, 1e-10), mean * (1.0 - mean) * (1.0 - 1e-6))
+    var = max(float((weights * (x - mean) ** 2).sum() / total), 1e-10)
     common = mean * (1.0 - mean) / var - 1.0
     alpha = min(max(mean * common, _SHAPE_MIN), _SHAPE_MAX)
     beta = min(max((1.0 - mean) * common, _SHAPE_MIN), _SHAPE_MAX)

@@ -45,7 +45,7 @@ __all__ = ["TrainConfig", "RunState", "init_state", "warmup", "per_sample_losses
            "train_epoch", "evaluate", "run_experiment",
            "save_state", "load_state", "random_ranking_rsum"]
 
-_STATE_VERSION = 3
+_STATE_VERSION = 4
 
 
 class _Mode(NamedTuple):
@@ -65,10 +65,13 @@ _ADAM_BETA2 = 0.999
 _ADAM_EPS = 1e-8
 
 
-def _solver_setting(name: str, default):
-    """A setting bounded like the :class:`SinkhornConfig` field ``name``."""
-    solver_field = next(f for f in fields(SinkhornConfig) if f.name == name)
-    return field(default=default, metadata=solver_field.metadata)
+# Implementation settings the method never varies: the training solves'
+# marginal tolerance and iteration cap, the mixture fit's EM iteration cap, and
+# the share of the corrupted pool held out for validation
+_OT_TOL = 1e-6
+_OT_MAX_ITER = 3000
+_EM_ITERS = 30
+_VAL_FRAC = 0.1
 
 
 @dataclass(frozen=True)
@@ -77,40 +80,45 @@ class TrainConfig:
 
     Each field declares its valid values next to its default, and
     construction checks every field, raising ``ValueError`` that names the
-    first one out of bounds. ``lam``, ``ot_max_iter`` and ``ot_tol`` are
-    bounded like the :class:`SinkhornConfig` they build, once, as ``solver``.
+    first one out of bounds. A field with help text is a ``train`` and
+    ``ablate`` flag, in field order; an ablation arm sets the others.
     """
 
-    warmup_epochs: int = count(5, least=0)
-    train_epochs: int = count(35, least=1)
-    lr_decay_epoch: int = count(15, least=1)      # 1-based epoch of the 10x cut
-    batch_size: int = count(128, least=2)
-    alpha: float = real(0.2, "[0, inf)")          # triplet margin
-    tau: float = real(0.05, "(0, inf)")           # softmax temperature
-    eps: float = real(1e-7, "(0, 0.5)")           # reversed cross-entropy label bound
-    rho: float = real(0.1, "[0, 1]")              # transported mass budget; 1 is full OT
-    lam: float = _solver_setting("lam", 0.01)     # entropic regularization
-    reserve_ratio: float = real(0.5, "(0, 1]")    # kept-match fraction, rebuilt batches
-    threshold: float = real(0.5, "[0, 1]")        # mismatch posterior split point
-    lr_model: float = real(2e-4, "(0, inf)")
-    lr_cost: float = real(2e-6, "(0, inf)")
-    seed: int = count(0, least=0)
-    embed_dim: int = count(16, least=2)
-    rce_weight: float = real(1.0, "[0, inf)")     # reversed term's warm-up weight
-    mode: str = choice("rematch", _MODES)
+    seed: int = count(0, least=0, help="run seed; drives init, batching, and sampling")
+    warmup_epochs: int = count(5, least=0, help="initial full-data epochs on the "
+                                                "overconfidence-resistant objective")
+    train_epochs: int = count(35, least=1,
+                              help="identification + rematching epochs after warm-up")
+    lr_decay_epoch: int = count(15, least=1,
+                                help="1-based epoch from which the model rate is cut 10x")
+    batch_size: int = count(128, least=2,
+                            help="pairs per step; also the negative-mining pool size")
+    alpha: float = real(0.2, "[0, inf)", help="margin of the hinge ranking loss")
+    tau: float = real(0.05, "(0, inf)",
+                      help="softmax temperature of the matching probabilities")
+    eps: float = real(1e-7, "(0, 0.5)", help="label bound of the reversed cross-entropy")
+    rho: float = real(0.1, "[0, 1]",
+                      help="mass budget moved by the partial transport solve")
+    lam: float = real(0.01, "(0, inf)",
+                      help="entropic regularization of the transport solve")
+    reserve_ratio: float = real(0.5, "(0, 1]", help="kept-match fraction when "
+                                                    "rebuilding supervision batches")
+    threshold: float = real(0.5, "[0, 1]", help="mismatch-posterior split point")
+    lr_model: float = real(2e-4, "(0, inf)", help="encoder learning rate")
+    lr_cost: float = real(2e-6, "(0, inf)", help="cost-map learning rate")
+    embed_dim: int = count(16, least=2, help="shared embedding dimension")
+    rce_weight: float = real(1.0, "[0, inf)",
+                             help="weight of the reversed term during warm-up")
+    mode: str = choice("rematch", _MODES,
+                       help="rematch = full loop; naive = triplet on all data; "
+                            "discard = triplet on the identified matched subset")
     cost_mode: str = choice("learned", ("learned", "cosine"))  # cosine: 1 - s
     mask_positives: bool = switch(True)
     rematch_variant: str = choice("sym_kl", _VARIANTS)
-    em_iters: int = count(30, least=1)
-    ot_tol: float = _solver_setting("tol", 1e-6)
-    ot_max_iter: int = _solver_setting("max_iter", 3000)
-    val_frac: float = real(0.1, "(0, 1)")
-    optimizer: str = choice("sgd", ("sgd", "adam"))  # adam evens the term scales
+    optimizer: str = choice("sgd", ("sgd", "adam"), help="encoder optimizer")
 
     def __post_init__(self):
         check(self)
-        object.__setattr__(self, "solver", SinkhornConfig(
-            lam=self.lam, max_iter=self.ot_max_iter, tol=self.ot_tol))
 
     @property
     def total_epochs(self) -> int:
@@ -193,7 +201,7 @@ def split_indices(cfg: TrainConfig, ds: PairDataset):
     a split of fewer than 10 rows, too few to score, raises ``ValueError``."""
     pool = ds.pool_indices
     val_rng = np.random.default_rng((cfg.seed, 0x5A11))
-    n_val = int(round(cfg.val_frac * pool.size))
+    n_val = int(round(_VAL_FRAC * pool.size))
     val = np.sort(val_rng.choice(pool, size=n_val, replace=False))
     train = np.setdiff1d(pool, val)
     if min(train.size, val.size, ds.test_indices.size) < 10:
@@ -287,7 +295,7 @@ def _identify(state: RunState, ds: PairDataset, cfg: TrainConfig,
     """Fit the loss mixture and split training rows by mismatch posterior;
     the matched and mismatched positions in ``train_idx``, and the fit."""
     losses = per_sample_losses(state, ds, cfg, train_idx)
-    bmm = fit_bmm(losses, em_iters=cfg.em_iters, rng_seed=cfg.seed)
+    bmm = fit_bmm(losses, em_iters=_EM_ITERS, rng_seed=cfg.seed)
     matched_pos, mismatched_pos = partition(mismatch_probabilities(bmm, losses),
                                             cfg.threshold)
     return matched_pos, mismatched_pos, bmm
@@ -344,8 +352,9 @@ def refine_batch(state: RunState, s_mis: np.ndarray, cfg: TrainConfig):
     n = s_mis.shape[0]
     mask = _transport_mask(n, cfg)
     marginal = np.full(n, 1.0 / n)
+    solver = SinkhornConfig(lam=cfg.lam, max_iter=_OT_MAX_ITER, tol=_OT_TOL)
     plan = partial_ot(_cost(state, cfg, s_mis), marginal, marginal, mask, rho=cfg.rho,
-                      cfg=cfg.solver)
+                      cfg=solver)
     refined_v2t, refined_t2v = normalize_plan(plan.plan, mask=mask)
     return refined_v2t, refined_t2v, plan
 

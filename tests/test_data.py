@@ -200,6 +200,7 @@ class TestSerialization:
         # a flipped match flag would score identification against the wrong truth
         ({"m": 0, "class": 1, "t_class": 1}, "'m' must be 1 for 'class' 1 and 't_class' 1"),
         ({"m": 1, "class": 1, "t_class": 2}, "'m' must be 0 for 'class' 1 and 't_class' 2"),
+        ({"class": 2**63}, "'class' label 9223372036854775808 out"),  # one past int64
     ])
     def test_malformed_record_rejected(self, tmp_path, changes, needle):
         path, lines = self.saved_lines(tmp_path)

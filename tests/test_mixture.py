@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import betaln
 
@@ -279,12 +279,19 @@ def loss_vectors(draw):
 
 class TestFitProperties:
     @given(losses=loss_vectors())
+    @example(losses=np.r_[np.linspace(0.0, 0.5, 4), np.ones(7)])  # EM ends swapped
     @settings(max_examples=80, deadline=None)
     def test_fit_invariants(self, losses):
         bmm = fit_bmm(losses)
         assert np.all(np.diff(bmm.loglik_trace) >= 0)
         assert 0.0 <= bmm.weight_hi <= 1.0
         assert bmm.mean_lo <= bmm.mean_hi
+        if not bmm.degenerate:
+            # the components are ordered by mean; a swap hands over the weight
+            (a_lo, b_lo), (a_hi, b_hi), w_hi = mixture._em(bmm.normalize(losses), 50,
+                                                           1e-6, 0)[0]
+            swapped = a_lo / (a_lo + b_lo) > a_hi / (a_hi + b_hi)
+            assert bmm.weight_hi == (1.0 - w_hi if swapped else w_hi)
         w = mismatch_probabilities(bmm, losses)
         assert np.all((w >= 0) & (w <= 1))
         spread = float(losses.max()) - float(losses.min())

@@ -6,7 +6,7 @@ import hashlib
 import numpy as np
 import pytest
 import scipy.special
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rematch.transport import (
     InfeasibleProblemError,
@@ -407,6 +407,7 @@ class TestSolverInternals:
         assert len(sweeps) == res.iterations - 1
 
     @given(seed=st.integers(0, 2**32 - 1))
+    @example(seed=57721)  # a result of 0.0035, 2e-14 off relative to itself
     @settings(max_examples=50, deadline=None)
     def test_logsumexp_matches_scipy(self, seed):
         rng = np.random.default_rng(seed)
@@ -415,9 +416,13 @@ class TestSolverInternals:
         x[0, :] = -np.inf  # one slice all -inf along axis 1
         x[:, 0] = -np.inf  # and one along axis 0
         for axis in (0, 1):
-            np.testing.assert_allclose(_logsumexp(x, axis),
-                                       scipy.special.logsumexp(x, axis=axis),
-                                       rtol=1e-14, atol=0)
+            got, want = _logsumexp(x, axis), scipy.special.logsumexp(x, axis=axis)
+            np.testing.assert_array_equal(np.isneginf(got), np.isneginf(want))
+            # the max-shifted sum is accurate to a few eps on the scale of the
+            # slice's largest entry, not relative to a result near zero
+            live = ~np.isneginf(want)
+            scale = np.maximum(1.0, np.abs(x.max(axis=axis)[live]))
+            assert np.all(np.abs(got[live] - want[live]) <= 4 * np.finfo(float).eps * scale)
 
 
 class TestExtendPartial:
