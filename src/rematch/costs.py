@@ -43,12 +43,17 @@ def _sigmoid(x):
     return out
 
 
-def cost_forward(s, theta: CostNetParams) -> np.ndarray:
+def cost_forward(s, theta: CostNetParams, *, work=None) -> np.ndarray:
     """Elementwise positive cost ``softplus(w * s + b)``, taken as
-    ``max(x, 0) + log1p(exp(-|x|))``, which cannot overflow."""
-    x = np.asarray(theta.w * np.asarray(s, dtype=np.float64))
+    ``max(x, 0) + log1p(exp(-|x|))``, which cannot overflow. With a
+    workspace ``work`` the cost of a matrix ``s`` lives in it until its next
+    use."""
+    s = np.asarray(s, dtype=np.float64)
+    x, tail = (None, None) if work is None else (work("cost", *s.shape),
+                                                 work("cost_tail", *s.shape))
+    x = np.asarray(np.multiply(theta.w, s, out=x))
     x += theta.b
-    tail = np.abs(x)
+    tail = np.abs(x, out=tail)
     np.negative(tail, out=tail)
     np.log1p(np.exp(tail, out=tail), out=tail)
     np.maximum(x, 0.0, out=x)

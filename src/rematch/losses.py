@@ -24,24 +24,31 @@ __all__ = [
 
 _KL_FLOOR = 1e-12
 _VARIANTS = ("sym_kl", "kl", "ce")  # divergences rematch_loss can score
+# A training step runs the rematch term beside the triplet term, never beside
+# the warm-up objective, and the triplet term's hinge scratch is dead between
+# calls; so the rematch term works in those buffers and adds no matrix of its
+# own to a run workspace.
+_REMATCH_BUFFERS = ("nce", "rce", "rce_t2v", "off", "off_t")
 
 
 class _Workspace:
-    """Named ``(n, n)`` float64 matrices that outlive a training step.
+    """Named float64 matrices that outlive a training step.
 
-    Each name keeps one flat buffer as large as the largest ``n`` asked for
-    so far; the matrix is a C-contiguous view of its head, so reductions
-    over it sum in the order a fresh array would.
+    ``work(name, n)`` is ``(n, n)`` and ``work(name, n, cols)`` is ``(n,
+    cols)``. Each name keeps one flat buffer as large as the largest matrix
+    asked for so far; the matrix is a C-contiguous view of its head, so
+    reductions over it sum in the order a fresh array would.
     """
 
     def __init__(self):
         self._flat = {}
 
-    def __call__(self, name: str, n: int) -> np.ndarray:
+    def __call__(self, name: str, n: int, cols: int | None = None) -> np.ndarray:
+        cols = n if cols is None else cols
         flat = self._flat.get(name)
-        if flat is None or flat.size < n * n:
-            flat = self._flat[name] = np.empty(n * n)
-        return flat[:n * n].reshape(n, n)
+        if flat is None or flat.size < n * cols:
+            flat = self._flat[name] = np.empty(n * cols)
+        return flat[:n * cols].reshape(n, cols)
 
 
 def _as_square(s) -> np.ndarray:
@@ -213,24 +220,25 @@ def warmup_loss(s, tau: float, eps: float = 1e-7, rce_weight: float = 1.0, *,
     return v1 + rce_weight * v2, g1
 
 
-def _floor_distribution(dist: np.ndarray) -> np.ndarray:
-    floored = np.maximum(dist, _KL_FLOOR)
+def _floor_distribution(dist: np.ndarray, out: np.ndarray) -> np.ndarray:
+    floored = np.maximum(dist, _KL_FLOOR, out=out)
     floored /= floored.sum(axis=-1, keepdims=True)
     return floored
 
 
-def _kl_direction_terms(refined: np.ndarray, probs: np.ndarray, variant: str):
+def _kl_direction_terms(refined: np.ndarray, probs: np.ndarray, variant: str, bufs):
     """Per-row loss and d(loss)/d(probs) for one direction.
 
     ``refined`` rows are fixed targets; ``probs`` rows are model
     distributions. Both are floored and renormalized; the gradient treats
     the flooring as inactive, which it is away from softmax saturation.
+    The four ``bufs`` are laid out like ``probs``, so rows sum as they would
+    in fresh arrays; the returned gradient is the third.
     """
-    r = _floor_distribution(refined)
-    p = _floor_distribution(probs)
-    ratio = r / p
-    log_ratio = np.log(p if variant == "ce" else ratio)
-    # r and p are fresh arrays laid out like the product, so rows sum alike
+    r = _floor_distribution(refined, bufs[0])
+    p = _floor_distribution(probs, bufs[1])
+    ratio = np.divide(r, p, out=bufs[2])
+    log_ratio = np.log(p if variant == "ce" else ratio, out=bufs[3])
     forward = np.multiply(r, log_ratio, out=r).sum(axis=1)  # "ce": minus the loss
     if variant != "sym_kl":
         return -forward if variant == "ce" else forward, np.negative(ratio, out=ratio)
@@ -254,7 +262,6 @@ def rematch_loss(refined_v2t, refined_t2v, s, tau: float, variant: str = "sym_kl
     """
     s = _as_square(s)
     require("variant", variant, {"choices": _VARIANTS})
-    n = s.shape[0]
     refined_v2t = np.asarray(refined_v2t, dtype=np.float64)
     refined_t2v = np.asarray(refined_t2v, dtype=np.float64)
     if refined_v2t.shape != s.shape or refined_t2v.shape != s.shape:
@@ -265,14 +272,22 @@ def rematch_loss(refined_v2t, refined_t2v, s, tau: float, variant: str = "sym_kl
     if not (np.abs(refined_v2t.sum(axis=1) - 1.0).max() <= 1e-6
             and np.abs(refined_t2v.sum(axis=0) - 1.0).max() <= 1e-6):
         raise ValueError("refined alignments must be normalized distributions")
+    return _rematch_loss(refined_v2t, refined_t2v, s, tau, variant, _Workspace())
 
-    p_v2t, p_t2v = matching_probs(s, tau)
-    row_terms, d_rows = _kl_direction_terms(refined_v2t, p_v2t, variant)
-    col_terms, d_cols = _kl_direction_terms(refined_t2v.T, p_t2v.T, variant)
+
+def _rematch_loss(refined_v2t, refined_t2v, s, tau: float, variant: str, work):
+    """:func:`rematch_loss` on inputs that pass its checks, every matrix in
+    ``work``; the gradient lives there until its next use."""
+    n = s.shape[0]
+    p_v2t, p_t2v = matching_probs(s, tau, work=work)
+    a, b, rows, log, cols = (work(name, n) for name in _REMATCH_BUFFERS)
+    # the column direction reads the transposes, so its buffers are F-ordered
+    # views, laid out as fresh arrays would be
+    row_terms, d_rows = _kl_direction_terms(refined_v2t, p_v2t, variant, (a, b, rows, log))
+    col_terms, d_cols = _kl_direction_terms(refined_t2v.T, p_t2v.T, variant,
+                                            (a.T, b.T, cols.T, log.T))
     value = float(row_terms.mean() + col_terms.mean())
-    # each product keeps its direction's layout: the column terms are F-ordered
-    grad = _rows_backward(p_v2t, d_rows, tau, np.empty_like(d_rows))
-    grad += _rows_backward(p_t2v.T, d_cols, tau, np.empty_like(d_cols)).T
+    grad = _rows_backward(p_v2t, d_rows, tau, a)
+    grad += _rows_backward(p_t2v.T, d_cols, tau, b.T).T
     grad /= n
     return value, grad
-

@@ -29,9 +29,12 @@ from . import costs as costs_mod
 from . import encoder as enc
 from .data import (RECALL_CUTOFFS, PairDataset, atomic_write, dataset_header,
                    identification_score, recall_at_k)
+# The step calls the unchecked cores of rematch_loss and normalize_plan; the
+# public names stay bound here, where perfbench/spans.py looks them up.
 from .losses import (
     _VARIANTS,
     _Workspace,
+    _rematch_loss,
     per_pair_triplet_losses,
     rematch_loss,
     triplet_loss_batch,
@@ -39,7 +42,7 @@ from .losses import (
 )
 from .mixture import fit_bmm, mismatch_probabilities, partition
 from ._settings import check, choice, count, real, switch
-from .transport import SinkhornConfig, normalize_plan, partial_ot
+from .transport import SinkhornConfig, _normalize, normalize_plan, partial_ot
 
 __all__ = ["TrainConfig", "RunState", "init_state", "warmup", "per_sample_losses",
            "train_epoch", "evaluate", "run_experiment",
@@ -310,11 +313,12 @@ def _sample(rng, indices: np.ndarray, size: int) -> np.ndarray | None:
     return rng.choice(indices, size=min(size, indices.size), replace=False)
 
 
-def _cost(state: RunState, cfg: TrainConfig, s: np.ndarray) -> np.ndarray:
-    """Transport cost of similarities: the learned map, or ``1 - s``."""
+def _cost(state: RunState, cfg: TrainConfig, s: np.ndarray, work=None) -> np.ndarray:
+    """Transport cost of similarities: the learned map, or ``1 - s``; with a
+    workspace ``work`` it lives there until its next use."""
     if cfg.cost_mode == "cosine":
-        return 1.0 - s
-    return costs_mod.cost_forward(s, state.theta)
+        return np.subtract(1.0, s, out=None if work is None else work("cost", *s.shape))
+    return costs_mod.cost_forward(s, state.theta, work=work)
 
 
 def _pair_costs(state: RunState, ds: PairDataset, cfg: TrainConfig,
@@ -344,19 +348,24 @@ def _transport_mask(n: int, cfg: TrainConfig) -> np.ndarray:
     return mask
 
 
-def refine_batch(state: RunState, s_mis: np.ndarray, cfg: TrainConfig):
+def refine_batch(state: RunState, s_mis: np.ndarray, cfg: TrainConfig,
+                 solver: SinkhornConfig):
     """Masked partial transport over a mismatched batch's learned costs.
 
-    Returns row- and column-normalized refined alignments.
+    Returns ``(refined_v2t, refined_t2v, plan)``: the row- and
+    column-normalized refined alignments and the solve. An unconverged plan
+    is not normalized, and its alignments are ``None``. Every matrix lives in
+    ``state.work`` until its next use.
     """
     n = s_mis.shape[0]
     mask = _transport_mask(n, cfg)
     marginal = np.full(n, 1.0 / n)
-    solver = SinkhornConfig(lam=cfg.lam, max_iter=_OT_MAX_ITER, tol=_OT_TOL)
-    plan = partial_ot(_cost(state, cfg, s_mis), marginal, marginal, mask, rho=cfg.rho,
-                      cfg=solver)
-    refined_v2t, refined_t2v = normalize_plan(plan.plan, mask=mask)
-    return refined_v2t, refined_t2v, plan
+    plan = partial_ot(_cost(state, cfg, s_mis, state.work), marginal, marginal, mask,
+                      rho=cfg.rho, cfg=solver, work=state.work)
+    if not plan.converged:
+        return None, None, plan
+    # a solver plan is finite and nonnegative, and the mask is boolean
+    return (*_normalize(plan.plan, mask, state.work), plan)
 
 
 def _cost_update(state: RunState, ds: PairDataset, cfg: TrainConfig,
@@ -381,15 +390,17 @@ def _rematch_steps(state: RunState, ds: PairDataset, cfg: TrainConfig,
     counts the solves and those skips.
     """
     solves = {"solves": 0, "unconverged": 0}
+    solver = SinkhornConfig(lam=cfg.lam, max_iter=_OT_MAX_ITER, tol=_OT_TOL)
 
     def rematch_objective(s):
-        refined_v2t, refined_t2v, plan = refine_batch(state, s, cfg)
+        refined_v2t, refined_t2v, plan = refine_batch(state, s, cfg, solver)
         solves["solves"] += 1
         if not plan.converged:
             solves["unconverged"] += 1
             return 0.0, np.zeros_like(s)
-        return rematch_loss(refined_v2t, refined_t2v, s, cfg.tau,
-                            cfg.rematch_variant)
+        # normalized plans pass every check of rematch_loss
+        return _rematch_loss(refined_v2t, refined_t2v, s, cfg.tau, cfg.rematch_variant,
+                             state.work)
 
     terms = ((mismatched_idx, rematch_objective),
              (matched_idx, lambda s: triplet_loss_batch(s, cfg.alpha, work=state.work)))

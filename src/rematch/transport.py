@@ -15,6 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._settings import check, count, real, require
+from .losses import _Workspace
 
 __all__ = [
     "InfeasibleProblemError",
@@ -129,34 +130,39 @@ def _check_feasible(mask: np.ndarray, p: np.ndarray, q: np.ndarray):
 _MAX_LOG_STEP = 64.0
 
 
-def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
-    """``log(sum(exp(x), axis))`` by max shift; all -inf slices give -inf."""
+def _logsumexp(x: np.ndarray, axis: int, out=None) -> np.ndarray:
+    """``log(sum(exp(x), axis))`` by max shift; all -inf slices give -inf.
+    The shifted exponentials go to ``out``, which may be ``x`` itself."""
     peak = x.max(axis=axis, keepdims=True)
     peak[~np.isfinite(peak)] = 0.0
+    shifted = np.subtract(x, peak, out=out)
     with np.errstate(divide="ignore"):
-        return np.log(np.exp(x - peak).sum(axis=axis)) + peak.squeeze(axis)
+        return np.log(np.exp(shifted, out=shifted).sum(axis=axis)) + peak.squeeze(axis)
 
 
-def _realize(log_kernel, log_a, log_b):
-    out = np.add(log_a[:, None], log_kernel)
+def _realize(log_kernel, log_a, log_b, out):
+    np.add(log_a[:, None], log_kernel, out=out)
     out += log_b[None, :]
     return np.exp(out, out=out)
 
 
-def _sweep(log_kernel, log_p, log_q, log_b):
-    """One log-domain scaling sweep: fit the rows, then the columns.
+def _sweep(log_kernel, log_p, log_q, log_b, scratch):
+    """One log-domain scaling sweep: fit the rows, then the columns, each
+    from the kernel plus the other side's exponents, summed in ``scratch``.
 
     A zero-mass slice with no reachable cell computes -inf - -inf, which
     ``np.where`` discards.
     """
+    shifted = np.add(log_kernel, log_b[None, :], out=scratch)
     with np.errstate(invalid="ignore"):
         log_a = np.where(np.isneginf(log_p), -np.inf,
-                         log_p - _logsumexp(log_kernel + log_b[None, :], axis=1))
+                         log_p - _logsumexp(shifted, axis=1, out=shifted))
     if not np.all(log_a < np.inf):
         raise InfeasibleProblemError("scaling collapsed: a-update unbounded")
+    shifted = np.add(log_kernel, log_a[:, None], out=scratch)
     with np.errstate(invalid="ignore"):
         log_b = np.where(np.isneginf(log_q), -np.inf,
-                         log_q - _logsumexp(log_kernel + log_a[:, None], axis=0))
+                         log_q - _logsumexp(shifted, axis=0, out=shifted))
     if not np.all(log_b < np.inf):
         raise InfeasibleProblemError("scaling collapsed: b-update unbounded")
     return log_a, log_b
@@ -177,7 +183,7 @@ _CG_MIN_DIM = 48
 _ETA_MAX = 0.1
 
 
-def _newton_direction(plan, rows, cols, res_r, res_c, damping):
+def _newton_direction(plan, rows, cols, res_r, res_c, damping, scratch=None):
     """Solve ``(J + damping I) [dx; dy] = -F``, ``F = [res_r; res_c]``.
 
     ``J = [[diag(rows), plan], [plan.T, diag(cols)]]`` is the Jacobian of the
@@ -190,7 +196,8 @@ def _newton_direction(plan, rows, cols, res_r, res_c, damping):
     ``||S dy - b|| <= min(_ETA_MAX, ||F||) * ||F||``; since ``dx`` is
     recovered from ``dy`` exactly, ``S dy - b`` is the residual of the whole
     damped system. Raises ``LinAlgError`` when the system cannot be solved
-    so, which the caller takes as a stall.
+    so, which the caller takes as a stall. CG squares the plan into
+    ``scratch``, a matrix of its shape, or a fresh one when it is ``None``.
     """
     inv_r = 1.0 / (rows + damping)
     rhs = plan.T @ (inv_r * res_r) - res_c
@@ -202,12 +209,12 @@ def _newton_direction(plan, rows, cols, res_r, res_c, damping):
     else:
         norm_f = np.sqrt(res_r @ res_r + res_c @ res_c)
         dy = _schur_cg(plan, inv_r, cols, damping, rhs,
-                       min(_ETA_MAX, norm_f) * norm_f)
+                       min(_ETA_MAX, norm_f) * norm_f, scratch)
     dx = -inv_r * (res_r + plan @ dy)
     return dx, dy
 
 
-def _schur_cg(plan, inv_r, cols, damping, rhs, bound):
+def _schur_cg(plan, inv_r, cols, damping, rhs, bound, scratch=None):
     """Jacobi-preconditioned CG on ``S dy = rhs`` until ``||S dy - rhs|| <= bound``.
 
     ``S v = (cols + damping) * v - plan.T @ (inv_r * (plan @ v))`` is never
@@ -219,7 +226,8 @@ def _schur_cg(plan, inv_r, cols, damping, rhs, bound):
     """
     k = rhs.size
     diag_c = cols + damping
-    precond = 1.0 / np.maximum(diag_c - inv_r @ (plan * plan), damping)
+    precond = 1.0 / np.maximum(diag_c - inv_r @ np.multiply(plan, plan, out=scratch),
+                               damping)
     dy = np.zeros(k)
     res = rhs.copy()
     z = precond * res
@@ -271,22 +279,24 @@ def _marginal_fit(plan, p, q) -> _Fit:
                 float(dev_r.sum() + dev_c.sum()))
 
 
-def _newton_step(log_kernel, p, q, free, log_a, log_b, plan, fit: _Fit):
+def _newton_step(log_kernel, p, q, free, log_a, log_b, plan, fit: _Fit, out):
     """One damped Newton step on the scaling exponents, or ``None`` on a stall.
 
     Only the ``free`` (positive-mass) rows and columns move; zero-mass ones
     stay frozen at -inf. The step is a backtracking line search on the worst
     marginal violation; a singular system or a search that finds no
-    improving step is a stall. Returns the new exponents, their plan and its
-    fit.
+    improving step is a stall. Returns the new exponents, their plan, which
+    every trial writes into the C-contiguous ``out``, and its fit.
     """
     free_r, free_c = free
     rows = fit.rows[free_r]
     cols = fit.cols[free_c]
     damping = 1e-12 * max(rows.max(), cols.max(), 1e-30)
+    # no trial has been written yet, so the direction may use out's memory
+    scratch = out.reshape(-1)[:rows.size * cols.size].reshape(rows.size, cols.size)
     try:
         dx, dy = _newton_direction(plan[free_r][:, free_c], rows, cols,
-                                   rows - p[free_r], cols - q[free_c], damping)
+                                   rows - p[free_r], cols - q[free_c], damping, scratch)
     except np.linalg.LinAlgError:
         return None
     # the largest |dx_i + dy_j|; the gauge shift dx + c, dy - c drops out
@@ -298,7 +308,7 @@ def _newton_step(log_kernel, p, q, free, log_a, log_b, plan, fit: _Fit):
         cand_a[free_r] += step * dx
         cand_b[free_c] += step * dy
         with np.errstate(over="ignore"):
-            cand_plan = _realize(log_kernel, cand_a, cand_b)
+            cand_plan = _realize(log_kernel, cand_a, cand_b, out)
             cand_fit = _marginal_fit(cand_plan, p, q)
         if cand_fit.worst < fit.worst:
             return cand_a, cand_b, cand_plan, cand_fit
@@ -306,7 +316,7 @@ def _newton_step(log_kernel, p, q, free, log_a, log_b, plan, fit: _Fit):
     return None
 
 
-def _solve(cost, p, q, mask, cfg: SinkhornConfig):
+def _solve(cost, p, q, mask, cfg: SinkhornConfig, work):
     """One log-domain sweep, then Newton steps, then sweeps once Newton stalls.
 
     Alternating scaling stalls at O(1/iteration) on near-degenerate instances
@@ -314,28 +324,37 @@ def _solve(cost, p, q, mask, cfg: SinkhornConfig):
     runs as damped Newton on the same marginal equations; the fixed point and
     the diag(a) K diag(b) output form are unchanged. Inputs are validated by
     the caller. Every iteration, a stalled Newton step included, counts
-    toward ``cfg.max_iter`` and is followed by a convergence check.
+    toward ``cfg.max_iter`` and is followed by a convergence check. Every
+    matrix lives in ``work``: the log-kernel, which overwrites ``cost`` when
+    that is ``work("kernel")`` itself, and two plans in turn, the current one
+    and the next trial, whose buffer also takes a sweep's sums and a CG
+    direction's squares. The returned plan is one of the two.
     """
-    log_kernel = np.where(mask, -cost / cfg.lam, -np.inf)
+    m, n = cost.shape
+    log_kernel = np.negative(cost, out=work("kernel", m, n))
+    log_kernel /= cfg.lam
+    log_kernel[~mask] = -np.inf
     _check_feasible(mask, p, q)
     with np.errstate(divide="ignore"):
         log_p = np.log(p)
         log_q = np.log(q)
     log_b = np.where(np.isneginf(log_q), -np.inf, 0.0)
     free = _free(p), _free(q)
-    log_a, plan, fit = None, None, _Fit(None, None, np.inf, np.inf)
+    log_a, fit = None, _Fit(None, None, np.inf, np.inf)
+    # the first iteration sweeps, so the first plan is never read
+    plan, spare = work("plan", m, n), work("plan_next", m, n)
     iterations, stalled = 0, False
     while iterations < cfg.max_iter and fit.residual > cfg.tol:
         iterations += 1
         if iterations == 1 or stalled:
-            log_a, log_b = _sweep(log_kernel, log_p, log_q, log_b)
-            plan = _realize(log_kernel, log_a, log_b)
+            log_a, log_b = _sweep(log_kernel, log_p, log_q, log_b, spare)
+            plan, spare = _realize(log_kernel, log_a, log_b, spare), plan
             fit = _marginal_fit(plan, p, q)
         else:
-            step = _newton_step(log_kernel, p, q, free, log_a, log_b, plan, fit)
+            step = _newton_step(log_kernel, p, q, free, log_a, log_b, plan, fit, spare)
             stalled = step is None  # the stalled step counts; sweeps take over
             if not stalled:
-                log_a, log_b, plan, fit = step
+                (log_a, log_b, plan, fit), spare = step, plan
     return plan, fit.residual <= cfg.tol, iterations
 
 
@@ -390,7 +409,7 @@ def sinkhorn(cost, p, q, mask=None, cfg: SinkhornConfig | None = None) -> Transp
         raise ValueError(
             f"mass imbalance: sum(p)={p.sum():.17g} vs sum(q)={q.sum():.17g}"
         )
-    plan, converged, iterations = _solve(cost, p, q, mask, cfg)
+    plan, converged, iterations = _solve(cost, p, q, mask, cfg, _Workspace())
     return TransportPlan(plan=plan, converged=converged, iterations=iterations)
 
 
@@ -434,11 +453,13 @@ def extend_partial(cost, p, q, mask=None, rho: float = 0.0):
     (cost_ext, p_ext, q_ext, mask_ext)
         Arrays of shape (m+1, n+1), (m+1,), (n+1,), (m+1, n+1).
     """
-    return _extend(*_validate(cost, p, q, mask), rho)
+    cost, p, q, mask = _validate(cost, p, q, mask)
+    return _extend(cost, p, q, mask, rho, np.empty((cost.shape[0] + 1, cost.shape[1] + 1)))
 
 
-def _extend(cost, p, q, mask, rho):
-    """:func:`extend_partial` on validated arrays."""
+def _extend(cost, p, q, mask, rho, cost_ext):
+    """:func:`extend_partial` on validated arrays, writing the extended cost
+    into ``cost_ext``."""
     m, n = cost.shape
     mass_p = p.sum()
     mass_q = q.sum()
@@ -450,7 +471,6 @@ def _extend(cost, p, q, mask, rho):
     xi = default_xi(cost)
     a_big = float(cost.max()) + 1.0
 
-    cost_ext = np.empty((m + 1, n + 1))
     cost_ext[:m, :n] = cost
     cost_ext[:m, n] = xi
     cost_ext[m, :n] = xi
@@ -465,21 +485,31 @@ def _extend(cost, p, q, mask, rho):
 
 
 def partial_ot(cost, p, q, mask=None, rho: float = 0.0,
-               cfg: SinkhornConfig | None = None) -> TransportPlan:
+               cfg: SinkhornConfig | None = None, *, work=None) -> TransportPlan:
     """Move exactly ``rho`` mass at minimal entropic cost, masked cells closed.
 
-    Solves the virtual-node extension with :func:`sinkhorn` and returns the
-    original block of the extended plan. Row sums never exceed ``p`` and
-    column sums never exceed ``q``; the block total is ``rho`` up to solver
-    tolerance.
+    Returns the original block of ``sinkhorn(*extend_partial(cost, p, q,
+    mask, rho), cfg)``, bit for bit. Row sums never exceed ``p`` and column
+    sums never exceed ``q``; the block total is ``rho`` up to solver
+    tolerance. The inputs are validated once: the extension of valid inputs
+    is valid and balanced by construction, so it goes to the private solver
+    core ``_solve`` without :func:`sinkhorn`'s second check. The block is a
+    view of the extended plan; with a workspace ``work`` it and every other
+    matrix of the solve live in ``work`` until its next use.
     """
     cost, p, q, mask = _validate(cost, p, q, mask)
     if rho == 0:
         return TransportPlan(plan=np.zeros(cost.shape), converged=True, iterations=0)
-    solved = sinkhorn(*_extend(cost, p, q, mask, rho), cfg)
+    if cfg is None:
+        raise ValueError("cfg is required")
+    work = _Workspace() if work is None else work
     m, n = cost.shape
-    return TransportPlan(plan=solved.plan[:m, :n].copy(), converged=solved.converged,
-                         iterations=solved.iterations)
+    # the solver turns the extended cost into its log-kernel in place
+    extended = _extend(cost, p, q, mask, rho, work("kernel", m + 1, n + 1))
+    if not np.isfinite(extended[0][-1, -1]):  # the one cell that can overflow
+        raise ValueError("cost contains non-finite entries")
+    plan, converged, iterations = _solve(*extended, cfg, work)
+    return TransportPlan(plan=plan[:m, :n], converged=converged, iterations=iterations)
 
 
 def normalize_plan(plan, mask=None):
@@ -501,15 +531,26 @@ def normalize_plan(plan, mask=None):
         raise ValueError("plan contains non-finite entries")
     if np.any(plan < 0):
         raise ValueError("plan entries must be nonnegative")
-    mask = _as_mask(mask, plan.shape)
-    return _row_stochastic(plan, mask), _row_stochastic(plan.T, mask.T).T
+    return _normalize(plan, _as_mask(mask, plan.shape), _Workspace())
 
 
-def _row_stochastic(work: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """:func:`normalize_plan`'s row form of a checked plan."""
-    sums = work.sum(axis=1)
-    low = sums <= _PLAN_FLOOR * work.shape[1]
-    out = work / np.where(low, 1.0, sums)[:, None]
+def _normalize(plan: np.ndarray, mask: np.ndarray, work):
+    """:func:`normalize_plan` of a finite nonnegative plan and a boolean mask
+    of its shape, both forms in ``work`` until its next use."""
+    m, n = plan.shape
+    # the column form is the row form of the transpose, F-ordered as numpy
+    # lays out a fresh one
+    return (_row_stochastic(plan, mask, work("v2t", m, n)),
+            _row_stochastic(plan.T, mask.T, work("t2v", m, n).T).T)
+
+
+def _row_stochastic(plan: np.ndarray, mask: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The row form of a checked plan, into ``out``."""
+    sums = plan.sum(axis=1)
+    low = sums <= _PLAN_FLOOR * plan.shape[1]
+    # dividing in place spares numpy a buffered copy of a strided plan
+    np.copyto(out, plan)
+    out /= np.where(low, 1.0, sums)[:, None]
     if low.any():
         counts = mask[low].sum(axis=1)
         if np.any(counts == 0):

@@ -32,7 +32,8 @@ def test_same_values_in_another_layout_are_named_as_such():
 def test_one_ulp_in_the_cost_map_fails_the_pin_naming_the_moved_keys(monkeypatch):
     cost_forward = costs.cost_forward
     monkeypatch.setattr(costs, "cost_forward",
-                        lambda s, theta: np.nextafter(cost_forward(s, theta), np.inf))
+                        lambda s, theta, **kw: np.nextafter(cost_forward(s, theta, **kw),
+                                                            np.inf))
     with pytest.raises(AssertionError) as failure:
         assert_pinned("rematch-adam", PINS["rematch-adam"]())
     message = str(failure.value)

@@ -19,7 +19,8 @@ import rematch.pipeline as pl
 import rematch.transport as transport
 from rematch.costs import CostNetParams, cost_net_step, reconstruct_pairs
 from rematch.data import identification_score, make_benchmark
-from rematch.losses import matching_probs, rce_loss, triplet_loss_batch, warmup_loss
+from rematch.losses import (matching_probs, rce_loss, rematch_loss, triplet_loss_batch,
+                            warmup_loss)
 from rematch.mixture import partition
 from rematch.pipeline import (
     TrainConfig,
@@ -286,17 +287,32 @@ class TestTrainEpoch:
 
     def test_steps_reuse_the_workspace(self, noisy_ds):
         # two n x n matrices at batch 128: once the first epochs have sized
-        # the workspace, a step allocates no n x n matrix of its own
-        cfg = TrainConfig(seed=0, mode="discard", optimizer="adam", warmup_epochs=1,
+        # the workspace, a step allocates no n x n matrix of its own. A
+        # rematch step (cost map, partial transport, normalization and the
+        # rematch loss) peaked at 1,399 KiB before its matrices moved into the
+        # workspace, and at 223 KiB after
+        cfg = TrainConfig(seed=0, mode="rematch", optimizer="adam", warmup_epochs=1,
                           train_epochs=1, batch_size=128)
         state = init_state(cfg, noisy_ds)
         warmup(state, noisy_ds, cfg)
         train_epoch(state, noisy_ds, cfg)
         batch = split_indices(cfg, noisy_ds)[0][:128]
+        solver = SinkhornConfig(lam=cfg.lam, max_iter=pl._OT_MAX_ITER, tol=pl._OT_TOL)
+
+        def rematch(s):
+            refined_v2t, refined_t2v, plan = pl.refine_batch(state, s, cfg, solver)
+            assert plan.converged
+            return pl._rematch_loss(refined_v2t, refined_t2v, s, cfg.tau,
+                                    cfg.rematch_variant, state.work)
+
+        # the epoch's mismatched batches held fewer than 128 pairs
+        pl._step(state, noisy_ds, cfg, [(batch, rematch)], 1e-4)
+
         losses = {
             "warmup": lambda s: warmup_loss(s, cfg.tau, cfg.eps, cfg.rce_weight,
                                             work=state.work),
             "triplet": lambda s: triplet_loss_batch(s, cfg.alpha, work=state.work),
+            "rematch": rematch,
         }
         for name, loss in losses.items():
             tracemalloc.start()
@@ -483,6 +499,59 @@ class TestRunExperiment:
         assert cg_directions
         assert_pinned("rematch-batch128", text)
 
+    def test_an_unconverged_plan_is_counted_and_never_normalized(self, determinism_ds,
+                                                                 monkeypatch):
+        # every solve reports no convergence: the epoch counts each skip, no
+        # plan reaches normalization, and the rematch term adds nothing, so
+        # with the triplet term zeroed too plain SGD leaves the encoder as it is
+        cfg = TrainConfig(mode="rematch", **dict(DETERMINISM, optimizer="sgd"))
+        state = init_state(cfg, determinism_ds)
+        warmup(state, determinism_ds, cfg)
+        solve = pl.partial_ot
+        monkeypatch.setattr(pl, "partial_ot", lambda *args, **kwargs: dataclasses.replace(
+            solve(*args, **kwargs), converged=False))
+
+        def unreachable(*args):
+            raise AssertionError("an unconverged plan was normalized")
+
+        monkeypatch.setattr(pl, "_normalize", unreachable)
+        monkeypatch.setattr(pl, "triplet_loss_batch",
+                            lambda s, alpha, work=None: (0.0, np.zeros_like(s)))
+        params = state.params.copy()
+        train_epoch(state, determinism_ds, cfg)
+        record = state.history[-1]
+        assert record["transport"]["solves"] > 0
+        assert record["transport"]["unconverged"] == record["transport"]["solves"]
+        assert record["train_loss"] == 0.0
+        np.testing.assert_array_equal(state.params.w_v, params.w_v)
+        np.testing.assert_array_equal(state.params.w_t, params.w_t)
+
+    @given(n=st.integers(2, 129), mask_positives=st.booleans(),
+           rho=st.sampled_from([0.1, 1.0]), cost_mode=st.sampled_from(["learned", "cosine"]),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_refined_alignments_pass_the_rematch_checks(self, n, mask_positives, rho,
+                                                        cost_mode, seed):
+        # the step hands refine_batch's output to the unchecked rematch core;
+        # whatever the size, mask, budget and cost, that output passes the
+        # checks of the public rematch_loss, or the solve is unconverged and
+        # there is none
+        rng = np.random.default_rng(seed)
+        cfg = TrainConfig(mask_positives=mask_positives, rho=rho, cost_mode=cost_mode)
+        state = pl.RunState(params=None, rng=rng, epoch=0,
+                            theta=CostNetParams(rng.uniform(-5, 0), rng.uniform(-1, 1)))
+        s = rng.uniform(-1, 1, (n, n))
+        solver = SinkhornConfig(lam=cfg.lam, max_iter=pl._OT_MAX_ITER, tol=pl._OT_TOL)
+        refined_v2t, refined_t2v, plan = pl.refine_batch(state, s, cfg, solver)
+        if not plan.converged:
+            assert refined_v2t is None and refined_t2v is None
+            return
+        assert np.all(refined_v2t >= 0) and np.all(refined_t2v >= 0)
+        assert np.abs(refined_v2t.sum(axis=1) - 1.0).max() <= 1e-6
+        assert np.abs(refined_t2v.sum(axis=0) - 1.0).max() <= 1e-6
+        value, grad = rematch_loss(refined_v2t, refined_t2v, s, cfg.tau, cfg.rematch_variant)
+        assert np.isfinite(value) and np.all(np.isfinite(grad))
+
     def test_unconverged_plans_skip_the_rematch_term(self, determinism_ds,
                                                      monkeypatch):
         # one scaling sweep cannot meet the solver tolerance, so every solve is
@@ -490,7 +559,7 @@ class TestRunExperiment:
         def no_rematch_term(*args, **kwargs):
             raise AssertionError("rematch term computed from an unconverged plan")
 
-        monkeypatch.setattr(pl, "rematch_loss", no_rematch_term)
+        monkeypatch.setattr(pl, "_rematch_loss", no_rematch_term)
         monkeypatch.setattr(pl, "_OT_MAX_ITER", 1)
         payload = run_experiment(TrainConfig(mode="rematch", **DETERMINISM), determinism_ds)
         records = [r for r in payload["epochs"] if r["phase"] == "train"]
