@@ -321,11 +321,18 @@ def _cost(state: RunState, cfg: TrainConfig, s: np.ndarray, work=None) -> np.nda
     return costs_mod.cost_forward(s, state.theta, work=work)
 
 
+def _pair_sims(params: enc.EncoderParams, v_feats, t_feats) -> np.ndarray:
+    """Similarity of each visual row with its own text row: the diagonal of
+    :func:`rematch.encoder.similarity`, as row dots of the unit embeddings."""
+    return np.einsum("ij,ij->i", enc._embed(v_feats, params.w_v)[0],
+                     enc._embed(t_feats, params.w_t)[0])
+
+
 def _pair_costs(state: RunState, ds: PairDataset, cfg: TrainConfig,
                 indices: np.ndarray) -> np.ndarray:
     """Transport cost of each pair with itself (diagonal cells)."""
-    s, _ = enc.similarity(state.params, ds.v_feats[indices], ds.t_feats[indices])
-    return _cost(state, cfg, np.diag(s))
+    return _cost(state, cfg, _pair_sims(state.params, ds.v_feats[indices],
+                                        ds.t_feats[indices]))
 
 
 def _cost_gap(state: RunState, ds: PairDataset, cfg: TrainConfig,
@@ -370,12 +377,17 @@ def refine_batch(state: RunState, s_mis: np.ndarray, cfg: TrainConfig,
 
 def _cost_update(state: RunState, ds: PairDataset, cfg: TrainConfig,
                  matched_batch: np.ndarray, mismatched_idx: np.ndarray):
-    """One supervised descent step on the cost map from a rebuilt batch."""
+    """One supervised descent step on the cost map from a rebuilt batch.
+
+    The gradient reads only the cells where ``pi_sup`` is 1, the rebuilt
+    batch's true pairs, so only those pairs are scored, with unit weights.
+    """
     v_feats, pi_sup = costs_mod.reconstruct_pairs(
         ds.v_feats[matched_batch], ds.v_feats[mismatched_idx], cfg.reserve_ratio,
         state.rng)
-    sims, _ = enc.similarity(state.params, v_feats, ds.t_feats[matched_batch])
-    return costs_mod.cost_net_step(state.theta, sims, pi_sup, cfg.lr_cost)
+    rows, cols = np.nonzero(pi_sup)
+    sims = _pair_sims(state.params, v_feats[rows], ds.t_feats[matched_batch[cols]])
+    return costs_mod.cost_net_step(state.theta, sims, np.ones(sims.size), cfg.lr_cost)
 
 
 def _rematch_steps(state: RunState, ds: PairDataset, cfg: TrainConfig,

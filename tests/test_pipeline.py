@@ -329,15 +329,19 @@ class TestTrainEpoch:
     def test_a_second_run_takes_few_page_faults(self, mode, warm, train, decay):
         # glibc hands freed memory at the top of its heap back to the system,
         # and the next allocation faults it in again; the run workspace keeps
-        # the step's n x n matrices instead. The count starts after the second
-        # run's first epoch, which builds that run's workspace and may fault
-        # in what glibc trimmed when the first run ended (up to ~630 faults,
-        # by heap layout). On a 2-vCPU x86-64 Linux host, over eight heap
-        # layouts, the counted epochs took at most 22 minor faults in rematch
-        # mode and 113 in discard mode. With fresh arrays in place of the
-        # workspace, discard took 5,597-10,739; rematch took 3,060-3,791 when
-        # _pair_costs took the diagonal as row dots instead of from a
-        # similarity matrix large enough (1 MB) to raise glibc's trim threshold
+        # every n x n matrix of a step instead, the rematch step's included.
+        # The count starts after the second run's first epoch, which builds
+        # that run's workspace and may fault in what glibc trimmed when the
+        # first run ended (up to ~630 faults, by heap layout). A rematch run
+        # builds the rest in its first train epoch: the cost, transport and
+        # normalization buffers and the hinge scratch, about 320 pages, which
+        # fault in when glibc trimmed the first run's. On a 2-vCPU x86-64 Linux
+        # host, over eight heap layouts, the counted epochs took 1-409 minor
+        # faults in rematch mode, nearly all in that epoch, and 0-116 in
+        # discard mode. No epoch builds a similarity matrix of the training
+        # rows (1 MB) any more; with the rematch step's matrices fresh per
+        # call, rematch took 2,664-3,347 and discard, with all of them fresh,
+        # 5,597-10,739
         probe = f"""if True:
             import resource
             import rematch.pipeline as pl
@@ -389,6 +393,51 @@ class TestTrainEpoch:
         theta_before = state.theta
         train_epoch(state, noisy_ds, cfg)
         assert state.theta != theta_before
+
+    @given(n=st.integers(2, 129), seed=st.integers(0, 2**32 - 1),
+           reserve_ratio=st.floats(0.01, 1.0), lr_cost=st.sampled_from([2e-6, 1.0, 100.0]),
+           w=st.floats(-50, 50), b=st.floats(-50, 50))
+    @settings(max_examples=60, deadline=None)
+    def test_cost_update_scores_only_the_supervised_cells(self, noisy_ds, n, seed,
+                                                           reserve_ratio, lr_cost, w, b):
+        # the step embeds only the rebuilt batch's true pairs; the full
+        # similarity matrix weighted by pi_sup takes the same step, to 1e-14
+        # of the sizes of each parameter and its step (a step that nearly
+        # cancels the parameter leaves it small, with a larger relative error)
+        rng = np.random.default_rng(seed)
+        cfg = TrainConfig(seed=0, reserve_ratio=reserve_ratio, lr_cost=lr_cost)
+        pool = rng.permutation(len(noisy_ds.v_feats))
+        matched_batch, mismatched_idx = pool[:n], pool[n:n + int(rng.integers(0, n + 1))]
+        state = init_state(cfg, noisy_ds)
+        state.params = enc.EncoderParams(rng.normal(size=state.params.w_v.shape),
+                                         rng.normal(size=state.params.w_t.shape))
+        state.theta = theta = CostNetParams(w, b)
+        v_feats, pi_sup = reconstruct_pairs(noisy_ds.v_feats[matched_batch],
+                                            noisy_ds.v_feats[mismatched_idx],
+                                            reserve_ratio, np.random.default_rng(seed))
+        sims, _ = enc.similarity(state.params, v_feats, noisy_ds.t_feats[matched_batch])
+        want, want_clipped = cost_net_step(state.theta, sims, pi_sup, lr_cost)
+        state.rng = np.random.default_rng(seed)
+        got, clipped = pl._cost_update(state, noisy_ds, cfg, matched_batch, mismatched_idx)
+        assert clipped == want_clipped
+        for new, reference, old in ((got.w, want.w, theta.w), (got.b, want.b, theta.b)):
+            assert abs(new - reference) <= 1e-14 * (abs(old) + abs(reference - old))
+
+    @given(k=st.integers(1, 400), scale=st.floats(1e-3, 1e3), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_pair_costs_read_the_similarity_diagonal(self, noisy_ds, k, scale, seed):
+        # row dots of the unit embeddings, not the diagonal of the k x k matrix
+        rng = np.random.default_rng(seed)
+        cfg = TrainConfig(seed=0)
+        state = init_state(cfg, noisy_ds)
+        state.params = enc.EncoderParams(scale * state.params.w_v, scale * state.params.w_t)
+        indices = rng.choice(len(noisy_ds.v_feats), size=k, replace=False)
+        s, _ = enc.similarity(state.params, noisy_ds.v_feats[indices],
+                              noisy_ds.t_feats[indices])
+        sims = pl._pair_sims(state.params, noisy_ds.v_feats[indices], noisy_ds.t_feats[indices])
+        np.testing.assert_allclose(sims, np.diag(s), rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(pl._pair_costs(state, noisy_ds, cfg, indices),
+                                      pl._cost(state, cfg, sims))
 
     @given(n=st.integers(2, 40), data=st.data(),
            reserve_ratio=st.floats(0.01, 1.0))
