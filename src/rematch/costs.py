@@ -45,9 +45,8 @@ def _sigmoid(x):
 
 def cost_forward(s, theta: CostNetParams, *, work=None) -> np.ndarray:
     """Elementwise positive cost ``softplus(w * s + b)``, taken as
-    ``max(x, 0) + log1p(exp(-|x|))``, which cannot overflow. With a
-    workspace ``work`` the cost of a matrix ``s`` lives in it until its next
-    use."""
+    ``max(x, 0) + log1p(exp(-|x|))``, which cannot overflow; with a
+    workspace ``work`` the cost of a matrix lives in it."""
     s = np.asarray(s, dtype=np.float64)
     x, tail = (None, None) if work is None else (work("cost", *s.shape),
                                                  work("cost_tail", *s.shape))

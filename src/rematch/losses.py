@@ -24,20 +24,17 @@ __all__ = [
 
 _KL_FLOOR = 1e-12
 _VARIANTS = ("sym_kl", "kl", "ce")  # divergences rematch_loss can score
-# A training step runs the rematch term beside the triplet term, never beside
-# the warm-up objective, and the triplet term's hinge scratch is dead between
-# calls; so the rematch term works in those buffers and adds no matrix of its
-# own to a run workspace.
+# The rematch term runs beside the triplet term, never the warm-up objective,
+# and the hinge scratch dies with each call, so it borrows those buffers.
 _REMATCH_BUFFERS = ("nce", "rce", "rce_t2v", "off", "off_t")
 
 
 class _Workspace:
     """Named float64 matrices that outlive a training step.
 
-    ``work(name, n)`` is ``(n, n)`` and ``work(name, n, cols)`` is ``(n,
-    cols)``. Each name keeps one flat buffer as large as the largest matrix
-    asked for so far; the matrix is a C-contiguous view of its head, so
-    reductions over it sum in the order a fresh array would.
+    ``work(name, n, cols=n)`` keeps one flat buffer per name, as large as the
+    largest matrix asked for so far; the matrix is a C-contiguous view of its
+    head, so reductions over it sum in the order a fresh array would.
     """
 
     def __init__(self):
@@ -220,23 +217,18 @@ def warmup_loss(s, tau: float, eps: float = 1e-7, rce_weight: float = 1.0, *,
     return v1 + rce_weight * v2, g1
 
 
-def _floor_distribution(dist: np.ndarray, out: np.ndarray) -> np.ndarray:
-    floored = np.maximum(dist, _KL_FLOOR, out=out)
-    floored /= floored.sum(axis=-1, keepdims=True)
-    return floored
-
-
 def _kl_direction_terms(refined: np.ndarray, probs: np.ndarray, variant: str, bufs):
     """Per-row loss and d(loss)/d(probs) for one direction.
 
     ``refined`` rows are fixed targets; ``probs`` rows are model
     distributions. Both are floored and renormalized; the gradient treats
     the flooring as inactive, which it is away from softmax saturation.
-    The four ``bufs`` are laid out like ``probs``, so rows sum as they would
-    in fresh arrays; the returned gradient is the third.
+    The four ``bufs`` are laid out like ``probs``; the third returns the gradient.
     """
-    r = _floor_distribution(refined, bufs[0])
-    p = _floor_distribution(probs, bufs[1])
+    r = np.maximum(refined, _KL_FLOOR, out=bufs[0])
+    r /= r.sum(axis=-1, keepdims=True)
+    p = np.maximum(probs, _KL_FLOOR, out=bufs[1])
+    p /= p.sum(axis=-1, keepdims=True)
     ratio = np.divide(r, p, out=bufs[2])
     log_ratio = np.log(p if variant == "ce" else ratio, out=bufs[3])
     forward = np.multiply(r, log_ratio, out=r).sum(axis=1)  # "ce": minus the loss
@@ -276,13 +268,11 @@ def rematch_loss(refined_v2t, refined_t2v, s, tau: float, variant: str = "sym_kl
 
 
 def _rematch_loss(refined_v2t, refined_t2v, s, tau: float, variant: str, work):
-    """:func:`rematch_loss` on inputs that pass its checks, every matrix in
-    ``work``; the gradient lives there until its next use."""
+    """:func:`rematch_loss` of inputs that pass its checks, in ``work``."""
     n = s.shape[0]
     p_v2t, p_t2v = matching_probs(s, tau, work=work)
     a, b, rows, log, cols = (work(name, n) for name in _REMATCH_BUFFERS)
-    # the column direction reads the transposes, so its buffers are F-ordered
-    # views, laid out as fresh arrays would be
+    # the column direction's buffers are F-ordered, as fresh ones would be
     row_terms, d_rows = _kl_direction_terms(refined_v2t, p_v2t, variant, (a, b, rows, log))
     col_terms, d_cols = _kl_direction_terms(refined_t2v.T, p_t2v.T, variant,
                                             (a.T, b.T, cols.T, log.T))

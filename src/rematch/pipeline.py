@@ -29,8 +29,7 @@ from . import costs as costs_mod
 from . import encoder as enc
 from .data import (RECALL_CUTOFFS, PairDataset, atomic_write, dataset_header,
                    identification_score, recall_at_k)
-# The step calls the unchecked cores of rematch_loss and normalize_plan; the
-# public names stay bound here, where perfbench/spans.py looks them up.
+# the step calls unchecked cores; perfbench/spans.py wraps the public names here
 from .losses import (
     _VARIANTS,
     _Workspace,
@@ -314,8 +313,8 @@ def _sample(rng, indices: np.ndarray, size: int) -> np.ndarray | None:
 
 
 def _cost(state: RunState, cfg: TrainConfig, s: np.ndarray, work=None) -> np.ndarray:
-    """Transport cost of similarities: the learned map, or ``1 - s``; with a
-    workspace ``work`` it lives there until its next use."""
+    """Transport cost of similarities: the learned map, or ``1 - s``, in
+    ``work`` when given."""
     if cfg.cost_mode == "cosine":
         return np.subtract(1.0, s, out=None if work is None else work("cost", *s.shape))
     return costs_mod.cost_forward(s, state.theta, work=work)
@@ -348,24 +347,15 @@ def _cost_gap(state: RunState, ds: PairDataset, cfg: TrainConfig,
     }
 
 
-def _transport_mask(n: int, cfg: TrainConfig) -> np.ndarray:
-    mask = np.ones((n, n), dtype=bool)
-    if cfg.mask_positives:
-        np.fill_diagonal(mask, False)
-    return mask
-
-
 def refine_batch(state: RunState, s_mis: np.ndarray, cfg: TrainConfig,
                  solver: SinkhornConfig):
     """Masked partial transport over a mismatched batch's learned costs.
 
-    Returns ``(refined_v2t, refined_t2v, plan)``: the row- and
-    column-normalized refined alignments and the solve. An unconverged plan
-    is not normalized, and its alignments are ``None``. Every matrix lives in
-    ``state.work`` until its next use.
+    Returns the row- and column-normalized refined alignments, ``None`` for
+    an unconverged plan, and the plan; all live in ``state.work``.
     """
     n = s_mis.shape[0]
-    mask = _transport_mask(n, cfg)
+    mask = ~np.eye(n, dtype=bool) if cfg.mask_positives else np.ones((n, n), dtype=bool)
     marginal = np.full(n, 1.0 / n)
     plan = partial_ot(_cost(state, cfg, s_mis, state.work), marginal, marginal, mask,
                       rho=cfg.rho, cfg=solver, work=state.work)
@@ -377,11 +367,8 @@ def refine_batch(state: RunState, s_mis: np.ndarray, cfg: TrainConfig,
 
 def _cost_update(state: RunState, ds: PairDataset, cfg: TrainConfig,
                  matched_batch: np.ndarray, mismatched_idx: np.ndarray):
-    """One supervised descent step on the cost map from a rebuilt batch.
-
-    The gradient reads only the cells where ``pi_sup`` is 1, the rebuilt
-    batch's true pairs, so only those pairs are scored, with unit weights.
-    """
+    """One supervised descent step on the cost map from a rebuilt batch; its
+    gradient reads only the true pairs (``pi_sup`` 1), so only they are scored."""
     v_feats, pi_sup = costs_mod.reconstruct_pairs(
         ds.v_feats[matched_batch], ds.v_feats[mismatched_idx], cfg.reserve_ratio,
         state.rng)

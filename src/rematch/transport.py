@@ -131,8 +131,8 @@ _MAX_LOG_STEP = 64.0
 
 
 def _logsumexp(x: np.ndarray, axis: int, out=None) -> np.ndarray:
-    """``log(sum(exp(x), axis))`` by max shift; all -inf slices give -inf.
-    The shifted exponentials go to ``out``, which may be ``x`` itself."""
+    """``log(sum(exp(x), axis))`` by max shift, through ``out`` (``x`` may be
+    it); all -inf slices give -inf."""
     peak = x.max(axis=axis, keepdims=True)
     peak[~np.isfinite(peak)] = 0.0
     shifted = np.subtract(x, peak, out=out)
@@ -147,8 +147,8 @@ def _realize(log_kernel, log_a, log_b, out):
 
 
 def _sweep(log_kernel, log_p, log_q, log_b, scratch):
-    """One log-domain scaling sweep: fit the rows, then the columns, each
-    from the kernel plus the other side's exponents, summed in ``scratch``.
+    """One log-domain scaling sweep: fit the rows, then the columns, summing
+    the kernel and the other side's exponents in ``scratch``.
 
     A zero-mass slice with no reachable cell computes -inf - -inf, which
     ``np.where`` discards.
@@ -196,8 +196,7 @@ def _newton_direction(plan, rows, cols, res_r, res_c, damping, scratch=None):
     ``||S dy - b|| <= min(_ETA_MAX, ||F||) * ||F||``; since ``dx`` is
     recovered from ``dy`` exactly, ``S dy - b`` is the residual of the whole
     damped system. Raises ``LinAlgError`` when the system cannot be solved
-    so, which the caller takes as a stall. CG squares the plan into
-    ``scratch``, a matrix of its shape, or a fresh one when it is ``None``.
+    so, which the caller takes as a stall. CG squares the plan into ``scratch``.
     """
     inv_r = 1.0 / (rows + damping)
     rhs = plan.T @ (inv_r * res_r) - res_c
@@ -324,14 +323,11 @@ def _solve(cost, p, q, mask, cfg: SinkhornConfig, work):
     runs as damped Newton on the same marginal equations; the fixed point and
     the diag(a) K diag(b) output form are unchanged. Inputs are validated by
     the caller. Every iteration, a stalled Newton step included, counts
-    toward ``cfg.max_iter`` and is followed by a convergence check. Every
-    matrix lives in ``work``: the log-kernel, which overwrites ``cost`` when
-    that is ``work("kernel")`` itself, and two plans in turn, the current one
-    and the next trial, whose buffer also takes a sweep's sums and a CG
-    direction's squares. The returned plan is one of the two.
+    toward ``cfg.max_iter`` and is followed by a convergence check. The
+    log-kernel (in place when ``cost`` is ``work("kernel")``) and two plans,
+    the current one and a spare for sweeps and trials, live in ``work``.
     """
-    m, n = cost.shape
-    log_kernel = np.negative(cost, out=work("kernel", m, n))
+    log_kernel = np.negative(cost, out=work("kernel", *cost.shape))
     log_kernel /= cfg.lam
     log_kernel[~mask] = -np.inf
     _check_feasible(mask, p, q)
@@ -342,7 +338,7 @@ def _solve(cost, p, q, mask, cfg: SinkhornConfig, work):
     free = _free(p), _free(q)
     log_a, fit = None, _Fit(None, None, np.inf, np.inf)
     # the first iteration sweeps, so the first plan is never read
-    plan, spare = work("plan", m, n), work("plan_next", m, n)
+    plan, spare = work("plan", *cost.shape), work("plan_next", *cost.shape)
     iterations, stalled = 0, False
     while iterations < cfg.max_iter and fit.residual > cfg.tol:
         iterations += 1
@@ -453,13 +449,12 @@ def extend_partial(cost, p, q, mask=None, rho: float = 0.0):
     (cost_ext, p_ext, q_ext, mask_ext)
         Arrays of shape (m+1, n+1), (m+1,), (n+1,), (m+1, n+1).
     """
-    cost, p, q, mask = _validate(cost, p, q, mask)
-    return _extend(cost, p, q, mask, rho, np.empty((cost.shape[0] + 1, cost.shape[1] + 1)))
+    return _extend(*_validate(cost, p, q, mask), rho, _Workspace())
 
 
-def _extend(cost, p, q, mask, rho, cost_ext):
-    """:func:`extend_partial` on validated arrays, writing the extended cost
-    into ``cost_ext``."""
+def _extend(cost, p, q, mask, rho, work):
+    """:func:`extend_partial` on validated arrays; the extended cost goes to
+    ``work("kernel")``, where :func:`_solve` turns it into its log-kernel."""
     m, n = cost.shape
     mass_p = p.sum()
     mass_q = q.sum()
@@ -471,6 +466,7 @@ def _extend(cost, p, q, mask, rho, cost_ext):
     xi = default_xi(cost)
     a_big = float(cost.max()) + 1.0
 
+    cost_ext = work("kernel", m + 1, n + 1)
     cost_ext[:m, :n] = cost
     cost_ext[:m, n] = xi
     cost_ext[m, :n] = xi
@@ -489,13 +485,11 @@ def partial_ot(cost, p, q, mask=None, rho: float = 0.0,
     """Move exactly ``rho`` mass at minimal entropic cost, masked cells closed.
 
     Returns the original block of ``sinkhorn(*extend_partial(cost, p, q,
-    mask, rho), cfg)``, bit for bit. Row sums never exceed ``p`` and column
-    sums never exceed ``q``; the block total is ``rho`` up to solver
-    tolerance. The inputs are validated once: the extension of valid inputs
-    is valid and balanced by construction, so it goes to the private solver
-    core ``_solve`` without :func:`sinkhorn`'s second check. The block is a
-    view of the extended plan; with a workspace ``work`` it and every other
-    matrix of the solve live in ``work`` until its next use.
+    mask, rho), cfg)``, bit for bit, as a view of the extended plan. Row sums
+    never exceed ``p`` and column sums never exceed ``q``; the block total is
+    ``rho`` up to solver tolerance. The private solver core ``_solve`` takes
+    the extension, valid and balanced by construction, without a second
+    check. With a workspace ``work`` the solve's matrices live in it.
     """
     cost, p, q, mask = _validate(cost, p, q, mask)
     if rho == 0:
@@ -503,12 +497,11 @@ def partial_ot(cost, p, q, mask=None, rho: float = 0.0,
     if cfg is None:
         raise ValueError("cfg is required")
     work = _Workspace() if work is None else work
-    m, n = cost.shape
-    # the solver turns the extended cost into its log-kernel in place
-    extended = _extend(cost, p, q, mask, rho, work("kernel", m + 1, n + 1))
+    extended = _extend(cost, p, q, mask, rho, work)
     if not np.isfinite(extended[0][-1, -1]):  # the one cell that can overflow
         raise ValueError("cost contains non-finite entries")
     plan, converged, iterations = _solve(*extended, cfg, work)
+    m, n = cost.shape
     return TransportPlan(plan=plan[:m, :n], converged=converged, iterations=iterations)
 
 
@@ -537,9 +530,7 @@ def normalize_plan(plan, mask=None):
 def _normalize(plan: np.ndarray, mask: np.ndarray, work):
     """:func:`normalize_plan` of a finite nonnegative plan and a boolean mask
     of its shape, both forms in ``work`` until its next use."""
-    m, n = plan.shape
-    # the column form is the row form of the transpose, F-ordered as numpy
-    # lays out a fresh one
+    m, n = plan.shape  # the column form is F-ordered, as a fresh one would be
     return (_row_stochastic(plan, mask, work("v2t", m, n)),
             _row_stochastic(plan.T, mask.T, work("t2v", m, n).T).T)
 
@@ -548,8 +539,7 @@ def _row_stochastic(plan: np.ndarray, mask: np.ndarray, out: np.ndarray) -> np.n
     """The row form of a checked plan, into ``out``."""
     sums = plan.sum(axis=1)
     low = sums <= _PLAN_FLOOR * plan.shape[1]
-    # dividing in place spares numpy a buffered copy of a strided plan
-    np.copyto(out, plan)
+    np.copyto(out, plan)  # dividing a strided plan would buffer a copy of it
     out /= np.where(low, 1.0, sums)[:, None]
     if low.any():
         counts = mask[low].sum(axis=1)

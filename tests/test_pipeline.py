@@ -336,7 +336,7 @@ class TestTrainEpoch:
         # builds the rest in its first train epoch: the cost, transport and
         # normalization buffers and the hinge scratch, about 320 pages, which
         # fault in when glibc trimmed the first run's. On a 2-vCPU x86-64 Linux
-        # host, over eight heap layouts, the counted epochs took 1-409 minor
+        # host, over eight heap layouts, the counted epochs took 12-407 minor
         # faults in rematch mode, nearly all in that epoch, and 0-116 in
         # discard mode. No epoch builds a similarity matrix of the training
         # rows (1 MB) any more; with the rematch step's matrices fresh per
