@@ -321,8 +321,7 @@ def _cost(state: RunState, cfg: TrainConfig, s: np.ndarray, work=None) -> np.nda
 
 
 def _pair_sims(params: enc.EncoderParams, v_feats, t_feats) -> np.ndarray:
-    """Similarity of each visual row with its own text row: the diagonal of
-    :func:`rematch.encoder.similarity`, as row dots of the unit embeddings."""
+    """Each visual row's similarity with its own text row, as row dots."""
     return np.einsum("ij,ij->i", enc._embed(v_feats, params.w_v)[0],
                      enc._embed(t_feats, params.w_t)[0])
 
@@ -372,7 +371,8 @@ def _cost_update(state: RunState, ds: PairDataset, cfg: TrainConfig,
     v_feats, pi_sup = costs_mod.reconstruct_pairs(
         ds.v_feats[matched_batch], ds.v_feats[mismatched_idx], cfg.reserve_ratio,
         state.rng)
-    rows, cols = np.nonzero(pi_sup)
+    # the flat indices of the boolean form: np.nonzero of a float matrix is ~6x slower
+    rows, cols = divmod(np.flatnonzero(pi_sup.astype(bool)), pi_sup.shape[1])
     sims = _pair_sims(state.params, v_feats[rows], ds.t_feats[matched_batch[cols]])
     return costs_mod.cost_net_step(state.theta, sims, np.ones(sims.size), cfg.lr_cost)
 
