@@ -289,7 +289,7 @@ class TestTrainEpoch:
         # two n x n matrices at batch 128: once the first epochs have sized
         # the workspace, a step allocates no n x n matrix of its own. A
         # rematch step (cost map, partial transport, normalization and the
-        # rematch loss) peaked at 1,399 KiB before its matrices moved into the
+        # rematch loss) peaked at 1,395 KiB before its matrices moved into the
         # workspace, and at 223 KiB after
         cfg = TrainConfig(seed=0, mode="rematch", optimizer="adam", warmup_epochs=1,
                           train_epochs=1, batch_size=128)
