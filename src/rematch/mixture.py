@@ -135,11 +135,14 @@ def _evidence(log_x, log_1mx, params):
 
 
 def fit_bmm(losses, em_iters: int = 50, tol: float = 1e-6,
-            rng_seed: int = 0) -> BetaMixture:
+            rng_seed: int = 0, init: BetaMixture | None = None) -> BetaMixture:
     """Fit the mixture by EM with moment-matching parameter updates.
 
     Losses are min-max normalized into [1e-4, 1 - 1e-4] first.
-    Responsibilities start from a median split; EM stops when the
+    Responsibilities start from a median split or, warm, from the posterior
+    of a previous fit ``init`` on these normalized losses; a degenerate
+    ``init``, or one whose posterior leaves a component a total below 1e-9
+    (where the loop stops), keeps the median split. EM stops when the
     log-likelihood gain drops below ``tol``, when ``em_iters`` is reached,
     or when a moment update would decrease the log-likelihood (the update
     is then discarded, which keeps the recorded trace non-decreasing).
@@ -151,11 +154,13 @@ def fit_bmm(losses, em_iters: int = 50, tol: float = 1e-6,
         raise ValueError("losses must be finite")
     require("em_iters", em_iters, 1)
     require("tol", tol, "(0, inf)")
+    start = None if init is None or init.degenerate else _checked_params(init)
 
     lo, hi = float(losses.min()), float(losses.max())
     params, trace = None, []
     if hi - lo >= 1e-12:
-        params, trace = _em(_to_unit(losses, lo, hi - lo), em_iters, tol, rng_seed)
+        params, trace = _em(_to_unit(losses, lo, hi - lo), em_iters, tol, rng_seed,
+                            start)
     if params is None:
         return BetaMixture(1.0, 1.0, 1.0, 1.0, weight_hi=0.0, degenerate=True,
                            norm_lo=lo, norm_hi=hi)
@@ -168,17 +173,26 @@ def fit_bmm(losses, em_iters: int = 50, tol: float = 1e-6,
                        norm_lo=lo, norm_hi=hi, loglik_trace=trace)
 
 
-def _em(x, em_iters: int, tol: float, rng_seed: int):
-    """EM over normalized losses ``x``; the accepted parameters (None when
-    no update was accepted) and the log-likelihood trace."""
+def _em(x, em_iters: int, tol: float, rng_seed: int, start=None):
+    """EM over normalized losses ``x``, from the posterior of the mixture
+    parameters ``start`` when given; the accepted parameters (None when no
+    update was accepted) and the log-likelihood trace."""
     _check_unit_interval(x)
     # x is fixed across iterations, so its logs are taken once per fit
     log_x, log_1mx = np.log(x), np.log1p(-x)
 
-    resp_hi = (x > np.median(x)).astype(np.float64)
-    if resp_hi.sum() == 0 or resp_hi.sum() == x.size:
-        rng = np.random.default_rng(rng_seed)
-        resp_hi = (rng.random(x.size) < 0.5).astype(np.float64)
+    resp_hi = None
+    if start is not None:
+        resp_hi = _evidence(log_x, log_1mx, start)[1]
+        # a component the start leaves empty would stop the loop at once (a
+        # NaN total falls back too)
+        if not (resp_hi.sum() >= 1e-9 and (1.0 - resp_hi).sum() >= 1e-9):
+            resp_hi = None
+    if resp_hi is None:
+        resp_hi = (x > np.median(x)).astype(np.float64)
+        if resp_hi.sum() == 0 or resp_hi.sum() == x.size:
+            rng = np.random.default_rng(rng_seed)
+            resp_hi = (rng.random(x.size) < 0.5).astype(np.float64)
 
     params = None
     trace: list[float] = []
@@ -205,16 +219,22 @@ def _em(x, em_iters: int, tol: float, rng_seed: int):
     return params, trace
 
 
+def _checked_params(bmm: BetaMixture):
+    """A fit's ``((alpha_lo, beta_lo), (alpha_hi, beta_hi), weight_hi)``;
+    a shape outside (0, inf) or a weight outside [0, 1] raises ``ValueError``."""
+    for name in ("alpha_lo", "beta_lo", "alpha_hi", "beta_hi"):
+        require(name, getattr(bmm, name), "(0, inf)")
+    require("weight_hi", bmm.weight_hi, "[0, 1]")
+    return (bmm.alpha_lo, bmm.beta_lo), (bmm.alpha_hi, bmm.beta_hi), bmm.weight_hi
+
+
 def posterior(bmm: BetaMixture, loss):
     """Probability that a normalized loss came from the higher-mean component."""
     if bmm.degenerate:
         return np.zeros_like(np.asarray(loss, dtype=np.float64)) if np.ndim(loss) else 0.0
-    for name in ("alpha_lo", "beta_lo", "alpha_hi", "beta_hi"):
-        require(name, getattr(bmm, name), "(0, inf)")
-    require("weight_hi", bmm.weight_hi, "[0, 1]")
+    params = _checked_params(bmm)
     x = np.asarray(loss, dtype=np.float64)
     _check_unit_interval(x)
-    params = ((bmm.alpha_lo, bmm.beta_lo), (bmm.alpha_hi, bmm.beta_hi), bmm.weight_hi)
     w = _evidence(np.log(x), np.log1p(-x), params)[1]
     return w if w.ndim else float(w)
 

@@ -39,7 +39,7 @@ from .losses import (
     triplet_loss_batch,
     warmup_loss,
 )
-from .mixture import fit_bmm, mismatch_probabilities, partition
+from .mixture import BetaMixture, fit_bmm, mismatch_probabilities, partition
 from ._settings import check, choice, count, real, switch
 from .transport import SinkhornConfig, _normalize, normalize_plan, partial_ot
 
@@ -74,6 +74,9 @@ _OT_TOL = 1e-6
 _OT_MAX_ITER = 3000
 _EM_ITERS = 30
 _VAL_FRAC = 0.1
+
+# an epoch record's fitted mixture, in BetaMixture's field order
+_BMM_PARAMS = ("alpha_lo", "beta_lo", "alpha_hi", "beta_hi", "weight_hi")
 
 
 @dataclass(frozen=True)
@@ -296,9 +299,15 @@ def per_sample_losses(state: RunState, ds: PairDataset, cfg: TrainConfig,
 def _identify(state: RunState, ds: PairDataset, cfg: TrainConfig,
               train_idx: np.ndarray):
     """Fit the loss mixture and split training rows by mismatch posterior;
-    the matched and mismatched positions in ``train_idx``, and the fit."""
+    the matched and mismatched positions in ``train_idx``, and the fit.
+
+    EM starts from the fit the previous epoch recorded, when it has one: a
+    warm-up epoch and a degenerate fit record none.
+    """
     losses = per_sample_losses(state, ds, cfg, train_idx)
-    bmm = fit_bmm(losses, em_iters=_EM_ITERS, rng_seed=cfg.seed)
+    last = state.history[-1].get("bmm") if state.history else None
+    init = None if last is None else BetaMixture(*(last[key] for key in _BMM_PARAMS))
+    bmm = fit_bmm(losses, em_iters=_EM_ITERS, rng_seed=cfg.seed, init=init)
     matched_pos, mismatched_pos = partition(mismatch_probabilities(bmm, losses),
                                             cfg.threshold)
     return matched_pos, mismatched_pos, bmm
@@ -438,6 +447,11 @@ def _epoch(state: RunState, ds: PairDataset, cfg: TrainConfig,
                                "mismatched": int(mismatched_idx.size)}
         record["identification"] = identification_score(
             mismatched_pos, ds.matched[train_idx])
+        record["bmm"] = None if bmm.degenerate else {
+            **{key: getattr(bmm, key) for key in _BMM_PARAMS},
+            "mean_lo": bmm.mean_lo, "mean_hi": bmm.mean_hi,
+            "em_iterations": len(bmm.loglik_trace),
+        }
     if warm:
         loss = _fit(state, ds, cfg, rows,
                     lambda s: warmup_loss(s, cfg.tau, cfg.eps, cfg.rce_weight,
@@ -445,12 +459,6 @@ def _epoch(state: RunState, ds: PairDataset, cfg: TrainConfig,
     elif mode.rematch:
         loss, record["transport"] = _rematch_steps(state, ds, cfg, train_idx, rows,
                                                    mismatched_idx, lr)
-        record["bmm"] = None if bmm.degenerate else {
-            "alpha_lo": bmm.alpha_lo, "beta_lo": bmm.beta_lo,
-            "alpha_hi": bmm.alpha_hi, "beta_hi": bmm.beta_hi,
-            "weight_hi": bmm.weight_hi, "mean_lo": bmm.mean_lo,
-            "mean_hi": bmm.mean_hi, "em_iterations": len(bmm.loglik_trace),
-        }
         record["cost_gap"] = _cost_gap(state, ds, cfg, train_idx)
         record["cost_params"] = {"w": state.theta.w, "b": state.theta.b}
     else:

@@ -511,13 +511,15 @@ class TestRunExperiment:
         assert payload["config"]["rho"] == 1.0
 
     @pytest.mark.parametrize("mode,best,test_rsum,last_loss", [
-        ("rematch", {"epoch": 4, "val_rsum": 337.5}, 240.0, 17.784528853549002),
+        ("rematch", {"epoch": 4, "val_rsum": 337.5}, 240.0, 17.668781242813413),
         ("naive", {"epoch": 5, "val_rsum": 331.25}, 190.0, 17.041659996871974),
-        ("discard", {"epoch": 4, "val_rsum": 337.5}, 240.0, 12.52813689850941),
+        ("discard", {"epoch": 4, "val_rsum": 337.5}, 240.0, 15.319442462107688),
     ])
     def test_pinned_trajectory_per_mode(self, determinism_ds, mode, best,
                                         test_rsum, last_loss):
-        # regression constants, frozen at first measurement
+        # regression constants, frozen at first measurement; the rematch and
+        # discard losses were re-recorded when the mixture fit began to start
+        # from the previous epoch's fit (their best and test figures held)
         payload = run_experiment(TrainConfig(mode=mode, **DETERMINISM),
                                  determinism_ds)
         assert payload["best"] == pytest.approx(best, abs=1e-9)
