@@ -174,21 +174,16 @@ def fit_bmm(losses, em_iters: int = 50, tol: float = 1e-6,
 
 
 def _em(x, em_iters: int, tol: float, rng_seed: int, start=None):
-    """EM over normalized losses ``x``, from the posterior of the mixture
-    parameters ``start`` when given; the accepted parameters (None when no
-    update was accepted) and the log-likelihood trace."""
+    """EM over normalized losses ``x``, from ``start``'s posterior or a median
+    split; the accepted parameters (None if none was) and the log-likelihood trace."""
     _check_unit_interval(x)
     # x is fixed across iterations, so its logs are taken once per fit
     log_x, log_1mx = np.log(x), np.log1p(-x)
 
-    resp_hi = None
-    if start is not None:
-        resp_hi = _evidence(log_x, log_1mx, start)[1]
-        # a component the start leaves empty would stop the loop at once (a
-        # NaN total falls back too)
-        if not (resp_hi.sum() >= 1e-9 and (1.0 - resp_hi).sum() >= 1e-9):
-            resp_hi = None
-    if resp_hi is None:
+    resp_hi = None if start is None else _evidence(log_x, log_1mx, start)[1]
+    # a start that leaves a component empty would stop the loop at once
+    if resp_hi is None or not (resp_hi.sum() >= 1e-9
+                               and (1.0 - resp_hi).sum() >= 1e-9):
         resp_hi = (x > np.median(x)).astype(np.float64)
         if resp_hi.sum() == 0 or resp_hi.sum() == x.size:
             rng = np.random.default_rng(rng_seed)

@@ -39,7 +39,8 @@ from .losses import (
     triplet_loss_batch,
     warmup_loss,
 )
-from .mixture import BetaMixture, fit_bmm, mismatch_probabilities, partition
+from .mixture import (BetaMixture, _checked_params, fit_bmm, mismatch_probabilities,
+                      partition)
 from ._settings import check, choice, count, real, switch
 from .transport import SinkhornConfig, _normalize, normalize_plan, partial_ot
 
@@ -298,12 +299,9 @@ def per_sample_losses(state: RunState, ds: PairDataset, cfg: TrainConfig,
 
 def _identify(state: RunState, ds: PairDataset, cfg: TrainConfig,
               train_idx: np.ndarray):
-    """Fit the loss mixture and split training rows by mismatch posterior;
-    the matched and mismatched positions in ``train_idx``, and the fit.
-
-    EM starts from the fit the previous epoch recorded, when it has one: a
-    warm-up epoch and a degenerate fit record none.
-    """
+    """Fit the loss mixture, from the fit the previous epoch recorded if any,
+    and split training rows by mismatch posterior; the matched and
+    mismatched positions in ``train_idx``, and the fit."""
     losses = per_sample_losses(state, ds, cfg, train_idx)
     last = state.history[-1].get("bmm") if state.history else None
     init = None if last is None else BetaMixture(*(last[key] for key in _BMM_PARAMS))
@@ -568,8 +566,9 @@ def load_state(path: str):
     Returns ``(state, config)``; stepping the restored state with
     :func:`train_epoch` until ``config.total_epochs`` ends exactly where the
     uninterrupted run does. A checkpoint of another version, with a missing
-    entry, or with a config that does not name exactly the
-    :class:`TrainConfig` fields raises ``ValueError``, and so does a file
+    entry, with a config that does not name exactly the :class:`TrainConfig`
+    fields, or with an ``epoch`` or ``history`` the config cannot have had
+    raises ``ValueError``, and so does a file
     that is not a zip archive or whose entries cannot be read.
     """
     with open(path, "rb") as handle:
@@ -600,15 +599,21 @@ def _restore(archive, path: str):
         raise ValueError(f"checkpoint {path} config: unknown keys {unknown}, "
                          f"missing keys {missing}")
     cfg = TrainConfig(**config)
+    epoch = int(entry("epoch"))
+    if not 0 <= epoch <= cfg.total_epochs:
+        raise ValueError(f"checkpoint {path} entry 'epoch' must lie in "
+                         f"[0, {cfg.total_epochs}], got {epoch}")
+    history = json.loads(str(entry("history")[()]))
+    _check_history(history, epoch, f"checkpoint {path} entry 'history'")
     rng = np.random.default_rng()
     rng.bit_generator.state = json.loads(str(entry("rng_state")[()]))
     state = RunState(
         params=enc.EncoderParams(entry("w_v").copy(), entry("w_t").copy()),
         theta=costs_mod.CostNetParams(float(entry("cost_w")),
                                       float(entry("cost_b"))),
-        epoch=int(entry("epoch")),
+        epoch=epoch,
         rng=rng,
-        history=json.loads(str(entry("history")[()])),
+        history=history,
         best_rsum=float(entry("best_rsum")),
         best_epoch=int(entry("best_epoch")),
         clip_events=int(entry("clip_events")),
@@ -623,3 +628,18 @@ def _restore(archive, path: str):
                                entry("adam_v_t").copy(),
                                int(entry("adam_step")))
     return state, cfg
+
+
+def _check_history(history, epoch: int, where: str) -> None:
+    """Raise ``ValueError`` naming ``where`` unless ``history`` holds records
+    numbered 1..``epoch``, each mixture fit (a later EM start) ``None`` or valid."""
+    if not (isinstance(history, list) and all(isinstance(r, dict) for r in history)
+            and [r.get("epoch") for r in history] == list(range(1, epoch + 1))):
+        raise ValueError(f"{where} must be a list of records numbered 1..{epoch}")
+    for record in history:
+        try:
+            if record.get("bmm") is not None:
+                _checked_params(BetaMixture(*(record["bmm"][key] for key in _BMM_PARAMS)))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{where} record {record['epoch']} has an invalid bmm "
+                             f"block: {exc}") from None

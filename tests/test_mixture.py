@@ -216,6 +216,35 @@ SCIPY_BETALN_FITS = {
 }
 
 
+class TestWarmStart:
+    @pytest.mark.parametrize("make", [desk_sized_losses,
+                                      lambda: two_component_sample(seed=3)[0]])
+    def test_a_fit_restarted_from_itself_stops_at_once(self, make):
+        losses = make()
+        cold = fit_bmm(losses)
+        warm = fit_bmm(losses, init=cold)
+        assert 1 <= len(warm.loglik_trace) <= 3 < len(cold.loglik_trace)
+        for cold_side, warm_side in zip(partition(mismatch_probabilities(cold, losses)),
+                                        partition(mismatch_probabilities(warm, losses))):
+            np.testing.assert_array_equal(cold_side, warm_side)
+
+    # a start whose posterior leaves a component empty (360 rows of 1e-12 each,
+    # the weight clamp, against the loop's 1e-9 stop), and a degenerate start
+    @pytest.mark.parametrize("init", [
+        BetaMixture(2.0, 2.0, 2.0, 2.0, weight_hi=0.0),
+        BetaMixture(2.0, 2.0, 2.0, 2.0, weight_hi=1.0),
+        BetaMixture(1.0, 1.0, 1.0, 1.0, weight_hi=0.0, degenerate=True),
+    ], ids=["empty-hi", "empty-lo", "degenerate"])
+    def test_an_unusable_start_gives_the_cold_fit(self, init):
+        losses = desk_sized_losses()
+        assert fit_bmm(losses, init=init) == fit_bmm(losses)
+
+    def test_an_invalid_start_is_rejected(self):
+        with pytest.raises(ValueError, match="^alpha_hi must be"):
+            fit_bmm(desk_sized_losses(),
+                    init=BetaMixture(2.0, 8.0, -1.0, 2.0, weight_hi=0.5))
+
+
 class TestPinnedFits:
     @pytest.mark.parametrize("name", sorted(PINNED_FITS))
     def test_parameters_and_trace_are_bitwise_pinned(self, name):
@@ -277,25 +306,45 @@ def loss_vectors(draw):
     return base + scale * unit if kind != "near-constant" else base + unit
 
 
+@st.composite
+def valid_fits(draw):
+    """Mixture parameters a fit can return: shapes in the fitted box, any weight."""
+    shape = st.floats(math.log(mixture._SHAPE_MIN),
+                      math.log(mixture._SHAPE_MAX)).map(math.exp)
+    return BetaMixture(draw(shape), draw(shape), draw(shape), draw(shape),
+                       weight_hi=draw(st.floats(0.0, 1.0)))
+
+
+def assert_fit_invariants(losses, init=None):
+    bmm = fit_bmm(losses, init=init)
+    assert np.all(np.diff(bmm.loglik_trace) >= 0)
+    assert 0.0 <= bmm.weight_hi <= 1.0
+    assert bmm.mean_lo <= bmm.mean_hi
+    if not bmm.degenerate:
+        # the components are ordered by mean; a swap hands over the weight
+        start = None if init is None else mixture._checked_params(init)
+        (a_lo, b_lo), (a_hi, b_hi), w_hi = mixture._em(bmm.normalize(losses), 50,
+                                                       1e-6, 0, start)[0]
+        swapped = a_lo / (a_lo + b_lo) > a_hi / (a_hi + b_hi)
+        assert bmm.weight_hi == (1.0 - w_hi if swapped else w_hi)
+    w = mismatch_probabilities(bmm, losses)
+    assert np.all((w >= 0) & (w <= 1))
+    spread = float(losses.max()) - float(losses.min())
+    assert bmm.degenerate == (spread < 1e-12)
+
+
 class TestFitProperties:
     @given(losses=loss_vectors())
     @example(losses=np.r_[np.linspace(0.0, 0.5, 4), np.ones(7)])  # EM ends swapped
     @settings(max_examples=80, deadline=None)
     def test_fit_invariants(self, losses):
-        bmm = fit_bmm(losses)
-        assert np.all(np.diff(bmm.loglik_trace) >= 0)
-        assert 0.0 <= bmm.weight_hi <= 1.0
-        assert bmm.mean_lo <= bmm.mean_hi
-        if not bmm.degenerate:
-            # the components are ordered by mean; a swap hands over the weight
-            (a_lo, b_lo), (a_hi, b_hi), w_hi = mixture._em(bmm.normalize(losses), 50,
-                                                           1e-6, 0)[0]
-            swapped = a_lo / (a_lo + b_lo) > a_hi / (a_hi + b_hi)
-            assert bmm.weight_hi == (1.0 - w_hi if swapped else w_hi)
-        w = mismatch_probabilities(bmm, losses)
-        assert np.all((w >= 0) & (w <= 1))
-        spread = float(losses.max()) - float(losses.min())
-        assert bmm.degenerate == (spread < 1e-12)
+        assert_fit_invariants(losses)
+
+    @given(losses=loss_vectors(), init=valid_fits())
+    @settings(max_examples=80, deadline=None)
+    def test_warm_fit_invariants(self, losses, init):
+        # a warm start is never degenerate where a cold one is not
+        assert_fit_invariants(losses, init)
 
 
 class TestPosterior:

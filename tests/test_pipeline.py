@@ -258,6 +258,27 @@ class TestIdentification:
         assert score["f1"] >= 0.8
         assert score["f1"] == pytest.approx(0.9198606271777003, abs=1e-9)
 
+    @pytest.mark.parametrize("mode", ["rematch", "discard"])
+    def test_each_fit_starts_from_the_previous_record(self, determinism_ds, mode):
+        cfg = TrainConfig(mode=mode, **DETERMINISM)
+        state = init_state(cfg, determinism_ds)
+        warmup(state, determinism_ds, cfg)
+        with mock.patch.object(pl, "fit_bmm", wraps=pl.fit_bmm) as fit:
+            # the first training epoch reads a warm-up record, which has no fit
+            train_epoch(state, determinism_ds, cfg)
+            assert fit.call_args.kwargs["init"] is None
+            train_epoch(state, determinism_ds, cfg)
+            init = fit.call_args.kwargs["init"]
+            previous = state.history[-2]["bmm"]
+            assert (init.alpha_lo, init.beta_lo, init.alpha_hi, init.beta_hi,
+                    init.weight_hi) == tuple(previous[key] for key in pl._BMM_PARAMS)
+            assert not init.degenerate
+            # a degenerate fit records None, and the next fit starts cold
+            state.history[-1]["bmm"] = None
+            train_epoch(state, determinism_ds, cfg)
+            assert fit.call_args.kwargs["init"] is None
+        assert fit.call_count == 3
+
 
 class TestTrainEpoch:
     def test_perfect_split_reduces_to_triplet_training(self):
@@ -369,7 +390,19 @@ class TestTrainEpoch:
         assert int(done.stdout) < 500, f"the counted epochs took {done.stdout.strip()} minor faults"
 
     def test_epoch_records_required_blocks(self, noisy_ds):
-        cfg = TrainConfig(seed=0, warmup_epochs=2, batch_size=64)
+        # every identifying epoch records its fit; only rematch epochs solve
+        cfg = TrainConfig(seed=0, warmup_epochs=2, batch_size=64, mode="discard")
+        state = init_state(cfg, noisy_ds)
+        warmup(state, noisy_ds, cfg)
+        train_epoch(state, noisy_ds, cfg)
+        record = state.history[-1]
+        for key in ("bmm", "partition", "identification"):
+            assert key in record
+        assert record["bmm"] is not None
+        for key in ("transport", "cost_gap", "cost_params"):
+            assert key not in record
+
+        cfg = dataclasses.replace(cfg, mode="rematch")
         state = init_state(cfg, noisy_ds)
         warmup(state, noisy_ds, cfg)
         train_epoch(state, noisy_ds, cfg)
@@ -735,8 +768,18 @@ def assert_resume_reproduces_training(tmp_path, ds, cfg):
     save_state(stopped, cfg, str(path))
     resumed, cfg_back = load_state(str(path))
     assert cfg_back == cfg
+    # an identifying run's resumed epoch starts EM from the restored fit
+    restored_fit = resumed.history[-1].get("bmm")
+    assert (restored_fit is not None) == pl._MODES[cfg.mode].identify
     train_epoch(resumed, ds, cfg_back)
     assert_same_run(resumed, straight)
+
+
+def rewrite_entry(path, key, value):
+    """Replace one entry of a saved checkpoint."""
+    data = dict(np.load(str(path), allow_pickle=False))
+    data[key] = value
+    np.savez(str(path), **data)
 
 
 class TestCheckpointing:
@@ -744,6 +787,13 @@ class TestCheckpointing:
     def test_resume_reproduces_training(self, tmp_path, noisy_ds, optimizer):
         cfg = TrainConfig(seed=1, warmup_epochs=1, train_epochs=3,
                           lr_decay_epoch=2, batch_size=32, optimizer=optimizer)
+        assert_resume_reproduces_training(tmp_path, noisy_ds, cfg)
+
+    # the checkpoint falls between two identifying epochs of discard
+    @pytest.mark.parametrize("mode", ["discard", "naive"])
+    def test_resume_reproduces_training_in_every_mode(self, tmp_path, noisy_ds, mode):
+        cfg = TrainConfig(seed=1, warmup_epochs=1, train_epochs=3, lr_decay_epoch=2,
+                          batch_size=32, mode=mode)
         assert_resume_reproduces_training(tmp_path, noisy_ds, cfg)
 
     def test_numpy_valued_config_checkpoints_and_resumes(self, tmp_path, noisy_ds):
@@ -799,6 +849,55 @@ class TestCheckpointing:
         del data["adam_step"]
         np.savez(str(path), **data)
         with pytest.raises(ValueError, match="'adam_step'"):
+            load_state(str(path))
+
+    @pytest.fixture
+    def identified_checkpoint(self, tmp_path, determinism_ds):
+        """A discard checkpoint after its first training epoch, which
+        recorded a fit."""
+        cfg = TrainConfig(mode="discard", **DETERMINISM)
+        state = init_state(cfg, determinism_ds)
+        warmup(state, determinism_ds, cfg)
+        train_epoch(state, determinism_ds, cfg)
+        assert state.history[-1]["bmm"] is not None
+        path = tmp_path / "identified.npz"
+        save_state(state, cfg, str(path))
+        return path, state.history
+
+    @pytest.mark.parametrize("epoch", [-5, 7])
+    def test_rejects_epoch_outside_the_run(self, identified_checkpoint, epoch):
+        path, _ = identified_checkpoint
+        rewrite_entry(path, "epoch", np.int64(epoch))
+        with pytest.raises(ValueError, match=r"entry 'epoch' must lie in \[0, 6\]"):
+            load_state(str(path))
+
+    def test_rejects_history_that_is_not_a_list(self, identified_checkpoint):
+        path, _ = identified_checkpoint
+        rewrite_entry(path, "history", np.array(json.dumps(None)))
+        with pytest.raises(ValueError, match=r"entry 'history' must be a list of "
+                                             r"records numbered 1\.\.4"):
+            load_state(str(path))
+
+    def test_rejects_history_that_misses_an_epoch(self, tmp_path, noisy_ds):
+        cfg = TrainConfig(seed=0, warmup_epochs=1, batch_size=64)
+        state = init_state(cfg, noisy_ds)
+        train_epoch(state, noisy_ds, cfg)
+        path = tmp_path / "epoch1.npz"
+        save_state(state, cfg, str(path))
+        rewrite_entry(path, "history", np.array(json.dumps([])))
+        with pytest.raises(ValueError, match=r"entry 'history' must be a list of "
+                                             r"records numbered 1\.\.1"):
+            load_state(str(path))
+
+    @pytest.mark.parametrize("name,value", [("alpha_lo", -1.0),
+                                            ("weight_hi", float("nan"))])
+    def test_rejects_an_invalid_recorded_fit(self, identified_checkpoint, name, value):
+        path, history = identified_checkpoint
+        history = copy.deepcopy(history)
+        history[-1]["bmm"][name] = value
+        rewrite_entry(path, "history", np.array(json.dumps(history)))
+        with pytest.raises(ValueError, match=f"entry 'history' record 4 has an invalid "
+                                             f"bmm block: {name} must be"):
             load_state(str(path))
 
     def test_damaged_archive_raises_value_error(self, tmp_path, noisy_ds):
