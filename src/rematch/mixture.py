@@ -182,8 +182,7 @@ def _em(x, em_iters: int, tol: float, rng_seed: int, start=None):
 
     resp_hi = None if start is None else _evidence(log_x, log_1mx, start)[1]
     # a start that leaves a component empty would stop the loop at once
-    if resp_hi is None or not (resp_hi.sum() >= 1e-9
-                               and (1.0 - resp_hi).sum() >= 1e-9):
+    if resp_hi is None or resp_hi.sum() < 1e-9 or (1.0 - resp_hi).sum() < 1e-9:
         resp_hi = (x > np.median(x)).astype(np.float64)
         if resp_hi.sum() == 0 or resp_hi.sum() == x.size:
             rng = np.random.default_rng(rng_seed)
