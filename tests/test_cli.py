@@ -138,7 +138,7 @@ class TestPinnedOutputs:
     def test_oracle_check_stdout(self, capsys):
         assert main(["oracle-check", "--instances", "30", "--size", "4"]) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
-            "1ed0805cb84ee1a20ef2043d2d4d22b06fbb965f3b1f521d3c975e2d233f2dce")
+            "b12826039da1c140858b1e143a64a925d4646b0d350145171c3ee0fad998f475")
 
 
 class TestAblate:
