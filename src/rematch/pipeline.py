@@ -39,9 +39,9 @@ from .losses import (
     triplet_loss_batch,
     warmup_loss,
 )
-from .mixture import (BetaMixture, _checked_params, fit_bmm, mismatch_probabilities,
-                      partition)
-from ._settings import check, choice, count, real, switch
+from .mixture import (_SHAPE_MAX, _SHAPE_MIN, BetaMixture, fit_bmm,
+                      mismatch_probabilities, partition)
+from ._settings import check, choice, count, real, require, switch
 from .transport import SinkhornConfig, _normalize, normalize_plan, partial_ot
 
 __all__ = ["TrainConfig", "RunState", "init_state", "warmup", "per_sample_losses",
@@ -78,6 +78,10 @@ _VAL_FRAC = 0.1
 
 # an epoch record's fitted mixture, in BetaMixture's field order
 _BMM_PARAMS = ("alpha_lo", "beta_lo", "alpha_hi", "beta_hi", "weight_hi")
+# the values fit_bmm can return for each of them
+_BMM_RULES = (f"[{_SHAPE_MIN}, {_SHAPE_MAX}]",) * 4 + ("[0, 1]",)
+# the values cost_net_step can leave the cost map's slope and offset at
+_COST_RULE = f"[{-costs_mod._PARAM_BOUND}, {costs_mod._PARAM_BOUND}]"
 
 
 @dataclass(frozen=True)
@@ -568,8 +572,9 @@ def load_state(path: str):
     uninterrupted run does. A checkpoint of another version, with a missing
     entry, with a config that does not name exactly the :class:`TrainConfig`
     fields, or with an ``epoch`` or ``history`` the config cannot have had
-    raises ``ValueError``, and so does a file
-    that is not a zip archive or whose entries cannot be read.
+    raises ``ValueError``, and so does a recorded fit or cost map that
+    training cannot have left, a negative ``clip_events``, a file that is not
+    a zip archive or one whose entries cannot be read.
     """
     with open(path, "rb") as handle:
         if not zipfile.is_zipfile(handle):
@@ -590,6 +595,10 @@ def _restore(archive, path: str):
             raise ValueError(f"checkpoint {path} has no {key!r} entry")
         return archive[key]
 
+    def checked(key, value, rule):
+        require(f"checkpoint {path} entry {key!r}", value, rule)
+        return value
+
     if int(entry("version")) != _STATE_VERSION:
         raise ValueError(f"unsupported checkpoint version {archive['version']}")
     config = json.loads(str(entry("config")[()]))
@@ -609,14 +618,14 @@ def _restore(archive, path: str):
     rng.bit_generator.state = json.loads(str(entry("rng_state")[()]))
     state = RunState(
         params=enc.EncoderParams(entry("w_v").copy(), entry("w_t").copy()),
-        theta=costs_mod.CostNetParams(float(entry("cost_w")),
-                                      float(entry("cost_b"))),
+        theta=costs_mod.CostNetParams(*(checked(key, float(entry(key)), _COST_RULE)
+                                        for key in ("cost_w", "cost_b"))),
         epoch=epoch,
         rng=rng,
         history=history,
         best_rsum=float(entry("best_rsum")),
         best_epoch=int(entry("best_epoch")),
-        clip_events=int(entry("clip_events")),
+        clip_events=checked("clip_events", int(entry("clip_events")), 0),
     )
     if "best_w_v" in archive:
         state.best_params = enc.EncoderParams(entry("best_w_v").copy(),
@@ -632,14 +641,17 @@ def _restore(archive, path: str):
 
 def _check_history(history, epoch: int, where: str) -> None:
     """Raise ``ValueError`` naming ``where`` unless ``history`` holds records
-    numbered 1..``epoch``, each mixture fit (a later EM start) ``None`` or valid."""
+    numbered 1..``epoch``, each mixture fit (a later EM start) ``None`` or
+    one :func:`fit_bmm` can return: shapes in [``_SHAPE_MIN``, ``_SHAPE_MAX``]
+    and a weight in [0, 1]."""
     if not (isinstance(history, list) and all(isinstance(r, dict) for r in history)
             and [r.get("epoch") for r in history] == list(range(1, epoch + 1))):
         raise ValueError(f"{where} must be a list of records numbered 1..{epoch}")
     for record in history:
         try:
             if record.get("bmm") is not None:
-                _checked_params(BetaMixture(*(record["bmm"][key] for key in _BMM_PARAMS)))
+                for key, rule in zip(_BMM_PARAMS, _BMM_RULES):
+                    require(key, record["bmm"][key], rule)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{where} record {record['epoch']} has an invalid bmm "
                              f"block: {exc}") from None

@@ -12,12 +12,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import rematch.encoder as enc
 import rematch.pipeline as pl
 import rematch.transport as transport
-from rematch.costs import CostNetParams, cost_net_step, reconstruct_pairs
+from rematch.costs import CostNetParams, cost_grads, cost_net_step, reconstruct_pairs
 from rematch.data import identification_score, make_benchmark
 from rematch.losses import (matching_probs, rce_loss, rematch_loss, triplet_loss_batch,
                             warmup_loss)
@@ -430,13 +430,21 @@ class TestTrainEpoch:
     @given(n=st.integers(2, 129), seed=st.integers(0, 2**32 - 1),
            reserve_ratio=st.floats(0.01, 1.0), lr_cost=st.sampled_from([2e-6, 1.0, 100.0]),
            w=st.floats(-50, 50), b=st.floats(-50, 50))
+    # a w gradient that cancels: a step of 3.5e-9 from terms whose absolute
+    # sum times lr is 9.4e-6, with summation orders 3.9e-22 apart
+    @example(n=44, seed=44, reserve_ratio=0.5, lr_cost=2e-6, w=0.0, b=0.0)
     @settings(max_examples=60, deadline=None)
     def test_cost_update_scores_only_the_supervised_cells(self, noisy_ds, n, seed,
                                                            reserve_ratio, lr_cost, w, b):
         # the step embeds only the rebuilt batch's true pairs; the full
-        # similarity matrix weighted by pi_sup takes the same step, to 1e-14
-        # of the sizes of each parameter and its step (a step that nearly
-        # cancels the parameter leaves it small, with a larger relative error)
+        # similarity matrix weighted by pi_sup takes the same step up to
+        # rounding. Each side sums the k supervised terms in its own order,
+        # which is off by at most gamma(k - 1) * sum|terms| (Higham, Accuracy
+        # and Stability of Numerical Algorithms, 2nd ed., section 4.2), from
+        # similarities that are dot products of unit embeddings, each within
+        # gamma(dim) of exact (section 3.1), which moves a term by at most
+        # (1 + |w| / 4) times as much; the product with lr and the final
+        # subtraction round once more each
         rng = np.random.default_rng(seed)
         cfg = TrainConfig(seed=0, reserve_ratio=reserve_ratio, lr_cost=lr_cost)
         pool = rng.permutation(len(noisy_ds.v_feats))
@@ -453,8 +461,19 @@ class TestTrainEpoch:
         state.rng = np.random.default_rng(seed)
         got, clipped = pl._cost_update(state, noisy_ds, cfg, matched_batch, mismatched_idx)
         assert clipped == want_clipped
-        for new, reference, old in ((got.w, want.w, theta.w), (got.b, want.b, theta.b)):
-            assert abs(new - reference) <= 1e-14 * (abs(old) + abs(reference - old))
+
+        unit = np.finfo(float).eps / 2
+
+        def gamma(m):
+            return m * unit / (1 - m * unit)
+
+        k, dim = int(pi_sup.sum()), state.params.w_v.shape[1]
+        sims_moved = 2 * k * gamma(dim) * (1 + abs(w) / 4)
+        d_w, d_b = cost_grads(sims, theta)
+        for new, reference, terms in ((got.w, want.w, d_w), (got.b, want.b, d_b)):
+            summed = 2 * gamma(k + 1) * np.abs(pi_sup * terms).sum() + sims_moved
+            assert abs(new - reference) <= (lr_cost * summed
+                                            + unit * (abs(new) + abs(reference)))
 
     @given(k=st.integers(1, 400), scale=st.floats(1e-3, 1e3), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
@@ -898,6 +917,35 @@ class TestCheckpointing:
         rewrite_entry(path, "history", np.array(json.dumps(history)))
         with pytest.raises(ValueError, match=f"entry 'history' record 4 has an invalid "
                                              f"bmm block: {name} must be"):
+            load_state(str(path))
+
+    @pytest.mark.parametrize("name,value", [("alpha_lo", 5e-4), ("beta_hi", 1e306)])
+    def test_rejects_a_recorded_shape_no_fit_returns(self, identified_checkpoint,
+                                                     name, value):
+        # fit_bmm clamps its shapes into [1e-3, 1e6]; a shape of 1e306 would
+        # overflow math.lgamma in the next epoch's EM start
+        path, history = identified_checkpoint
+        history = copy.deepcopy(history)
+        history[-1]["bmm"][name] = value
+        rewrite_entry(path, "history", np.array(json.dumps(history)))
+        with pytest.raises(ValueError, match=rf"entry 'history' record 4 has an invalid "
+                                             rf"bmm block: {name} must be a real number "
+                                             rf"in \[0\.001, 1000000\.0\]"):
+            load_state(str(path))
+
+    @pytest.mark.parametrize("name,value", [("cost_w", -50.5), ("cost_b", 1e3),
+                                            ("cost_w", float("nan"))])
+    def test_rejects_a_cost_map_outside_the_clamp(self, identified_checkpoint, name, value):
+        path, _ = identified_checkpoint
+        rewrite_entry(path, name, np.float64(value))
+        with pytest.raises(ValueError, match=rf"entry '{name}' must be a real number "
+                                             rf"in \[-50\.0, 50\.0\]"):
+            load_state(str(path))
+
+    def test_rejects_negative_clip_events(self, identified_checkpoint):
+        path, _ = identified_checkpoint
+        rewrite_entry(path, "clip_events", np.int64(-1))
+        with pytest.raises(ValueError, match=r"entry 'clip_events' must be an integer >= 0"):
             load_state(str(path))
 
     def test_damaged_archive_raises_value_error(self, tmp_path, noisy_ds):
