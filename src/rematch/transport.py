@@ -283,6 +283,8 @@ class _Fit(NamedTuple):
 
     rows: np.ndarray
     cols: np.ndarray
+    res_r: np.ndarray  # rows - p
+    res_c: np.ndarray  # cols - q
     worst: float     # the marginal_violation
     residual: float  # summed absolute deviation of the rows and the columns
 
@@ -295,22 +297,24 @@ def _marginal_fit(plan, p, q) -> _Fit:
     """
     rows = plan.sum(axis=1)
     cols = plan.sum(axis=0)
-    dev_r = np.abs(rows - p)
-    dev_c = np.abs(cols - q)
-    return _Fit(rows, cols, float(max(dev_r.max(), dev_c.max())),
+    res_r = rows - p
+    res_c = cols - q
+    dev_r = np.abs(res_r)
+    dev_c = np.abs(res_c)
+    return _Fit(rows, cols, res_r, res_c, float(max(dev_r.max(), dev_c.max())),
                 float(dev_r.sum() + dev_c.sum()))
 
 
-def _converging_along(fit, cand_fit, p, q) -> bool:
+def _in_linear_tail(fit: _Fit, cand_fit: _Fit) -> bool:
     """Whether an accepted step is in the linear tail: the worst violation
     fell by less than ``1 / _TAIL_DROP`` and the residual ``F = (rows - p,
     cols - q)`` kept its direction to cosine ``_TAIL_COSINE``."""
     if cand_fit.worst <= _TAIL_DROP * fit.worst:
         return False
-    res_r, res_c = fit.rows - p, fit.cols - q
-    new_r, new_c = cand_fit.rows - p, cand_fit.cols - q
-    return (res_r @ new_r + res_c @ new_c) >= _TAIL_COSINE * np.sqrt(
-        (res_r @ res_r + res_c @ res_c) * (new_r @ new_r + new_c @ new_c))
+    dot = fit.res_r @ cand_fit.res_r + fit.res_c @ cand_fit.res_c
+    norms = ((fit.res_r @ fit.res_r + fit.res_c @ fit.res_c)
+             * (cand_fit.res_r @ cand_fit.res_r + cand_fit.res_c @ cand_fit.res_c))
+    return dot >= _TAIL_COSINE * np.sqrt(norms)
 
 
 def _newton_step(log_kernel, p, q, free, log_a, log_b, plan, fit: _Fit, out):
@@ -319,12 +323,13 @@ def _newton_step(log_kernel, p, q, free, log_a, log_b, plan, fit: _Fit, out):
     Only the ``free`` (positive-mass) rows and columns move; zero-mass ones
     stay frozen at -inf. The step length comes from a search on the worst
     marginal violation: it halves from the full step (or the log-step cap)
-    down to the first trial that lowers the violation. Should that trial
-    lower it by less than ``1 / _TAIL_DROP`` along an unchanged residual
-    direction, the step is in the linear tail, and the same direction is
-    tried at ``_TAIL_GROWTH``, ``_TAIL_GROWTH^2``, ... times the step, up to
-    the cap, for as long as each trial lowers the violation further. A
-    singular system or a search that finds no improving step is a stall.
+    down to the first trial that lowers the violation. Should the first
+    trial itself be accepted, yet lower the violation by less than ``1 /
+    _TAIL_DROP`` along an unchanged residual direction, the step is in the
+    linear tail: the same direction is tried at ``_TAIL_GROWTH``,
+    ``_TAIL_GROWTH^2``, ... times the step, up to the cap, for as long as
+    each trial lowers the violation further. A singular system or a search
+    that finds no improving step is a stall.
     Trials are written alternately into the C-contiguous ``out`` and the
     spent ``plan``. Returns the new exponents, their plan and fit, and the
     other buffer.
@@ -337,7 +342,7 @@ def _newton_step(log_kernel, p, q, free, log_a, log_b, plan, fit: _Fit, out):
     scratch = out.reshape(-1)[:rows.size * cols.size].reshape(rows.size, cols.size)
     try:
         dx, dy = _newton_direction(plan[free_r][:, free_c], rows, cols,
-                                   rows - p[free_r], cols - q[free_c], damping, scratch)
+                                   fit.res_r[free_r], fit.res_c[free_c], damping, scratch)
     except np.linalg.LinAlgError:
         return None
 
@@ -362,7 +367,7 @@ def _newton_step(log_kernel, p, q, free, log_a, log_b, plan, fit: _Fit, out):
     else:
         return None
     spare = plan
-    if step == full and _converging_along(fit, best[3], p, q):
+    if step == full and _in_linear_tail(fit, best[3]):
         while step < cap:
             step = min(step * _TAIL_GROWTH, cap)
             further = trial(step, spare)
@@ -393,7 +398,7 @@ def _solve(cost, p, q, mask, cfg: SinkhornConfig, work):
         log_q = np.log(q)
     log_b = np.where(np.isneginf(log_q), -np.inf, 0.0)
     free = _free(p), _free(q)
-    log_a, fit = None, _Fit(None, None, np.inf, np.inf)
+    log_a, fit = None, _Fit(None, None, None, None, np.inf, np.inf)
     # the first iteration sweeps, so the first plan is never read
     plan, spare = work("plan", *cost.shape), work("plan_next", *cost.shape)
     iterations, stalled = 0, False
