@@ -291,7 +291,6 @@ class TestSolverInternals:
             cost = np.random.default_rng(seed).uniform(0, 1, (4, 4))
             iterations.append(sinkhorn(cost, uniform(4), uniform(4), cfg=cfg).iterations)
         assert iterations == CRITERION_1_ITERATIONS
-        assert sum(iterations) == 1102
         assert all(new <= old for new, old in
                    zip(iterations, CRITERION_1_ITERATIONS_PLAIN_NEWTON))
 
