@@ -49,30 +49,34 @@ def _bounds(interval: str):
 
 
 def _problem(value, rule) -> str | None:
-    """What ``value`` must be under ``rule``, or ``None`` when it obeys it."""
+    """What ``value`` must do under ``rule``, or ``None`` when it obeys it."""
+    if isinstance(rule, range):
+        valid = isinstance(value, Integral) and not isinstance(value, bool) and value in rule
+        return None if valid else f"lie in [{rule.start}, {rule.stop - 1}]"
     if isinstance(rule, str):
         low, high = _bounds(rule)
         valid = (isinstance(value, Real) and not isinstance(value, bool)
                  and (low < value if rule[0] == "(" else low <= value)
                  and (value < high if rule[-1] == ")" else value <= high))
-        return None if valid else f"a real number in {rule}"
+        return None if valid else f"be a real number in {rule}"
     if isinstance(rule, int):
         valid = (isinstance(value, Integral) and not isinstance(value, bool)
                  and value >= rule)
-        return None if valid else f"an integer >= {rule}"
+        return None if valid else f"be an integer >= {rule}"
     if "choices" in rule:
-        return None if value in rule["choices"] else f"one of {rule['choices']}"
+        return None if value in rule["choices"] else f"be one of {rule['choices']}"
     if rule["type"] is bool:
-        return None if isinstance(value, bool) else "a bool"
+        return None if isinstance(value, bool) else "be a bool"
     return _problem(value, rule["rule"])
 
 
 def require(name: str, value, rule) -> None:
     """Raise ``ValueError`` unless ``value`` obeys ``rule``: a least integer,
-    an interval string such as ``"(0, 1]"``, or a setting field's metadata."""
+    an interval string such as ``"(0, 1]"``, a ``range`` of integers, or a
+    setting field's metadata."""
     problem = _problem(value, rule)
     if problem is not None:
-        raise ValueError(f"{name} must be {problem}, got {value!r}")
+        raise ValueError(f"{name} must {problem}, got {value!r}")
 
 
 def check(settings) -> None:

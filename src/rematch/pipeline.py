@@ -21,7 +21,9 @@ import json
 import time
 import zipfile
 from dataclasses import asdict, dataclass, field, fields
-from typing import NamedTuple
+from operator import attrgetter
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -30,15 +32,8 @@ from . import encoder as enc
 from .data import (RECALL_CUTOFFS, PairDataset, atomic_write, dataset_header,
                    identification_score, recall_at_k)
 # the step calls unchecked cores; perfbench/spans.py wraps the public names here
-from .losses import (
-    _VARIANTS,
-    _Workspace,
-    _rematch_loss,
-    per_pair_triplet_losses,
-    rematch_loss,
-    triplet_loss_batch,
-    warmup_loss,
-)
+from .losses import (_VARIANTS, _Workspace, _rematch_loss, per_pair_triplet_losses,
+                     rematch_loss, triplet_loss_batch, warmup_loss)
 from .mixture import (_SHAPE_MAX, _SHAPE_MIN, BetaMixture, fit_bmm,
                       mismatch_probabilities, partition)
 from ._settings import check, choice, count, real, require, switch
@@ -145,11 +140,6 @@ class AdamState:
     v_t: np.ndarray
     step: int = 0
 
-    @classmethod
-    def like(cls, params: enc.EncoderParams) -> "AdamState":
-        return cls(np.zeros_like(params.w_v), np.zeros_like(params.w_v),
-                   np.zeros_like(params.w_t), np.zeros_like(params.w_t))
-
 
 @dataclass
 class RunState:
@@ -171,12 +161,10 @@ class RunState:
 
 def init_state(cfg: TrainConfig, ds: PairDataset) -> RunState:
     rng = np.random.default_rng(cfg.seed)
-    params = enc.init_params(ds.v_feats.shape[1], ds.t_feats.shape[1],
-                             cfg.embed_dim, rng)
-    state = RunState(params=params, theta=costs_mod.CostNetParams(),
-                     epoch=0, rng=rng)
+    params = enc.init_params(ds.v_feats.shape[1], ds.t_feats.shape[1], cfg.embed_dim, rng)
+    state = RunState(params=params, theta=costs_mod.CostNetParams(), epoch=0, rng=rng)
     if cfg.optimizer == "adam":
-        state.adam = AdamState.like(params)
+        state.adam = AdamState(*map(np.zeros_like, [params.w_v] * 2 + [params.w_t] * 2))
     return state
 
 
@@ -347,15 +335,10 @@ def _pair_costs(state: RunState, ds: PairDataset, cfg: TrainConfig,
 
 def _cost_gap(state: RunState, ds: PairDataset, cfg: TrainConfig,
               train_idx: np.ndarray) -> dict:
-    pair_costs = _pair_costs(state, ds, cfg, train_idx)
-    flags = ds.matched[train_idx]
-    mean_matched = float(pair_costs[flags == 1].mean()) if (flags == 1).any() else 0.0
-    mean_mismatched = float(pair_costs[flags == 0].mean()) if (flags == 0).any() else 0.0
-    return {
-        "mean_matched": mean_matched,
-        "mean_mismatched": mean_mismatched,
-        "gap": mean_mismatched - mean_matched,
-    }
+    pair_costs, flags = _pair_costs(state, ds, cfg, train_idx), ds.matched[train_idx]
+    matched, mismatched = (float(pair_costs[flags == flag].mean()) if (flags == flag).any()
+                           else 0.0 for flag in (1, 0))
+    return {"mean_matched": matched, "mean_mismatched": mismatched, "gap": mismatched - matched}
 
 
 def refine_batch(state: RunState, s_mis: np.ndarray, cfg: TrainConfig,
@@ -535,123 +518,125 @@ def run_experiment(cfg: TrainConfig, ds: PairDataset,
     return payload
 
 
+# how an entry is stored: what save_state stores for a value, what load_state reads back
+class _Kind(NamedTuple):
+    store: Callable
+    read: Callable
+
+
+_INT, _REAL, _MATRIX = _Kind(np.int64, int), _Kind(np.float64, float), _Kind(np.asarray, np.asarray)
+_TEXT = _Kind(lambda value: np.array(json.dumps(value)), lambda array: json.loads(str(array)))
+_CONFIG = _Kind(lambda cfg: _TEXT.store(asdict(cfg)), lambda array: _config(_TEXT.read(array)))
+# when an entry is saved, in words and as a test of the run restored so far
+_BEST = ("exactly when best_epoch != -1", lambda run: run.best_epoch != -1)
+_ADAM = ("exactly when the optimizer is adam", lambda run: run.cfg.optimizer == "adam")
+
+
+class _Entry(NamedTuple):
+    """A checkpoint entry: its name, how it is stored, the check load_state
+    holds it to, the attribute path it fills in the run (the state's fields,
+    ``cfg`` and ``version``; its name when ``None``) and when it is saved."""
+    name: str
+    kind: _Kind
+    check: Callable = lambda where, value, run: None
+    path: str | None = None
+    saved: tuple = ("in every checkpoint", lambda run: True)
+
+
+def _obeys(rule):
+    """The check of a :func:`require` rule, or of the one ``rule(run)`` gives."""
+    return lambda where, value, run: require(where, value, rule(run) if callable(rule) else rule)
+
+
+def _config(echo) -> TrainConfig:
+    """The config of an echo of every field; an unknown key raises TypeError."""
+    if missing := sorted({f.name for f in fields(TrainConfig)} - echo.keys()):
+        raise ValueError(f"missing keys {missing}")
+    return TrainConfig(**echo)
+
+
+def _check_history(where, history, run) -> None:
+    """Records numbered 1..``run.epoch``, each mixture fit (a later EM start)
+    ``None`` or one :func:`fit_bmm` can return."""
+    if not (isinstance(history, list) and all(isinstance(r, dict) for r in history)
+            and [r.get("epoch") for r in history] == list(range(1, run.epoch + 1))):
+        raise ValueError(f"{where} must be a list of records numbered 1..{run.epoch}")
+    for record in history:
+        for key, rule in zip(_BMM_PARAMS, _BMM_RULES) if record.get("bmm") is not None else ():
+            require(f"{where} record {record['epoch']} has an invalid bmm block: {key}",
+                    record["bmm"][key], rule)
+
+
+# The checkpoint format, in the order load_state reads it: a check or a test of
+# when an entry is saved reads only the entries above it.
+_ENTRIES = (
+    _Entry("version", _INT, _obeys({"choices": (_STATE_VERSION,)})),
+    _Entry("config", _CONFIG, path="cfg"),
+    _Entry("epoch", _INT, _obeys(lambda run: range(run.cfg.total_epochs + 1))),
+    _Entry("history", _TEXT, _check_history),
+    _Entry("rng_state", _TEXT, path="rng.bit_generator.state"),
+    _Entry("w_v", _MATRIX, path="params.w_v"),
+    _Entry("w_t", _MATRIX, path="params.w_t"),
+    _Entry("cost_w", _REAL, _obeys(_COST_RULE), path="theta.w"),
+    _Entry("cost_b", _REAL, _obeys(_COST_RULE), path="theta.b"),
+    _Entry("clip_events", _INT, _obeys(0)),
+    _Entry("best_epoch", _INT),
+    _Entry("best_rsum", _REAL),
+    _Entry("best_w_v", _MATRIX, path="best_params.w_v", saved=_BEST),
+    _Entry("best_w_t", _MATRIX, path="best_params.w_t", saved=_BEST),
+    _Entry("adam_m_v", _MATRIX, path="adam.m_v", saved=_ADAM),
+    _Entry("adam_v_v", _MATRIX, path="adam.v_v", saved=_ADAM),
+    _Entry("adam_m_t", _MATRIX, path="adam.m_t", saved=_ADAM),
+    _Entry("adam_v_t", _MATRIX, path="adam.v_t", saved=_ADAM),
+    _Entry("adam_step", _INT, path="adam.step", saved=_ADAM),
+)
+
+
 def save_state(state: RunState, cfg: TrainConfig, path: str) -> None:
     """Checkpoint the run as a compressed array archive (atomic write)."""
-    payload = {
-        "version": np.int64(_STATE_VERSION),
-        "w_v": state.params.w_v,
-        "w_t": state.params.w_t,
-        "cost_w": np.float64(state.theta.w),
-        "cost_b": np.float64(state.theta.b),
-        "epoch": np.int64(state.epoch),
-        "best_rsum": np.float64(state.best_rsum),
-        "best_epoch": np.int64(state.best_epoch),
-        "clip_events": np.int64(state.clip_events),
-        "rng_state": np.array(json.dumps(state.rng.bit_generator.state)),
-        "history": np.array(json.dumps(state.history)),
-        "config": np.array(json.dumps(asdict(cfg))),
-    }
-    if state.best_params is not None:
-        payload["best_w_v"] = state.best_params.w_v
-        payload["best_w_t"] = state.best_params.w_t
-    if state.adam is not None:
-        payload["adam_m_v"] = state.adam.m_v
-        payload["adam_v_v"] = state.adam.v_v
-        payload["adam_m_t"] = state.adam.m_t
-        payload["adam_v_t"] = state.adam.v_t
-        payload["adam_step"] = np.int64(state.adam.step)
+    run = SimpleNamespace(**vars(state), cfg=cfg, version=_STATE_VERSION)
     with atomic_write(path, "wb") as handle:
-        np.savez_compressed(handle, **payload)
+        np.savez_compressed(handle, **{
+            entry.name: entry.kind.store(attrgetter(entry.path or entry.name)(run))
+            for entry in _ENTRIES if entry.saved[1](run)})
 
 
 def load_state(path: str):
-    """Restore a checkpoint saved by :func:`save_state`.
-
-    Returns ``(state, config)``; stepping the restored state with
-    :func:`train_epoch` until ``config.total_epochs`` ends exactly where the
-    uninterrupted run does. A checkpoint of another version, with a missing
-    entry, with a config that does not name exactly the :class:`TrainConfig`
-    fields, or with an ``epoch`` or ``history`` the config cannot have had
-    raises ``ValueError``, and so does a recorded fit or cost map that
-    training cannot have left, a negative ``clip_events``, a file that is not
-    a zip archive or one whose entries cannot be read.
-    """
+    """Restore a checkpoint saved by :func:`save_state` as ``(state, config)``;
+    stepping the state with :func:`train_epoch` until ``config.total_epochs``
+    ends exactly where the uninterrupted run does. An entry that is missing,
+    should be absent or fails its check raises ``ValueError`` naming it, and
+    so does a file that is not a zip archive or cannot be read."""
     with open(path, "rb") as handle:
         if not zipfile.is_zipfile(handle):
             raise ValueError(f"checkpoint {path} is not a zip archive")
     try:
-        with np.load(path, allow_pickle=False) as archive:
-            return _restore(archive, path)
-    except ValueError:
-        raise
+        archive = np.load(path, allow_pickle=False)
     except Exception as exc:  # whatever a damaged archive makes zipfile or numpy raise
-        raise ValueError(f"checkpoint {path} is damaged: "
-                         f"{type(exc).__name__}: {exc}") from None
+        raise ValueError(f"checkpoint {path} is damaged: {type(exc).__name__}: {exc}") from None
+    with archive:
+        return _restore(archive, path)
 
 
 def _restore(archive, path: str):
-    def entry(key):
-        if key not in archive:
-            raise ValueError(f"checkpoint {path} has no {key!r} entry")
-        return archive[key]
-
-    def checked(key, value, rule):
-        require(f"checkpoint {path} entry {key!r}", value, rule)
-        return value
-
-    if int(entry("version")) != _STATE_VERSION:
-        raise ValueError(f"unsupported checkpoint version {archive['version']}")
-    config = json.loads(str(entry("config")[()]))
-    known = {f.name for f in fields(TrainConfig)}
-    unknown, missing = sorted(config.keys() - known), sorted(known - config.keys())
-    if unknown or missing:
-        raise ValueError(f"checkpoint {path} config: unknown keys {unknown}, "
-                         f"missing keys {missing}")
-    cfg = TrainConfig(**config)
-    epoch = int(entry("epoch"))
-    if not 0 <= epoch <= cfg.total_epochs:
-        raise ValueError(f"checkpoint {path} entry 'epoch' must lie in "
-                         f"[0, {cfg.total_epochs}], got {epoch}")
-    history = json.loads(str(entry("history")[()]))
-    _check_history(history, epoch, f"checkpoint {path} entry 'history'")
-    rng = np.random.default_rng()
-    rng.bit_generator.state = json.loads(str(entry("rng_state")[()]))
-    state = RunState(
-        params=enc.EncoderParams(entry("w_v").copy(), entry("w_t").copy()),
-        theta=costs_mod.CostNetParams(*(checked(key, float(entry(key)), _COST_RULE)
-                                        for key in ("cost_w", "cost_b"))),
-        epoch=epoch,
-        rng=rng,
-        history=history,
-        best_rsum=float(entry("best_rsum")),
-        best_epoch=int(entry("best_epoch")),
-        clip_events=checked("clip_events", int(entry("clip_events")), 0),
-    )
-    if "best_w_v" in archive:
-        state.best_params = enc.EncoderParams(entry("best_w_v").copy(),
-                                              entry("best_w_t").copy())
-    if "adam_m_v" in archive:
-        state.adam = AdamState(entry("adam_m_v").copy(),
-                               entry("adam_v_v").copy(),
-                               entry("adam_m_t").copy(),
-                               entry("adam_v_t").copy(),
-                               int(entry("adam_step")))
-    return state, cfg
-
-
-def _check_history(history, epoch: int, where: str) -> None:
-    """Raise ``ValueError`` naming ``where`` unless ``history`` holds records
-    numbered 1..``epoch``, each mixture fit (a later EM start) ``None`` or
-    one :func:`fit_bmm` can return: shapes in [``_SHAPE_MIN``, ``_SHAPE_MAX``]
-    and a weight in [0, 1]."""
-    if not (isinstance(history, list) and all(isinstance(r, dict) for r in history)
-            and [r.get("epoch") for r in history] == list(range(1, epoch + 1))):
-        raise ValueError(f"{where} must be a list of records numbered 1..{epoch}")
-    for record in history:
+    # entries fill a blank state; the blank cost map is this restore's own
+    run = SimpleNamespace(**vars(RunState(
+        enc.EncoderParams(None, None), costs_mod.CostNetParams(), 0, np.random.default_rng(),
+        best_params=enc.EncoderParams(None, None), adam=AdamState(None, None, None, None))))
+    for entry in _ENTRIES:
+        where, (words, saved) = f"checkpoint {path} entry {entry.name!r}", entry.saved
+        owner, _, attr = (entry.path or entry.name).rpartition(".")
+        if (entry.name in archive) != saved(run):
+            raise ValueError(f"{where} must be saved {words}")
+        if not saved(run):
+            setattr(run, owner, None)
+            continue
         try:
-            if record.get("bmm") is not None:
-                for key, rule in zip(_BMM_PARAMS, _BMM_RULES):
-                    require(key, record["bmm"][key], rule)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"{where} record {record['epoch']} has an invalid bmm "
-                             f"block: {exc}") from None
+            value = entry.kind.read(archive[entry.name])
+            entry.check(where, value, run)
+            object.__setattr__(attrgetter(owner)(run) if owner else run, attr, value)
+        except Exception as exc:  # a check's error names the entry; name it in any other
+            named = isinstance(exc, ValueError) and str(exc).startswith(where)
+            raise exc if named else ValueError(
+                f"{where} is invalid: {type(exc).__name__}: {exc}") from None
+    return RunState(**{f.name: getattr(run, f.name) for f in fields(RunState)}), run.cfg
