@@ -60,8 +60,7 @@ def _problem(value, rule) -> str | None:
                  and (value < high if rule[-1] == ")" else value <= high))
         return None if valid else f"be a real number in {rule}"
     if isinstance(rule, int):
-        valid = (isinstance(value, Integral) and not isinstance(value, bool)
-                 and value >= rule)
+        valid = isinstance(value, Integral) and not isinstance(value, bool) and value >= rule
         return None if valid else f"be an integer >= {rule}"
     if "choices" in rule:
         return None if value in rule["choices"] else f"be one of {rule['choices']}"
@@ -71,9 +70,8 @@ def _problem(value, rule) -> str | None:
 
 
 def require(name: str, value, rule) -> None:
-    """Raise ``ValueError`` unless ``value`` obeys ``rule``: a least integer,
-    an interval string such as ``"(0, 1]"``, a ``range`` of integers, or a
-    setting field's metadata."""
+    """Raise ``ValueError`` unless ``value`` obeys ``rule``: a least integer, an
+    interval string such as ``"(0, 1]"``, a ``range`` or a setting field's metadata."""
     problem = _problem(value, rule)
     if problem is not None:
         raise ValueError(f"{name} must {problem}, got {value!r}")

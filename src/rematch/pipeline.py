@@ -433,10 +433,8 @@ def _epoch(state: RunState, ds: PairDataset, cfg: TrainConfig,
         record["identification"] = identification_score(
             mismatched_pos, ds.matched[train_idx])
         record["bmm"] = None if bmm.degenerate else {
-            **{key: getattr(bmm, key) for key in _BMM_PARAMS},
-            "mean_lo": bmm.mean_lo, "mean_hi": bmm.mean_hi,
-            "em_iterations": len(bmm.loglik_trace),
-        }
+            **{key: getattr(bmm, key) for key in _BMM_PARAMS}, "mean_lo": bmm.mean_lo,
+            "mean_hi": bmm.mean_hi, "em_iterations": len(bmm.loglik_trace)}
     if warm:
         loss = _fit(state, ds, cfg, rows,
                     lambda s: warmup_loss(s, cfg.tau, cfg.eps, cfg.rce_weight,
@@ -518,13 +516,14 @@ def run_experiment(cfg: TrainConfig, ds: PairDataset,
     return payload
 
 
-# how an entry is stored: what save_state stores for a value, what load_state reads back
+# how an entry is stored: what save_state stores, what load_state reads (a scalar as its number)
 class _Kind(NamedTuple):
     store: Callable
     read: Callable
 
 
-_INT, _REAL, _MATRIX = _Kind(np.int64, int), _Kind(np.float64, float), _Kind(np.asarray, np.asarray)
+_INT, _REAL = _Kind(np.int64, np.ndarray.item), _Kind(np.float64, np.ndarray.item)
+_MATRIX = _Kind(np.asarray, np.asarray)
 _TEXT = _Kind(lambda value: np.array(json.dumps(value)), lambda array: json.loads(str(array)))
 _CONFIG = _Kind(lambda cfg: _TEXT.store(asdict(cfg)), lambda array: _config(_TEXT.read(array)))
 # when an entry is saved, in words and as a test of the run restored so far
@@ -533,9 +532,8 @@ _ADAM = ("exactly when the optimizer is adam", lambda run: run.cfg.optimizer == 
 
 
 class _Entry(NamedTuple):
-    """A checkpoint entry: its name, how it is stored, the check load_state
-    holds it to, the attribute path it fills in the run (the state's fields,
-    ``cfg`` and ``version``; its name when ``None``) and when it is saved."""
+    """One checkpoint entry: name, storage kind, the check load_state holds it to, the path
+    it fills in the run (state fields, ``cfg``, ``version``; ``None``: the name), when saved."""
     name: str
     kind: _Kind
     check: Callable = lambda where, value, run: None
@@ -546,6 +544,18 @@ class _Entry(NamedTuple):
 def _obeys(rule):
     """The check of a :func:`require` rule, or of the one ``rule(run)`` gives."""
     return lambda where, value, run: require(where, value, rule(run) if callable(rule) else rule)
+
+
+def _matrix(like=None, least=-np.inf):
+    """The check of a finite float64 matrix with no value below ``least``,
+    shaped like the run's weight at path ``like`` or of ``cfg.embed_dim`` columns."""
+    def check(where, value, run):
+        shape = attrgetter(like)(run).shape if like else (*value.shape[:1], run.cfg.embed_dim)
+        if (value.dtype != np.float64 or value.shape != shape
+                or not np.all(np.isfinite(value) & (value >= least))):
+            raise ValueError(f"{where} must be a finite float64 {shape} matrix of values >= "
+                             f"{least}, got a {value.dtype} array of shape {value.shape}")
+    return check
 
 
 def _config(echo) -> TrainConfig:
@@ -570,25 +580,28 @@ def _check_history(where, history, run) -> None:
 # The checkpoint format, in the order load_state reads it: a check or a test of
 # when an entry is saved reads only the entries above it.
 _ENTRIES = (
-    _Entry("version", _INT, _obeys({"choices": (_STATE_VERSION,)})),
+    _Entry("version", _INT, _obeys(range(_STATE_VERSION, _STATE_VERSION + 1))),
     _Entry("config", _CONFIG, path="cfg"),
     _Entry("epoch", _INT, _obeys(lambda run: range(run.cfg.total_epochs + 1))),
     _Entry("history", _TEXT, _check_history),
     _Entry("rng_state", _TEXT, path="rng.bit_generator.state"),
-    _Entry("w_v", _MATRIX, path="params.w_v"),
-    _Entry("w_t", _MATRIX, path="params.w_t"),
+    _Entry("w_v", _MATRIX, _matrix(), "params.w_v"),
+    _Entry("w_t", _MATRIX, _matrix(), "params.w_t"),
     _Entry("cost_w", _REAL, _obeys(_COST_RULE), path="theta.w"),
     _Entry("cost_b", _REAL, _obeys(_COST_RULE), path="theta.b"),
     _Entry("clip_events", _INT, _obeys(0)),
-    _Entry("best_epoch", _INT),
-    _Entry("best_rsum", _REAL),
-    _Entry("best_w_v", _MATRIX, path="best_params.w_v", saved=_BEST),
-    _Entry("best_w_t", _MATRIX, path="best_params.w_t", saved=_BEST),
-    _Entry("adam_m_v", _MATRIX, path="adam.m_v", saved=_ADAM),
-    _Entry("adam_v_v", _MATRIX, path="adam.v_v", saved=_ADAM),
-    _Entry("adam_m_t", _MATRIX, path="adam.m_t", saved=_ADAM),
-    _Entry("adam_v_t", _MATRIX, path="adam.v_t", saved=_ADAM),
-    _Entry("adam_step", _INT, path="adam.step", saved=_ADAM),
+    # -1 until the first epoch that can be kept (the range from it is empty), then one of those
+    _Entry("best_epoch", _INT, _obeys(
+        lambda run: range(max(_warm_epochs(run.cfg), 1), run.epoch + 1) or range(-1, 0))),
+    _Entry("best_rsum", _REAL, _obeys(lambda run: {"choices": (
+        run.history[run.best_epoch - 1]["val"]["rsum"] if run.best_epoch > 0 else -1.0,)})),
+    _Entry("best_w_v", _MATRIX, _matrix("params.w_v"), "best_params.w_v", _BEST),
+    _Entry("best_w_t", _MATRIX, _matrix("params.w_t"), "best_params.w_t", _BEST),
+    _Entry("adam_m_v", _MATRIX, _matrix("params.w_v"), "adam.m_v", _ADAM),
+    _Entry("adam_v_v", _MATRIX, _matrix("params.w_v", 0), "adam.v_v", _ADAM),
+    _Entry("adam_m_t", _MATRIX, _matrix("params.w_t"), "adam.m_t", _ADAM),
+    _Entry("adam_v_t", _MATRIX, _matrix("params.w_t", 0), "adam.v_t", _ADAM),
+    _Entry("adam_step", _INT, _obeys(0), "adam.step", _ADAM),
 )
 
 

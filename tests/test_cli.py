@@ -239,6 +239,8 @@ class TestErrorHandling:
         (add_config_key, "gamma"),
         (lambda archive: archive.pop("w_v"), "w_v"),
         (corrupt_config_value, "rho must be"),
+        # a best epoch without its weights: eval must not score the last ones
+        (lambda archive: archive.pop("best_w_v"), "best_w_v"),
     ])
     def test_bad_checkpoint_reports_one_line(self, tmp_path, capsys, edit,
                                              needle):

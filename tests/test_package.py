@@ -1,5 +1,8 @@
-"""The package's export list resolves, and importing it stays cheap."""
+"""The package's export list and the names the tracer wraps resolve, and
+importing the package stays cheap."""
 
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -12,6 +15,16 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def test_every_exported_name_resolves():
     assert [name for name in rematch.__all__ if not hasattr(rematch, name)] == []
+
+
+def test_every_traced_name_resolves():
+    # perfbench/spans.py wraps these names where the library looks them up; a
+    # cleanup that drops one would break every traced run with AttributeError
+    spec = importlib.util.spec_from_file_location("spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert [(module, attr) for module, attr, *_ in spans.TARGETS
+            if not hasattr(importlib.import_module(module), attr)] == []
 
 
 def test_star_import_binds_every_exported_name():

@@ -3,10 +3,12 @@ checkpoint resumability, and run-level determinism."""
 
 import copy
 import dataclasses
+import functools
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from unittest import mock
 
@@ -433,7 +435,7 @@ class TestTrainEpoch:
     # a w gradient that cancels: a step of 3.5e-9 from terms whose absolute
     # sum times lr is 9.4e-6, with summation orders 3.9e-22 apart
     @example(n=44, seed=44, reserve_ratio=0.5, lr_cost=2e-6, w=0.0, b=0.0)
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=100, deadline=None)
     def test_cost_update_scores_only_the_supervised_cells(self, noisy_ds, n, seed,
                                                            reserve_ratio, lr_cost, w, b):
         # the step embeds only the rebuilt batch's true pairs; the full
@@ -476,7 +478,7 @@ class TestTrainEpoch:
                                             + unit * (abs(new) + abs(reference)))
 
     @given(k=st.integers(1, 400), scale=st.floats(1e-3, 1e3), seed=st.integers(0, 2**32 - 1))
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=100, deadline=None)
     def test_pair_costs_read_the_similarity_diagonal(self, noisy_ds, k, scale, seed):
         # row dots of the unit embeddings, not the diagonal of the k x k matrix
         rng = np.random.default_rng(seed)
@@ -493,7 +495,7 @@ class TestTrainEpoch:
 
     @given(n=st.integers(2, 40), data=st.data(),
            reserve_ratio=st.floats(0.01, 1.0))
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=100, deadline=None)
     def test_cost_update_substitutes_at_most_the_pool(self, clean_ds, n, data,
                                                       reserve_ratio):
         # pool sizes 0..n: a pool smaller than the substitutions the reserve
@@ -731,6 +733,72 @@ class TestRunExperiment:
         np.testing.assert_array_equal(state.params.w_v, init_state(cfg, ds).params.w_v)
 
 
+# a small run per mode and optimizer, checkpointed at epochs 0, 1 (the
+# warm-up epoch) and 2 (the first training epoch); never at its end
+PROPERTY_DATA = dict(n=120, classes=4, noise=0.1, mrate=0.4, rng_seed=5)
+MISSING = object()
+# values each kind of entry must not hold, as is or made from the saved value;
+# a matrix of other rows is left out, since only the dataset tells the rows of
+# w_v and w_t
+BAD_VALUES = {
+    pl._INT: [np.int64(-5), np.int64(-1), np.int64(10**9), np.float64(2.5), np.True_,
+              np.array("3"), np.arange(2)],
+    pl._REAL: [np.float64(np.nan), np.float64(np.inf), np.float64(-1e9), np.float64(1e9),
+               np.array("0.5"), np.arange(2.0)],
+    pl._TEXT: [np.array("not json"), np.array("null"), np.array("[]"), np.array("{}"),
+               np.float64(1.0), np.array(["[]", "[]"])],
+    pl._MATRIX: [lambda w: np.full_like(w, np.nan), lambda w: np.full_like(w, -np.inf),
+                 lambda w: w[:, :-1], lambda w: np.hstack([w, w]), lambda w: w[0],
+                 lambda w: w.astype(np.float32), lambda w: w.astype(np.int64),
+                 lambda w: -np.abs(w) - 1.0, lambda w: np.float64(0.0)],
+}
+BAD_VALUES[pl._CONFIG] = BAD_VALUES[pl._TEXT] + [np.array(json.dumps({"rho": 0.1}))]
+# what an entry saved only sometimes holds when it should be absent
+SURPLUS = {pl._INT: np.int64(0), pl._MATRIX: np.zeros((32, 16))}
+
+
+@functools.lru_cache(maxsize=None)
+def property_checkpoint(mode: str, optimizer: str, epochs: int):
+    ds = make_benchmark(**PROPERTY_DATA)
+    cfg = TrainConfig(seed=1, mode=mode, optimizer=optimizer, warmup_epochs=1,
+                      train_epochs=2, lr_decay_epoch=2, batch_size=32)
+    state = init_state(cfg, ds)
+    for _ in range(epochs):
+        train_epoch(state, ds, cfg)
+    with tempfile.TemporaryDirectory() as tmp:
+        save_state(state, cfg, os.path.join(tmp, "state.npz"))
+        with np.load(os.path.join(tmp, "state.npz"), allow_pickle=False) as archive:
+            return ds, dict(archive)
+
+
+@settings(max_examples=100, deadline=None)
+@given(mode=st.sampled_from(sorted(pl._MODES)), optimizer=st.sampled_from(["sgd", "adam"]),
+       epochs=st.integers(0, 2), entry=st.sampled_from(pl._ENTRIES), data=st.data())
+def test_a_bad_entry_is_named_or_the_state_steps(mode, optimizer, epochs, entry, data):
+    # every entry of the table, in every mode and optimizer: missing, surplus or
+    # holding a bad value, it makes load_state raise ValueError naming it, or
+    # the state it loads steps; no other exception may escape
+    ds, saved = property_checkpoint(mode, optimizer, epochs)
+    entries = dict(saved)
+    if entry.name not in entries:
+        entries[entry.name] = SURPLUS[entry.kind]
+    else:
+        bad = data.draw(st.sampled_from([MISSING, *BAD_VALUES[entry.kind]]))
+        if bad is MISSING:
+            del entries[entry.name]
+        else:
+            entries[entry.name] = bad(entries[entry.name]) if callable(bad) else bad
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "bad.npz")
+        np.savez(path, **entries)
+        try:
+            state, cfg = load_state(path)
+        except ValueError as exc:
+            assert f"entry {entry.name!r}" in str(exc), str(exc)
+            return
+    train_epoch(state, ds, cfg)
+
+
 class TestOptimizerStep:
     @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
     @pytest.mark.parametrize("projection", ["visual", "text"])
@@ -946,6 +1014,59 @@ class TestCheckpointing:
         path, _ = identified_checkpoint
         rewrite_entry(path, "clip_events", np.int64(-1))
         with pytest.raises(ValueError, match=r"entry 'clip_events' must be an integer >= 0"):
+            load_state(str(path))
+
+    # the identified checkpoint is epoch 4 of 6 (3 warm-up epochs), saved with
+    # adam, so its best epoch lies in [3, 4]
+    @pytest.mark.parametrize("name,bad,match", [
+        ("w_v", lambda w: w[:, :-1], r"entry 'w_v' must be a finite float64 \(\d+, 16\)"),
+        ("w_v", lambda w: np.full_like(w, np.nan), "entry 'w_v' must be a finite float64"),
+        ("w_t", lambda w: w.astype(np.float32), "entry 'w_t' must be a finite float64"),
+        ("best_w_v", lambda w: w[:-1], "entry 'best_w_v' must be a finite float64"),
+        ("adam_m_v", lambda m: m[:, :-1], "entry 'adam_m_v' must be a finite float64"),
+        ("adam_v_t", lambda v: v - 1.0, r"entry 'adam_v_t' must be .* of values >= 0"),
+        ("adam_step", lambda step: np.int64(-5), "entry 'adam_step' must be an integer >= 0"),
+        ("best_epoch", lambda epoch: np.int64(99), r"entry 'best_epoch' must lie in \[3, 4\]"),
+        ("best_epoch", lambda epoch: np.int64(2), r"entry 'best_epoch' must lie in \[3, 4\]"),
+        ("best_epoch", lambda epoch: np.int64(-1), r"entry 'best_epoch' must lie in \[3, 4\]"),
+        ("best_rsum", lambda rsum: np.float64(np.nan), "entry 'best_rsum' must be one of"),
+        ("best_rsum", lambda rsum: rsum + 1.0, "entry 'best_rsum' must be one of"),
+        ("version", lambda version: np.float64(4.5), r"entry 'version' must lie in \[4, 4\]"),
+        ("rng_state", lambda state: np.array(json.dumps(np.random.PCG64DXSM(0).state)),
+         "entry 'rng_state' is invalid"),
+    ], ids=["w_v-width", "w_v-nan", "w_t-float32", "best_w_v-rows", "adam_m_v-width",
+            "adam_v_t-negative", "adam_step-negative", "best_epoch-99", "best_epoch-warmup",
+            "best_epoch-none", "best_rsum-nan", "best_rsum-other", "version-4.5",
+            "rng_state-foreign"])
+    def test_rejects_an_entry_its_check_forbids(self, identified_checkpoint, name, bad,
+                                                match):
+        path, _ = identified_checkpoint
+        with np.load(str(path), allow_pickle=False) as archive:
+            value = archive[name]
+        rewrite_entry(path, name, bad(value))
+        with pytest.raises(ValueError, match=match):
+            load_state(str(path))
+
+    def test_rejects_missing_best_weights_once_a_best_is_kept(self, identified_checkpoint):
+        path, _ = identified_checkpoint
+        data = dict(np.load(str(path), allow_pickle=False))
+        del data["best_w_v"]
+        np.savez(str(path), **data)
+        with pytest.raises(ValueError, match="entry 'best_w_v' must be saved exactly when "
+                                             "best_epoch != -1"):
+            load_state(str(path))
+
+    @pytest.mark.parametrize("optimizer,name,value,words", [
+        ("sgd", "adam_step", np.int64(0), "the optimizer is adam"),
+        ("adam", "best_w_v", np.zeros((2, 2)), "best_epoch != -1"),
+    ])
+    def test_rejects_a_surplus_entry(self, tmp_path, noisy_ds, optimizer, name, value, words):
+        # a checkpoint of a run that has not started: no best, and moments only with adam
+        cfg = TrainConfig(seed=0, optimizer=optimizer)
+        path = tmp_path / "surplus.npz"
+        save_state(init_state(cfg, noisy_ds), cfg, str(path))
+        rewrite_entry(path, name, value)
+        with pytest.raises(ValueError, match=f"entry '{name}' must be saved exactly when {words}"):
             load_state(str(path))
 
     def test_damaged_archive_raises_value_error(self, tmp_path, noisy_ds):
