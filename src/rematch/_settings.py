@@ -50,9 +50,6 @@ def _bounds(interval: str):
 
 def _problem(value, rule) -> str | None:
     """What ``value`` must do under ``rule``, or ``None`` when it obeys it."""
-    if isinstance(rule, range):
-        valid = isinstance(value, Integral) and not isinstance(value, bool) and value in rule
-        return None if valid else f"lie in [{rule.start}, {rule.stop - 1}]"
     if isinstance(rule, str):
         low, high = _bounds(rule)
         valid = (isinstance(value, Real) and not isinstance(value, bool)
@@ -62,6 +59,9 @@ def _problem(value, rule) -> str | None:
     if isinstance(rule, int):
         valid = isinstance(value, Integral) and not isinstance(value, bool) and value >= rule
         return None if valid else f"be an integer >= {rule}"
+    if isinstance(rule, range):
+        valid = isinstance(value, Integral) and not isinstance(value, bool) and value in rule
+        return None if valid else f"lie in [{rule.start}, {rule.stop - 1}]"
     if "choices" in rule:
         return None if value in rule["choices"] else f"be one of {rule['choices']}"
     if rule["type"] is bool:
