@@ -1,8 +1,9 @@
 """Pinned run outputs, held as fixture texts under ``tests/pins/``.
 
 A pin is the text one fixed run leaves: a run payload without its
-``timing`` block, as ``json.dumps(payload, sort_keys=True, indent=1)``, or
-a checkpoint, as the sha256 of each archive entry. The tests compare that
+``timing`` block, as ``json.dumps(payload, sort_keys=True, indent=1)``, a
+checkpoint, as the sha256 of each archive entry, or a family of transport
+solves, as each plan's sha256 and iteration count. The tests compare that
 text with its fixture byte for byte, which is exactly as strict as a digest
 of it. On a mismatch the failure names the first key paths that differ and
 the largest absolute and relative float change under each top-level key.
@@ -86,11 +87,51 @@ def _checkpoint_entries() -> str:
     return json.dumps(digests, sort_keys=True, indent=1) + "\n"
 
 
+def _certify_solves() -> str:
+    # per solve, its plan's sha256 and iteration count: criterion 2's 300
+    # partial solves and the 16 cases of the benchmark's solver-certify
+    # workload at its default seed 0 (a 4x4 balanced solve and one partial
+    # instance at three budgets each), drawn as perfbench/workloads.py draws them
+    import numpy as np
+
+    from rematch.transport import SinkhornConfig, partial_ot, sinkhorn
+    from test_acceptance import _random_open_mask
+
+    balanced = SinkhornConfig(lam=0.001, max_iter=5000, tol=1e-9)
+    partial = SinkhornConfig(lam=0.02, max_iter=20000, tol=1e-9)
+    solves = {"criterion-2": {}, "certify": {}}
+
+    def record(result):
+        return {"converged": result.converged, "iterations": result.iterations,
+                "plan_sha256": hashlib.sha256(result.plan.tobytes()).hexdigest()}
+
+    def partials(rng, side):
+        cost = rng.uniform(0, 1, (side, side))
+        mask = _random_open_mask(rng, side)
+        marginal = np.full(side, 1.0 / side)
+        return {f"rho={rho}": record(partial_ot(cost, marginal, marginal, mask,
+                                                rho=rho, cfg=partial))
+                for rho in (0.1, 0.25, 0.5)}
+
+    for seed in range(100):
+        rng = np.random.default_rng(seed)
+        solves["criterion-2"][f"seed={seed:02d}"] = partials(rng, int(rng.integers(4, 9)))
+    for case in range(16):
+        rng = np.random.default_rng((0, case))
+        cost = rng.uniform(0, 1, (4, 4))
+        case_solves = {"balanced": record(
+            sinkhorn(cost, np.full(4, 0.25), np.full(4, 0.25), cfg=balanced))}
+        solves["certify"][f"case={case:02d}"] = {
+            **case_solves, **partials(rng, int(rng.integers(4, 9)))}
+    return json.dumps(solves, sort_keys=True, indent=1) + "\n"
+
+
 PINS = {
     **{f"{mode}-{optimizer}": (lambda m=mode, o=optimizer: _determinism_run(m, o))
        for optimizer in ("adam", "sgd") for mode in ("rematch", "naive", "discard")},
     "rematch-batch128": _batch_128_run,
     "checkpoint-adam": _checkpoint_entries,
+    "certify-solves": _certify_solves,
 }
 
 

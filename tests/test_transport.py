@@ -23,6 +23,7 @@ from rematch.transport import (
 )
 from rematch.flow_oracle import exact_ot_oracle
 import rematch.transport as transport
+from pinned import PINS, assert_pinned
 
 
 def uniform(n):
@@ -580,6 +581,11 @@ class TestExtendPartial:
 
 
 class TestPartialOT:
+    def test_pinned_plans_and_iterations(self):
+        # criterion 2's partial solves and the solver-certify cases, each plan
+        # by its bytes and each solve by its iteration count
+        assert_pinned("certify-solves", PINS["certify-solves"]())
+
     def test_cheapest_cell_takes_the_whole_budget(self):
         # oracle route: exact flow on the extended problem picks cell (0, 0)
         cost = np.array([[0.0, 1.0], [1.0, 2.0]])
