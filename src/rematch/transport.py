@@ -73,11 +73,11 @@ def _as_measure(x, name: str) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError(f"{name} must be a vector, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError(f"{name} contains non-finite entries")
-    if np.any(x < 0):
+    if (x < 0).any():
         raise ValueError(f"{name} contains negative mass")
-    if x.sum() <= 0:
+    if np.add.reduce(x) <= 0:
         raise ValueError(f"{name} carries no mass")
     return x
 
@@ -86,7 +86,7 @@ def _as_cost(cost) -> np.ndarray:
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2:
         raise ValueError(f"cost must be a matrix, got shape {cost.shape}")
-    if not np.all(np.isfinite(cost)):
+    if not np.isfinite(cost).all():
         raise ValueError("cost contains non-finite entries")
     return cost
 
@@ -99,7 +99,7 @@ def _as_mask(mask, shape) -> np.ndarray:
         raise ValueError(f"mask shape {mask.shape} does not match cost shape {shape}")
     if mask.dtype == bool:
         return mask
-    if not np.all((mask == 0) | (mask == 1)):
+    if not ((mask == 0) | (mask == 1)).all():
         raise ValueError("mask must be binary")
     return mask.astype(bool)
 
@@ -111,9 +111,10 @@ def marginal_violation(plan: np.ndarray, p: np.ndarray, q: np.ndarray) -> float:
 
 def _check_feasible(mask: np.ndarray, p: np.ndarray, q: np.ndarray):
     """Every positive-mass row/column needs an open cell in a positive-mass column/row."""
-    usable = mask & (p > 0)[:, None] & (q > 0)[None, :]
-    for name, axis, mass in (("rows", 1, p), ("columns", 0, q)):
-        dead = (~usable.any(axis=axis)) & (mass > 0)
+    live_p, live_q = p > 0, q > 0  # a boolean product ORs the ANDs
+    for name, live, reached in (("rows", live_p, mask @ live_q),
+                                ("columns", live_q, live_p @ mask)):
+        dead = live > reached  # live and not reached
         if dead.any():
             raise InfeasibleProblemError(
                 f"{name} {np.flatnonzero(dead).tolist()} carry mass but have no "
@@ -156,11 +157,12 @@ _TAIL_GROWTH = 8.0
 def _logsumexp(x: np.ndarray, axis: int, out=None) -> np.ndarray:
     """``log(sum(exp(x), axis))`` by max shift, through ``out`` (``x`` may be
     it); all -inf slices give -inf."""
-    peak = x.max(axis=axis, keepdims=True)
+    peak = np.maximum.reduce(x, axis=axis, keepdims=True)
     peak[~np.isfinite(peak)] = 0.0
     shifted = np.subtract(x, peak, out=out)
     with np.errstate(divide="ignore"):
-        return np.log(np.exp(shifted, out=shifted).sum(axis=axis)) + peak.squeeze(axis)
+        total = np.add.reduce(np.exp(shifted, out=shifted), axis=axis)
+        return np.log(total) + peak.squeeze(axis)
 
 
 def _realize(log_kernel, log_a, log_b, out):
@@ -174,19 +176,17 @@ def _sweep(log_kernel, log_p, log_q, log_b, scratch):
     the kernel and the other side's exponents in ``scratch``.
 
     A zero-mass slice with no reachable cell computes -inf - -inf, which
-    ``np.where`` discards.
+    ``np.where`` discards; the caller ignores the invalid-value warning.
     """
     shifted = np.add(log_kernel, log_b[None, :], out=scratch)
-    with np.errstate(invalid="ignore"):
-        log_a = np.where(np.isneginf(log_p), -np.inf,
-                         log_p - _logsumexp(shifted, axis=1, out=shifted))
-    if not np.all(log_a < np.inf):
+    log_a = np.where(log_p == -np.inf, -np.inf,
+                     log_p - _logsumexp(shifted, axis=1, out=shifted))
+    if not np.maximum.reduce(log_a) < np.inf:  # NaN fails too
         raise InfeasibleProblemError("scaling collapsed: a-update unbounded")
     shifted = np.add(log_kernel, log_a[:, None], out=scratch)
-    with np.errstate(invalid="ignore"):
-        log_b = np.where(np.isneginf(log_q), -np.inf,
-                         log_q - _logsumexp(shifted, axis=0, out=shifted))
-    if not np.all(log_b < np.inf):
+    log_b = np.where(log_q == -np.inf, -np.inf,
+                     log_q - _logsumexp(shifted, axis=0, out=shifted))
+    if not np.maximum.reduce(log_b) < np.inf:
         raise InfeasibleProblemError("scaling collapsed: b-update unbounded")
     return log_a, log_b
 
@@ -275,7 +275,7 @@ def _schur_cg(plan, inv_r, cols, damping, rhs, bound, scratch=None):
 
 def _free(mass: np.ndarray):
     """Index of the positive entries of ``mass``; a slice when all are."""
-    return slice(None) if mass.min() > 0 else np.flatnonzero(mass > 0)
+    return slice(None) if np.minimum.reduce(mass) > 0 else np.flatnonzero(mass > 0)
 
 
 class _Fit(NamedTuple):
@@ -295,14 +295,13 @@ def _marginal_fit(plan, p, q) -> _Fit:
     A non-finite plan has a non-finite row and column sum, so its ``worst``
     is inf or NaN, and the line search never accepts it.
     """
-    rows = plan.sum(axis=1)
-    cols = plan.sum(axis=0)
-    res_r = rows - p
-    res_c = cols - q
-    dev_r = np.abs(res_r)
-    dev_c = np.abs(res_c)
-    return _Fit(rows, cols, res_r, res_c, float(max(dev_r.max(), dev_c.max())),
-                float(dev_r.sum() + dev_c.sum()))
+    rows = np.add.reduce(plan, axis=1)
+    cols = np.add.reduce(plan, axis=0)
+    res_r, res_c = rows - p, cols - q
+    dev_r, dev_c = np.abs(res_r), np.abs(res_c)
+    return _Fit(rows, cols, res_r, res_c,
+                float(max(np.maximum.reduce(dev_r), np.maximum.reduce(dev_c))),
+                float(np.add.reduce(dev_r) + np.add.reduce(dev_c)))
 
 
 def _in_linear_tail(fit: _Fit, cand_fit: _Fit) -> bool:
@@ -332,12 +331,12 @@ def _newton_step(log_kernel, p, q, free, log_a, log_b, plan, fit: _Fit, out):
     that finds no improving step is a stall.
     Trials are written alternately into the C-contiguous ``out`` and the
     spent ``plan``. Returns the new exponents, their plan and fit, and the
-    other buffer.
+    other buffer. The caller ignores floating-point errors.
     """
     free_r, free_c = free
     rows = fit.rows[free_r]
     cols = fit.cols[free_c]
-    damping = 1e-12 * max(rows.max(), cols.max(), 1e-30)
+    damping = 1e-12 * max(np.maximum.reduce(rows), np.maximum.reduce(cols), 1e-30)
     # no trial has been written yet, so the direction may use out's memory
     scratch = out.reshape(-1)[:rows.size * cols.size].reshape(rows.size, cols.size)
     try:
@@ -345,18 +344,19 @@ def _newton_step(log_kernel, p, q, free, log_a, log_b, plan, fit: _Fit, out):
                                    fit.res_r[free_r], fit.res_c[free_c], damping, scratch)
     except np.linalg.LinAlgError:
         return None
+    # the direction at full length, 0 on the frozen exponents: -inf + 0 stays -inf
+    full_x, full_y = np.zeros(log_a.size), np.zeros(log_b.size)
+    full_x[free_r], full_y[free_c] = dx, dy
 
     def trial(step, buffer):
-        cand_a = log_a.copy()
-        cand_b = log_b.copy()
-        cand_a[free_r] += step * dx
-        cand_b[free_c] += step * dy
-        with np.errstate(over="ignore"):
-            cand_plan = _realize(log_kernel, cand_a, cand_b, buffer)
-            return cand_a, cand_b, cand_plan, _marginal_fit(cand_plan, p, q)
+        cand_a = log_a + step * full_x
+        cand_b = log_b + step * full_y
+        cand_plan = _realize(log_kernel, cand_a, cand_b, buffer)
+        return cand_a, cand_b, cand_plan, _marginal_fit(cand_plan, p, q)
 
     # the largest |dx_i + dy_j|; the gauge shift dx + c, dy - c drops out
-    span = max(dx.max() + dy.max(), -(dx.min() + dy.min()))
+    span = max(np.maximum.reduce(dx) + np.maximum.reduce(dy),
+               -(np.minimum.reduce(dx) + np.minimum.reduce(dy)))
     cap = _MAX_LOG_STEP / span if span > 0 else 1.0
     step = full = min(1.0, cap)
     for _ in range(60):
@@ -393,26 +393,27 @@ def _solve(cost, p, q, mask, cfg: SinkhornConfig, work):
     log_kernel /= cfg.lam
     log_kernel[~mask] = -np.inf
     _check_feasible(mask, p, q)
-    with np.errstate(divide="ignore"):
-        log_p = np.log(p)
-        log_q = np.log(q)
-    log_b = np.where(np.isneginf(log_q), -np.inf, 0.0)
     free = _free(p), _free(q)
     log_a, fit = None, _Fit(None, None, None, None, np.inf, np.inf)
     # the first iteration sweeps, so the first plan is never read
     plan, spare = work("plan", *cost.shape), work("plan_next", *cost.shape)
     iterations, stalled = 0, False
-    while iterations < cfg.max_iter and fit.residual > cfg.tol:
-        iterations += 1
-        if iterations == 1 or stalled:
-            log_a, log_b = _sweep(log_kernel, log_p, log_q, log_b, spare)
-            plan, spare = _realize(log_kernel, log_a, log_b, spare), plan
-            fit = _marginal_fit(plan, p, q)
-        else:
-            step = _newton_step(log_kernel, p, q, free, log_a, log_b, plan, fit, spare)
-            stalled = step is None  # the stalled step counts; sweeps take over
-            if not stalled:
-                log_a, log_b, plan, fit, spare = step
+    # log(0), -inf - -inf of a frozen slice and overflowing trial plans are expected
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        log_p = np.log(p)
+        log_q = np.log(q)
+        log_b = np.where(log_q == -np.inf, -np.inf, 0.0)
+        while iterations < cfg.max_iter and fit.residual > cfg.tol:
+            iterations += 1
+            if iterations == 1 or stalled:
+                log_a, log_b = _sweep(log_kernel, log_p, log_q, log_b, spare)
+                plan, spare = _realize(log_kernel, log_a, log_b, spare), plan
+                fit = _marginal_fit(plan, p, q)
+            else:
+                step = _newton_step(log_kernel, p, q, free, log_a, log_b, plan, fit, spare)
+                stalled = step is None  # the stalled step counts; sweeps take over
+                if not stalled:
+                    log_a, log_b, plan, fit, spare = step
     return plan, fit.residual <= cfg.tol, iterations
 
 
@@ -463,10 +464,9 @@ def sinkhorn(cost, p, q, mask=None, cfg: SinkhornConfig | None = None) -> Transp
     if cfg is None:
         raise ValueError("cfg is required")
     cost, p, q, mask = _validate(cost, p, q, mask)
-    if abs(p.sum() - q.sum()) > max(cfg.tol, 1e-12 * p.sum()):
-        raise ValueError(
-            f"mass imbalance: sum(p)={p.sum():.17g} vs sum(q)={q.sum():.17g}"
-        )
+    mass_p, mass_q = np.add.reduce(p), np.add.reduce(q)
+    if abs(mass_p - mass_q) > max(cfg.tol, 1e-12 * mass_p):
+        raise ValueError(f"mass imbalance: sum(p)={mass_p:.17g} vs sum(q)={mass_q:.17g}")
     plan, converged, iterations = _solve(cost, p, q, mask, cfg, _Workspace())
     return TransportPlan(plan=plan, converged=converged, iterations=iterations)
 
@@ -490,7 +490,7 @@ def default_xi(cost: np.ndarray) -> float:
     on one scale, close to the optimum, instead of the block ``exp(-gap /
     lam)`` below it.
     """
-    return max(float(np.min(cost)), _XI_FLOOR)
+    return max(float(np.minimum.reduce(cost, axis=None)), _XI_FLOOR)
 
 
 def extend_partial(cost, p, q, mask=None, rho: float = 0.0):
@@ -518,15 +518,14 @@ def _extend(cost, p, q, mask, rho, work):
     """:func:`extend_partial` on validated arrays; the extended cost goes to
     ``work("kernel")``, where :func:`_solve` turns it into its log-kernel."""
     m, n = cost.shape
-    mass_p = p.sum()
-    mass_q = q.sum()
+    mass_p, mass_q = np.add.reduce(p), np.add.reduce(q)
     budget = min(mass_p, mass_q)
     require("rho", rho, "[0, inf)")
     if rho > budget + 1e-12:
         raise ValueError(f"rho={rho} outside [0, min(|p|, |q|)={budget:.17g}]")
     rho = min(rho, budget)
     xi = default_xi(cost)
-    a_big = float(cost.max()) + 1.0
+    a_big = float(np.maximum.reduce(cost, axis=None)) + 1.0
 
     cost_ext = work("kernel", m + 1, n + 1)
     cost_ext[:m, :n] = cost
