@@ -541,20 +541,30 @@ class _Entry(NamedTuple):
     saved: tuple = ("in every checkpoint", lambda run: True)
 
 
-def _obeys(rule):
-    """The check of a :func:`require` rule, or of the one ``rule(run)`` gives."""
-    return lambda where, value, run: require(where, value, rule(run) if callable(rule) else rule)
+def _obeys(rule, per=None):
+    """The check of a :func:`require` rule, or of the one ``rule(run)`` gives
+    from the entries ``per`` names, which its error then names too."""
+    def check(where, value, run):
+        try:
+            require(where, value, rule(run) if callable(rule) else rule)
+        except ValueError as exc:
+            raise ValueError(f"{exc} (per {per})" if per else str(exc)) from None
+    return check
 
 
 def _matrix(like=None, least=-np.inf):
     """The check of a finite float64 matrix with no value below ``least``,
-    shaped like the run's weight at path ``like`` or of ``cfg.embed_dim`` columns."""
+    shaped like the run's weight at path ``like`` or of ``cfg.embed_dim`` columns;
+    its error names the entry that sets the shape."""
     def check(where, value, run):
         shape = attrgetter(like)(run).shape if like else (*value.shape[:1], run.cfg.embed_dim)
         if (value.dtype != np.float64 or value.shape != shape
                 or not np.all(np.isfinite(value) & (value >= least))):
+            per = (f"shape per entry {next(e.name for e in _ENTRIES if e.path == like)!r}"
+                   if like else "columns per entry 'config'")
             raise ValueError(f"{where} must be a finite float64 {shape} matrix of values >= "
-                             f"{least}, got a {value.dtype} array of shape {value.shape}")
+                             f"{least}, got a {value.dtype} array of shape {value.shape} "
+                             f"({per})")
     return check
 
 
@@ -570,7 +580,8 @@ def _check_history(where, history, run) -> None:
     ``None`` or one :func:`fit_bmm` can return."""
     if not (isinstance(history, list) and all(isinstance(r, dict) for r in history)
             and [r.get("epoch") for r in history] == list(range(1, run.epoch + 1))):
-        raise ValueError(f"{where} must be a list of records numbered 1..{run.epoch}")
+        raise ValueError(f"{where} must be a list of records numbered 1..{run.epoch} "
+                         "(per entry 'epoch')")
     for record in history:
         for key, rule in zip(_BMM_PARAMS, _BMM_RULES) if record.get("bmm") is not None else ():
             require(f"{where} record {record['epoch']} has an invalid bmm block: {key}",
@@ -582,7 +593,7 @@ def _check_history(where, history, run) -> None:
 _ENTRIES = (
     _Entry("version", _INT, _obeys(range(_STATE_VERSION, _STATE_VERSION + 1))),
     _Entry("config", _CONFIG, path="cfg"),
-    _Entry("epoch", _INT, _obeys(lambda run: range(run.cfg.total_epochs + 1))),
+    _Entry("epoch", _INT, _obeys(lambda run: range(run.cfg.total_epochs + 1), "entry 'config'")),
     _Entry("history", _TEXT, _check_history),
     _Entry("rng_state", _TEXT, path="rng.bit_generator.state"),
     _Entry("w_v", _MATRIX, _matrix(), "params.w_v"),
@@ -592,9 +603,11 @@ _ENTRIES = (
     _Entry("clip_events", _INT, _obeys(0)),
     # -1 until the first epoch that can be kept (the range from it is empty), then one of those
     _Entry("best_epoch", _INT, _obeys(
-        lambda run: range(max(_warm_epochs(run.cfg), 1), run.epoch + 1) or range(-1, 0))),
+        lambda run: range(max(_warm_epochs(run.cfg), 1), run.epoch + 1) or range(-1, 0),
+        "entries 'config' and 'epoch'")),
     _Entry("best_rsum", _REAL, _obeys(lambda run: {"choices": (
-        run.history[run.best_epoch - 1]["val"]["rsum"] if run.best_epoch > 0 else -1.0,)})),
+        run.history[run.best_epoch - 1]["val"]["rsum"] if run.best_epoch > 0 else -1.0,)},
+        "entries 'history' and 'best_epoch'")),
     _Entry("best_w_v", _MATRIX, _matrix("params.w_v"), "best_params.w_v", _BEST),
     _Entry("best_w_t", _MATRIX, _matrix("params.w_t"), "best_params.w_t", _BEST),
     _Entry("adam_m_v", _MATRIX, _matrix("params.w_v"), "adam.m_v", _ADAM),

@@ -961,6 +961,25 @@ class TestCheckpointing:
         with pytest.raises(ValueError, match=r"entry 'epoch' must lie in \[0, 6\]"):
             load_state(str(path))
 
+    def test_an_epoch_that_disagrees_with_the_history_is_named(self, identified_checkpoint):
+        # 0 lies in the run, so the history's check is the first to fail
+        path, _ = identified_checkpoint
+        rewrite_entry(path, "epoch", np.int64(0))
+        with pytest.raises(ValueError, match=r"entry 'history' must be a list of records "
+                                             r"numbered 1\.\.0 \(per entry 'epoch'\)"):
+            load_state(str(path))
+
+    def test_weights_that_disagree_with_the_best_weights_are_named(self, identified_checkpoint):
+        # the rows of w_v are free, so best_w_v is the first entry to disagree
+        path, _ = identified_checkpoint
+        with np.load(str(path), allow_pickle=False) as archive:
+            w_v = archive["w_v"]
+        rewrite_entry(path, "w_v", w_v[:-1])
+        with pytest.raises(ValueError, match=rf"entry 'best_w_v' must be a finite float64 "
+                                             rf"\({w_v.shape[0] - 1}, 16\) matrix .*"
+                                             rf"\(shape per entry 'w_v'\)"):
+            load_state(str(path))
+
     def test_rejects_history_that_is_not_a_list(self, identified_checkpoint):
         path, _ = identified_checkpoint
         rewrite_entry(path, "history", np.array(json.dumps(None)))
