@@ -180,18 +180,29 @@ def _adam_update(moment, second, grad, step):
 
 def _apply_update(state: RunState, cfg: TrainConfig, grad_w_v, grad_w_t,
                   lr: float) -> None:
-    """One ``cfg.optimizer`` step on the encoder parameters; a non-finite
-    gradient raises ``FloatingPointError`` naming its projection first."""
+    """One ``cfg.optimizer`` step on the encoder parameters. A non-finite
+    gradient raises ``FloatingPointError`` naming its projection first, and so
+    does an update that overflows or leaves a weight non-finite."""
     for name, grad in (("visual", grad_w_v), ("text", grad_w_t)):
         if not np.all(np.isfinite(grad)):
             raise FloatingPointError(f"non-finite gradient in the {name} projection")
-    if cfg.optimizer == "adam":
-        adam = state.adam
+    adam = state.adam if cfg.optimizer == "adam" else None
+    if adam is not None:
         adam.step += 1
-        grad_w_v = _adam_update(adam.m_v, adam.v_v, grad_w_v, adam.step)
-        grad_w_t = _adam_update(adam.m_t, adam.v_t, grad_w_t, adam.step)
-    state.params = enc.EncoderParams(state.params.w_v - lr * grad_w_v,
-                                     state.params.w_t - lr * grad_w_t)
+    updated = []
+    for name, weight, grad, moments in (
+            ("visual", state.params.w_v, grad_w_v, adam and (adam.m_v, adam.v_v)),
+            ("text", state.params.w_t, grad_w_t, adam and (adam.m_t, adam.v_t))):
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                if moments:
+                    grad = _adam_update(*moments, grad, adam.step)
+                updated.append(weight - lr * grad)
+        except FloatingPointError as exc:
+            raise FloatingPointError(f"the {name} projection's update failed: {exc}") from None
+        if not np.isfinite(updated[-1]).all():
+            raise FloatingPointError(f"the {name} projection's update left non-finite weights")
+    state.params = enc.EncoderParams(*updated)
 
 
 def split_indices(cfg: TrainConfig, ds: PairDataset):

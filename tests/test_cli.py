@@ -200,6 +200,18 @@ class TestErrorHandling:
         lines = captured.err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
 
+    def test_an_overflowing_update_reports_one_line(self, tmp_path, capsys):
+        data = make_dataset(tmp_path, capsys, n=120)
+        code = main(["train", "--data", str(data), "--optimizer", "adam",
+                     "--warmup-epochs", "1", "--train-epochs", "2", "--lr-decay-epoch", "3",
+                     "--tau", "1e-300"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines() if "error" in line.lower()]
+        assert errors == [captured.err.strip().splitlines()[-1]]
+        assert errors[0].startswith("error: the visual projection's update failed")
+
     def test_unwritable_out_reports_one_line(self, tmp_path, capsys):
         data = make_dataset(tmp_path, capsys)
         (tmp_path / "afile").write_text("a regular file\n")
@@ -401,10 +413,11 @@ class TestOutputDirectory:
 
 class TestConsoleScript:
     def test_installed_entry_point(self, tmp_path):
-        # the child process imports the same package as this one
+        # the child process imports the same package as this one and fails
+        # on a RuntimeWarning, as pyproject's filterwarnings fails a test
         package_root = Path(rematch.__file__).resolve().parents[1]
         result = subprocess.run(
-            [sys.executable, "-m", "rematch.cli", "oracle-check",
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "rematch.cli", "oracle-check",
              "--instances", "5", "--size", "3"],
             env=dict(os.environ, PYTHONPATH=str(package_root)),
             capture_output=True, text=True)

@@ -821,6 +821,28 @@ class TestOptimizerStep:
         if optimizer == "adam":
             assert state.adam.step == 0
 
+    @pytest.mark.parametrize("mode", ["rematch", "discard"])
+    @pytest.mark.parametrize("setting", [{"tau": 1e-300}, {"rce_weight": 1e300}])
+    def test_an_overflowing_update_names_the_projection(self, mode, setting):
+        # both settings lie in their declared intervals; the first overflow of
+        # such a run is the Adam second moment's grad * grad
+        ds = make_benchmark(n=120, classes=5, noise=0.1, mrate=0.4, rng_seed=0)
+        cfg = TrainConfig(mode=mode, seed=0, optimizer="adam", warmup_epochs=1,
+                          train_epochs=2, lr_decay_epoch=3, **setting)
+        with pytest.raises(FloatingPointError, match="the visual projection's update "
+                                                     "failed: overflow encountered"):
+            run_experiment(cfg, ds)
+
+    def test_a_non_finite_new_weight_names_the_projection(self):
+        ds = make_benchmark(n=60, classes=3, noise=0.1, mrate=0.0, rng_seed=0)
+        cfg = TrainConfig(optimizer="sgd", **SMALL)
+        state = init_state(cfg, ds)
+        state.params.w_t[0, 0] = np.inf
+        grads = [np.zeros_like(state.params.w_v), np.zeros_like(state.params.w_t)]
+        with pytest.raises(FloatingPointError,
+                           match="the text projection's update left non-finite weights"):
+            pl._apply_update(state, cfg, *grads, lr=0.1)
+
 
 def assert_same_run(state, run):
     """Two run states with equal weights, cost map, RNG stream, optimizer
