@@ -17,8 +17,10 @@ def test_all_demos_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
 def test_demo_runs(demo, tmp_path):
+    # a RuntimeWarning fails the demo, as pyproject's filterwarnings fails a test
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    result = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
-                            capture_output=True, text=True, timeout=300)
+    result = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(demo)],
+                            cwd=tmp_path, env=env, capture_output=True, text=True,
+                            timeout=300)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip()
