@@ -184,24 +184,25 @@ def _apply_update(state: RunState, cfg: TrainConfig, grad_w_v, grad_w_t,
     gradient raises ``FloatingPointError`` naming its projection first, and so
     does an update that overflows or leaves a weight non-finite."""
     for name, grad in (("visual", grad_w_v), ("text", grad_w_t)):
-        if not np.all(np.isfinite(grad)):
+        if not np.isfinite(grad).all():
             raise FloatingPointError(f"non-finite gradient in the {name} projection")
     adam = state.adam if cfg.optimizer == "adam" else None
     if adam is not None:
         adam.step += 1
     updated = []
-    for name, weight, grad, moments in (
-            ("visual", state.params.w_v, grad_w_v, adam and (adam.m_v, adam.v_v)),
-            ("text", state.params.w_t, grad_w_t, adam and (adam.m_t, adam.v_t))):
-        try:
-            with np.errstate(over="raise", invalid="raise"):
-                if moments:
-                    grad = _adam_update(*moments, grad, adam.step)
-                updated.append(weight - lr * grad)
-        except FloatingPointError as exc:
-            raise FloatingPointError(f"the {name} projection's update failed: {exc}") from None
-        if not np.isfinite(updated[-1]).all():
-            raise FloatingPointError(f"the {name} projection's update left non-finite weights")
+    with np.errstate(over="raise", invalid="raise"):
+        for name, weight, grad, moments in (
+                ("visual", state.params.w_v, grad_w_v, adam and (adam.m_v, adam.v_v)),
+                ("text", state.params.w_t, grad_w_t, adam and (adam.m_t, adam.v_t))):
+            try:
+                updated.append(weight - lr * (_adam_update(*moments, grad, adam.step)
+                                              if moments else grad))
+            except FloatingPointError as exc:
+                raise FloatingPointError(
+                    f"the {name} projection's update failed: {exc}") from None
+            if not np.isfinite(updated[-1]).all():
+                raise FloatingPointError(
+                    f"the {name} projection's update left non-finite weights")
     state.params = enc.EncoderParams(*updated)
 
 
