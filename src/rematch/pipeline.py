@@ -195,8 +195,8 @@ def _apply_update(state: RunState, cfg: TrainConfig, grad_w_v, grad_w_t,
                 ("visual", state.params.w_v, grad_w_v, adam and (adam.m_v, adam.v_v)),
                 ("text", state.params.w_t, grad_w_t, adam and (adam.m_t, adam.v_t))):
             try:
-                updated.append(weight - lr * (_adam_update(*moments, grad, adam.step)
-                                              if moments else grad))
+                step = _adam_update(*moments, grad, adam.step) if moments else grad
+                updated.append(weight - lr * step)
             except FloatingPointError as exc:
                 raise FloatingPointError(
                     f"the {name} projection's update failed: {exc}") from None
@@ -560,7 +560,9 @@ def _obeys(rule, per=None):
         try:
             require(where, value, rule(run) if callable(rule) else rule)
         except ValueError as exc:
-            raise ValueError(f"{exc} (per {per})" if per else str(exc)) from None
+            if per is None:
+                raise
+            raise ValueError(f"{exc} (per {per})") from None
     return check
 
 
