@@ -19,13 +19,7 @@ from .data import (
 )
 from .encoder import EncoderParams, init_params, similarity, similarity_backward
 from .flow_oracle import exact_ot_oracle
-from .losses import (
-    infonce_loss,
-    matching_probs,
-    rce_loss,
-    rematch_loss,
-    triplet_loss_batch,
-)
+from .losses import matching_probs, rematch_loss, triplet_loss_batch
 from .mixture import BetaMixture, fit_bmm, mismatch_probabilities, partition, posterior
 from .pipeline import RunState, TrainConfig, load_state, run_experiment, save_state
 from .transport import (
@@ -58,7 +52,6 @@ __all__ = [
     "fit_bmm",
     "generate",
     "identification_score",
-    "infonce_loss",
     "init_params",
     "load_dataset",
     "load_state",
@@ -69,7 +62,6 @@ __all__ = [
     "partial_ot",
     "partition",
     "posterior",
-    "rce_loss",
     "recall_at_k",
     "reconstruct_pairs",
     "rematch_loss",

@@ -16,8 +16,6 @@ __all__ = [
     "matching_probs",
     "per_pair_triplet_losses",
     "triplet_loss_batch",
-    "infonce_loss",
-    "rce_loss",
     "warmup_loss",
     "rematch_loss",
 ]
@@ -147,7 +145,8 @@ def triplet_loss_batch(s, alpha: float, *, work=None):
 
 
 def _infonce(p_v2t, p_t2v, tau: float, work):
-    """:func:`infonce_loss` from the matching probabilities."""
+    """:func:`warmup_loss`'s InfoNCE term, the mean cross-entropy against
+    one-hot targets in both directions, from the matching probabilities."""
     n = p_v2t.shape[0]
     diag_v2t = np.clip(np.diag(p_v2t), 1e-300, None)
     diag_t2v = np.clip(np.diag(p_t2v), 1e-300, None)
@@ -159,14 +158,10 @@ def _infonce(p_v2t, p_t2v, tau: float, work):
     return value, grad
 
 
-def infonce_loss(s, tau: float):
-    """Mean cross-entropy against one-hot targets, both directions."""
-    work = _Workspace()
-    return _infonce(*matching_probs(s, tau, work=work), tau, work)
-
-
 def _rce(p_v2t, p_t2v, tau: float, eps: float, work):
-    """:func:`rce_loss` from the matching probabilities, in closed form.
+    """:func:`warmup_loss`'s reversed cross-entropy term (prediction and label
+    roles swapped, the one-hot labels bounded into ``[eps, 1 - eps]`` so every
+    logarithm stays finite), from the matching probabilities, in closed form.
 
     ``log_y`` is ``log(eps)`` off the diagonal and ``log1p(-eps)`` on it, so
     each sum over it needs only the diagonals and the row (column) sums: row
@@ -186,17 +181,6 @@ def _rce(p_v2t, p_t2v, tau: float, eps: float, work):
                           + d_t2v * (cols + gap * (d_t2v - 1.0)))
     grad /= n * tau
     return value, grad
-
-
-def rce_loss(s, tau: float, eps: float = 1e-7):
-    """Cross-entropy with prediction and label roles swapped.
-
-    The one-hot labels are bounded into ``[eps, 1 - eps]`` so every
-    logarithm stays finite; predictions are the matching probabilities.
-    """
-    require("eps", eps, "(0, 0.5)")
-    work = _Workspace()
-    return _rce(*matching_probs(s, tau, work=work), tau, eps, work)
 
 
 def warmup_loss(s, tau: float, eps: float = 1e-7, rce_weight: float = 1.0, *,

@@ -15,16 +15,13 @@ import rematch.encoder as enc
 from rematch.costs import CostNetParams, cost_forward, cost_grads
 from rematch.data import make_benchmark, identification_score
 from rematch.flow_oracle import exact_ot_oracle
-from rematch.losses import (
-    infonce_loss,
-    rce_loss,
-    rematch_loss,
-    triplet_loss_batch,
-)
+from rematch.losses import rematch_loss, triplet_loss_batch
 from rematch.mixture import fit_bmm, mismatch_probabilities, partition
 from rematch.pipeline import TrainConfig, run_experiment
 import rematch.pipeline as pl
 from rematch.transport import SinkhornConfig, normalize_plan, partial_ot, sinkhorn
+
+from warmup_terms import infonce_loss, rce_loss
 
 # configuration used for the training-based criteria: the adaptive optimizer
 # (the option the encoder design allows) with a longer warm-up, which keeps

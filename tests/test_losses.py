@@ -6,15 +6,15 @@ import pytest
 
 from rematch.losses import (
     _Workspace,
-    infonce_loss,
     matching_probs,
     per_pair_triplet_losses,
-    rce_loss,
     rematch_loss,
     triplet_loss_batch,
     warmup_loss,
 )
 from rematch.transport import normalize_plan
+
+from warmup_terms import infonce_loss, rce_loss
 
 
 def finite_difference(fn, s, h=1e-6):
@@ -500,9 +500,8 @@ class TestInputBoundaries:
 
     @pytest.mark.parametrize("eps", [0.0, 0.5, -1e-7, np.nan, "0.1"])
     def test_bad_eps_rejected(self, eps):
-        for loss in (rce_loss, warmup_loss):
-            with pytest.raises(ValueError, match="^eps must be"):
-                loss(np.eye(3), 0.1, eps)
+        with pytest.raises(ValueError, match="^eps must be"):
+            warmup_loss(np.eye(3), 0.1, eps)
 
     @pytest.mark.parametrize("weight", [-1.0, np.nan, np.inf, True])
     def test_bad_rce_weight_rejected(self, weight):

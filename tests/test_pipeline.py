@@ -21,8 +21,7 @@ import rematch.pipeline as pl
 import rematch.transport as transport
 from rematch.costs import CostNetParams, cost_grads, cost_net_step, reconstruct_pairs
 from rematch.data import identification_score, make_benchmark
-from rematch.losses import (matching_probs, rce_loss, rematch_loss, triplet_loss_batch,
-                            warmup_loss)
+from rematch.losses import matching_probs, rematch_loss, triplet_loss_batch, warmup_loss
 from rematch.mixture import partition
 from rematch.pipeline import (
     TrainConfig,
@@ -65,7 +64,7 @@ BAD_SETTINGS = [
 LIBRARY_ARGUMENTS = {
     "tau": ("tau", lambda v: matching_probs(np.eye(3), v)),
     "alpha": ("alpha", lambda v: triplet_loss_batch(np.eye(3), v)),
-    "eps": ("eps", lambda v: rce_loss(np.eye(3), 0.1, eps=v)),
+    "eps": ("eps", lambda v: warmup_loss(np.eye(3), 0.1, eps=v)),
     "rce_weight": ("rce_weight", lambda v: warmup_loss(np.eye(3), 0.1, rce_weight=v)),
     "threshold": ("threshold", lambda v: partition([0.2, 0.8], threshold=v)),
     "reserve_ratio": ("reserve_ratio",
