@@ -1,9 +1,12 @@
-"""The package's export list and the names the tracer wraps resolve, and
-importing the package stays cheap."""
+"""The package's export list and the names the tracer wraps resolve, every
+exported name has a caller outside the tests, and importing the package
+stays cheap."""
 
+import ast
 import importlib
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +18,30 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def test_every_exported_name_resolves():
     assert [name for name in rematch.__all__ if not hasattr(rematch, name)] == []
+
+
+def names_read(source: str) -> set:
+    """The names and attributes ``source`` reads, by its syntax tree, so that
+    docstrings and comments do not count; an empty set if it is not Python."""
+    try:
+        tree = ast.parse(source)
+    except SyntaxError:
+        return set()
+    return ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)})
+
+
+def test_every_exported_name_has_a_caller_outside_the_tests():
+    # a public name only tests call is code the loop never runs: move it into
+    # the tests or delete it
+    readme = (ROOT / "README.md").read_text()
+    fenced = re.findall(r"^```[^\n]*\n(.*?)^```", readme, flags=re.M | re.S)
+    inline = re.findall(r"`([^`]+)`", re.sub(r"^```.*?^```", "", readme, flags=re.M | re.S))
+    library = [path for path in (ROOT / "src" / "rematch").glob("*.py")
+               if path.name != "__init__.py"]
+    used = set().union(*map(names_read, fenced + inline), *(
+        names_read(path.read_text()) for path in library + sorted((ROOT / "demos").glob("*.py"))))
+    assert sorted(set(rematch.__all__) - used) == []
 
 
 def test_every_traced_name_resolves():
