@@ -291,12 +291,11 @@ def per_sample_losses(state: RunState, ds: PairDataset, cfg: TrainConfig,
     no matter how the caller shuffled the data.
     """
     eval_rng = np.random.default_rng((cfg.seed, state.epoch, 0xE7A1))
-    # each row embeds as it does within a batch, so the rows are embedded once
-    unit_v = enc._embed(ds.v_feats[train_idx], state.params.w_v)[0]
-    unit_t = enc._embed(ds.t_feats[train_idx], state.params.w_t)[0]
     losses = np.zeros(train_idx.size)
     for pos in _batches(np.arange(train_idx.size), cfg.batch_size, eval_rng):
-        s = np.matmul(unit_v[pos], unit_t[pos].T, out=state.work("s", pos.size))
+        batch = train_idx[pos]
+        s, _ = enc.similarity(state.params, ds.v_feats[batch], ds.t_feats[batch],
+                              out=state.work("s", batch.size))
         losses[pos] = per_pair_triplet_losses(s, cfg.alpha, work=state.work)
     return losses
 
