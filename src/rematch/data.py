@@ -138,15 +138,11 @@ def corrupt(ds: PairDataset, mrate: float, rng_seed: int) -> PairDataset:
     derangement.
     """
     require("mrate", mrate, "[0, 1)")
-    if mrate == 0:
-        return replace(ds, mrate=0.0)
     pool = ds.pool_indices
     rng = np.random.default_rng(rng_seed)
     count = int(round(mrate * pool.size))
     if count == 1:
         count = 2
-    if count == 0:
-        return replace(ds, mrate=mrate)
     selected = pool[np.sort(rng.choice(pool.size, size=count, replace=False))]
     perm = _derangement(count, rng)
     t_feats = ds.t_feats.copy()

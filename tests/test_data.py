@@ -93,6 +93,14 @@ class TestCorrupt:
         moved = np.flatnonzero((out.t_feats != ds.t_feats).any(axis=1))
         assert moved.size == 2
 
+    def test_an_empty_pool_is_left_as_it_is(self):
+        # every row is a test row, so there is nothing to permute at any rate
+        clean, noisy = (make_benchmark(n=2, classes=2, noise=0.1, mrate=mrate, rng_seed=4,
+                                       test_frac=0.9) for mrate in (0.0, 0.5))
+        assert clean.pool_indices.size == 0 and noisy.mrate == 0.5
+        for name in ("v_feats", "t_feats", "matched", "v_class", "t_class", "split"):
+            assert getattr(noisy, name).tobytes() == getattr(clean, name).tobytes(), name
+
     def test_invalid_rate_rejected(self):
         ds = generate(n=10, classes=2, noise=0.1, rng_seed=0)
         with pytest.raises(ValueError):
