@@ -47,12 +47,22 @@ def init_params(d_in_v: int, d_in_t: int, d: int, rng) -> EncoderParams:
     return EncoderParams(w_v, w_t)
 
 
-def _embed(feats: np.ndarray, weights: np.ndarray):
-    raw = feats @ weights
-    norms = np.linalg.norm(raw, axis=1)
-    clipped = np.maximum(norms, _NORM_FLOOR)
-    unit = raw / clipped[:, None]
-    return unit, raw, norms
+def _embed(params: EncoderParams, v_feats: np.ndarray, t_feats: np.ndarray) -> list:
+    """``[unit_v, norm_v, unit_t, norm_t]``: each tower's unit-normalized rows
+    and their norms before the floor. An overflow raises ``FloatingPointError``
+    naming its projection, whatever the warning filters are."""
+    embedded = []
+    with np.errstate(over="raise"):
+        for name, feats, weights in (("visual", v_feats, params.w_v),
+                                     ("text", t_feats, params.w_t)):
+            try:
+                raw = feats @ weights
+                norms = np.linalg.norm(raw, axis=1)
+            except FloatingPointError as exc:
+                raise FloatingPointError(
+                    f"the {name} projection's embedding failed: {exc}") from None
+            embedded += [raw / np.maximum(norms, _NORM_FLOOR)[:, None], norms]
+    return embedded
 
 
 def similarity(params: EncoderParams, v_feats, t_feats, out=None):
@@ -68,8 +78,7 @@ def similarity(params: EncoderParams, v_feats, t_feats, out=None):
         raise ValueError("visual feature width does not match the projection")
     if t_feats.shape[1] != params.w_t.shape[0]:
         raise ValueError("text feature width does not match the projection")
-    unit_v, raw_v, norm_v = _embed(v_feats, params.w_v)
-    unit_t, raw_t, norm_t = _embed(t_feats, params.w_t)
+    unit_v, norm_v, unit_t, norm_t = _embed(params, v_feats, t_feats)
     s = np.matmul(unit_v, unit_t.T, out=out)
     cache = (v_feats, t_feats, unit_v, unit_t, norm_v, norm_t)
     return s, cache

@@ -333,8 +333,8 @@ def _cost(state: RunState, cfg: TrainConfig, s: np.ndarray, work=None) -> np.nda
 
 def _pair_sims(params: enc.EncoderParams, v_feats, t_feats) -> np.ndarray:
     """Each visual row's similarity with its own text row, as row dots."""
-    return np.einsum("ij,ij->i", enc._embed(v_feats, params.w_v)[0],
-                     enc._embed(t_feats, params.w_t)[0])
+    unit_v, _, unit_t, _ = enc._embed(params, v_feats, t_feats)
+    return np.einsum("ij,ij->i", unit_v, unit_t)
 
 
 def _pair_costs(state: RunState, ds: PairDataset, cfg: TrainConfig,

@@ -212,6 +212,18 @@ class TestErrorHandling:
         assert errors == [captured.err.strip().splitlines()[-1]]
         assert errors[0].startswith("error: the visual projection's update failed")
 
+    def test_an_overflowing_embedding_reports_one_line(self, tmp_path, capsys):
+        data = make_dataset(tmp_path, capsys, n=120)
+        code = main(["train", "--data", str(data), "--optimizer", "adam",
+                     "--warmup-epochs", "1", "--train-epochs", "2", "--lr-decay-epoch", "3",
+                     "--lr-model", "1e300"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines() if "error" in line.lower()]
+        assert errors == [captured.err.strip().splitlines()[-1]]
+        assert errors[0].startswith("error: the visual projection's embedding failed")
+
     def test_unwritable_out_reports_one_line(self, tmp_path, capsys):
         data = make_dataset(tmp_path, capsys)
         (tmp_path / "afile").write_text("a regular file\n")

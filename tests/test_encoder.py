@@ -1,6 +1,8 @@
 """Encoder tests: geometry of the similarity map, the full gradient chain, and
 the plain gradient-descent update the training loop applies to the encoder."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -141,6 +143,19 @@ class TestGradientChain:
             err = chain_gradient_error(
                 lambda s: rematch_loss(refined_v2t, refined_t2v, s, 0.5), seed)
             assert err < 1e-4
+
+
+class TestOverflow:
+    @pytest.mark.parametrize("projection", ["visual", "text"])
+    @pytest.mark.parametrize("weight", [1e300, 1e200])  # overflows in the product, in the norm
+    def test_an_overflowing_embedding_names_the_projection(self, projection, weight):
+        params = init_params(3, 3, 2, 0)
+        setattr(params, "w_t" if projection == "text" else "w_v", np.full((3, 2), weight))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(FloatingPointError,
+                               match=f"^the {projection} projection's embedding failed"):
+                similarity(params, np.full((2, 3), 1e10), np.full((2, 3), 1e10))
 
 
 class TestSgdStep:

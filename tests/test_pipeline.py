@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -831,6 +832,20 @@ class TestOptimizerStep:
         with pytest.raises(FloatingPointError, match="the visual projection's update "
                                                      "failed: overflow encountered"):
             run_experiment(cfg, ds)
+
+    @pytest.mark.parametrize("mode", ["rematch", "discard"])
+    @pytest.mark.parametrize("warning_filter", ["error", "ignore"])
+    def test_an_overflowing_embedding_names_the_projection(self, mode, warning_filter):
+        # lr_model lies in its declared interval; the first overflow of such a
+        # run is the next embedding's row norm, whatever the warning filters
+        ds = make_benchmark(n=120, classes=5, noise=0.1, mrate=0.4, rng_seed=0)
+        cfg = TrainConfig(mode=mode, seed=0, optimizer="adam", warmup_epochs=1,
+                          train_epochs=2, lr_decay_epoch=3, lr_model=1e300)
+        with warnings.catch_warnings():
+            warnings.simplefilter(warning_filter, RuntimeWarning)
+            with pytest.raises(FloatingPointError, match="^the visual projection's embedding "
+                                                         "failed: overflow encountered"):
+                run_experiment(cfg, ds)
 
     def test_a_non_finite_new_weight_names_the_projection(self):
         ds = make_benchmark(n=60, classes=3, noise=0.1, mrate=0.0, rng_seed=0)
