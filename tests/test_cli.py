@@ -75,6 +75,26 @@ class TestGenTrain:
         for record in payload["epochs"]:
             assert {"epoch", "phase", "train_loss", "lr", "val"} <= record.keys()
 
+    def test_gen_prints_the_path_and_notes_the_count(self, tmp_path, capsys):
+        path = tmp_path / "pairs.jsonl"
+        assert main(["gen", "--n", "60", "--classes", "3", "--mrate", "0.5", "--seed", "1",
+                     "--out", str(path)]) == 0
+        captured = capsys.readouterr()
+        records = [json.loads(line) for line in path.read_text().splitlines()[1:]]
+        mismatched = sum(record["m"] == 0 for record in records)
+        assert mismatched > 0
+        assert captured.out == f"{path}\n"
+        assert captured.err == f"wrote 60 pairs ({mismatched} mismatched)\n"
+
+    def test_train_notes_go_to_stderr(self, tmp_path, capsys):
+        data = make_dataset(tmp_path, capsys)
+        state = tmp_path / "checkpoint.npz"
+        assert main(["train", "--data", str(data), "--out", str(tmp_path / "m.json"),
+                     "--state-out", str(state), *FAST]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            f"training mode=rematch on {data} (1+1 epochs)",
+            f"checkpoint written to {state}"]
+
     def test_train_without_out_prints_payload(self, tmp_path, capsys):
         data = make_dataset(tmp_path, capsys)
         code = main(["train", "--data", str(data), *FAST])
@@ -177,6 +197,13 @@ class TestOracleCheck:
         assert payload["max_relative_gap"] < 1e-3
         assert payload["all_converged"] is True
         assert payload["pass"] is True
+
+
+    def test_an_unconverged_solve_fails_the_check(self, capsys):
+        code = main(["oracle-check", "--instances", "3", "--size", "4", "--max-iter", "1"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 2
+        assert payload["all_converged"] is False and payload["pass"] is False
 
 
 class TestErrorHandling:
@@ -414,6 +441,15 @@ class TestOutputDirectory:
         capsys.readouterr()
         assert code == 0
         assert (tmp_path / "nested" / "ds.jsonl").exists()
+
+    def test_env_var_resolves_a_relative_out(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("REMATCH_OUT_DIR", str(tmp_path / "out"))
+        monkeypatch.chdir(tmp_path)
+        assert main(["oracle-check", "--instances", "1", "--size", "2",
+                     "--out", "report.json"]) == 0
+        report = tmp_path / "out" / "report.json"
+        assert capsys.readouterr().out == f"{report}\n"
+        assert json.loads(report.read_text())["schema"] == "oracle-check/1"
 
     def test_state_out_creates_its_directory(self, tmp_path, capsys):
         data = make_dataset(tmp_path, capsys)

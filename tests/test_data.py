@@ -150,6 +150,16 @@ class TestSerialization:
         np.testing.assert_array_equal(back.split, ds.split)
         assert back.mrate == ds.mrate and back.seed == ds.seed
 
+    def test_blank_lines_are_skipped(self, tmp_path):
+        ds = make_benchmark(n=20, classes=4, noise=0.2, mrate=0.4, rng_seed=3)
+        path, spaced = tmp_path / "pairs.jsonl", tmp_path / "spaced.jsonl"
+        save_dataset(ds, str(path))
+        lines = path.read_text().splitlines()
+        spaced.write_text("\n".join(lines[:3] + ["", "  \t"] + lines[3:]) + "\n\n")
+        back, spaced_back = load_dataset(str(path)), load_dataset(str(spaced))
+        for name in ("v_feats", "t_feats", "matched", "v_class", "t_class", "split"):
+            assert getattr(spaced_back, name).tobytes() == getattr(back, name).tobytes(), name
+
     def test_rejects_foreign_files(self, tmp_path):
         path = tmp_path / "other.jsonl"
         path.write_text('{"kind": "something-else"}\n')

@@ -100,6 +100,11 @@ class TestFitBmm:
         assert trace.size >= 2
         assert np.all(np.diff(trace) >= -1e-12)
 
+    def test_stops_at_the_first_gain_below_tol(self):
+        draws, _ = two_component_sample(seed=0)
+        gains = np.diff(fit_bmm(draws, em_iters=500, tol=1e-3).loglik_trace)
+        assert gains[-1] < 1e-3 and np.all(gains[:-1] >= 1e-3)
+
     def test_constant_losses_fall_back(self):
         bmm = fit_bmm(np.full(50, 0.5))
         assert bmm.degenerate

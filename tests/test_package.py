@@ -11,7 +11,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import rematch
+from rematch import costs, data, encoder, losses, mixture, transport
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -58,6 +62,43 @@ def test_star_import_binds_every_exported_name():
     namespace = {}
     exec("from rematch import *", namespace)
     assert set(rematch.__all__) <= namespace.keys()
+
+
+def array_like_cases() -> dict:
+    """Each public function that converts its array arguments itself, as a
+    call and the arrays it takes."""
+    rng = np.random.default_rng(0)
+    s, feats, pool = rng.uniform(-1, 1, (4, 4)), rng.normal(size=(4, 3)), rng.normal(size=(3, 3))
+    params, theta = encoder.init_params(3, 3, 2, rng), costs.CostNetParams()
+    _, cache = encoder.similarity(params, feats, pool[[0, 1, 2, 0]])
+    raw_losses = rng.gamma(2.0, 0.1, 40)
+    bmm = mixture.fit_bmm(raw_losses)
+    return {
+        "similarity": (lambda v, t: encoder.similarity(params, v, t)[0], feats, feats[::-1]),
+        "similarity_backward": (lambda grad: encoder.similarity_backward(cache, grad), s),
+        "cost_forward": (lambda sims: costs.cost_forward(sims, theta), s),
+        "cost_forward-work": (lambda sims: costs.cost_forward(sims, theta,
+                                                              work=losses._Workspace()), s),
+        "cost_grads": (lambda sims: costs.cost_grads(sims, theta), s),
+        "reconstruct_pairs": (lambda v, p: costs.reconstruct_pairs(v, p, 0.5, 0), feats, pool),
+        "cost_net_step": (lambda sims, sup: costs.cost_net_step(theta, sims, sup, 0.1),
+                          s, np.eye(4)),
+        "matching_probs": (lambda sims: losses.matching_probs(sims, 0.5), s),
+        "rematch_loss": (lambda v2t, t2v: losses.rematch_loss(v2t, t2v, s, 0.5),
+                         *transport.normalize_plan(rng.uniform(size=(4, 4)))),
+        "BetaMixture.normalize": (bmm.normalize, raw_losses),
+        "fit_bmm": (mixture.fit_bmm, raw_losses),
+        "posterior": (lambda x: mixture.posterior(bmm, x), bmm.normalize(raw_losses)),
+        "partition": (mixture.partition, rng.uniform(size=10)),
+        "normalize_plan": (transport.normalize_plan, rng.uniform(size=(3, 4))),
+        "recall_at_k": (data.recall_at_k, rng.uniform(size=(12, 12))),
+    }
+
+
+@pytest.mark.parametrize("name", array_like_cases())
+def test_nested_lists_work_as_arrays(name):
+    call, *arrays = array_like_cases()[name]
+    np.testing.assert_equal(call(*(array.tolist() for array in arrays)), call(*arrays))
 
 
 def test_import_loads_no_heavy_optional_modules():

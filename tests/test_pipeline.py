@@ -493,6 +493,14 @@ class TestTrainEpoch:
         np.testing.assert_array_equal(pl._pair_costs(state, noisy_ds, cfg, indices),
                                       pl._cost(state, cfg, sims))
 
+    def test_cosine_cost_is_one_minus_the_similarity(self, noisy_ds):
+        # the no-cost ablation arm: the learned map never prices a solve
+        cfg = TrainConfig(seed=0, cost_mode="cosine")
+        state = init_state(cfg, noisy_ds)
+        s = np.random.default_rng(4).uniform(-1, 1, (5, 5))
+        for work in (None, state.work):
+            np.testing.assert_array_equal(pl._cost(state, cfg, s, work), 1.0 - s)
+
     @given(n=st.integers(2, 40), data=st.data(),
            reserve_ratio=st.floats(0.01, 1.0))
     @settings(max_examples=100, deadline=None)
@@ -540,6 +548,22 @@ class TestRunExperiment:
             assert key in payload
         assert len(payload["epochs"]) == 4
         assert json.dumps(payload, sort_keys=True)  # JSON-serializable
+
+    def test_every_clamped_cost_update_is_counted(self, determinism_ds):
+        # a huge cost-map rate drives the slope and offset into their clamp
+        clamped = []
+        step = pl.costs_mod.cost_net_step
+
+        def spy(*args):
+            result = step(*args)
+            clamped.append(result[1])
+            return result
+
+        with mock.patch.object(pl.costs_mod, "cost_net_step", spy):
+            payload = run_experiment(TrainConfig(mode="rematch", lr_cost=1e3, **DETERMINISM),
+                                     determinism_ds)
+        assert sum(clamped) > 0
+        assert payload["cost_clip_events"] == sum(clamped)
 
     def test_identical_runs_produce_identical_payloads(self):
         ds = make_benchmark(n=150, classes=5, noise=0.1, mrate=0.3, rng_seed=1)
@@ -1067,6 +1091,24 @@ class TestCheckpointing:
         with pytest.raises(ValueError, match=rf"entry '{name}' must be a real number "
                                              rf"in \[-50\.0, 50\.0\]"):
             load_state(str(path))
+
+    @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+    def test_entries_not_saved_load_as_none(self, tmp_path, noisy_ds, optimizer):
+        # a run that has not started keeps no best, and only adam keeps moments
+        cfg = TrainConfig(seed=0, optimizer=optimizer)
+        path = tmp_path / "fresh.npz"
+        save_state(init_state(cfg, noisy_ds), cfg, str(path))
+        state, _ = load_state(str(path))
+        assert state.best_params is None
+        assert (state.adam is None) == (optimizer == "sgd")
+
+    def test_a_plain_rule_error_names_only_its_entry(self, identified_checkpoint):
+        path, _ = identified_checkpoint
+        rewrite_entry(path, "clip_events", np.int64(-1))
+        with pytest.raises(ValueError) as excinfo:
+            load_state(str(path))
+        assert str(excinfo.value) == (f"checkpoint {path} entry 'clip_events' must be an "
+                                      "integer >= 0, got -1")
 
     def test_rejects_negative_clip_events(self, identified_checkpoint):
         path, _ = identified_checkpoint

@@ -784,6 +784,18 @@ class TestInputBoundaries:
         with pytest.raises(ValueError, match=needle):
             sinkhorn(cost, uniform(2), uniform(2), cfg=self.CFG)
 
+    def test_a_solve_needs_its_config(self):
+        for solve in (lambda: sinkhorn(np.zeros((2, 2)), uniform(2), uniform(2)),
+                      lambda: partial_ot(np.zeros((2, 2)), uniform(2), uniform(2), rho=0.5)):
+            with pytest.raises(ValueError, match="^cfg is required$"):
+                solve()
+
+    def test_an_overflowing_corner_cost_rejected(self):
+        # every real cost is finite, but the extension's corner, twice the
+        # border plus the largest cost plus one, is not
+        with pytest.raises(ValueError, match="^cost contains non-finite entries$"):
+            partial_ot(np.full((2, 2), 1e308), uniform(2), uniform(2), rho=0.5, cfg=self.CFG)
+
     def test_mask_of_another_shape_rejected(self):
         with pytest.raises(ValueError, match="^mask shape"):
             sinkhorn(np.zeros((2, 2)), uniform(2), uniform(2), np.ones((3, 2)), self.CFG)
