@@ -105,6 +105,14 @@ class TestFitBmm:
         gains = np.diff(fit_bmm(draws, em_iters=500, tol=1e-3).loglik_trace)
         assert gains[-1] < 1e-3 and np.all(gains[:-1] >= 1e-3)
 
+    def test_a_start_with_an_empty_component_falls_back(self):
+        # nine equal losses above one: the median split is empty, and seed 415's
+        # random split puts every loss on one side too, so EM has nothing to fit
+        losses = [0.0] + [1.0] * 9
+        bmm = fit_bmm(losses, rng_seed=415)
+        assert bmm.degenerate and bmm.weight_hi == 0.0 and bmm.loglik_trace == []
+        assert not fit_bmm(losses, rng_seed=0).degenerate
+
     def test_constant_losses_fall_back(self):
         bmm = fit_bmm(np.full(50, 0.5))
         assert bmm.degenerate

@@ -1,6 +1,6 @@
-"""The package's export list and the names the tracer wraps resolve, every
-exported name has a caller outside the tests, and importing the package
-stays cheap."""
+"""The export lists and the names the tracer wraps resolve, every exported
+name has a caller outside the tests, public functions take nested lists as
+they take arrays, and importing the package stays cheap."""
 
 import ast
 import importlib
@@ -22,6 +22,18 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def test_every_exported_name_resolves():
     assert [name for name in rematch.__all__ if not hasattr(rematch, name)] == []
+
+
+@pytest.mark.parametrize("module", ["costs", "data", "encoder", "flow_oracle", "losses",
+                                    "mixture", "pipeline", "transport"])
+def test_every_module_lists_names_that_resolve(module):
+    loaded = importlib.import_module(f"rematch.{module}")
+    assert loaded.__all__ and [name for name in loaded.__all__ if not hasattr(loaded, name)] == []
+
+
+def test_the_version_is_the_distribution_version():
+    declared = re.search(r'^version = "(.+)"$', (ROOT / "pyproject.toml").read_text(), re.M)
+    assert rematch.__version__ == declared[1]
 
 
 def names_read(source: str) -> set:
