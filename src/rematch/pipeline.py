@@ -426,10 +426,10 @@ def _rematch_steps(state: RunState, ds: PairDataset, cfg: TrainConfig,
 
 
 def _epoch(state: RunState, ds: PairDataset, cfg: TrainConfig,
-           train_idx: np.ndarray, val_idx: np.ndarray) -> dict:
+           train_idx: np.ndarray, val_idx: np.ndarray) -> None:
     """The run's next epoch, warm-up or ``cfg.mode`` by ``state.epoch``. It is
     validated and, from the last warm-up epoch on, kept if it is the best so
-    far; appends and returns its record."""
+    far; appends its record to ``state.history``."""
     mode = _MODES[cfg.mode]
     warm = state.epoch < _warm_epochs(cfg)
     epoch_number = state.epoch + 1
@@ -465,7 +465,6 @@ def _epoch(state: RunState, ds: PairDataset, cfg: TrainConfig,
     if epoch_number >= _warm_epochs(cfg) and record["val"]["rsum"] > state.best_rsum:
         state.best_rsum, state.best_epoch = record["val"]["rsum"], epoch_number
         state.best_params = state.params.copy()
-    return record
 
 
 def train_epoch(state: RunState, ds: PairDataset, cfg: TrainConfig) -> RunState:

@@ -96,8 +96,8 @@ def array_like_cases() -> dict:
         "cost_net_step": (lambda sims, sup: costs.cost_net_step(theta, sims, sup, 0.1),
                           s, np.eye(4)),
         "matching_probs": (lambda sims: losses.matching_probs(sims, 0.5), s),
-        "rematch_loss": (lambda v2t, t2v: losses.rematch_loss(v2t, t2v, s, 0.5),
-                         *transport.normalize_plan(rng.uniform(size=(4, 4)))),
+        "rematch_loss": (lambda v2t, t2v, sims: losses.rematch_loss(v2t, t2v, sims, 0.5),
+                         *transport.normalize_plan(rng.uniform(size=(4, 4))), s),
         "BetaMixture.normalize": (bmm.normalize, raw_losses),
         "fit_bmm": (mixture.fit_bmm, raw_losses),
         "posterior": (lambda x: mixture.posterior(bmm, x), bmm.normalize(raw_losses)),

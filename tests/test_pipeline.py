@@ -163,7 +163,7 @@ class TestWarmup:
         cfg = TrainConfig(seed=0, warmup_epochs=5)
         _, val_idx, _ = split_indices(cfg, clean_ds)
         state = init_state(cfg, clean_ds)
-        warmup(state, clean_ds, cfg)
+        assert warmup(state, clean_ds, cfg) is state
         metrics = evaluate(state.params, clean_ds, val_idx)
         baseline = random_ranking_rsum(val_idx.size)
         assert metrics["r1_i2t"] > 100.0 / val_idx.size
@@ -291,7 +291,7 @@ class TestTrainEpoch:
         cfg = TrainConfig(seed=0, warmup_epochs=0, batch_size=24)
         train_idx, _, _ = split_indices(cfg, ds)
         state = init_state(cfg, ds)
-        train_epoch(state, ds, cfg)
+        assert train_epoch(state, ds, cfg) is state
         record = state.history[-1]
         assert record["partition"]["mismatched"] == 0
         assert record["partition"]["matched"] == train_idx.size

@@ -530,6 +530,20 @@ class TestSolverInternals:
             scale = np.maximum(1.0, np.abs(x.max(axis=axis)[live]))
             assert np.all(np.abs(got[live] - want[live]) <= 4 * np.finfo(float).eps * scale)
 
+    def test_a_search_that_never_improves_stalls_to_sweeps(self, monkeypatch):
+        # an ascent direction: no step length lowers the worst violation, so the
+        # first Newton step is a stall and sweeps finish the solve
+        direction = transport._newton_direction
+        monkeypatch.setattr(transport, "_newton_direction",
+                            lambda *args: tuple(-d for d in direction(*args)))
+        steps = []
+        monkeypatch.setattr(transport, "_newton_step", recording_newton_steps(steps))
+        cost = np.random.default_rng(0).uniform(0, 1, (5, 5))
+        result = sinkhorn(cost, uniform(5), uniform(5),
+                          cfg=SinkhornConfig(lam=0.1, max_iter=5000, tol=1e-9))
+        assert [after for _, after in steps] == [None]
+        assert result.converged
+
 
 class TestExtendPartial:
     def test_virtual_masses(self):
