@@ -1102,19 +1102,14 @@ class TestCheckpointing:
         assert state.best_params is None
         assert (state.adam is None) == (optimizer == "sgd")
 
-    def test_a_plain_rule_error_names_only_its_entry(self, identified_checkpoint):
+    def test_rejects_negative_clip_events(self, identified_checkpoint):
+        # the whole message: a plain rule's error names no other entry
         path, _ = identified_checkpoint
         rewrite_entry(path, "clip_events", np.int64(-1))
         with pytest.raises(ValueError) as excinfo:
             load_state(str(path))
         assert str(excinfo.value) == (f"checkpoint {path} entry 'clip_events' must be an "
                                       "integer >= 0, got -1")
-
-    def test_rejects_negative_clip_events(self, identified_checkpoint):
-        path, _ = identified_checkpoint
-        rewrite_entry(path, "clip_events", np.int64(-1))
-        with pytest.raises(ValueError, match=r"entry 'clip_events' must be an integer >= 0"):
-            load_state(str(path))
 
     # the identified checkpoint is epoch 4 of 6 (3 warm-up epochs), saved with
     # adam, so its best epoch lies in [3, 4]
