@@ -28,7 +28,8 @@ library take about an hour and a half on a 2-vCPU machine):
 
 Progress goes to standard error; the survivor table, one
 ``module.py:line  Statement  source`` row per survivor, to standard output.
-The exit status is 0 when no mutant survives and 1 otherwise.
+The exit status is 0 when no mutant survives, 1 when one does, and 2 when
+the unmutated copy already fails the suite.
 """
 
 from __future__ import annotations
@@ -57,8 +58,7 @@ OWN_TESTS = {"__init__": "package", "_settings": "pipeline"}
 
 
 def statement_lists(tree: ast.AST):
-    """Every ``(owner, field)`` whose value is a list of statements, in
-    source order."""
+    """Every ``(owner, field)`` whose value is a list of statements."""
     for node in ast.walk(tree):
         for name, value in ast.iter_fields(node):
             if isinstance(value, list) and value and isinstance(value[0], ast.stmt):
