@@ -135,13 +135,15 @@ def corrupt(ds: PairDataset, mrate: float, rng_seed: int) -> PairDataset:
     caption actually moves. A pair keeps ``matched = 1`` only if its new
     caption happens to share the image's class; everything else is labeled
     0. A forced subset of one is widened to two, the smallest that admits a
-    derangement.
+    derangement; a pool of one row cannot hold it and raises ``ValueError``.
     """
     require("mrate", mrate, "[0, 1)")
     pool = ds.pool_indices
     rng = np.random.default_rng(rng_seed)
     count = int(round(mrate * pool.size))
     if count == 1:
+        if pool.size == 1:
+            raise ValueError(f"mrate {mrate} picks the one row of a pool of 1: no caption to swap")
         count = 2
     selected = pool[np.sort(rng.choice(pool.size, size=count, replace=False))]
     perm = _derangement(count, rng)
@@ -354,15 +356,10 @@ def recall_at_k(s) -> dict:
         # a lower index
         return ((matrix > target) | ((matrix == target) & earlier)).sum(axis=1)
 
-    rank_i2t = ranks(s)
-    rank_t2i = ranks(s.T)
-
-    metrics = {}
-    for k in RECALL_CUTOFFS:
-        metrics[f"r{k}_i2t"] = float(100.0 * (rank_i2t < k).mean())
-        metrics[f"r{k}_t2i"] = float(100.0 * (rank_t2i < k).mean())
-    metrics["rsum"] = float(sum(metrics[f"r{k}_{d}"] for k in RECALL_CUTOFFS
-                                for d in ("i2t", "t2i")))
+    by_direction = {"i2t": ranks(s), "t2i": ranks(s.T)}
+    metrics = {f"r{k}_{direction}": 100.0 * (np.count_nonzero(rank < k) / n)
+               for k in RECALL_CUTOFFS for direction, rank in by_direction.items()}
+    metrics["rsum"] = float(sum(metrics.values()))
     return metrics
 
 

@@ -47,59 +47,66 @@ def init_params(d_in_v: int, d_in_t: int, d: int, rng) -> EncoderParams:
     return EncoderParams(w_v, w_t)
 
 
-def _embed(params: EncoderParams, v_feats: np.ndarray, t_feats: np.ndarray) -> list:
-    """``[unit_v, norm_v, unit_t, norm_t]``: each tower's unit-normalized rows
-    and their norms before the floor. An overflow raises ``FloatingPointError``
-    naming its projection, whatever the warning filters are."""
-    embedded = []
+def _embed(params: EncoderParams, v_feats: np.ndarray, t_feats: np.ndarray,
+           work=None) -> tuple:
+    """``(unit, norms, clipped)``: both towers' unit-normalized rows stacked,
+    visual first (in ``work`` when given), and their norms before and after
+    the floor. An overflow raises ``FloatingPointError`` naming its
+    projection, whatever the warning filters are."""
+    n_v, shape = len(v_feats), (len(v_feats) + len(t_feats), params.w_v.shape[1])
+    raw = np.empty(shape) if work is None else work("embed", *shape)
     with np.errstate(over="raise"):
-        for name, feats, weights in (("visual", v_feats, params.w_v),
-                                     ("text", t_feats, params.w_t)):
-            try:
-                raw = feats @ weights
-                norms = np.linalg.norm(raw, axis=1)
-            except FloatingPointError as exc:
-                raise FloatingPointError(
-                    f"the {name} projection's embedding failed: {exc}") from None
-            embedded += [raw / np.maximum(norms, _NORM_FLOOR)[:, None], norms]
-    return embedded
+        try:
+            np.matmul(v_feats, params.w_v, out=raw[:n_v])
+            np.matmul(t_feats, params.w_t, out=raw[n_v:])
+            # np.linalg.norm(raw, axis=1)'s arithmetic, without its wrapper
+            norms = np.sqrt(np.add.reduce(raw * raw, axis=1))
+        except FloatingPointError:  # name the first tower that fails on its own
+            for name, feats, weights in (("visual", v_feats, params.w_v),
+                                         ("text", t_feats, params.w_t)):
+                try:
+                    np.linalg.norm(feats @ weights, axis=1)
+                except FloatingPointError as exc:
+                    raise FloatingPointError(
+                        f"the {name} projection's embedding failed: {exc}") from None
+            raise
+        clipped = np.maximum(norms, _NORM_FLOOR)
+        raw /= clipped[:, None]
+    return raw, norms, clipped
 
 
-def similarity(params: EncoderParams, v_feats, t_feats, out=None):
+def similarity(params: EncoderParams, v_feats, t_feats, out=None, *, work=None):
     """Cosine similarity matrix of a feature batch, plus a backprop cache.
 
     Returns ``(s, cache)`` where ``s[i, j]`` compares visual row ``i`` with
     text row ``j``; ``s`` is written into ``out`` when one is given. Zero-norm
     embeddings are floored (and effectively produce zero similarity rows).
+    With a workspace ``work`` the embedding and backward scratch live in it.
     """
     v_feats = np.asarray(v_feats, dtype=np.float64)
     t_feats = np.asarray(t_feats, dtype=np.float64)
-    if v_feats.shape[1] != params.w_v.shape[0]:
-        raise ValueError("visual feature width does not match the projection")
-    if t_feats.shape[1] != params.w_t.shape[0]:
-        raise ValueError("text feature width does not match the projection")
-    unit_v, norm_v, unit_t, norm_t = _embed(params, v_feats, t_feats)
-    s = np.matmul(unit_v, unit_t.T, out=out)
-    cache = (v_feats, t_feats, unit_v, unit_t, norm_v, norm_t)
-    return s, cache
-
-
-def _unit_backward(grad_unit, unit, norms):
-    # through row normalization: remove the radial component, scale by 1/|u|;
-    # floored rows lose the radial correction (the norm is locally constant)
-    clipped = np.maximum(norms, _NORM_FLOOR)
-    radial = (grad_unit * unit).sum(axis=1, keepdims=True)
-    correction = np.where((norms > _NORM_FLOOR)[:, None], radial * unit, 0.0)
-    return (grad_unit - correction) / clipped[:, None]
+    for name, feats, weights in (("visual", v_feats, params.w_v), ("text", t_feats, params.w_t)):
+        if feats.shape[1] != weights.shape[0]:
+            raise ValueError(f"{name} feature width does not match the projection")
+    unit, norms, clipped = _embed(params, v_feats, t_feats, work)
+    s = np.matmul(unit[:len(v_feats)], unit[len(v_feats):].T, out=out)
+    return s, (v_feats, t_feats, unit, norms, clipped, work)
 
 
 def similarity_backward(cache, grad_s):
     """Gradients of a scalar loss w.r.t. both projections, given d(loss)/d(s)."""
-    v_feats, t_feats, unit_v, unit_t, norm_v, norm_t = cache
+    v_feats, t_feats, unit, norms, clipped, work = cache
     grad_s = np.asarray(grad_s, dtype=np.float64)
-    grad_unit_v = grad_s @ unit_t
-    grad_unit_t = grad_s.T @ unit_v
-    grad_raw_v = _unit_backward(grad_unit_v, unit_v, norm_v)
-    grad_raw_t = _unit_backward(grad_unit_t, unit_t, norm_t)
-    return v_feats.T @ grad_raw_v, t_feats.T @ grad_raw_t
-
+    n_v = v_feats.shape[0]
+    grad_unit, scratch = (np.empty_like(unit) if work is None else work(name, *unit.shape)
+                          for name in ("grad_unit", "unit_scratch"))
+    np.matmul(grad_s, unit[n_v:], out=grad_unit[:n_v])
+    np.matmul(grad_s.T, unit[:n_v], out=grad_unit[n_v:])
+    # through row normalization: remove the radial component, scale by 1/|u|;
+    # floored rows lose the radial correction (the norm is locally constant)
+    radial = np.multiply(grad_unit, unit, out=scratch).sum(axis=1, keepdims=True)
+    correction = np.multiply(radial, unit, out=scratch)
+    correction[~(norms > _NORM_FLOOR)] = 0.0
+    grad_unit -= correction
+    grad_unit /= clipped[:, None]
+    return v_feats.T @ grad_unit[:n_v], t_feats.T @ grad_unit[n_v:]

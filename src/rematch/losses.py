@@ -36,13 +36,14 @@ class _Workspace:
     """
 
     def __init__(self):
-        self._flat = {}
+        self._flat, self.allocations = {}, 0  # buffers made: new names and grown ones
 
     def __call__(self, name: str, n: int, cols: int | None = None) -> np.ndarray:
         cols = n if cols is None else cols
         flat = self._flat.get(name)
         if flat is None or flat.size < n * cols:
             flat = self._flat[name] = np.empty(n * cols)
+            self.allocations += 1
         return flat[:n * cols].reshape(n, cols)
 
 

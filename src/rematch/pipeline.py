@@ -132,13 +132,19 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators for both projection matrices."""
+    """First/second moment accumulators of both projections, each pair kept
+    as one array that stacks the visual rows over the text rows; ``m_v``,
+    ``v_v``, ``m_t`` and ``v_t`` are views of the blocks."""
 
-    m_v: np.ndarray
-    v_v: np.ndarray
-    m_t: np.ndarray
-    v_t: np.ndarray
+    m: np.ndarray
+    v: np.ndarray
+    rows_v: int
     step: int = 0
+
+    m_v = property(lambda self: self.m[:self.rows_v])
+    v_v = property(lambda self: self.v[:self.rows_v])
+    m_t = property(lambda self: self.m[self.rows_v:])
+    v_t = property(lambda self: self.v[self.rows_v:])
 
 
 @dataclass
@@ -164,46 +170,61 @@ def init_state(cfg: TrainConfig, ds: PairDataset) -> RunState:
     params = enc.init_params(ds.v_feats.shape[1], ds.t_feats.shape[1], cfg.embed_dim, rng)
     state = RunState(params=params, theta=costs_mod.CostNetParams(), epoch=0, rng=rng)
     if cfg.optimizer == "adam":
-        state.adam = AdamState(*map(np.zeros_like, [params.w_v] * 2 + [params.w_t] * 2))
+        moments = np.zeros((params.w_v.shape[0] + params.w_t.shape[0], cfg.embed_dim))
+        state.adam = AdamState(moments, moments.copy(), params.w_v.shape[0])
     return state
 
 
-def _adam_update(moment, second, grad, step):
-    moment *= _ADAM_BETA1
-    moment += (1 - _ADAM_BETA1) * grad
-    second *= _ADAM_BETA2
-    second += (1 - _ADAM_BETA2) * grad * grad
-    m_hat = moment / (1 - _ADAM_BETA1 ** step)
-    v_hat = second / (1 - _ADAM_BETA2 ** step)
-    return m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
+def _descend(weights, grad, moments, step: int, lr: float):
+    """The weights after one step down ``grad``, plain or, with the moments
+    ``(m, v)``, Adam's ``step``-th, and the new moments; inputs stay as they are."""
+    if moments is not None:
+        m, v = moments[0] * _ADAM_BETA1, moments[1] * _ADAM_BETA2
+        m += (1 - _ADAM_BETA1) * grad
+        v += (1 - _ADAM_BETA2) * grad * grad
+        grad = m / (1 - _ADAM_BETA1 ** step) / (np.sqrt(v / (1 - _ADAM_BETA2 ** step)) + _ADAM_EPS)
+        moments = m, v
+    return weights - lr * grad, moments
 
 
-def _apply_update(state: RunState, cfg: TrainConfig, grad_w_v, grad_w_t,
-                  lr: float) -> None:
-    """One ``cfg.optimizer`` step on the encoder parameters. A non-finite
-    gradient raises ``FloatingPointError`` naming its projection first, and so
-    does an update that overflows or leaves a weight non-finite."""
-    for name, grad in (("visual", grad_w_v), ("text", grad_w_t)):
-        if not np.isfinite(grad).all():
-            raise FloatingPointError(f"non-finite gradient in the {name} projection")
+def _apply_update(state: RunState, cfg: TrainConfig, grad, lr: float) -> None:
+    """One ``cfg.optimizer`` step on both projections at once, their rows stacked
+    (visual first) as in ``grad``, or ``0.0`` when nothing was scored. A non-finite
+    gradient, an overflow or a non-finite new weight raises ``FloatingPointError``
+    naming the projection and the epoch, and leaves the run state as it was."""
     adam = state.adam if cfg.optimizer == "adam" else None
+    moments, step = (None, 0) if adam is None else ((adam.m, adam.v), adam.step + 1)
+    weights = np.concatenate((state.params.w_v, state.params.w_t))
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            updated, stepped = _descend(weights, grad, moments, step, lr)
+    except FloatingPointError:
+        updated = None
+    if updated is None or not np.isfinite(updated).all():  # as after a non-finite gradient
+        _name_the_failure(state, weights, np.broadcast_to(grad, weights.shape), moments, step, lr)
     if adam is not None:
-        adam.step += 1
-    updated = []
-    with np.errstate(over="raise", invalid="raise"):
-        for name, weight, grad, moments in (
-                ("visual", state.params.w_v, grad_w_v, adam and (adam.m_v, adam.v_v)),
-                ("text", state.params.w_t, grad_w_t, adam and (adam.m_t, adam.v_t))):
-            try:
-                step = _adam_update(*moments, grad, adam.step) if moments else grad
-                updated.append(weight - lr * step)
-            except FloatingPointError as exc:
-                raise FloatingPointError(
-                    f"the {name} projection's update failed: {exc}") from None
-            if not np.isfinite(updated[-1]).all():
-                raise FloatingPointError(
-                    f"the {name} projection's update left non-finite weights")
-    state.params = enc.EncoderParams(*updated)
+        (adam.m, adam.v), adam.step = stepped, step
+    rows_v = state.params.w_v.shape[0]
+    state.params = enc.EncoderParams(updated[:rows_v], updated[rows_v:])
+
+
+def _name_the_failure(state: RunState, weights, grad, moments, step: int, lr: float):
+    """Raise the error of the first check that the update of each projection
+    alone fails, in their order: each gradient, then each update."""
+    rows_v, epoch = state.params.w_v.shape[0], state.epoch + 1
+    blocks = (("visual", slice(None, rows_v)), ("text", slice(rows_v, None)))
+    if bad := [name for name, rows in blocks if not np.isfinite(grad[rows]).all()]:
+        raise FloatingPointError(f"non-finite gradient in the {bad[0]} projection in epoch {epoch}")
+    for name, rows in blocks:
+        where = f"the {name} projection's update"
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                block, _ = _descend(weights[rows], grad[rows],
+                                    moments and tuple(part[rows] for part in moments), step, lr)
+        except FloatingPointError as exc:
+            raise FloatingPointError(f"{where} failed in epoch {epoch}: {exc}") from None
+        if not np.isfinite(block).all():
+            raise FloatingPointError(f"{where} left non-finite weights in epoch {epoch}")
 
 
 def split_indices(cfg: TrainConfig, ds: PairDataset):
@@ -244,20 +265,16 @@ def _step(state: RunState, ds: PairDataset, cfg: TrainConfig, terms,
     loss gradient w.r.t. the similarities; a term without a batch (``None``,
     see :func:`_sample`) adds nothing. Returns the summed loss.
     """
-    value = 0.0
-    grad_w_v = np.zeros_like(state.params.w_v)
-    grad_w_t = np.zeros_like(state.params.w_t)
+    value, grad = 0.0, 0.0  # the gradient sum starts as 0.0 + its first term
     for batch, loss_fn in terms:
         if batch is None:
             continue
         s, cache = enc.similarity(state.params, ds.v_feats[batch], ds.t_feats[batch],
-                                  out=state.work("s", batch.size))
+                                  out=state.work("s", batch.size), work=state.work)
         term, grad_s = loss_fn(s)
-        term_v, term_t = enc.similarity_backward(cache, grad_s)
         value += term
-        grad_w_v += term_v
-        grad_w_t += term_t
-    _apply_update(state, cfg, grad_w_v, grad_w_t, lr)
+        grad = grad + np.concatenate(enc.similarity_backward(cache, grad_s))
+    _apply_update(state, cfg, grad, lr)
     return value
 
 
@@ -295,7 +312,7 @@ def per_sample_losses(state: RunState, ds: PairDataset, cfg: TrainConfig,
     for pos in _batches(np.arange(train_idx.size), cfg.batch_size, eval_rng):
         batch = train_idx[pos]
         s, _ = enc.similarity(state.params, ds.v_feats[batch], ds.t_feats[batch],
-                              out=state.work("s", batch.size))
+                              out=state.work("s", batch.size), work=state.work)
         losses[pos] = per_pair_triplet_losses(s, cfg.alpha, work=state.work)
     return losses
 
@@ -333,8 +350,8 @@ def _cost(state: RunState, cfg: TrainConfig, s: np.ndarray, work=None) -> np.nda
 
 def _pair_sims(params: enc.EncoderParams, v_feats, t_feats) -> np.ndarray:
     """Each visual row's similarity with its own text row, as row dots."""
-    unit_v, _, unit_t, _ = enc._embed(params, v_feats, t_feats)
-    return np.einsum("ij,ij->i", unit_v, unit_t)
+    unit = enc._embed(params, v_feats, t_feats)[0]
+    return np.einsum("ij,ij->i", unit[:len(v_feats)], unit[len(v_feats):])
 
 
 def _pair_costs(state: RunState, ds: PairDataset, cfg: TrainConfig,
@@ -660,7 +677,7 @@ def _restore(archive, path: str):
     # entries fill a blank state; the blank cost map is this restore's own
     run = SimpleNamespace(**vars(RunState(
         enc.EncoderParams(None, None), costs_mod.CostNetParams(), 0, np.random.default_rng(),
-        best_params=enc.EncoderParams(None, None), adam=AdamState(None, None, None, None))))
+        best_params=enc.EncoderParams(None, None), adam=SimpleNamespace())))
     for entry in _ENTRIES:
         where, (words, saved) = f"checkpoint {path} entry {entry.name!r}", entry.saved
         owner, _, attr = (entry.path or entry.name).rpartition(".")
@@ -677,4 +694,7 @@ def _restore(archive, path: str):
             named = isinstance(exc, ValueError) and str(exc).startswith(where)
             raise exc if named else ValueError(
                 f"{where} is invalid: {type(exc).__name__}: {exc}") from None
+    if (adam := run.adam) is not None:  # the moments are saved per projection
+        run.adam = AdamState(np.concatenate((adam.m_v, adam.m_t)),
+                             np.concatenate((adam.v_v, adam.v_t)), len(adam.m_v), adam.step)
     return RunState(**{f.name: getattr(run, f.name) for f in fields(RunState)}), run.cfg

@@ -237,7 +237,7 @@ class TestErrorHandling:
         assert captured.out == ""
         errors = [line for line in captured.err.splitlines() if "error" in line.lower()]
         assert errors == [captured.err.strip().splitlines()[-1]]
-        assert errors[0].startswith("error: the visual projection's update failed")
+        assert errors[0].startswith("error: the visual projection's update failed in epoch 1: ")
 
     def test_an_overflowing_embedding_reports_one_line(self, tmp_path, capsys):
         data = make_dataset(tmp_path, capsys, n=120)

@@ -20,7 +20,7 @@ SGD = TrainConfig(optimizer="sgd")
 def sgd_update(params, grad_w_v, grad_w_t, lr):
     """The encoder parameters after one training-loop update with plain SGD."""
     state = RunState(params=params, theta=CostNetParams(), epoch=0, rng=None)
-    _apply_update(state, SGD, grad_w_v, grad_w_t, lr)
+    _apply_update(state, SGD, np.concatenate((grad_w_v, grad_w_t)), lr)
     return state.params
 
 
@@ -68,10 +68,10 @@ class TestSimilarity:
     def test_embeddings_unit_norm(self):
         rng = np.random.default_rng(3)
         params = init_params(6, 6, 4, rng)
-        _, cache = similarity(params, rng.normal(size=(5, 6)), rng.normal(size=(5, 6)))
-        _, _, unit_v, unit_t, _, _ = cache
-        np.testing.assert_allclose(np.linalg.norm(unit_v, axis=1), 1.0, atol=1e-9)
-        np.testing.assert_allclose(np.linalg.norm(unit_t, axis=1), 1.0, atol=1e-9)
+        _, cache = similarity(params, rng.normal(size=(5, 6)), rng.normal(size=(3, 6)))
+        unit = cache[2]  # both towers' rows, stacked
+        assert unit.shape == (8, 4)
+        np.testing.assert_allclose(np.linalg.norm(unit, axis=1), 1.0, atol=1e-9)
 
 
 def chain_gradient_error(loss_fn, seed, d_in=5, d=4, n=3, h=1e-6):
@@ -200,7 +200,8 @@ class TestSgdStep:
         rng = np.random.default_rng(7)
         params = init_params(3, 3, 2, rng)
         bad = np.full((3, 2), np.nan)
-        with pytest.raises(FloatingPointError, match="visual"):
+        with pytest.raises(FloatingPointError, match="^non-finite gradient in the visual "
+                                                     "projection in epoch 1$"):
             sgd_update(params, bad, np.zeros((3, 2)), lr=0.1)
 
 
