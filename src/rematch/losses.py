@@ -30,19 +30,21 @@ _REMATCH_BUFFERS = ("nce", "rce", "rce_t2v", "off", "off_t")
 class _Workspace:
     """Named float64 matrices that outlive a training step.
 
-    ``work(name, n, cols=n)`` keeps one flat buffer per name, as large as the
-    largest matrix asked for so far; the matrix is a C-contiguous view of its
-    head, so reductions over it sum in the order a fresh array would.
+    ``work(name, n, cols=n)`` keeps one flat buffer per name, with room for the
+    largest matrix asked for so far plus a row and a column (a batch that took in
+    a trailing singleton); the matrix is a C-contiguous view of its head, so
+    reductions over it sum in the order a fresh array would. ``allocations``
+    counts the buffers made, new or grown.
     """
 
     def __init__(self):
-        self._flat, self.allocations = {}, 0  # buffers made: new names and grown ones
+        self._flat, self.allocations = {}, 0
 
     def __call__(self, name: str, n: int, cols: int | None = None) -> np.ndarray:
         cols = n if cols is None else cols
         flat = self._flat.get(name)
         if flat is None or flat.size < n * cols:
-            flat = self._flat[name] = np.empty(n * cols)
+            flat = self._flat[name] = np.empty((n + 1) * (cols + 1))
             self.allocations += 1
         return flat[:n * cols].reshape(n, cols)
 

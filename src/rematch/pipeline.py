@@ -132,9 +132,8 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators of both projections, each pair kept
-    as one array that stacks the visual rows over the text rows; ``m_v``,
-    ``v_v``, ``m_t`` and ``v_t`` are views of the blocks."""
+    """First/second moment accumulators of both projections, each one array of the
+    visual rows over the text rows; ``m_v``, ``v_v``, ``m_t``, ``v_t`` view its blocks."""
 
     m: np.ndarray
     v: np.ndarray
@@ -209,8 +208,7 @@ def _apply_update(state: RunState, cfg: TrainConfig, grad, lr: float) -> None:
 
 
 def _name_the_failure(state: RunState, weights, grad, moments, step: int, lr: float):
-    """Raise the error of the first check that the update of each projection
-    alone fails, in their order: each gradient, then each update."""
+    """Raise what a per-projection update fails first: a gradient, then an update."""
     rows_v, epoch = state.params.w_v.shape[0], state.epoch + 1
     blocks = (("visual", slice(None, rows_v)), ("text", slice(rows_v, None)))
     if bad := [name for name, rows in blocks if not np.isfinite(grad[rows]).all()]:
