@@ -422,6 +422,18 @@ class TestSettingChecks:
         assert len(lines) == 1 and lines[0].startswith(f"error: {name} must be")
         assert not out.exists()
 
+    def test_gen_rejects_a_pool_too_small_to_corrupt(self, tmp_path, capsys):
+        out = tmp_path / "pairs.jsonl"
+        code = main(["gen", "--n", "2", "--classes", "2", "--mrate", "0.9", "--test-frac",
+                     "0.5", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: mrate 0.9 ")
+        assert "pool of 1" in lines[0]
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag", ["--size", "--instances"])
     def test_oracle_check_rejects_an_empty_check(self, capsys, flag):
         code = main(["oracle-check", flag, "0"])

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rematch.data import (
+    RECALL_CUTOFFS,
     SPLIT_TEST,
     corrupt,
     generate,
@@ -92,6 +93,12 @@ class TestCorrupt:
         out = corrupt(ds, mrate=0.1, rng_seed=0)
         moved = np.flatnonzero((out.t_feats != ds.t_feats).any(axis=1))
         assert moved.size == 2
+
+    def test_a_pool_of_one_row_cannot_move_a_caption(self):
+        # mrate 0.9 selects the pool's only row, and a moved caption needs a
+        # second row to trade with
+        with pytest.raises(ValueError, match=r"^mrate 0\.9 .* a pool of 1\b"):
+            make_benchmark(n=2, classes=2, noise=0.1, mrate=0.9, rng_seed=0, test_frac=0.5)
 
     def test_an_empty_pool_is_left_as_it_is(self):
         # every row is a test row, so there is nothing to permute at any rate
@@ -316,6 +323,22 @@ class TestRecallAtK:
         expected["rsum"] = float(sum(expected[f"r{k}_{d}"] for k in ks
                                      for d in ("i2t", "t2i")))
         assert recall_at_k(s) == expected
+
+
+    @given(seed=st.integers(0, 2**32 - 1), levels=st.integers(1, 4),
+           n=st.integers(10, 60))
+    @settings(max_examples=100, deadline=None)
+    def test_transposing_swaps_the_directions(self, seed, levels, n):
+        # each cutoff's two directions trade places exactly; the sum only to
+        # rounding, since it adds the six recalls in another order: within
+        # 5 eps of the total for each order
+        s = np.random.default_rng(seed).integers(0, levels, (n, n)) / levels
+        metrics, transposed = recall_at_k(s), recall_at_k(s.T)
+        for k in RECALL_CUTOFFS:
+            assert transposed[f"r{k}_i2t"] == metrics[f"r{k}_t2i"]
+            assert transposed[f"r{k}_t2i"] == metrics[f"r{k}_i2t"]
+        assert transposed["rsum"] == pytest.approx(metrics["rsum"],
+                                                   rel=10 * np.finfo(float).eps, abs=0)
 
 
 class TestIdentificationScore:

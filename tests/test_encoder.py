@@ -5,10 +5,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rematch.costs import CostNetParams
 from rematch.encoder import EncoderParams, init_params, similarity, similarity_backward
-from rematch.losses import rematch_loss, triplet_loss_batch
+from rematch.losses import _Workspace, rematch_loss, triplet_loss_batch
 from rematch.pipeline import RunState, TrainConfig, _apply_update
 from rematch.transport import normalize_plan
 
@@ -143,6 +144,71 @@ class TestGradientChain:
             err = chain_gradient_error(
                 lambda s: rematch_loss(refined_v2t, refined_t2v, s, 0.5), seed)
             assert err < 1e-4
+
+
+def reference_tower(feats, weights):
+    """One tower's unit rows and row norms, computed on their own with the
+    encoder's formulas: a separate product and ``np.linalg.norm``."""
+    raw = feats @ weights
+    norms = np.linalg.norm(raw, axis=1)
+    return raw / np.maximum(norms, 1e-12)[:, None], norms
+
+
+def reference_unit_backward(grad_unit, unit, norms):
+    """One tower's gradient through row normalization, on its own."""
+    radial = (grad_unit * unit).sum(axis=1, keepdims=True)
+    correction = np.where((norms > 1e-12)[:, None], radial * unit, 0.0)
+    return (grad_unit - correction) / np.maximum(norms, 1e-12)[:, None]
+
+
+class TestPerTowerReference:
+    """Both towers run stacked; each result equals its tower-by-tower
+    computation bit for bit."""
+
+    @pytest.mark.parametrize("n_v,n_t", [(5, 3), (3, 7), (128, 129), (129, 128)])
+    @pytest.mark.parametrize("floored", [None, "visual", "text"])
+    def test_embedding_similarity_and_gradients(self, n_v, n_t, floored):
+        rng = np.random.default_rng(1000 * n_v + n_t)
+        params = init_params(12, 9, 16, rng)
+        v, t = rng.normal(size=(n_v, 12)), rng.normal(size=(n_t, 9))
+        if floored is not None:  # rows whose norms the floor replaces: zero, and tiny
+            feats = v if floored == "visual" else t
+            feats[0] = 0.0
+            feats[1] *= 1e-13
+        grad_s = rng.normal(size=(n_v, n_t))
+        unit_v, norm_v = reference_tower(v, params.w_v)
+        unit_t, norm_t = reference_tower(t, params.w_t)
+        expected = {
+            "unit": np.concatenate((unit_v, unit_t)), "norms": np.concatenate((norm_v, norm_t)),
+            "s": unit_v @ unit_t.T,
+            "grad_w_v": v.T @ reference_unit_backward(grad_s @ unit_t, unit_v, norm_v),
+            "grad_w_t": t.T @ reference_unit_backward(grad_s.T @ unit_v, unit_t, norm_t)}
+        work = _Workspace()
+        similarity(params, *(rng.normal(size=(140, width)) for width in (12, 9)), work=work)
+        for kwargs in ({}, {"work": work}, {"work": work, "out": np.empty((n_v, n_t))}):
+            s, cache = similarity(params, v, t, **kwargs)
+            got = dict(zip(("grad_w_v", "grad_w_t"), similarity_backward(cache, grad_s)),
+                       unit=cache[2], norms=cache[3], s=s)
+            for name, value in expected.items():
+                assert got[name].shape == value.shape, name
+                assert got[name].tobytes() == value.tobytes(), (name, kwargs.keys())
+
+    @given(n_v=st.integers(2, 129), n_t=st.integers(2, 129), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_swapping_the_towers_transposes_everything(self, n_v, n_t, seed):
+        # a mix-up of the stacked blocks (rows for columns, visual for text)
+        # breaks this relation; it holds exactly, not only to rounding
+        rng = np.random.default_rng(seed)
+        params = init_params(12, 9, 16, rng)
+        v, t = rng.normal(size=(n_v, 12)), rng.normal(size=(n_t, 9))
+        grad_s = rng.normal(size=(n_v, n_t))
+        s, cache = similarity(params, v, t)
+        swapped, swapped_cache = similarity(EncoderParams(params.w_t, params.w_v), t, v)
+        assert swapped.tobytes() == s.T.tobytes()
+        grad_w_v, grad_w_t = similarity_backward(cache, grad_s)
+        back_w_t, back_w_v = similarity_backward(swapped_cache, grad_s.T)
+        assert back_w_v.tobytes() == grad_w_v.tobytes()
+        assert back_w_t.tobytes() == grad_w_t.tobytes()
 
 
 class TestOverflow:

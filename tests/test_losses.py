@@ -3,6 +3,7 @@ finite differences."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rematch.losses import (
     _Workspace,
@@ -116,6 +117,17 @@ class TestTriplet:
             triplet_loss_batch(np.array([[1.0]]), 0.2)
         with pytest.raises(ValueError):
             per_pair_triplet_losses(np.array([[1.0]]), 0.2)
+
+    @given(n=st.integers(2, 60), levels=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_transposing_transposes_the_gradient(self, n, levels, seed):
+        # the rows' hinges become the columns' and the other way round, ties
+        # included (few levels make ties common), exactly
+        s = np.random.default_rng(seed).integers(0, levels, (n, n)) / levels
+        value, grad = triplet_loss_batch(s, 0.2)
+        value_t, grad_t = triplet_loss_batch(s.T, 0.2)
+        assert value_t == value
+        assert grad_t.tobytes() == grad.T.tobytes()
 
     @pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf])
     def test_non_finite_margin_rejected(self, alpha):
@@ -482,6 +494,17 @@ class TestWorkspace:
         for n in (128, 104, 128):
             s = rng.uniform(-1, 1, (n, n))
             assert np.array_equal(flat_bits(loss(s, work=work)), flat_bits(loss(s)))
+
+    def test_counts_new_and_grown_buffers(self):
+        work = _Workspace()
+        first = work("a", 4)
+        # room for one more row and column: a batch that took in a singleton
+        for shape in ((5, 5), (3, 6), (4, 4)):
+            assert np.shares_memory(work("a", *shape), first)
+        assert work.allocations == 1
+        work("a", 6)
+        work("b", 2)
+        assert work.allocations == 3
 
     def test_views_are_c_contiguous_and_shared(self):
         work = _Workspace()

@@ -346,6 +346,27 @@ class TestTrainEpoch:
                 tracemalloc.stop()
             assert peak < 2 * 128 * 128 * 8, f"{name} step peaked at {peak} bytes"
 
+    @pytest.mark.parametrize("mode", sorted(pl._MODES))
+    def test_the_workspace_is_steady_after_the_first_training_epoch(self, mode):
+        # every buffer a step, an identification pass or a transport solve
+        # uses (the stacked embedding and its backward scratch too) exists
+        # once the first training epoch ends, at its final size. On this
+        # dataset a later discard epoch trains a batch of batch_size + 1 pairs
+        # (a trailing singleton folded in), which the buffers have room for
+        ds = make_benchmark(n=500, classes=10, noise=0.1, mrate=0.6, rng_seed=0)
+        cfg = TrainConfig(mode=mode, seed=0, optimizer="adam", warmup_epochs=15,
+                          train_epochs=25, lr_decay_epoch=20)
+        state = init_state(cfg, ds)
+        while state.epoch <= pl._warm_epochs(cfg):
+            train_epoch(state, ds, cfg)
+        allocations, buffers = state.work.allocations, dict(state.work._flat)
+        assert {"s", "embed", "grad_unit", "unit_scratch"} <= buffers.keys()
+        while state.epoch < cfg.total_epochs:
+            train_epoch(state, ds, cfg)
+            assert state.work.allocations == allocations, f"epoch {state.epoch}"
+            assert state.work._flat.keys() == buffers.keys()
+            assert all(state.work._flat[name] is buffers[name] for name in buffers)
+
     @pytest.mark.skipif(sys.platform != "linux", reason="counts glibc page faults")
     @pytest.mark.parametrize("mode,warm,train,decay", [("rematch", 2, 4, 5),
                                                        ("discard", 15, 25, 20)])
@@ -826,7 +847,43 @@ def test_a_bad_entry_is_named_or_the_state_steps(mode, optimizer, epochs, entry,
     train_epoch(state, ds, cfg)
 
 
+def reference_update(weight, grad, lr, moments=None, step=0):
+    """One projection's weights after an SGD step, or after Adam's ``step``-th
+    with its ``moments`` updated in place, computed on its own."""
+    if moments is not None:
+        moment, second = moments
+        moment *= pl._ADAM_BETA1
+        moment += (1 - pl._ADAM_BETA1) * grad
+        second *= pl._ADAM_BETA2
+        second += (1 - pl._ADAM_BETA2) * grad * grad
+        m_hat = moment / (1 - pl._ADAM_BETA1 ** step)
+        v_hat = second / (1 - pl._ADAM_BETA2 ** step)
+        grad = m_hat / (np.sqrt(v_hat) + pl._ADAM_EPS)
+    return weight - lr * grad
+
+
 class TestOptimizerStep:
+    @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+    def test_one_update_over_both_projections_equals_one_per_projection(self, optimizer):
+        # projections of different heights, so the stacked blocks differ in size
+        ds = make_benchmark(n=60, classes=3, noise=0.1, mrate=0.0, rng_seed=0, d_in_t=20)
+        cfg = TrainConfig(optimizer=optimizer, **SMALL)
+        state = init_state(cfg, ds)
+        rng = np.random.default_rng(5)
+        weights = [state.params.w_v.copy(), state.params.w_t.copy()]
+        moments = [[np.zeros_like(w), np.zeros_like(w)] for w in weights]
+        for step in (1, 2, 3):
+            grads = [rng.normal(scale=10.0 ** -step, size=w.shape) for w in weights]
+            pl._apply_update(state, cfg, np.concatenate(grads), lr=0.01)
+            weights = [reference_update(w, g, 0.01, m if optimizer == "adam" else None, step)
+                       for w, g, m in zip(weights, grads, moments)]
+            assert state.params.w_v.tobytes() == weights[0].tobytes()
+            assert state.params.w_t.tobytes() == weights[1].tobytes()
+            if optimizer == "adam":
+                assert state.adam.step == step
+                for name, moment in zip(("m_v", "v_v", "m_t", "v_t"), sum(moments, [])):
+                    assert getattr(state.adam, name).tobytes() == moment.tobytes(), name
+
     @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
     @pytest.mark.parametrize("projection", ["visual", "text"])
     def test_non_finite_gradient_names_the_projection(self, optimizer,
