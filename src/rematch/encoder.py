@@ -81,7 +81,7 @@ def similarity(params: EncoderParams, v_feats, t_feats, out=None, *, work=None):
     Returns ``(s, cache)`` where ``s[i, j]`` compares visual row ``i`` with
     text row ``j``; ``s`` is written into ``out`` when one is given. Zero-norm
     embeddings are floored (and effectively produce zero similarity rows).
-    With a workspace ``work`` the embedding and backward scratch live in it.
+    With a workspace ``work`` the embedding and backward scratch live in it until its next use.
     """
     v_feats = np.asarray(v_feats, dtype=np.float64)
     t_feats = np.asarray(t_feats, dtype=np.float64)
