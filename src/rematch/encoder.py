@@ -8,11 +8,10 @@ finite differences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ._settings import require
+from .losses import _Workspace
 
 __all__ = ["EncoderParams", "init_params", "similarity", "similarity_backward"]
 
@@ -20,15 +19,38 @@ _NORM_FLOOR = 1e-12
 _INIT_SCALE = 0.1
 
 
-@dataclass
 class EncoderParams:
-    """Projection matrices for the visual and text towers."""
+    """Projection matrices of both towers: one array ``w`` of the visual rows over
+    the text rows, whose blocks ``w_v`` (d_in_v, d) and ``w_t`` (d_in_t, d) view."""
 
-    w_v: np.ndarray  # (d_in_v, d)
-    w_t: np.ndarray  # (d_in_t, d)
+    def __init__(self, w_v: np.ndarray, w_t: np.ndarray):
+        self.w, self.rows_v = np.concatenate((w_v, w_t)), len(w_v)
+
+    w_v = property(lambda self: self.w[:self.rows_v])
+    w_t = property(lambda self: self.w[self.rows_v:])
+
+    def over(self, w: np.ndarray) -> "EncoderParams":
+        """Parameters of the same blocks over ``w``, which is not copied."""
+        params = object.__new__(EncoderParams)
+        params.w, params.rows_v = w, self.rows_v
+        return params
 
     def copy(self) -> "EncoderParams":
-        return EncoderParams(self.w_v.copy(), self.w_t.copy())
+        return self.over(self.w.copy())
+
+
+def _name_the_tower(params: EncoderParams, attempt, what: str, where: str = "") -> None:
+    """Raise ``FloatingPointError`` naming the first tower, visual then text, for which
+    ``attempt(tower, its rows of params.w)`` raises one or returns ``False``."""
+    for tower, name in enumerate(("visual", "text")):
+        rows = (slice(None, params.rows_v), slice(params.rows_v, None))[tower]
+        failing = f"the {name} projection's {what}"
+        try:
+            finite = attempt(tower, rows)
+        except FloatingPointError as exc:
+            raise FloatingPointError(f"{failing} failed{where}: {exc}") from None
+        if finite is False:  # the new weights of an update
+            raise FloatingPointError(f"{failing} left non-finite weights{where}")
 
 
 def init_params(d_in_v: int, d_in_t: int, d: int, rng) -> EncoderParams:
@@ -47,14 +69,13 @@ def init_params(d_in_v: int, d_in_t: int, d: int, rng) -> EncoderParams:
     return EncoderParams(w_v, w_t)
 
 
-def _embed(params: EncoderParams, v_feats: np.ndarray, t_feats: np.ndarray,
-           work=None) -> tuple:
+def _embed(params: EncoderParams, v_feats: np.ndarray, t_feats: np.ndarray, work) -> tuple:
     """``(unit, norms, clipped)``: both towers' unit-normalized rows stacked,
-    visual first (in ``work`` when given), and their norms before and after
-    the floor. An overflow raises ``FloatingPointError`` naming its
-    projection, whatever the warning filters are."""
-    n_v, shape = len(v_feats), (len(v_feats) + len(t_feats), params.w_v.shape[1])
-    raw = np.empty(shape) if work is None else work("embed", *shape)
+    visual first, in ``work``, and their norms before and after the floor. An
+    overflow raises ``FloatingPointError`` naming its projection, whatever the
+    warning filters are."""
+    n_v, shape = len(v_feats), (len(v_feats) + len(t_feats), params.w.shape[1])
+    raw = work("embed", *shape)
     with np.errstate(over="raise"):
         try:
             np.matmul(v_feats, params.w_v, out=raw[:n_v])
@@ -62,13 +83,8 @@ def _embed(params: EncoderParams, v_feats: np.ndarray, t_feats: np.ndarray,
             # np.linalg.norm(raw, axis=1)'s arithmetic, without its wrapper
             norms = np.sqrt(np.add.reduce(raw * raw, axis=1))
         except FloatingPointError:  # name the first tower that fails on its own
-            for name, feats, weights in (("visual", v_feats, params.w_v),
-                                         ("text", t_feats, params.w_t)):
-                try:
-                    np.linalg.norm(feats @ weights, axis=1)
-                except FloatingPointError as exc:
-                    raise FloatingPointError(
-                        f"the {name} projection's embedding failed: {exc}") from None
+            _name_the_tower(params, lambda tower, rows: np.linalg.norm(
+                (v_feats, t_feats)[tower] @ params.w[rows], axis=1), "embedding")
             raise
         clipped = np.maximum(norms, _NORM_FLOOR)
         raw /= clipped[:, None]
@@ -88,6 +104,7 @@ def similarity(params: EncoderParams, v_feats, t_feats, out=None, *, work=None):
     for name, feats, weights in (("visual", v_feats, params.w_v), ("text", t_feats, params.w_t)):
         if feats.shape[1] != weights.shape[0]:
             raise ValueError(f"{name} feature width does not match the projection")
+    work = _Workspace() if work is None else work
     unit, norms, clipped = _embed(params, v_feats, t_feats, work)
     s = np.matmul(unit[:len(v_feats)], unit[len(v_feats):].T, out=out)
     return s, (v_feats, t_feats, unit, norms, clipped, work)
@@ -98,8 +115,7 @@ def similarity_backward(cache, grad_s):
     v_feats, t_feats, unit, norms, clipped, work = cache
     grad_s = np.asarray(grad_s, dtype=np.float64)
     n_v = v_feats.shape[0]
-    grad_unit, scratch = (np.empty_like(unit) if work is None else work(name, *unit.shape)
-                          for name in ("grad_unit", "unit_scratch"))
+    grad_unit, scratch = (work(name, *unit.shape) for name in ("grad_unit", "unit_scratch"))
     np.matmul(grad_s, unit[n_v:], out=grad_unit[:n_v])
     np.matmul(grad_s.T, unit[:n_v], out=grad_unit[n_v:])
     # through row normalization: remove the radial component, scale by 1/|u|;

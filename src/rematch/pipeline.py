@@ -132,18 +132,11 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators of both projections, each one array of the
-    visual rows over the text rows; ``m_v``, ``v_v``, ``m_t``, ``v_t`` view its blocks."""
+    """First/second moment accumulators of both projections, in their layout."""
 
-    m: np.ndarray
-    v: np.ndarray
-    rows_v: int
+    m: enc.EncoderParams
+    v: enc.EncoderParams
     step: int = 0
-
-    m_v = property(lambda self: self.m[:self.rows_v])
-    v_v = property(lambda self: self.v[:self.rows_v])
-    m_t = property(lambda self: self.m[self.rows_v:])
-    v_t = property(lambda self: self.v[self.rows_v:])
 
 
 @dataclass
@@ -169,8 +162,8 @@ def init_state(cfg: TrainConfig, ds: PairDataset) -> RunState:
     params = enc.init_params(ds.v_feats.shape[1], ds.t_feats.shape[1], cfg.embed_dim, rng)
     state = RunState(params=params, theta=costs_mod.CostNetParams(), epoch=0, rng=rng)
     if cfg.optimizer == "adam":
-        moments = np.zeros((params.w_v.shape[0] + params.w_t.shape[0], cfg.embed_dim))
-        state.adam = AdamState(moments, moments.copy(), params.w_v.shape[0])
+        state.adam = AdamState(params.over(np.zeros_like(params.w)),
+                               params.over(np.zeros_like(params.w)))
     return state
 
 
@@ -187,42 +180,29 @@ def _descend(weights, grad, moments, step: int, lr: float):
 
 
 def _apply_update(state: RunState, cfg: TrainConfig, grad, lr: float) -> None:
-    """One ``cfg.optimizer`` step on both projections at once, their rows stacked
-    (visual first) as in ``grad``, or ``0.0`` when nothing was scored. A non-finite
-    gradient, an overflow or a non-finite new weight raises ``FloatingPointError``
-    naming the projection and the epoch, and leaves the run state as it was."""
-    adam = state.adam if cfg.optimizer == "adam" else None
-    moments, step = (None, 0) if adam is None else ((adam.m, adam.v), adam.step + 1)
-    weights = np.concatenate((state.params.w_v, state.params.w_t))
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            updated, stepped = _descend(weights, grad, moments, step, lr)
-    except FloatingPointError:
-        updated = None
-    if updated is None or not np.isfinite(updated).all():  # as after a non-finite gradient
-        _name_the_failure(state, weights, np.broadcast_to(grad, weights.shape), moments, step, lr)
-    if adam is not None:
-        (adam.m, adam.v), adam.step = stepped, step
-    rows_v = state.params.w_v.shape[0]
-    state.params = enc.EncoderParams(updated[:rows_v], updated[rows_v:])
-
-
-def _name_the_failure(state: RunState, weights, grad, moments, step: int, lr: float):
-    """Raise what a per-projection update fails first: a gradient, then an update."""
-    rows_v, epoch = state.params.w_v.shape[0], state.epoch + 1
-    blocks = (("visual", slice(None, rows_v)), ("text", slice(rows_v, None)))
-    if bad := [name for name, rows in blocks if not np.isfinite(grad[rows]).all()]:
-        raise FloatingPointError(f"non-finite gradient in the {bad[0]} projection in epoch {epoch}")
-    for name, rows in blocks:
-        where = f"the {name} projection's update"
+    """One ``cfg.optimizer`` step on both projections at once, on ``grad`` laid out
+    as ``params.w``; the run moves to new arrays, and holders of the old ones keep
+    them. A non-finite gradient, an overflow or a non-finite new weight raises
+    ``FloatingPointError`` naming the projection and the epoch, and leaves the run
+    state as it was."""
+    adam, params = state.adam if cfg.optimizer == "adam" else None, state.params
+    moments, step = (None, 0) if adam is None else ((adam.m.w, adam.v.w), adam.step + 1)
+    with np.errstate(over="raise", invalid="raise"):
         try:
-            with np.errstate(over="raise", invalid="raise"):
-                block, _ = _descend(weights[rows], grad[rows],
-                                    moments and tuple(part[rows] for part in moments), step, lr)
-        except FloatingPointError as exc:
-            raise FloatingPointError(f"{where} failed in epoch {epoch}: {exc}") from None
-        if not np.isfinite(block).all():
-            raise FloatingPointError(f"{where} left non-finite weights in epoch {epoch}")
+            updated, stepped = _descend(params.w, grad, moments, step, lr)
+        except FloatingPointError:
+            updated = None
+        if updated is None or not np.isfinite(updated).all():  # as after a non-finite gradient
+            where = f" in epoch {state.epoch + 1}"
+            if not np.isfinite(grad).all():
+                name = "text" if np.isfinite(grad[:params.rows_v]).all() else "visual"
+                raise FloatingPointError(f"non-finite gradient in the {name} projection{where}")
+            enc._name_the_tower(params, lambda _, rows: bool(np.isfinite(_descend(
+                params.w[rows], grad[rows], moments and tuple(part[rows] for part in moments),
+                step, lr)[0]).all()), "update", where)
+    if adam is not None:
+        adam.m, adam.v, adam.step = params.over(stepped[0]), params.over(stepped[1]), step
+    state.params = params.over(updated)
 
 
 def split_indices(cfg: TrainConfig, ds: PairDataset):
@@ -263,7 +243,8 @@ def _step(state: RunState, ds: PairDataset, cfg: TrainConfig, terms,
     loss gradient w.r.t. the similarities; a term without a batch (``None``,
     see :func:`_sample`) adds nothing. Returns the summed loss.
     """
-    value, grad = 0.0, 0.0  # the gradient sum starts as 0.0 + its first term
+    # the gradient sum starts at zeros: each entry is 0.0 + its first term, as a fresh sum's
+    value, grad = 0.0, state.params.over(np.zeros_like(state.params.w))
     for batch, loss_fn in terms:
         if batch is None:
             continue
@@ -271,8 +252,9 @@ def _step(state: RunState, ds: PairDataset, cfg: TrainConfig, terms,
                                   out=state.work("s", batch.size), work=state.work)
         term, grad_s = loss_fn(s)
         value += term
-        grad = grad + np.concatenate(enc.similarity_backward(cache, grad_s))
-    _apply_update(state, cfg, grad, lr)
+        for block, term_grad in zip((grad.w_v, grad.w_t), enc.similarity_backward(cache, grad_s)):
+            block += term_grad
+    _apply_update(state, cfg, grad.w, lr)
     return value
 
 
@@ -348,7 +330,7 @@ def _cost(state: RunState, cfg: TrainConfig, s: np.ndarray, work=None) -> np.nda
 
 def _pair_sims(params: enc.EncoderParams, v_feats, t_feats) -> np.ndarray:
     """Each visual row's similarity with its own text row, as row dots."""
-    unit = enc._embed(params, v_feats, t_feats)[0]
+    unit = enc._embed(params, v_feats, t_feats, _Workspace())[0]
     return np.einsum("ij,ij->i", unit[:len(v_feats)], unit[len(v_feats):])
 
 
@@ -637,10 +619,10 @@ _ENTRIES = (
         "entries 'history' and 'best_epoch'")),
     _Entry("best_w_v", _MATRIX, _matrix("params.w_v"), "best_params.w_v", _BEST),
     _Entry("best_w_t", _MATRIX, _matrix("params.w_t"), "best_params.w_t", _BEST),
-    _Entry("adam_m_v", _MATRIX, _matrix("params.w_v"), "adam.m_v", _ADAM),
-    _Entry("adam_v_v", _MATRIX, _matrix("params.w_v", 0), "adam.v_v", _ADAM),
-    _Entry("adam_m_t", _MATRIX, _matrix("params.w_t"), "adam.m_t", _ADAM),
-    _Entry("adam_v_t", _MATRIX, _matrix("params.w_t", 0), "adam.v_t", _ADAM),
+    _Entry("adam_m_v", _MATRIX, _matrix("params.w_v"), "adam.m.w_v", _ADAM),
+    _Entry("adam_v_v", _MATRIX, _matrix("params.w_v", 0), "adam.v.w_v", _ADAM),
+    _Entry("adam_m_t", _MATRIX, _matrix("params.w_t"), "adam.m.w_t", _ADAM),
+    _Entry("adam_v_t", _MATRIX, _matrix("params.w_t", 0), "adam.v.w_t", _ADAM),
     _Entry("adam_step", _INT, _obeys(0), "adam.step", _ADAM),
 )
 
@@ -672,17 +654,18 @@ def load_state(path: str):
 
 
 def _restore(archive, path: str):
-    # entries fill a blank state; the blank cost map is this restore's own
-    run = SimpleNamespace(**vars(RunState(
-        enc.EncoderParams(None, None), costs_mod.CostNetParams(), 0, np.random.default_rng(),
-        best_params=enc.EncoderParams(None, None), adam=SimpleNamespace())))
+    # entries fill a blank state, each projection's block apart until all are read;
+    # the blank cost map is this restore's own
+    blank = SimpleNamespace
+    run = blank(**vars(RunState(blank(), costs_mod.CostNetParams(), 0, np.random.default_rng(),
+                                best_params=blank(), adam=blank(m=blank(), v=blank()))))
     for entry in _ENTRIES:
         where, (words, saved) = f"checkpoint {path} entry {entry.name!r}", entry.saved
         owner, _, attr = (entry.path or entry.name).rpartition(".")
         if (entry.name in archive) != saved(run):
             raise ValueError(f"{where} must be saved {words}")
         if not saved(run):
-            setattr(run, owner, None)
+            setattr(run, owner.partition(".")[0], None)
             continue
         try:
             value = entry.kind.read(archive[entry.name])
@@ -692,7 +675,7 @@ def _restore(archive, path: str):
             named = isinstance(exc, ValueError) and str(exc).startswith(where)
             raise exc if named else ValueError(
                 f"{where} is invalid: {type(exc).__name__}: {exc}") from None
-    if (adam := run.adam) is not None:  # the moments are saved per projection
-        run.adam = AdamState(np.concatenate((adam.m_v, adam.m_t)),
-                             np.concatenate((adam.v_v, adam.v_t)), len(adam.m_v), adam.step)
+    stacked = lambda blocks: blocks and enc.EncoderParams(blocks.w_v, blocks.w_t)
+    run.params, run.best_params = stacked(run.params), stacked(run.best_params)
+    run.adam = run.adam and AdamState(stacked(run.adam.m), stacked(run.adam.v), run.adam.step)
     return RunState(**{f.name: getattr(run, f.name) for f in fields(RunState)}), run.cfg

@@ -216,7 +216,7 @@ class TestOverflow:
     @pytest.mark.parametrize("weight", [1e300, 1e200])  # overflows in the product, in the norm
     def test_an_overflowing_embedding_names_the_projection(self, projection, weight):
         params = init_params(3, 3, 2, 0)
-        setattr(params, "w_t" if projection == "text" else "w_v", np.full((3, 2), weight))
+        getattr(params, "w_t" if projection == "text" else "w_v")[...] = weight
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             with pytest.raises(FloatingPointError,

@@ -11,6 +11,7 @@ import sys
 import tempfile
 import tracemalloc
 import warnings
+from operator import attrgetter
 from unittest import mock
 
 import numpy as np
@@ -345,6 +346,39 @@ class TestTrainEpoch:
             finally:
                 tracemalloc.stop()
             assert peak < 2 * 128 * 128 * 8, f"{name} step peaked at {peak} bytes"
+
+    @pytest.mark.parametrize("mode,bound", [("rematch", 256 * 1024), ("discard", 192 * 1024)])
+    def test_steady_epochs_make_no_fresh_step_matrix(self, mode, bound):
+        # The largest peak of an encoder update under tracemalloc, over the epochs
+        # after the first training epoch, at batch 128: a 128 x 128 float64 matrix
+        # takes 128 KiB, and on this dataset the rematch term's batches are full
+        # too. On a 2-vCPU x86-64 host the updates peaked at 199,745 B (rematch)
+        # and 125,544 B (discard); a copy of the similarity matrix in the rematch
+        # term lifted rematch to 330,945 B, and a fresh similarity matrix per term
+        # lifted rematch to 450,320 B and discard to 256,616 B
+        ds = make_benchmark(n=500, classes=10, noise=0.1, mrate=0.6, rng_seed=0)
+        cfg = TrainConfig(seed=0, mode=mode, optimizer="adam", warmup_epochs=5,
+                          train_epochs=4, lr_decay_epoch=7, batch_size=128)
+        state = init_state(cfg, ds)
+        while state.epoch <= cfg.warmup_epochs:
+            train_epoch(state, ds, cfg)
+        peaks, step = [], pl._step
+
+        def measured(*args):
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            value = step(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            return value
+
+        with mock.patch.object(pl, "_step", measured):
+            tracemalloc.start()
+            try:
+                while state.epoch < cfg.total_epochs:
+                    train_epoch(state, ds, cfg)
+            finally:
+                tracemalloc.stop()
+        assert peaks and max(peaks) < bound, max(peaks)
 
     @pytest.mark.parametrize("mode", sorted(pl._MODES))
     def test_the_workspace_is_steady_after_the_first_training_epoch(self, mode):
@@ -881,8 +915,8 @@ class TestOptimizerStep:
             assert state.params.w_t.tobytes() == weights[1].tobytes()
             if optimizer == "adam":
                 assert state.adam.step == step
-                for name, moment in zip(("m_v", "v_v", "m_t", "v_t"), sum(moments, [])):
-                    assert getattr(state.adam, name).tobytes() == moment.tobytes(), name
+                for name, moment in zip(("m.w_v", "v.w_v", "m.w_t", "v.w_t"), sum(moments, [])):
+                    assert attrgetter(name)(state.adam).tobytes() == moment.tobytes(), name
 
     @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
     @pytest.mark.parametrize("projection", ["visual", "text"])
@@ -957,9 +991,9 @@ def assert_same_run(state, run):
     assert state.clip_events == run.clip_events
     if run.adam is not None:
         assert state.adam.step == run.adam.step
-        for moment in ("m_v", "v_v", "m_t", "v_t"):
-            np.testing.assert_array_equal(getattr(state.adam, moment),
-                                          getattr(run.adam, moment))
+        for moment in ("m.w_v", "v.w_v", "m.w_t", "v.w_t"):
+            np.testing.assert_array_equal(attrgetter(moment)(state.adam),
+                                          attrgetter(moment)(run.adam))
 
 
 def assert_resume_reproduces_training(tmp_path, ds, cfg):
@@ -989,6 +1023,32 @@ def rewrite_entry(path, key, value):
     data = dict(np.load(str(path), allow_pickle=False))
     data[key] = value
     np.savez(str(path), **data)
+
+
+class TestStackedLayout:
+    def test_weights_and_moments_are_row_blocks_of_one_array(self, tmp_path):
+        # projections of different heights, 32 visual rows over 20 text rows
+        ds = make_benchmark(n=150, classes=3, noise=0.1, mrate=0.0, rng_seed=0, d_in_t=20)
+        cfg = TrainConfig(optimizer="adam", **SMALL)
+
+        def check(run, *extra):
+            # w_v and w_t view the rows of one C-contiguous array: the same
+            # memory, shape and strides
+            for params in (run.params, run.adam.m, run.adam.v, *extra):
+                assert params.w.shape == (52, cfg.embed_dim) and params.w.flags.c_contiguous
+                for block, rows in ((params.w_v, slice(None, 32)), (params.w_t, slice(32, None))):
+                    assert block.__array_interface__ == params.w[rows].__array_interface__
+
+        state = init_state(cfg, ds)
+        check(state)
+        pl._step(state, ds, cfg, [(np.arange(8), lambda s: triplet_loss_batch(s, 0.2))], 0.01)
+        assert state.adam.step == 1
+        check(state)
+        warmup(state, ds, cfg)  # its last epoch keeps the best parameters
+        check(state, state.best_params)
+        save_state(state, cfg, str(tmp_path / "state.npz"))
+        back, _ = load_state(str(tmp_path / "state.npz"))
+        check(back, back.best_params)
 
 
 class TestCheckpointing:
@@ -1024,7 +1084,7 @@ class TestCheckpointing:
         save_state(state, cfg, str(path))
         back, _ = load_state(str(path))
         assert back.adam is not None
-        np.testing.assert_array_equal(back.adam.m_v, state.adam.m_v)
+        np.testing.assert_array_equal(back.adam.m.w_v, state.adam.m.w_v)
         assert back.adam.step == state.adam.step
 
     def test_rejects_unknown_version(self, tmp_path, noisy_ds):
