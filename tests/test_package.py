@@ -1,8 +1,10 @@
-"""The export lists and the names the tracer wraps resolve, every exported
-name has a caller outside the tests, public functions take nested lists as
-they take arrays, and importing the package stays cheap."""
+"""The export lists and the names the tracer wraps resolve, the tracer sees
+every span a training step reaches, every exported name has a caller outside
+the tests, public functions take nested lists as they take arrays, and
+importing the package stays cheap."""
 
 import ast
+import collections
 import importlib
 import importlib.util
 import os
@@ -15,7 +17,7 @@ import numpy as np
 import pytest
 
 import rematch
-from rematch import costs, data, encoder, losses, mixture, transport
+from rematch import costs, data, encoder, losses, mixture, pipeline, transport
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -60,14 +62,47 @@ def test_every_exported_name_has_a_caller_outside_the_tests():
     assert sorted(set(rematch.__all__) - used) == []
 
 
-def test_every_traced_name_resolves():
-    # perfbench/spans.py wraps these names where the library looks them up; a
-    # cleanup that drops one would break every traced run with AttributeError
+def load_spans():
+    """The benchmark's tracer module, ``perfbench/spans.py``."""
     spec = importlib.util.spec_from_file_location("spans", ROOT / "perfbench" / "spans.py")
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_every_traced_name_resolves():
+    # perfbench/spans.py wraps these names where the library looks them up; a
+    # cleanup that drops one would break every traced run with AttributeError
+    spans = load_spans()
     assert [(module, attr) for module, attr, *_ in spans.TARGETS
             if not hasattr(importlib.import_module(module), attr)] == []
+
+
+# the spans a training step reaches through a public name, per mode; the tracer
+# cannot see sinkhorn, rematch_loss and normalize_plan, since the step calls
+# their private cores
+REACHED = {"discard": ["encoder.similarity", "encoder.similarity_backward",
+                       "losses.warmup_loss", "losses.triplet_loss_batch",
+                       "losses.per_pair_triplet_losses", "mixture.fit_bmm"]}
+REACHED["rematch"] = REACHED["discard"] + ["costs.cost_forward", "costs.cost_net_step",
+                                           "costs.reconstruct_pairs", "transport.partial_ot"]
+
+
+@pytest.mark.parametrize("mode", sorted(REACHED))
+def test_the_tracer_sees_every_span_a_training_step_reaches(mode):
+    # a span that still resolves but that the step no longer calls by that name
+    # reads 0 calls in every traced run
+    spans = load_spans()
+    ds = data.make_benchmark(n=120, classes=5, noise=0.1, mrate=0.4, rng_seed=0)
+    cfg = pipeline.TrainConfig(mode=mode, seed=0, warmup_epochs=1, train_epochs=2,
+                               lr_decay_epoch=3)
+    tracer = spans.Tracer()
+    with tracer.installed():
+        pipeline.run_experiment(cfg, ds)
+    calls = collections.Counter(span[spans.NAME] for span in tracer.spans)
+    assert [name for name in REACHED[mode] if calls[name] == 0] == []
+    if mode == "discard":  # which trains no cost map and solves no transport
+        assert [name for name in calls if name.startswith(("costs.", "transport."))] == []
 
 
 def test_star_import_binds_every_exported_name():
