@@ -48,11 +48,11 @@ print(f"\n{'step':>6} {'w':>8} {'b':>8} {'charged cost':>13}")
 step_rng = np.random.default_rng(1)
 for step in range(400):
     batch = step_rng.choice(clean, size=64, replace=False)
-    images, pi_sup = reconstruct_pairs(ds.v_feats[batch], ds.v_feats[broken],
-                                       reserve_ratio=0.5, rng=step_rng)
+    images, (rows, cols) = reconstruct_pairs(ds.v_feats[batch], ds.v_feats[broken],
+                                             reserve_ratio=0.5, rng=step_rng)
     sims, _ = similarity(state.params, images, ds.t_feats[batch])
-    charged = (pi_sup * cost_forward(sims, theta)).sum()
-    theta, _ = cost_net_step(theta, sims, pi_sup, lr=1e-3)
+    charged = cost_forward(sims[rows, cols], theta).sum()
+    theta, _ = cost_net_step(theta, sims[rows, cols], lr=1e-3)
     if step % 80 == 0 or step == 399:
         print(f"{step:>6} {theta.w:>8.3f} {theta.b:>8.3f} {charged:>13.4f}")
 

@@ -46,13 +46,14 @@ def _sigmoid(x):
 def cost_forward(s, theta: CostNetParams, *, work=None) -> np.ndarray:
     """Elementwise positive cost ``softplus(w * s + b)``, taken as
     ``max(x, 0) + log1p(exp(-|x|))``, which cannot overflow; with a
-    workspace ``work`` the cost of a matrix lives in it."""
+    workspace ``work`` the cost of a matrix lives in it. The cost has the
+    shape of ``s``."""
     s = np.asarray(s, dtype=np.float64)
-    x, tail = (None, None) if work is None else (work("cost", *s.shape),
-                                                 work("cost_tail", *s.shape))
-    x = np.asarray(np.multiply(theta.w, s, out=x))
+    x, tail = ((work("cost", *s.shape), work("cost_tail", *s.shape))
+               if work is not None and s.ndim == 2 else (np.empty_like(s), np.empty_like(s)))
+    np.multiply(theta.w, s, out=x)
     x += theta.b
-    tail = np.abs(x, out=tail)
+    np.abs(x, out=tail)
     np.negative(tail, out=tail)
     np.log1p(np.exp(tail, out=tail), out=tail)
     np.maximum(x, 0.0, out=x)
@@ -77,9 +78,9 @@ def reconstruct_pairs(v_matched, v_pool, reserve_ratio: float, rng):
     ``v_pool``. A pool too small for that is used up and the remaining slots
     keep their true images too. All images are then dealt to random row
     positions, so the supervised cells land anywhere in the matrix, not just
-    the diagonal. Returns ``(v_feats, pi_sup)``: the rebuilt image rows and
-    ``pi_sup[i, j] = 1`` iff the image in row ``i`` is the true match of
-    caption ``j``.
+    the diagonal. Returns ``(v_feats, (rows, cols))``: the rebuilt image rows
+    and the supervised cells, in row order, where row ``rows[k]`` holds the
+    true image of caption ``cols[k]``.
     """
     v_matched = np.asarray(v_matched, dtype=np.float64)
     v_pool = np.asarray(v_pool, dtype=np.float64)
@@ -99,28 +100,21 @@ def reconstruct_pairs(v_matched, v_pool, reserve_ratio: float, rng):
     pool_pick = rng.choice(v_pool.shape[0], size=n - n_reserved, replace=False)
     images[substitute_rows] = v_pool[pool_pick]
 
-    pi_sup = np.zeros((n, n))
-    pi_sup[kept_rows, reserved] = 1.0
-    return images, pi_sup
+    order = np.argsort(kept_rows)
+    return images, (kept_rows[order], reserved[order])
 
 
-def cost_net_step(theta: CostNetParams, sims, pi_sup, lr: float):
-    """One descent step on the supervised transport cost.
+def cost_net_step(theta: CostNetParams, sims, lr: float):
+    """One descent step on the total cost charged at the supervised cells,
+    whose similarities are ``sims``.
 
-    Gradient flows only through cells where ``pi_sup`` is 1; with no
-    supervised cells the parameters are returned unchanged. Parameters are
-    clamped into ``[-_PARAM_BOUND, _PARAM_BOUND]``; the returned flag reports
-    whether the clamp engaged. A non-finite gradient, from a NaN similarity
-    or supervision cell, raises ``FloatingPointError``.
+    With no supervised cells the parameters are returned unchanged.
+    Parameters are clamped into ``[-_PARAM_BOUND, _PARAM_BOUND]``; the
+    returned flag reports whether the clamp engaged. A non-finite gradient,
+    from a NaN similarity, raises ``FloatingPointError``.
     """
     require("lr", lr, "(0, inf)")
-    sims = np.asarray(sims, dtype=np.float64)
-    pi_sup = np.asarray(pi_sup, dtype=np.float64)
-    if sims.shape != pi_sup.shape:
-        raise ValueError("similarity and supervision shapes disagree")
-    d_w, d_b = cost_grads(sims, theta)
-    grad_w = float((pi_sup * d_w).sum())
-    grad_b = float((pi_sup * d_b).sum())
+    grad_w, grad_b = (float(grads.sum()) for grads in cost_grads(sims, theta))
     if not np.isfinite([grad_w, grad_b]).all():
         raise FloatingPointError("non-finite gradient of the cost map")
     new_w = theta.w - lr * grad_w

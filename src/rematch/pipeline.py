@@ -370,14 +370,12 @@ def refine_batch(state: RunState, s_mis: np.ndarray, cfg: TrainConfig,
 def _cost_update(state: RunState, ds: PairDataset, cfg: TrainConfig,
                  matched_batch: np.ndarray, mismatched_idx: np.ndarray):
     """One supervised descent step on the cost map from a rebuilt batch; its
-    gradient reads only the true pairs (``pi_sup`` 1), so only they are scored."""
-    v_feats, pi_sup = costs_mod.reconstruct_pairs(
+    gradient reads only the true pairs, so only they are scored."""
+    v_feats, (rows, cols) = costs_mod.reconstruct_pairs(
         ds.v_feats[matched_batch], ds.v_feats[mismatched_idx], cfg.reserve_ratio,
         state.rng)
-    # the flat indices of the boolean form: np.nonzero of a float matrix is ~6x slower
-    rows, cols = divmod(np.flatnonzero(pi_sup.astype(bool)), pi_sup.shape[1])
     sims = _pair_sims(state.params, v_feats[rows], ds.t_feats[matched_batch[cols]])
-    return costs_mod.cost_net_step(state.theta, sims, np.ones(sims.size), cfg.lr_cost)
+    return costs_mod.cost_net_step(state.theta, sims, cfg.lr_cost)
 
 
 def _rematch_steps(state: RunState, ds: PairDataset, cfg: TrainConfig,

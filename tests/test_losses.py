@@ -207,6 +207,22 @@ class TestRCE:
                 lambda x: rce_loss(x, 0.5, 1e-7), s) < 1e-6
 
 
+class TestWarmup:
+    @given(n=st.integers(2, 60), tau=st.floats(0.01, 1.0), rce_weight=st.floats(0.0, 2.0),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_transposing_transposes_the_gradient(self, n, tau, rce_weight, seed):
+        # the two directions trade places, so each sum runs in another order.
+        # Over 32,000 draws of this kind and 28,800 at the range's ends the
+        # value moved by at most 5.6e-16 of itself and the gradient by 1.5e-14
+        # of its largest entry; the bounds leave a margin above 3
+        s = np.random.default_rng(seed).uniform(-1, 1, (n, n))
+        value, grad = warmup_loss(s, tau, rce_weight=rce_weight)
+        value_t, grad_t = warmup_loss(s.T, tau, rce_weight=rce_weight)
+        assert abs(value_t - value) <= 2e-15 * abs(value)
+        assert np.abs(grad_t - grad.T).max() <= 5e-14 * np.abs(grad).max()
+
+
 class TestRematch:
     def test_matching_distributions_cost_nothing(self):
         rng = np.random.default_rng(5)

@@ -151,6 +151,23 @@ class TestFitBmm:
         assert a.alpha_hi == pytest.approx(b.alpha_hi, rel=1e-9)
         assert a.weight_hi == pytest.approx(b.weight_hi, rel=1e-9)
 
+    @given(size=st.integers(10, 400), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_permuted_losses_give_the_same_fit(self, size, seed):
+        # EM sums over the losses in their order, so a permutation moves each
+        # sum by rounding only, and the median split it starts from not at all.
+        # Over 32,000 draws of this kind the shapes and weight moved by at most
+        # 3.8e-12 of themselves, with equal EM trace lengths; the bound leaves
+        # a margin above 5
+        rng = np.random.default_rng(seed)
+        from_hi = rng.random(size) < rng.uniform(0.1, 0.9)
+        losses = np.where(from_hi, rng.gamma(6.0, 0.1, size), rng.gamma(2.0, 0.05, size))
+        a = fit_bmm(losses)
+        b = fit_bmm(losses[rng.permutation(size)])
+        assert len(b.loglik_trace) == len(a.loglik_trace)
+        for field in ("alpha_lo", "beta_lo", "alpha_hi", "beta_hi", "weight_hi"):
+            assert abs(getattr(b, field) - getattr(a, field)) <= 2e-11 * abs(getattr(a, field))
+
     def test_split_quality_on_separated_data(self):
         # generator means differ by 0.6; the 0.5-threshold split should be
         # nearly perfect against the generating labels

@@ -128,8 +128,7 @@ def array_like_cases() -> dict:
                                                               work=losses._Workspace()), s),
         "cost_grads": (lambda sims: costs.cost_grads(sims, theta), s),
         "reconstruct_pairs": (lambda v, p: costs.reconstruct_pairs(v, p, 0.5, 0), feats, pool),
-        "cost_net_step": (lambda sims, sup: costs.cost_net_step(theta, sims, sup, 0.1),
-                          s, np.eye(4)),
+        "cost_net_step": (lambda sims: costs.cost_net_step(theta, sims, 0.1), np.diag(s)),
         "matching_probs": (lambda sims: losses.matching_probs(sims, 0.5), s),
         "rematch_loss": (lambda v2t, t2v, sims: losses.rematch_loss(v2t, t2v, sims, 0.5),
                          *transport.normalize_plan(rng.uniform(size=(4, 4))), s),

@@ -71,8 +71,7 @@ LIBRARY_ARGUMENTS = {
     "threshold": ("threshold", lambda v: partition([0.2, 0.8], threshold=v)),
     "reserve_ratio": ("reserve_ratio",
                       lambda v: reconstruct_pairs(np.ones((4, 3)), np.ones((4, 3)), v, 0)),
-    "lr_cost": ("lr", lambda v: cost_net_step(CostNetParams(), np.zeros((2, 2)),
-                                              np.eye(2), lr=v)),
+    "lr_cost": ("lr", lambda v: cost_net_step(CostNetParams(), np.zeros(2), lr=v)),
     "embed_dim": ("d", lambda v: enc.init_params(3, 3, v, 0)),
     "rho": ("rho", lambda v: transport.partial_ot(np.zeros((2, 2)), [0.5, 0.5], [0.5, 0.5],
                                                   rho=v, cfg=SinkhornConfig(lam=0.1))),
@@ -380,6 +379,36 @@ class TestTrainEpoch:
                 tracemalloc.stop()
         assert peaks and max(peaks) < bound, max(peaks)
 
+    def test_steady_cost_map_updates_make_no_fresh_batch_matrix(self):
+        # The largest peak of a cost-map update under tracemalloc, over the
+        # epochs after the first training epoch of the run above. It reads
+        # only the rebuilt batch's supervised cells: on a 2-vCPU x86-64 host
+        # its six updates peaked at 131,328-134,192 B; a dense 128 x 128
+        # supervision matrix (128 KiB) lifted them to 246,048-248,912 B
+        ds = make_benchmark(n=500, classes=10, noise=0.1, mrate=0.6, rng_seed=0)
+        cfg = TrainConfig(seed=0, mode="rematch", optimizer="adam", warmup_epochs=5,
+                          train_epochs=4, lr_decay_epoch=7, batch_size=128)
+        state = init_state(cfg, ds)
+        while state.epoch <= cfg.warmup_epochs:
+            train_epoch(state, ds, cfg)
+        peaks, update = [], pl._cost_update
+
+        def measured(*args):
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            value = update(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            return value
+
+        with mock.patch.object(pl, "_cost_update", measured):
+            tracemalloc.start()
+            try:
+                while state.epoch < cfg.total_epochs:
+                    train_epoch(state, ds, cfg)
+            finally:
+                tracemalloc.stop()
+        assert peaks and max(peaks) < 192 * 1024, max(peaks)
+
     @pytest.mark.parametrize("mode", sorted(pl._MODES))
     def test_the_workspace_is_steady_after_the_first_training_epoch(self, mode):
         # every buffer a step, an identification pass or a transport solve
@@ -494,9 +523,10 @@ class TestTrainEpoch:
     def test_cost_update_scores_only_the_supervised_cells(self, noisy_ds, n, seed,
                                                            reserve_ratio, lr_cost, w, b):
         # the step embeds only the rebuilt batch's true pairs; the full
-        # similarity matrix weighted by pi_sup takes the same step up to
-        # rounding. Each side sums the k supervised terms in its own order,
-        # which is off by at most gamma(k - 1) * sum|terms| (Higham, Accuracy
+        # similarity matrix read at those cells takes the same step up to
+        # rounding. Both sides sum the k supervised terms in row order; the
+        # bound still allows for two orders, each off by at most
+        # gamma(k - 1) * sum|terms| (Higham, Accuracy
         # and Stability of Numerical Algorithms, 2nd ed., section 4.2), from
         # similarities that are dot products of unit embeddings, each within
         # gamma(dim) of exact (section 3.1), which moves a term by at most
@@ -510,11 +540,12 @@ class TestTrainEpoch:
         state.params = enc.EncoderParams(rng.normal(size=state.params.w_v.shape),
                                          rng.normal(size=state.params.w_t.shape))
         state.theta = theta = CostNetParams(w, b)
-        v_feats, pi_sup = reconstruct_pairs(noisy_ds.v_feats[matched_batch],
-                                            noisy_ds.v_feats[mismatched_idx],
-                                            reserve_ratio, np.random.default_rng(seed))
+        v_feats, (rows, cols) = reconstruct_pairs(noisy_ds.v_feats[matched_batch],
+                                                  noisy_ds.v_feats[mismatched_idx],
+                                                  reserve_ratio, np.random.default_rng(seed))
         sims, _ = enc.similarity(state.params, v_feats, noisy_ds.t_feats[matched_batch])
-        want, want_clipped = cost_net_step(state.theta, sims, pi_sup, lr_cost)
+        sims = sims[rows, cols]
+        want, want_clipped = cost_net_step(state.theta, sims, lr_cost)
         state.rng = np.random.default_rng(seed)
         got, clipped = pl._cost_update(state, noisy_ds, cfg, matched_batch, mismatched_idx)
         assert clipped == want_clipped
@@ -524,11 +555,11 @@ class TestTrainEpoch:
         def gamma(m):
             return m * unit / (1 - m * unit)
 
-        k, dim = int(pi_sup.sum()), state.params.w_v.shape[1]
+        k, dim = rows.size, state.params.w_v.shape[1]
         sims_moved = 2 * k * gamma(dim) * (1 + abs(w) / 4)
         d_w, d_b = cost_grads(sims, theta)
         for new, reference, terms in ((got.w, want.w, d_w), (got.b, want.b, d_b)):
-            summed = 2 * gamma(k + 1) * np.abs(pi_sup * terms).sum() + sims_moved
+            summed = 2 * gamma(k + 1) * np.abs(terms).sum() + sims_moved
             assert abs(new - reference) <= (lr_cost * summed
                                             + unit * (abs(new) + abs(reference)))
 
@@ -577,12 +608,12 @@ class TestTrainEpoch:
 
         with mock.patch.object(pl.costs_mod, "reconstruct_pairs", spy):
             pl._cost_update(state, clean_ds, cfg, matched_batch, mismatched_idx)
-        (images, pi_sup), = rebuilt
+        (images, (rows, cols)), = rebuilt
         needed = n - int(np.floor(reserve_ratio * n + 0.5))
         substitutes = min(needed, pool_size)
-        assert pi_sup.sum() == n - substitutes
-        assert np.flatnonzero(pi_sup.any(axis=0)).size == n - substitutes
-        unsupervised = images[pi_sup.sum(axis=1) == 0]
+        assert rows.size == n - substitutes
+        assert np.unique(cols).size == n - substitutes
+        unsupervised = np.delete(images, rows, axis=0)
         assert unsupervised.shape[0] == substitutes
         pool = clean_ds.v_feats[mismatched_idx]
         picks = [np.flatnonzero((pool == row).all(axis=1)) for row in unsupervised]
