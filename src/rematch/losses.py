@@ -230,14 +230,16 @@ def _kl_direction_terms(refined: np.ndarray, probs: np.ndarray, variant: str, bu
     return 0.5 * (forward - backward), ratio
 
 
-def rematch_loss(refined_v2t, refined_t2v, s, tau: float, variant: str = "sym_kl"):
+def rematch_loss(refined_v2t, refined_t2v, s, tau: float, variant: str = "sym_kl", *,
+                 work=None):
     """Divergence between refined alignments and the model's probabilities.
 
     ``refined_v2t`` rows and ``refined_t2v`` columns must be valid
     distributions (see :func:`rematch.transport.normalize_plan`). The
     default variant symmetrizes the KL divergence; ``"kl"`` keeps only the
     forward term and ``"ce"`` scores cross-entropy against the refined
-    targets. Value is the batch mean.
+    targets. Value is the batch mean. With a workspace ``work`` the gradient
+    lives in it until its next use.
     """
     s = _as_square(s)
     require("variant", variant, {"choices": _VARIANTS})
@@ -251,11 +253,7 @@ def rematch_loss(refined_v2t, refined_t2v, s, tau: float, variant: str = "sym_kl
     if not (np.abs(refined_v2t.sum(axis=1) - 1.0).max() <= 1e-6
             and np.abs(refined_t2v.sum(axis=0) - 1.0).max() <= 1e-6):
         raise ValueError("refined alignments must be normalized distributions")
-    return _rematch_loss(refined_v2t, refined_t2v, s, tau, variant, _Workspace())
-
-
-def _rematch_loss(refined_v2t, refined_t2v, s, tau: float, variant: str, work):
-    """:func:`rematch_loss` of inputs that pass its checks, in ``work``."""
+    work = _Workspace() if work is None else work
     n = s.shape[0]
     p_v2t, p_t2v = matching_probs(s, tau, work=work)
     a, b, rows, log, cols = (work(name, n) for name in _REMATCH_BUFFERS)

@@ -31,13 +31,12 @@ from . import costs as costs_mod
 from . import encoder as enc
 from .data import (RECALL_CUTOFFS, PairDataset, atomic_write, dataset_header,
                    identification_score, recall_at_k)
-# the step calls unchecked cores; perfbench/spans.py wraps the public names here
-from .losses import (_VARIANTS, _Workspace, _rematch_loss, per_pair_triplet_losses,
-                     rematch_loss, triplet_loss_batch, warmup_loss)
+from .losses import (_VARIANTS, _Workspace, per_pair_triplet_losses, rematch_loss,
+                     triplet_loss_batch, warmup_loss)
 from .mixture import (_SHAPE_MAX, _SHAPE_MIN, BetaMixture, fit_bmm,
                       mismatch_probabilities, partition)
 from ._settings import check, choice, count, real, require, switch
-from .transport import SinkhornConfig, _normalize, normalize_plan, partial_ot
+from .transport import SinkhornConfig, normalize_plan, partial_ot
 
 __all__ = ["TrainConfig", "RunState", "init_state", "warmup", "per_sample_losses",
            "train_epoch", "evaluate", "run_experiment",
@@ -321,10 +320,11 @@ def _sample(rng, indices: np.ndarray, size: int) -> np.ndarray | None:
 
 
 def _cost(state: RunState, cfg: TrainConfig, s: np.ndarray, work=None) -> np.ndarray:
-    """Transport cost of similarities: the learned map, or ``1 - s``, in
-    ``work`` when given."""
+    """Transport cost of similarities, of their shape: the learned map, or
+    ``1 - s``, in ``work`` when given and ``s`` is a matrix."""
     if cfg.cost_mode == "cosine":
-        return np.subtract(1.0, s, out=None if work is None else work("cost", *s.shape))
+        out = work("cost", *s.shape) if work is not None and np.ndim(s) == 2 else None
+        return np.subtract(1.0, s, out=out)
     return costs_mod.cost_forward(s, state.theta, work=work)
 
 
@@ -363,8 +363,7 @@ def refine_batch(state: RunState, s_mis: np.ndarray, cfg: TrainConfig,
                       rho=cfg.rho, cfg=solver, work=state.work)
     if not plan.converged:
         return None, None, plan
-    # a solver plan is finite and nonnegative, and the mask is boolean
-    return (*_normalize(plan.plan, mask, state.work), plan)
+    return (*normalize_plan(plan.plan, mask, work=state.work), plan)
 
 
 def _cost_update(state: RunState, ds: PairDataset, cfg: TrainConfig,
@@ -398,9 +397,8 @@ def _rematch_steps(state: RunState, ds: PairDataset, cfg: TrainConfig,
         if not plan.converged:
             solves["unconverged"] += 1
             return 0.0, np.zeros_like(s)
-        # normalized plans pass every check of rematch_loss
-        return _rematch_loss(refined_v2t, refined_t2v, s, cfg.tau, cfg.rematch_variant,
-                             state.work)
+        return rematch_loss(refined_v2t, refined_t2v, s, cfg.tau, cfg.rematch_variant,
+                            work=state.work)
 
     terms = ((mismatched_idx, rematch_objective),
              (matched_idx, lambda s: triplet_loss_batch(s, cfg.alpha, work=state.work)))

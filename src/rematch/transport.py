@@ -9,7 +9,7 @@ virtual column that absorb the untransported mass.
 
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass
+from dataclasses import MISSING, dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -429,7 +429,8 @@ def _validate(cost, p, q, mask):
     return cost, p, q, _as_mask(mask, cost.shape)
 
 
-def sinkhorn(cost, p, q, mask=None, cfg: SinkhornConfig | None = None) -> TransportPlan:
+def sinkhorn(cost, p, q, mask=None, cfg: SinkhornConfig | None = None, *,
+             work=None) -> TransportPlan:
     """Solve the entropy-regularized, optionally masked, balanced problem.
 
     Scales the masked Gibbs kernel ``K = mask * exp(-cost / lam)`` to the
@@ -437,7 +438,8 @@ def sinkhorn(cost, p, q, mask=None, cfg: SinkhornConfig | None = None) -> Transp
     scaling exponents, and further sweeps should Newton stall. The returned
     plan is ``diag(a) K diag(b)``; masked cells are exactly zero. Iteration
     stops at the first of convergence (summed absolute row and column
-    residuals <= ``cfg.tol``) or ``cfg.max_iter``.
+    residuals <= ``cfg.tol``) or ``cfg.max_iter``. With a workspace ``work``
+    the log-kernel and the plan live in it until its next use.
 
     Parameters
     ----------
@@ -467,8 +469,7 @@ def sinkhorn(cost, p, q, mask=None, cfg: SinkhornConfig | None = None) -> Transp
     mass_p, mass_q = np.add.reduce(p), np.add.reduce(q)
     if abs(mass_p - mass_q) > max(cfg.tol, 1e-12 * mass_p):
         raise ValueError(f"mass imbalance: sum(p)={mass_p:.17g} vs sum(q)={mass_q:.17g}")
-    plan, converged, iterations = _solve(cost, p, q, mask, cfg, _Workspace())
-    return TransportPlan(plan=plan, converged=converged, iterations=iterations)
+    return TransportPlan(*_solve(cost, p, q, mask, cfg, _Workspace() if work is None else work))
 
 
 # the border cost stays positive, as in the construction of the reduction
@@ -493,7 +494,7 @@ def default_xi(cost: np.ndarray) -> float:
     return max(float(np.minimum.reduce(cost, axis=None)), _XI_FLOOR)
 
 
-def extend_partial(cost, p, q, mask=None, rho: float = 0.0):
+def extend_partial(cost, p, q, mask=None, rho: float = 0.0, *, work=None):
     """Reduce a partial problem to a balanced one via one virtual node per side.
 
     The cost matrix gains a border row/column priced at ``xi =
@@ -504,19 +505,16 @@ def extend_partial(cost, p, q, mask=None, rho: float = 0.0):
     target mass, so exactly ``rho`` moves inside the original block at the
     optimum. Any ``xi > 0`` gives the same optimal plan, because the border
     carries a fixed total mass (see :func:`default_xi`); this one only makes
-    the solve start close to it.
+    the solve start close to it. With a workspace ``work`` the extended cost
+    is its ``work("kernel")`` until its next use; :func:`sinkhorn` on the
+    same workspace turns it into its log-kernel in place.
 
     Returns
     -------
     (cost_ext, p_ext, q_ext, mask_ext)
         Arrays of shape (m+1, n+1), (m+1,), (n+1,), (m+1, n+1).
     """
-    return _extend(*_validate(cost, p, q, mask), rho, _Workspace())
-
-
-def _extend(cost, p, q, mask, rho, work):
-    """:func:`extend_partial` on validated arrays; the extended cost goes to
-    ``work("kernel")``, where :func:`_solve` turns it into its log-kernel."""
+    cost, p, q, mask = _validate(cost, p, q, mask)
     m, n = cost.shape
     mass_p, mass_q = np.add.reduce(p), np.add.reduce(q)
     budget = min(mass_p, mass_q)
@@ -527,6 +525,7 @@ def _extend(cost, p, q, mask, rho, work):
     xi = default_xi(cost)
     a_big = float(np.maximum.reduce(cost, axis=None)) + 1.0
 
+    work = _Workspace() if work is None else work
     cost_ext = work("kernel", m + 1, n + 1)
     cost_ext[:m, :n] = cost
     cost_ext[:m, n] = xi
@@ -546,32 +545,25 @@ def partial_ot(cost, p, q, mask=None, rho: float = 0.0,
     """Move exactly ``rho`` mass at minimal entropic cost, masked cells closed.
 
     Returns the original block of ``sinkhorn(*extend_partial(cost, p, q,
-    mask, rho), cfg)``, bit for bit, as a view of the extended plan. Row sums
-    never exceed ``p`` and column sums never exceed ``q``; the block total is
-    ``rho`` up to solver tolerance. The private solver core ``_solve`` takes
-    the extension, valid and balanced by construction, without a second
-    check. With a workspace ``work`` the solve's matrices live in it.
+    mask, rho), cfg)``, as a view of the extended plan; a zero budget solves
+    nothing. Row sums never exceed ``p`` and column sums never exceed ``q``;
+    the block total is ``rho`` up to solver tolerance. With a workspace
+    ``work`` the solve's matrices live in it.
     """
-    cost, p, q, mask = _validate(cost, p, q, mask)
     if rho == 0:
-        return TransportPlan(plan=np.zeros(cost.shape), converged=True, iterations=0)
-    if cfg is None:
-        raise ValueError("cfg is required")
+        return TransportPlan(np.zeros(_validate(cost, p, q, mask)[0].shape), True, 0)
     work = _Workspace() if work is None else work
-    extended = _extend(cost, p, q, mask, rho, work)
-    if not np.isfinite(extended[0][-1, -1]):  # the one cell that can overflow
-        raise ValueError("cost contains non-finite entries")
-    plan, converged, iterations = _solve(*extended, cfg, work)
-    m, n = cost.shape
-    return TransportPlan(plan=plan[:m, :n], converged=converged, iterations=iterations)
+    solved = sinkhorn(*extend_partial(cost, p, q, mask, rho, work=work), cfg, work=work)
+    return replace(solved, plan=solved.plan[:-1, :-1])
 
 
-def normalize_plan(plan, mask=None):
+def normalize_plan(plan, mask=None, *, work=None):
     """The plan's row-stochastic and column-stochastic forms, in that order.
 
     A row (column) whose sum is at most ``1e-12`` per cell is replaced by the
     uniform distribution over its unmasked cells, so untransported slices
-    still yield valid distributions.
+    still yield valid distributions. With a workspace ``work`` both forms
+    live in it until its next use.
 
     Parameters
     ----------
@@ -585,12 +577,8 @@ def normalize_plan(plan, mask=None):
         raise ValueError("plan contains non-finite entries")
     if np.any(plan < 0):
         raise ValueError("plan entries must be nonnegative")
-    return _normalize(plan, _as_mask(mask, plan.shape), _Workspace())
-
-
-def _normalize(plan: np.ndarray, mask: np.ndarray, work):
-    """:func:`normalize_plan` of a finite nonnegative plan and a boolean mask
-    of its shape, both forms in ``work`` until its next use."""
+    mask = _as_mask(mask, plan.shape)
+    work = _Workspace() if work is None else work
     m, n = plan.shape  # the column form is F-ordered, as a fresh one would be
     return (_row_stochastic(plan, mask, work("v2t", m, n)),
             _row_stochastic(plan.T, mask.T, work("t2v", m, n).T).T)

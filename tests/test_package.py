@@ -78,14 +78,14 @@ def test_every_traced_name_resolves():
             if not hasattr(importlib.import_module(module), attr)] == []
 
 
-# the spans a training step reaches through a public name, per mode; the tracer
-# cannot see sinkhorn, rematch_loss and normalize_plan, since the step calls
-# their private cores
+# the spans a training step reaches through a public name, per mode
 REACHED = {"discard": ["encoder.similarity", "encoder.similarity_backward",
                        "losses.warmup_loss", "losses.triplet_loss_batch",
                        "losses.per_pair_triplet_losses", "mixture.fit_bmm"]}
 REACHED["rematch"] = REACHED["discard"] + ["costs.cost_forward", "costs.cost_net_step",
-                                           "costs.reconstruct_pairs", "transport.partial_ot"]
+                                           "costs.reconstruct_pairs", "transport.partial_ot",
+                                           "transport.sinkhorn", "transport.normalize_plan",
+                                           "losses.rematch_loss"]
 
 
 @pytest.mark.parametrize("mode", sorted(REACHED))
@@ -98,11 +98,17 @@ def test_the_tracer_sees_every_span_a_training_step_reaches(mode):
                                lr_decay_epoch=3)
     tracer = spans.Tracer()
     with tracer.installed():
-        pipeline.run_experiment(cfg, ds)
+        payload = pipeline.run_experiment(cfg, ds)
     calls = collections.Counter(span[spans.NAME] for span in tracer.spans)
     assert [name for name in REACHED[mode] if calls[name] == 0] == []
     if mode == "discard":  # which trains no cost map and solves no transport
         assert [name for name in calls if name.startswith(("costs.", "transport."))] == []
+    # every solve the epochs count is one sinkhorn span whose note read its iterations
+    solves = [span[spans.NOTE] for span in tracer.spans
+              if span[spans.NAME] == "transport.sinkhorn"]
+    assert len(solves) == sum(record.get("transport", {}).get("solves", 0)
+                              for record in payload["epochs"])
+    assert all(note["iterations"] >= 1 for note in solves)
 
 
 def test_star_import_binds_every_exported_name():
@@ -119,6 +125,7 @@ def array_like_cases() -> dict:
     params, theta = encoder.init_params(3, 3, 2, rng), costs.CostNetParams()
     _, cache = encoder.similarity(params, feats, pool[[0, 1, 2, 0]])
     raw_losses = rng.gamma(2.0, 0.1, 40)
+    solver, marginals = transport.SinkhornConfig(lam=0.5), (np.full(4, 0.25), np.full(4, 0.25))
     bmm = mixture.fit_bmm(raw_losses)
     return {
         "similarity": (lambda v, t: encoder.similarity(params, v, t)[0], feats, feats[::-1]),
@@ -132,11 +139,20 @@ def array_like_cases() -> dict:
         "matching_probs": (lambda sims: losses.matching_probs(sims, 0.5), s),
         "rematch_loss": (lambda v2t, t2v, sims: losses.rematch_loss(v2t, t2v, sims, 0.5),
                          *transport.normalize_plan(rng.uniform(size=(4, 4))), s),
+        "rematch_loss-work": (lambda v2t, t2v, sims: losses.rematch_loss(
+            v2t, t2v, sims, 0.5, work=losses._Workspace()),
+            *transport.normalize_plan(rng.uniform(size=(4, 4))), s),
         "BetaMixture.normalize": (bmm.normalize, raw_losses),
         "fit_bmm": (mixture.fit_bmm, raw_losses),
         "posterior": (lambda x: mixture.posterior(bmm, x), bmm.normalize(raw_losses)),
         "partition": (mixture.partition, rng.uniform(size=10)),
         "normalize_plan": (transport.normalize_plan, rng.uniform(size=(3, 4))),
+        "normalize_plan-work": (lambda plan: transport.normalize_plan(
+            plan, work=losses._Workspace()), rng.uniform(size=(3, 4))),
+        "sinkhorn-work": (lambda cost, p, q: transport.sinkhorn(
+            cost, p, q, cfg=solver, work=losses._Workspace()).plan, s + 1, *marginals),
+        "extend_partial-work": (lambda cost, p, q: transport.extend_partial(
+            cost, p, q, rho=0.5, work=losses._Workspace()), s, *marginals),
         "recall_at_k": (data.recall_at_k, rng.uniform(size=(12, 12))),
     }
 

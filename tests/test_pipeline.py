@@ -325,8 +325,8 @@ class TestTrainEpoch:
         def rematch(s):
             refined_v2t, refined_t2v, plan = pl.refine_batch(state, s, cfg, solver)
             assert plan.converged
-            return pl._rematch_loss(refined_v2t, refined_t2v, s, cfg.tau,
-                                    cfg.rematch_variant, state.work)
+            return pl.rematch_loss(refined_v2t, refined_t2v, s, cfg.tau,
+                                   cfg.rematch_variant, work=state.work)
 
         # the epoch's mismatched batches held fewer than 128 pairs
         pl._step(state, noisy_ds, cfg, [(batch, rematch)], 1e-4)
@@ -351,7 +351,7 @@ class TestTrainEpoch:
         # The largest peak of an encoder update under tracemalloc, over the epochs
         # after the first training epoch, at batch 128: a 128 x 128 float64 matrix
         # takes 128 KiB, and on this dataset the rematch term's batches are full
-        # too. On a 2-vCPU x86-64 host the updates peaked at 199,745 B (rematch)
+        # too. On a 2-vCPU x86-64 host the updates peaked at 199,985 B (rematch)
         # and 125,544 B (discard); a copy of the similarity matrix in the rematch
         # term lifted rematch to 330,945 B, and a fresh similarity matrix per term
         # lifted rematch to 450,320 B and discard to 256,616 B
@@ -587,6 +587,19 @@ class TestTrainEpoch:
         for work in (None, state.work):
             np.testing.assert_array_equal(pl._cost(state, cfg, s, work), 1.0 - s)
 
+    @pytest.mark.parametrize("cost_mode", ["learned", "cosine"])
+    @pytest.mark.parametrize("shape", [(), (3,), (3, 3)])
+    @pytest.mark.parametrize("fresh", [True, False], ids=["fresh", "workspace"])
+    def test_cost_has_the_shape_of_the_similarities(self, cost_mode, shape, fresh):
+        # a workspace holds matrices, as in cost_forward; a vector or a scalar
+        # is not broadcast into one
+        cfg = TrainConfig(seed=0, cost_mode=cost_mode)
+        state = pl.RunState(params=None, rng=None, epoch=0, theta=CostNetParams(-0.7, 0.4))
+        s = np.random.default_rng(3).uniform(-1, 1, shape)
+        got = pl._cost(state, cfg, s, None if fresh else state.work)
+        assert np.shape(got) == s.shape
+        np.testing.assert_array_equal(np.ravel(got), pl._cost(state, cfg, s.reshape(1, -1))[0])
+
     @given(n=st.integers(2, 40), data=st.data(),
            reserve_ratio=st.floats(0.01, 1.0))
     @settings(max_examples=100, deadline=None)
@@ -726,10 +739,10 @@ class TestRunExperiment:
         monkeypatch.setattr(pl, "partial_ot", lambda *args, **kwargs: dataclasses.replace(
             solve(*args, **kwargs), converged=False))
 
-        def unreachable(*args):
+        def unreachable(*args, **kwargs):
             raise AssertionError("an unconverged plan was normalized")
 
-        monkeypatch.setattr(pl, "_normalize", unreachable)
+        monkeypatch.setattr(pl, "normalize_plan", unreachable)
         monkeypatch.setattr(pl, "triplet_loss_batch",
                             lambda s, alpha, work=None: (0.0, np.zeros_like(s)))
         params = state.params.copy()
@@ -747,10 +760,9 @@ class TestRunExperiment:
     @settings(max_examples=40, deadline=None)
     def test_refined_alignments_pass_the_rematch_checks(self, n, mask_positives, rho,
                                                         cost_mode, seed):
-        # the step hands refine_batch's output to the unchecked rematch core;
-        # whatever the size, mask, budget and cost, that output passes the
-        # checks of the public rematch_loss, or the solve is unconverged and
-        # there is none
+        # the step hands refine_batch's output to rematch_loss, which rejects
+        # what fails its checks; whatever the size, mask, budget and cost, that
+        # output passes them, or the solve is unconverged and there is none
         rng = np.random.default_rng(seed)
         cfg = TrainConfig(mask_positives=mask_positives, rho=rho, cost_mode=cost_mode)
         state = pl.RunState(params=None, rng=rng, epoch=0,
@@ -774,7 +786,7 @@ class TestRunExperiment:
         def no_rematch_term(*args, **kwargs):
             raise AssertionError("rematch term computed from an unconverged plan")
 
-        monkeypatch.setattr(pl, "_rematch_loss", no_rematch_term)
+        monkeypatch.setattr(pl, "rematch_loss", no_rematch_term)
         monkeypatch.setattr(pl, "_OT_MAX_ITER", 1)
         payload = run_experiment(TrainConfig(mode="rematch", **DETERMINISM), determinism_ds)
         records = [r for r in payload["epochs"] if r["phase"] == "train"]

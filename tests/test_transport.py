@@ -22,6 +22,7 @@ from rematch.transport import (
     sinkhorn,
 )
 from rematch.flow_oracle import exact_ot_oracle
+from rematch.losses import _Workspace
 import rematch.transport as transport
 from pinned import PINS, assert_pinned
 
@@ -734,8 +735,8 @@ class TestMetamorphic:
     """Relations the exact entropic plan obeys. Both solves of a pair stop within
     ``tol`` = 1e-12 of the marginals, one of them sometimes an iteration earlier,
     and their plans may differ by about that much. Over seeds 0-29,999 of each
-    relation below the worst gaps were 0.16, 0.27 and 0.37 of ``tol`` (99% of
-    them under 5e-15), so each bound is ``tol``."""
+    of the first three relations below the worst gaps were 0.16, 0.27 and 0.37
+    of ``tol`` (99% of them under 5e-15), so each bound is ``tol``."""
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=100, deadline=None)
@@ -776,6 +777,31 @@ class TestMetamorphic:
                               mask[np.ix_(order, order)], rho=rho, cfg=cfg)
         assert plan.converged and permuted.converged
         assert np.abs(permuted.plan - plan.plan[np.ix_(order, order)]).max() <= cfg.tol
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_transposing_cost_mask_and_marginals_transposes_a_masked_partial_plan(self, seed):
+        """Sides 2-40 each, |p| = 1 and |q| in [0.5, 1.5] with unequal entries, a
+        random mask opened on the cells of the north-west corner rule's plan,
+        which alone carry the whole budget, and a fifth of the budgets full.
+        Over 42,000 draws every solve converged and the worst gap was 0.48 of
+        ``tol`` (99% under 0.23 of it)."""
+        rng = np.random.default_rng(seed)
+        m, n = (int(side) for side in rng.integers(2, 41, size=2))
+        cfg = SinkhornConfig(lam=float(rng.uniform(0.005, 0.1)), max_iter=5000, tol=1e-12)
+        cost = rng.uniform(0, 2) + rng.uniform(0, 1, (m, n))
+        mask = rng.uniform(size=(m, n)) > rng.uniform(0, 0.8)
+        p, q = rng.uniform(0.1, 1.0, m), rng.uniform(0.1, 1.0, n)
+        p /= p.sum()
+        q *= rng.uniform(0.5, 1.5) / q.sum()
+        edges_p, edges_q = np.cumsum(np.r_[0, p]), np.cumsum(np.r_[0, q])
+        mask |= (np.maximum.outer(edges_p[:-1], edges_q[:-1])
+                 < np.minimum.outer(edges_p[1:], edges_q[1:]))
+        rho = min(p.sum(), q.sum()) * (1.0 if rng.uniform() < 0.2 else rng.uniform(0.01, 1.0))
+        plan = partial_ot(cost, p, q, mask, rho=rho, cfg=cfg)
+        flipped = partial_ot(cost.T, q, p, mask.T, rho=rho, cfg=cfg)
+        assert plan.converged and flipped.converged
+        assert np.abs(flipped.plan - plan.plan.T).max() <= cfg.tol
 
 
 class TestNormalizePlan:
@@ -832,6 +858,46 @@ class TestNormalizePlan:
     def test_rejects_non_finite_entries(self, bad):
         with pytest.raises(ValueError, match="non-finite"):
             normalize_plan(np.array([[bad, 1.0], [1.0, 1.0]]))
+
+
+def flat_bits(result):
+    """Every number of a solve, extension or normalization, as int64 bit patterns."""
+    if isinstance(result, transport.TransportPlan):
+        result = (result.plan, result.converged, result.iterations)
+    return np.concatenate([np.asarray(part, dtype=np.float64).ravel().view(np.int64)
+                           for part in result])
+
+
+# each public transport function that takes a workspace, on a cost matrix and a
+# closed diagonal; the plan normalized has an empty row, which falls back to uniform
+REUSING_SOLVERS = {
+    "sinkhorn": lambda cost, mask, **kw: sinkhorn(
+        cost, uniform(len(cost)), uniform(len(cost)), mask, CFG_TIGHT, **kw),
+    "extend_partial": lambda cost, mask, **kw: extend_partial(
+        cost, uniform(len(cost)), uniform(len(cost)), mask, 0.3, **kw),
+    "partial_ot": lambda cost, mask, **kw: partial_ot(
+        cost, uniform(len(cost)), uniform(len(cost)), mask, 0.3, CFG_TIGHT, **kw),
+    "normalize_plan": lambda cost, mask, **kw: normalize_plan(
+        cost * (np.arange(len(cost)) > 0)[:, None], mask, **kw),
+}
+
+
+class TestWorkspace:
+    @pytest.mark.parametrize("solver", REUSING_SOLVERS)
+    def test_reuse_across_sizes_keeps_the_bits(self, solver):
+        # a smaller problem reads the head of buffers a larger one filled, and
+        # the next larger one reads what the smaller one left behind; only the
+        # first call makes buffers
+        call = REUSING_SOLVERS[solver]
+        rng = np.random.default_rng(12)
+        work = _Workspace()
+        allocations = []
+        for n in (12, 9, 12):
+            cost, mask = rng.uniform(0, 1, (n, n)), ~np.eye(n, dtype=bool)
+            assert np.array_equal(flat_bits(call(cost, mask, work=work)),
+                                  flat_bits(call(cost, mask)))
+            allocations.append(work.allocations)
+        assert allocations[0] == allocations[-1]
 
 
 class TestInputBoundaries:
