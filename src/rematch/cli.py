@@ -99,8 +99,9 @@ def _cmd_train(args) -> int:
         payload["ablation"] = args.arm
     _emit(payload, args.out)
     if args.state_out:
-        save_state(state, cfg, _resolve_out(args.state_out))
-        _note(f"checkpoint written to {args.state_out}")
+        state_out = _resolve_out(args.state_out)
+        save_state(state, cfg, state_out)
+        _note(f"checkpoint written to {state_out}")
     return 0
 
 

@@ -46,11 +46,10 @@ def _sigmoid(x):
 def cost_forward(s, theta: CostNetParams, *, work=None) -> np.ndarray:
     """Elementwise positive cost ``softplus(w * s + b)``, taken as
     ``max(x, 0) + log1p(exp(-|x|))``, which cannot overflow; with a
-    workspace ``work`` the cost of a matrix lives in it. The cost has the
-    shape of ``s``."""
+    workspace ``work`` the cost lives in it. The cost has the shape of ``s``."""
     s = np.asarray(s, dtype=np.float64)
-    x, tail = ((work("cost", *s.shape), work("cost_tail", *s.shape))
-               if work is not None and s.ndim == 2 else (np.empty_like(s), np.empty_like(s)))
+    x, tail = ((np.empty_like(s), np.empty_like(s)) if work is None
+               else (work("cost", *s.shape), work("cost_tail", *s.shape)))
     np.multiply(theta.w, s, out=x)
     x += theta.b
     np.abs(x, out=tail)

@@ -91,13 +91,20 @@ def _embed(params: EncoderParams, v_feats: np.ndarray, t_feats: np.ndarray, work
     return raw, norms, clipped
 
 
-def similarity(params: EncoderParams, v_feats, t_feats, out=None, *, work=None):
+def _pair_similarity(params: EncoderParams, v_feats, t_feats, work) -> np.ndarray:
+    """Each visual row's similarity with its own text row, the diagonal of
+    :func:`similarity`, as row dots of the embedding in ``work``."""
+    unit = _embed(params, v_feats, t_feats, work)[0]
+    return np.einsum("ij,ij->i", unit[:len(v_feats)], unit[len(v_feats):])
+
+
+def similarity(params: EncoderParams, v_feats, t_feats, *, work=None):
     """Cosine similarity matrix of a feature batch, plus a backprop cache.
 
     Returns ``(s, cache)`` where ``s[i, j]`` compares visual row ``i`` with
-    text row ``j``; ``s`` is written into ``out`` when one is given. Zero-norm
-    embeddings are floored (and effectively produce zero similarity rows).
-    With a workspace ``work`` the embedding and backward scratch live in it until its next use.
+    text row ``j``. Zero-norm embeddings are floored (and effectively produce
+    zero similarity rows). With a workspace ``work``, ``s``, the embedding and
+    the backward scratch live in it until its next use.
     """
     v_feats = np.asarray(v_feats, dtype=np.float64)
     t_feats = np.asarray(t_feats, dtype=np.float64)
@@ -106,7 +113,8 @@ def similarity(params: EncoderParams, v_feats, t_feats, out=None, *, work=None):
             raise ValueError(f"{name} feature width does not match the projection")
     work = _Workspace() if work is None else work
     unit, norms, clipped = _embed(params, v_feats, t_feats, work)
-    s = np.matmul(unit[:len(v_feats)], unit[len(v_feats):].T, out=out)
+    n_v = len(v_feats)
+    s = np.matmul(unit[:n_v], unit[n_v:].T, out=work("s", n_v, len(t_feats)))
     return s, (v_feats, t_feats, unit, norms, clipped, work)
 
 

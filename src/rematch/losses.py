@@ -8,6 +8,8 @@ image; the column direction reads images for a given caption.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ._settings import require
@@ -28,25 +30,25 @@ _REMATCH_BUFFERS = ("nce", "rce", "rce_t2v", "off", "off_t")
 
 
 class _Workspace:
-    """Named float64 matrices that outlive a training step.
+    """Named float64 arrays that outlive a training step.
 
-    ``work(name, n, cols=n)`` keeps one flat buffer per name, with room for the
-    largest matrix asked for so far plus a row and a column (a batch that took in
-    a trailing singleton); the matrix is a C-contiguous view of its head, so
-    reductions over it sum in the order a fresh array would. ``allocations``
-    counts the buffers made, new or grown.
+    ``work(name, *shape)`` keeps one flat buffer per name, with room for the
+    array that last grew it plus one along each axis (a batch that took in a
+    trailing singleton); the array, of any rank, is a C-contiguous view of its
+    head, so reductions over it sum in the order a fresh array would.
+    ``allocations`` counts the buffers made, new or grown.
     """
 
     def __init__(self):
         self._flat, self.allocations = {}, 0
 
-    def __call__(self, name: str, n: int, cols: int | None = None) -> np.ndarray:
-        cols = n if cols is None else cols
+    def __call__(self, name: str, *shape: int) -> np.ndarray:
+        size = math.prod(shape)
         flat = self._flat.get(name)
-        if flat is None or flat.size < n * cols:
-            flat = self._flat[name] = np.empty((n + 1) * (cols + 1))
+        if flat is None or flat.size < size:
+            flat = self._flat[name] = np.empty(math.prod(side + 1 for side in shape))
             self.allocations += 1
-        return flat[:n * cols].reshape(n, cols)
+        return flat[:size].reshape(shape)
 
 
 def _as_square(s) -> np.ndarray:
@@ -87,8 +89,8 @@ def matching_probs(s, tau: float, *, work=None):
     require("tau", tau, "(0, inf)")
     work = _Workspace() if work is None else work
     n = s.shape[0]
-    p_v2t = np.divide(s, tau, out=work("p_v2t", n))
-    p_t2v = work("p_t2v", n)
+    p_v2t = np.divide(s, tau, out=work("p_v2t", n, n))
+    p_t2v = work("p_t2v", n, n)
     p_t2v[...] = p_v2t
     # the column softmax runs over the transposed view, as the rows of logits.T
     _softmax_rows(p_t2v.T)
@@ -108,11 +110,11 @@ def _hinge_terms(s, alpha: float, work):
     if n < 2:
         raise ValueError("need at least two pairs for in-batch negatives")
     require("alpha", alpha, "[0, inf)")
-    off = work("off", n)
+    off = work("off", n, n)
     off[...] = s
     np.fill_diagonal(off, -np.inf)
     j_star = off.argmax(axis=1)
-    off_t = work("off_t", n)  # argmax over columns would copy them to rows
+    off_t = work("off_t", n, n)  # argmax over columns would copy them to rows
     off_t[...] = off.T
     h_star = off_t.argmax(axis=1)
     diag = np.diag(s)
@@ -136,7 +138,7 @@ def triplet_loss_batch(s, alpha: float, *, work=None):
     value = np.maximum(term_row, 0.0).sum() + np.maximum(term_col, 0.0).sum()
     n = term_row.size
     # each update below names every cell at most once
-    grad = work("grad", n)
+    grad = work("grad", n, n)
     grad.fill(0.0)
     rows = np.flatnonzero(term_row > 0)
     cols = np.flatnonzero(term_col > 0)
@@ -155,7 +157,7 @@ def _infonce(p_v2t, p_t2v, tau: float, work):
     diag_t2v = np.clip(np.diag(p_t2v), 1e-300, None)
     value = float(-(np.log(diag_v2t) + np.log(diag_t2v)).mean())
     # (p_v2t - eye) + (p_t2v - eye): off the diagonal x - 0.0 is x exactly
-    grad = np.add(p_v2t, p_t2v, out=work("nce", n))
+    grad = np.add(p_v2t, p_t2v, out=work("nce", n, n))
     np.fill_diagonal(grad, (np.diag(p_v2t) - 1.0) + (np.diag(p_t2v) - 1.0))
     grad /= n * tau
     return value, grad
@@ -178,8 +180,8 @@ def _rce(p_v2t, p_t2v, tau: float, eps: float, work):
     d_v2t, d_t2v = np.diag(p_v2t), np.diag(p_t2v)
     value = float(-(log_off * 2 * n + (rows + cols).sum()
                     + gap * (d_v2t.sum() + d_t2v.sum())) / n)
-    grad = np.multiply(p_v2t, (rows + gap * d_v2t)[:, None], out=work("rce", n))
-    grad += np.multiply(p_t2v, cols + gap * d_t2v, out=work("rce_t2v", n))
+    grad = np.multiply(p_v2t, (rows + gap * d_v2t)[:, None], out=work("rce", n, n))
+    grad += np.multiply(p_t2v, cols + gap * d_t2v, out=work("rce_t2v", n, n))
     grad.flat[::n + 1] = (d_v2t * (rows + gap * (d_v2t - 1.0))
                           + d_t2v * (cols + gap * (d_t2v - 1.0)))
     grad /= n * tau
@@ -256,7 +258,7 @@ def rematch_loss(refined_v2t, refined_t2v, s, tau: float, variant: str = "sym_kl
     work = _Workspace() if work is None else work
     n = s.shape[0]
     p_v2t, p_t2v = matching_probs(s, tau, work=work)
-    a, b, rows, log, cols = (work(name, n) for name in _REMATCH_BUFFERS)
+    a, b, rows, log, cols = (work(name, n, n) for name in _REMATCH_BUFFERS)
     # the column direction's buffers are F-ordered, as fresh ones would be
     row_terms, d_rows = _kl_direction_terms(refined_v2t, p_v2t, variant, (a, b, rows, log))
     col_terms, d_cols = _kl_direction_terms(refined_t2v.T, p_t2v.T, variant,

@@ -141,7 +141,7 @@ class AdamState:
 @dataclass
 class RunState:
     """Everything the loop owns: parameters, counters, the RNG stream, and
-    the workspace of the step's n x n matrices (never checkpointed)."""
+    the workspace of the step's arrays (never checkpointed)."""
 
     params: enc.EncoderParams
     theta: costs_mod.CostNetParams
@@ -248,7 +248,7 @@ def _step(state: RunState, ds: PairDataset, cfg: TrainConfig, terms,
         if batch is None:
             continue
         s, cache = enc.similarity(state.params, ds.v_feats[batch], ds.t_feats[batch],
-                                  out=state.work("s", batch.size), work=state.work)
+                                  work=state.work)
         term, grad_s = loss_fn(s)
         value += term
         for block, term_grad in zip((grad.w_v, grad.w_t), enc.similarity_backward(cache, grad_s)):
@@ -291,7 +291,7 @@ def per_sample_losses(state: RunState, ds: PairDataset, cfg: TrainConfig,
     for pos in _batches(np.arange(train_idx.size), cfg.batch_size, eval_rng):
         batch = train_idx[pos]
         s, _ = enc.similarity(state.params, ds.v_feats[batch], ds.t_feats[batch],
-                              out=state.work("s", batch.size), work=state.work)
+                              work=state.work)
         losses[pos] = per_pair_triplet_losses(s, cfg.alpha, work=state.work)
     return losses
 
@@ -321,29 +321,18 @@ def _sample(rng, indices: np.ndarray, size: int) -> np.ndarray | None:
 
 def _cost(state: RunState, cfg: TrainConfig, s: np.ndarray, work=None) -> np.ndarray:
     """Transport cost of similarities, of their shape: the learned map, or
-    ``1 - s``, in ``work`` when given and ``s`` is a matrix."""
+    ``1 - s``, in ``work`` when given."""
     if cfg.cost_mode == "cosine":
-        out = work("cost", *s.shape) if work is not None and np.ndim(s) == 2 else None
-        return np.subtract(1.0, s, out=out)
+        return np.subtract(1.0, s, out=None if work is None else work("cost", *np.shape(s)))
     return costs_mod.cost_forward(s, state.theta, work=work)
-
-
-def _pair_sims(params: enc.EncoderParams, v_feats, t_feats) -> np.ndarray:
-    """Each visual row's similarity with its own text row, as row dots."""
-    unit = enc._embed(params, v_feats, t_feats, _Workspace())[0]
-    return np.einsum("ij,ij->i", unit[:len(v_feats)], unit[len(v_feats):])
-
-
-def _pair_costs(state: RunState, ds: PairDataset, cfg: TrainConfig,
-                indices: np.ndarray) -> np.ndarray:
-    """Transport cost of each pair with itself (diagonal cells)."""
-    return _cost(state, cfg, _pair_sims(state.params, ds.v_feats[indices],
-                                        ds.t_feats[indices]))
 
 
 def _cost_gap(state: RunState, ds: PairDataset, cfg: TrainConfig,
               train_idx: np.ndarray) -> dict:
-    pair_costs, flags = _pair_costs(state, ds, cfg, train_idx), ds.matched[train_idx]
+    """Mean transport cost of each training pair with itself, matched and mismatched."""
+    sims = enc._pair_similarity(state.params, ds.v_feats[train_idx], ds.t_feats[train_idx],
+                                state.work)
+    pair_costs, flags = _cost(state, cfg, sims, state.work), ds.matched[train_idx]
     matched, mismatched = (float(pair_costs[flags == flag].mean()) if (flags == flag).any()
                            else 0.0 for flag in (1, 0))
     return {"mean_matched": matched, "mean_mismatched": mismatched, "gap": mismatched - matched}
@@ -373,7 +362,8 @@ def _cost_update(state: RunState, ds: PairDataset, cfg: TrainConfig,
     v_feats, (rows, cols) = costs_mod.reconstruct_pairs(
         ds.v_feats[matched_batch], ds.v_feats[mismatched_idx], cfg.reserve_ratio,
         state.rng)
-    sims = _pair_sims(state.params, v_feats[rows], ds.t_feats[matched_batch[cols]])
+    sims = enc._pair_similarity(state.params, v_feats[rows], ds.t_feats[matched_batch[cols]],
+                                state.work)
     return costs_mod.cost_net_step(state.theta, sims, cfg.lr_cost)
 
 

@@ -463,6 +463,15 @@ class TestOutputDirectory:
         assert capsys.readouterr().out == f"{report}\n"
         assert json.loads(report.read_text())["schema"] == "oracle-check/1"
 
+    def test_env_var_resolves_a_relative_state_out(self, tmp_path, capsys, monkeypatch):
+        data = make_dataset(tmp_path, capsys)
+        monkeypatch.setenv("REMATCH_OUT_DIR", str(tmp_path / "out"))
+        monkeypatch.chdir(tmp_path)
+        assert main(["train", "--data", str(data), "--state-out", "ck.npz", *FAST]) == 0
+        state = tmp_path / "out" / "ck.npz"
+        assert capsys.readouterr().err.splitlines()[-1] == f"checkpoint written to {state}"
+        assert state.exists() and not (tmp_path / "ck.npz").exists()
+
     def test_state_out_creates_its_directory(self, tmp_path, capsys):
         data = make_dataset(tmp_path, capsys)
         state = tmp_path / "runs" / "checkpoint.npz"

@@ -71,8 +71,8 @@ class TestCostForward:
     @pytest.mark.parametrize("shape", [(), (3,), (3, 3), (2, 5)])
     @pytest.mark.parametrize("work", [None, _Workspace], ids=["fresh", "workspace"])
     def test_cost_has_the_shape_of_the_similarities(self, shape, work):
-        # a workspace holds matrices; a vector or a scalar is not broadcast
-        # into one
+        # a vector or a scalar is not broadcast into a matrix, in a workspace
+        # or out of one
         s = np.random.default_rng(2).uniform(-1, 1, shape)
         theta = CostNetParams(w=-0.7, b=0.4)
         got = cost_forward(s, theta, work=None if work is None else work())

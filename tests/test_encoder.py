@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rematch.costs import CostNetParams
-from rematch.encoder import EncoderParams, init_params, similarity, similarity_backward
+from rematch.encoder import (EncoderParams, _pair_similarity, init_params, similarity,
+                             similarity_backward)
 from rematch.losses import _Workspace, rematch_loss, triplet_loss_batch
 from rematch.pipeline import RunState, TrainConfig, _apply_update
 from rematch.transport import normalize_plan
@@ -55,16 +56,34 @@ class TestSimilarity:
         s2, _ = similarity(params, 7.3 * v, t * 0.1)
         np.testing.assert_allclose(s1, s2, atol=1e-12)
 
-    def test_out_receives_the_same_bits(self):
-        # a training batch's shape, where the product runs through BLAS
+    def test_a_workspace_receives_the_same_bits(self):
+        # a training batch's shape, where the product runs through BLAS, in the
+        # head of a buffer with room for one more row and column
         rng = np.random.default_rng(5)
         params = init_params(32, 32, 16, rng)
         v, t = rng.normal(size=(128, 32)), rng.normal(size=(128, 32))
         fresh, _ = similarity(params, v, t)
-        out = np.full((128, 128), np.nan)
-        s, _ = similarity(params, v, t, out=out)
-        assert s is out
+        work = _Workspace()
+        work("s", 129, 129).fill(np.nan)
+        s, _ = similarity(params, v, t, work=work)
+        assert np.shares_memory(s, work._flat["s"])
+        assert work.allocations == 2  # "s", then the embedding
         assert np.array_equal(s.view(np.int64), fresh.view(np.int64))
+
+    @given(k=st.integers(1, 400), scale=st.floats(1e-3, 1e3), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_pair_similarity_reads_the_diagonal(self, k, scale, seed):
+        # row dots of the unit embeddings, not the diagonal of the k x k matrix
+        rng = np.random.default_rng(seed)
+        params = init_params(12, 9, 16, rng)
+        params = EncoderParams(scale * params.w_v, scale * params.w_t)
+        v, t = rng.normal(size=(k, 12)), rng.normal(size=(k, 9))
+        s, cache = similarity(params, v, t)
+        work = _Workspace()
+        sims = _pair_similarity(params, v, t, work)
+        np.testing.assert_allclose(sims, np.diag(s), rtol=0, atol=1e-15)
+        assert work._flat.keys() == {"embed"}
+        assert work("embed", 2 * k, 16).tobytes() == cache[2].tobytes()
 
     def test_embeddings_unit_norm(self):
         rng = np.random.default_rng(3)
@@ -185,7 +204,7 @@ class TestPerTowerReference:
             "grad_w_t": t.T @ reference_unit_backward(grad_s.T @ unit_v, unit_t, norm_t)}
         work = _Workspace()
         similarity(params, *(rng.normal(size=(140, width)) for width in (12, 9)), work=work)
-        for kwargs in ({}, {"work": work}, {"work": work, "out": np.empty((n_v, n_t))}):
+        for kwargs in ({}, {"work": work}):
             s, cache = similarity(params, v, t, **kwargs)
             got = dict(zip(("grad_w_v", "grad_w_t"), similarity_backward(cache, grad_s)),
                        unit=cache[2], norms=cache[3], s=s)

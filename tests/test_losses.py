@@ -539,22 +539,33 @@ class TestWorkspace:
 
     def test_counts_new_and_grown_buffers(self):
         work = _Workspace()
-        first = work("a", 4)
+        first = work("a", 4, 4)
         # room for one more row and column: a batch that took in a singleton
         for shape in ((5, 5), (3, 6), (4, 4)):
             assert np.shares_memory(work("a", *shape), first)
         assert work.allocations == 1
-        work("a", 6)
-        work("b", 2)
+        work("a", 6, 6)
+        work("b", 2, 2)
         assert work.allocations == 3
+        # a vector keeps room for one more entry, a scalar for itself
+        vector, scalar = work("v", 4), work("x")
+        assert np.shares_memory(work("v", 5), vector) and np.shares_memory(work("x"), scalar)
+        assert work.allocations == 5
+        work("v", 6)
+        assert work.allocations == 6
 
     def test_views_are_c_contiguous_and_shared(self):
         work = _Workspace()
-        big = work("a", 5)
-        small = work("a", 3)
+        big = work("a", 5, 5)
+        small = work("a", 3, 3)
         assert small.flags.c_contiguous and small.shape == (3, 3)
         assert np.shares_memory(big, small)
-        assert not np.shares_memory(small, work("b", 3))
+        assert not np.shares_memory(small, work("b", 3, 3))
+        for shape in ((), (7,), (2, 3, 4)):  # any rank, in the same buffer
+            view = work("a", *shape)
+            assert view.shape == shape and view.flags.c_contiguous
+            assert np.shares_memory(view, big)
+        assert work.allocations == 2
 
 
 class TestInputBoundaries:

@@ -731,6 +731,14 @@ def balanced_instance(rng):
     return rng.uniform(0, 1, (m, n)), p / p.sum(), q / q.sum(), cfg
 
 
+def northwest_support(p, q):
+    """The cells of the north-west corner rule's plan, which moves all of the
+    smaller of ``p``'s and ``q``'s masses."""
+    edges_p, edges_q = np.cumsum(np.r_[0, p]), np.cumsum(np.r_[0, q])
+    return (np.maximum.outer(edges_p[:-1], edges_q[:-1])
+            < np.minimum.outer(edges_p[1:], edges_q[1:]))
+
+
 class TestMetamorphic:
     """Relations the exact entropic plan obeys. Both solves of a pair stop within
     ``tol`` = 1e-12 of the marginals, one of them sometimes an iteration earlier,
@@ -794,12 +802,24 @@ class TestMetamorphic:
         p, q = rng.uniform(0.1, 1.0, m), rng.uniform(0.1, 1.0, n)
         p /= p.sum()
         q *= rng.uniform(0.5, 1.5) / q.sum()
-        edges_p, edges_q = np.cumsum(np.r_[0, p]), np.cumsum(np.r_[0, q])
-        mask |= (np.maximum.outer(edges_p[:-1], edges_q[:-1])
-                 < np.minimum.outer(edges_p[1:], edges_q[1:]))
+        mask |= northwest_support(p, q)
         rho = min(p.sum(), q.sum()) * (1.0 if rng.uniform() < 0.2 else rng.uniform(0.01, 1.0))
         plan = partial_ot(cost, p, q, mask, rho=rho, cfg=cfg)
         flipped = partial_ot(cost.T, q, p, mask.T, rho=rho, cfg=cfg)
+        assert plan.converged and flipped.converged
+        assert np.abs(flipped.plan - plan.plan.T).max() <= cfg.tol
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_transposing_cost_mask_and_marginals_transposes_the_plan(self, seed):
+        """Balanced, with a random mask opened on the north-west corner rule's
+        cells, which keep it feasible. Over seeds 0-39,999 every solve converged
+        and the worst gap was 0.50 of ``tol`` (99% under 0.37 of it)."""
+        rng = np.random.default_rng(seed)
+        cost, p, q, cfg = balanced_instance(rng)
+        mask = (rng.uniform(size=cost.shape) > rng.uniform(0, 0.8)) | northwest_support(p, q)
+        plan = sinkhorn(cost, p, q, mask, cfg=cfg)
+        flipped = sinkhorn(cost.T, q, p, mask.T, cfg=cfg)
         assert plan.converged and flipped.converged
         assert np.abs(flipped.plan - plan.plan.T).max() <= cfg.tol
 
