@@ -249,8 +249,9 @@ def rematch_loss(refined_v2t, refined_t2v, s, tau: float, variant: str = "sym_kl
     refined_t2v = np.asarray(refined_t2v, dtype=np.float64)
     if refined_v2t.shape != s.shape or refined_t2v.shape != s.shape:
         raise ValueError("refined alignments must match the similarity shape")
-    if np.any(refined_v2t < 0) or np.any(refined_t2v < 0):
-        raise ValueError("refined alignments must be nonnegative")
+    for refined in (refined_v2t, refined_t2v):  # a NaN is left to the sums below
+        if not np.minimum.reduce(refined, axis=None, initial=np.inf) >= 0 and (refined < 0).any():
+            raise ValueError("refined alignments must be nonnegative")
     # written so that a NaN sum fails the test too
     if not (np.abs(refined_v2t.sum(axis=1) - 1.0).max() <= 1e-6
             and np.abs(refined_t2v.sum(axis=0) - 1.0).max() <= 1e-6):

@@ -9,10 +9,11 @@ virtual column that absorb the untransported mass.
 
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, replace
+from dataclasses import MISSING, dataclass
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from ._settings import check, count, real, require
 from .losses import _Workspace
@@ -105,8 +106,8 @@ def _as_mask(mask, shape) -> np.ndarray:
 
 
 def marginal_violation(plan: np.ndarray, p: np.ndarray, q: np.ndarray) -> float:
-    """Worst absolute deviation of the plan's marginals from (p, q)."""
-    return _marginal_fit(plan, p, q).worst
+    """Worst absolute deviation of the plan's marginals from (p, q); NaN if any is NaN."""
+    return _marginal_fit(plan, np.concatenate((p, q)), len(p)).worst
 
 
 def _check_feasible(mask: np.ndarray, p: np.ndarray, q: np.ndarray):
@@ -165,15 +166,15 @@ def _logsumexp(x: np.ndarray, axis: int, out=None) -> np.ndarray:
         return np.log(total) + peak.squeeze(axis)
 
 
-def _realize(log_kernel, log_a, log_b, out):
-    np.add(log_a[:, None], log_kernel, out=out)
-    out += log_b[None, :]
+def _realize(log_kernel, x, out):
+    np.add(x[:len(out), None], log_kernel, out=out)
+    out += x[None, len(out):]
     return np.exp(out, out=out)
 
 
 def _sweep(log_kernel, log_p, log_q, log_b, scratch):
-    """One log-domain scaling sweep: fit the rows, then the columns, summing
-    the kernel and the other side's exponents in ``scratch``.
+    """One log-domain scaling sweep to ``[log_a; log_b]``: fit the rows, then
+    the columns, summing the kernel and the other side's exponents in ``scratch``.
 
     A zero-mass slice with no reachable cell computes -inf - -inf, which
     ``np.where`` discards; the caller ignores the invalid-value warning.
@@ -188,7 +189,7 @@ def _sweep(log_kernel, log_p, log_q, log_b, scratch):
                      log_q - _logsumexp(shifted, axis=0, out=shifted))
     if not np.maximum.reduce(log_b) < np.inf:
         raise InfeasibleProblemError("scaling collapsed: b-update unbounded")
-    return log_a, log_b
+    return np.concatenate((log_a, log_b))
 
 
 # From this many free columns on, the Newton direction comes from conjugate
@@ -219,15 +220,19 @@ def _newton_direction(plan, rows, cols, res_r, res_c, damping, scratch=None):
     ``||S dy - b|| <= min(_ETA_MAX, ||F||) * ||F||``; since ``dx`` is
     recovered from ``dy`` exactly, ``S dy - b`` is the residual of the whole
     damped system. Raises ``LinAlgError`` when the system cannot be solved
-    so, which the caller takes as a stall. CG squares the plan into ``scratch``.
+    so, or is singular, which the caller takes as a stall. CG squares the plan
+    into ``scratch``. The caller ignores floating-point errors.
     """
     inv_r = 1.0 / (rows + damping)
     rhs = plan.T @ (inv_r * res_r) - res_c
     if cols.size < _CG_MIN_DIM:
         scaled = plan * np.sqrt(inv_r)[:, None]
         schur = -(scaled.T @ scaled)  # one symmetric product (syrk)
-        schur.flat[::schur.shape[0] + 1] += cols + damping
-        dy = np.linalg.solve(schur, rhs)
+        diagonal = schur.reshape(-1)[::cols.size + 1]
+        diagonal += cols + damping
+        dy = _umath_linalg.solve1(schur, rhs)  # np.linalg.solve's gufunc; NaN if singular
+        if not np.logical_and.reduce(np.isfinite(dy)):
+            raise np.linalg.LinAlgError("singular or non-finite Schur complement")
     else:
         norm_f = np.sqrt(res_r @ res_r + res_c @ res_c)
         dy = _schur_cg(plan, inv_r, cols, damping, rhs,
@@ -250,12 +255,9 @@ def _schur_cg(plan, inv_r, cols, damping, rhs, bound, scratch=None):
     diag_c = cols + damping
     precond = 1.0 / np.maximum(diag_c - inv_r @ np.multiply(plan, plan, out=scratch),
                                damping)
-    dy = np.zeros(k)
-    res = rhs.copy()
-    z = precond * res
-    d = z.copy()
-    rz = res @ z
-    steps = 0
+    dy, res = np.zeros(k), rhs.copy()
+    d = z = precond * res  # neither changes in place
+    rz, steps = res @ z, 0
     while not res @ res <= bound * bound:
         if steps == 4 * k:
             raise np.linalg.LinAlgError(f"CG missed the forcing term in {steps} steps")
@@ -273,53 +275,55 @@ def _schur_cg(plan, inv_r, cols, damping, rhs, bound, scratch=None):
     return dy
 
 
-def _free(mass: np.ndarray):
-    """Index of the positive entries of ``mass``; a slice when all are."""
-    return slice(None) if np.minimum.reduce(mass) > 0 else np.flatnonzero(mass > 0)
+def _free(mass: np.ndarray, start: int = 0):
+    """Index of the positive entries of ``mass``, from ``start``; a slice if all are."""
+    return (slice(start, start + mass.size) if np.minimum.reduce(mass) > 0
+            else start + np.flatnonzero(mass > 0))
 
 
 class _Fit(NamedTuple):
-    """A plan's row and column sums and how far they miss (p, q)."""
+    """A plan's stacked row and column sums and how far they miss [p; q]."""
 
-    rows: np.ndarray
-    cols: np.ndarray
-    res_r: np.ndarray  # rows - p
-    res_c: np.ndarray  # cols - q
-    worst: float     # the marginal_violation
-    residual: float  # summed absolute deviation of the rows and the columns
+    sums: np.ndarray  # [rows; cols]
+    res: np.ndarray   # sums - [p; q], the residual F
+    worst: float      # the marginal_violation
+    residual: float   # summed absolute deviation of the rows and the columns
 
 
-def _marginal_fit(plan, p, q) -> _Fit:
-    """Every marginal figure the solver reads, from one pair of reductions.
+def _marginal_fit(plan, marginals, m: int) -> _Fit:
+    """Every marginal figure the solver reads, from one pair of reductions
+    into the ``m`` row sums and the column sums; either misfit raises.
 
     A non-finite plan has a non-finite row and column sum, so its ``worst``
     is inf or NaN, and the line search never accepts it.
     """
-    rows = np.add.reduce(plan, axis=1)
-    cols = np.add.reduce(plan, axis=0)
-    res_r, res_c = rows - p, cols - q
-    dev_r, dev_c = np.abs(res_r), np.abs(res_c)
-    return _Fit(rows, cols, res_r, res_c,
-                float(max(np.maximum.reduce(dev_r), np.maximum.reduce(dev_c))),
-                float(np.add.reduce(dev_r) + np.add.reduce(dev_c)))
+    sums = np.empty(marginals.size)
+    np.add.reduce(plan, axis=1, out=sums[:m])
+    np.add.reduce(plan, axis=0, out=sums[m:])
+    res = sums - marginals
+    dev = np.abs(res)
+    return _Fit(sums, res, float(np.maximum.reduce(dev)),
+                float(np.add.reduce(dev[:m]) + np.add.reduce(dev[m:])))
 
 
-def _in_linear_tail(fit: _Fit, cand_fit: _Fit) -> bool:
+def _in_linear_tail(fit: _Fit, cand_fit: _Fit, m: int) -> bool:
     """Whether an accepted step is in the linear tail: the worst violation
-    fell by less than ``1 / _TAIL_DROP`` and the residual ``F = (rows - p,
-    cols - q)`` kept its direction to cosine ``_TAIL_COSINE``."""
+    fell by less than ``1 / _TAIL_DROP`` and the residual ``F`` of the ``m``
+    rows and the columns kept its direction to cosine ``_TAIL_COSINE``."""
     if cand_fit.worst <= _TAIL_DROP * fit.worst:
         return False
-    dot = fit.res_r @ cand_fit.res_r + fit.res_c @ cand_fit.res_c
-    norms = ((fit.res_r @ fit.res_r + fit.res_c @ fit.res_c)
-             * (cand_fit.res_r @ cand_fit.res_r + cand_fit.res_c @ cand_fit.res_c))
+    res_r, res_c, cand_r, cand_c = fit.res[:m], fit.res[m:], cand_fit.res[:m], cand_fit.res[m:]
+    dot = res_r @ cand_r + res_c @ cand_c
+    norms = (res_r @ res_r + res_c @ res_c) * (cand_r @ cand_r + cand_c @ cand_c)
     return dot >= _TAIL_COSINE * np.sqrt(norms)
 
 
-def _newton_step(log_kernel, p, q, free, log_a, log_b, plan, fit: _Fit, out):
+def _newton_step(log_kernel, marginals, free, x, plan, fit: _Fit, out):
     """One damped Newton step on the scaling exponents, or ``None`` on a stall.
 
-    Only the ``free`` (positive-mass) rows and columns move; zero-mass ones
+    The exponents are stacked, ``x = [log_a; log_b]``, as are the marginals,
+    ``[p; q]``. Only the ``free`` (positive-mass) rows and columns move, the
+    columns indexed in the plan and in the stacked vectors; zero-mass ones
     stay frozen at -inf. The step length comes from a search on the worst
     marginal violation: it halves from the full step (or the log-step cap)
     down to the first trial that lowers the violation. Should the first
@@ -333,26 +337,24 @@ def _newton_step(log_kernel, p, q, free, log_a, log_b, plan, fit: _Fit, out):
     spent ``plan``. Returns the new exponents, their plan and fit, and the
     other buffer. The caller ignores floating-point errors.
     """
-    free_r, free_c = free
-    rows = fit.rows[free_r]
-    cols = fit.cols[free_c]
-    damping = 1e-12 * max(np.maximum.reduce(rows), np.maximum.reduce(cols), 1e-30)
+    free_r, free_c, stacked_c = free
+    rows, cols = fit.sums[free_r], fit.sums[stacked_c]
+    damping = 1e-12 * max(np.maximum.reduce(fit.sums), 1e-30)  # frozen slices sum to 0
     # no trial has been written yet, so the direction may use out's memory
     scratch = out.reshape(-1)[:rows.size * cols.size].reshape(rows.size, cols.size)
     try:
         dx, dy = _newton_direction(plan[free_r][:, free_c], rows, cols,
-                                   fit.res_r[free_r], fit.res_c[free_c], damping, scratch)
+                                   fit.res[free_r], fit.res[stacked_c], damping, scratch)
     except np.linalg.LinAlgError:
         return None
     # the direction at full length, 0 on the frozen exponents: -inf + 0 stays -inf
-    full_x, full_y = np.zeros(log_a.size), np.zeros(log_b.size)
-    full_x[free_r], full_y[free_c] = dx, dy
+    direction = np.zeros(x.size)
+    direction[free_r], direction[stacked_c] = dx, dy
 
     def trial(step, buffer):
-        cand_a = log_a + step * full_x
-        cand_b = log_b + step * full_y
-        cand_plan = _realize(log_kernel, cand_a, cand_b, buffer)
-        return cand_a, cand_b, cand_plan, _marginal_fit(cand_plan, p, q)
+        cand = x + step * direction
+        cand_plan = _realize(log_kernel, cand, buffer)
+        return cand, cand_plan, _marginal_fit(cand_plan, marginals, len(plan))
 
     # the largest |dx_i + dy_j|; the gauge shift dx + c, dy - c drops out
     span = max(np.maximum.reduce(dx) + np.maximum.reduce(dy),
@@ -361,19 +363,19 @@ def _newton_step(log_kernel, p, q, free, log_a, log_b, plan, fit: _Fit, out):
     step = full = min(1.0, cap)
     for _ in range(60):
         best = trial(step, out)
-        if best[3].worst < fit.worst:
+        if best[2].worst < fit.worst:
             break
         step *= 0.5
     else:
         return None
     spare = plan
-    if step == full and _in_linear_tail(fit, best[3]):
+    if step == full and _in_linear_tail(fit, best[2], len(plan)):
         while step < cap:
             step = min(step * _TAIL_GROWTH, cap)
             further = trial(step, spare)
-            if not further[3].worst < best[3].worst:
+            if not further[2].worst < best[2].worst:
                 break
-            best, spare = further, best[2]
+            best, spare = further, best[1]
     return (*best, spare)
 
 
@@ -393,27 +395,26 @@ def _solve(cost, p, q, mask, cfg: SinkhornConfig, work):
     log_kernel /= cfg.lam
     log_kernel[~mask] = -np.inf
     _check_feasible(mask, p, q)
-    free = _free(p), _free(q)
-    log_a, fit = None, _Fit(None, None, None, None, np.inf, np.inf)
+    free = _free(p), _free(q), _free(q, p.size)
+    marginals, fit = np.concatenate((p, q)), _Fit(None, None, np.inf, np.inf)
     # the first iteration sweeps, so the first plan is never read
     plan, spare = work("plan", *cost.shape), work("plan_next", *cost.shape)
     iterations, stalled = 0, False
     # log(0), -inf - -inf of a frozen slice and overflowing trial plans are expected
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        log_p = np.log(p)
-        log_q = np.log(q)
-        log_b = np.where(log_q == -np.inf, -np.inf, 0.0)
+        log_p, log_q = np.log(p), np.log(q)
+        x = np.where(marginals > 0, 0.0, -np.inf)  # the first sweep reads only log_b
         while iterations < cfg.max_iter and fit.residual > cfg.tol:
             iterations += 1
             if iterations == 1 or stalled:
-                log_a, log_b = _sweep(log_kernel, log_p, log_q, log_b, spare)
-                plan, spare = _realize(log_kernel, log_a, log_b, spare), plan
-                fit = _marginal_fit(plan, p, q)
+                x = _sweep(log_kernel, log_p, log_q, x[p.size:], spare)
+                plan, spare = _realize(log_kernel, x, spare), plan
+                fit = _marginal_fit(plan, marginals, p.size)
             else:
-                step = _newton_step(log_kernel, p, q, free, log_a, log_b, plan, fit, spare)
+                step = _newton_step(log_kernel, marginals, free, x, plan, fit, spare)
                 stalled = step is None  # the stalled step counts; sweeps take over
                 if not stalled:
-                    log_a, log_b, plan, fit, spare = step
+                    x, plan, fit, spare = step
     return plan, fit.residual <= cfg.tol, iterations
 
 
@@ -528,12 +529,10 @@ def extend_partial(cost, p, q, mask=None, rho: float = 0.0, *, work=None):
     work = _Workspace() if work is None else work
     cost_ext = work("kernel", m + 1, n + 1)
     cost_ext[:m, :n] = cost
-    cost_ext[:m, n] = xi
-    cost_ext[m, :n] = xi
+    cost_ext[:m, n] = cost_ext[m, :n] = xi
     cost_ext[m, n] = 2.0 * xi + a_big
 
-    p_ext = np.concatenate([p, [mass_q - rho]])
-    q_ext = np.concatenate([q, [mass_p - rho]])
+    p_ext, q_ext = np.concatenate([p, [mass_q - rho]]), np.concatenate([q, [mass_p - rho]])
 
     mask_ext = np.ones((m + 1, n + 1), dtype=bool)
     mask_ext[:m, :n] = mask
@@ -554,7 +553,7 @@ def partial_ot(cost, p, q, mask=None, rho: float = 0.0,
         return TransportPlan(np.zeros(_validate(cost, p, q, mask)[0].shape), True, 0)
     work = _Workspace() if work is None else work
     solved = sinkhorn(*extend_partial(cost, p, q, mask, rho, work=work), cfg, work=work)
-    return replace(solved, plan=solved.plan[:-1, :-1])
+    return TransportPlan(solved.plan[:-1, :-1], solved.converged, solved.iterations)
 
 
 def normalize_plan(plan, mask=None, *, work=None):
@@ -573,10 +572,10 @@ def normalize_plan(plan, mask=None, *, work=None):
     plan = np.asarray(plan, dtype=np.float64)
     if plan.ndim != 2:
         raise ValueError("plan must be a matrix")
-    if not np.all(np.isfinite(plan)):
-        raise ValueError("plan contains non-finite entries")
-    if np.any(plan < 0):
-        raise ValueError("plan entries must be nonnegative")
+    if not (np.minimum.reduce(plan, axis=None, initial=np.inf) >= 0  # NaN fails too
+            and np.maximum.reduce(plan, axis=None, initial=0.0) < np.inf):
+        raise ValueError("plan contains non-finite entries" if not np.isfinite(plan).all()
+                         else "plan entries must be nonnegative")
     mask = _as_mask(mask, plan.shape)
     work = _Workspace() if work is None else work
     m, n = plan.shape  # the column form is F-ordered, as a fresh one would be

@@ -605,3 +605,13 @@ class TestInputBoundaries:
         refined[0] = [1.2, -0.1, -0.1]
         with pytest.raises(ValueError, match="nonnegative"):
             rematch_loss(refined, np.full((3, 3), 1.0 / 3.0), np.eye(3), 0.1)
+
+    @pytest.mark.parametrize("nan_side", [0, 1])
+    @pytest.mark.parametrize("negative_side", [0, 1])
+    def test_a_negative_entry_beside_a_nan_is_named_first(self, nan_side, negative_side):
+        # the sign is checked before the sums, which a NaN alone fails
+        refined = [np.full((3, 3), 1.0 / 3.0), np.full((3, 3), 1.0 / 3.0)]
+        refined[nan_side][1, 2] = np.nan
+        refined[negative_side][2, 0] = -0.1
+        with pytest.raises(ValueError, match="^refined alignments must be nonnegative$"):
+            rematch_loss(*refined, np.eye(3), 0.1)

@@ -110,6 +110,19 @@ class TestSinkhorn:
         assert res.converged
         assert marginal_violation(res.plan, p, q) <= 1e-9
 
+    @pytest.mark.parametrize("side", ["p", "q"])
+    def test_marginal_violation_is_nan_when_a_marginal_is(self, side):
+        # Python's max dropped a NaN that came second, so a NaN in q read 0.0
+        marginals = {"p": [0.5, 0.5], "q": [0.5, 0.5]}
+        marginals[side] = [np.nan, 0.5]
+        assert np.isnan(marginal_violation(np.eye(2) / 2, marginals["p"], marginals["q"]))
+
+    @pytest.mark.parametrize("p,q", [([1.0], [0.5, 0.5, 0.5]), ([0.5, 0.5, 0.5], [1.0]),
+                                     ([0.5], [0.5, 0.5])])
+    def test_marginal_violation_rejects_marginals_of_other_lengths(self, p, q):
+        with pytest.raises(ValueError):
+            marginal_violation(np.eye(2) / 2, p, q)
+
     def test_iteration_cap_respected(self):
         rng = np.random.default_rng(0)
         cost = rng.uniform(0, 1, (4, 4))
@@ -266,9 +279,12 @@ def recording_newton_steps(steps):
     of every step to ``steps``; ``after`` is None on a stall."""
     newton_step = transport._newton_step
 
-    def record(log_kernel, p, q, free, log_a, log_b, plan, fit, out):
-        result = newton_step(log_kernel, p, q, free, log_a, log_b, plan, fit, out)
-        steps.append((fit.worst, None if result is None else result[3].worst))
+    def fit_in(values):
+        return next(value for value in values if isinstance(value, transport._Fit))
+
+    def record(*args):
+        result = newton_step(*args)
+        steps.append((fit_in(args).worst, None if result is None else fit_in(result).worst))
         return result
 
     return record
@@ -512,6 +528,22 @@ class TestSolverInternals:
         assert abs(res.plan.sum() - 0.1) <= cfg.tol
         assert len(directions) == 1
         assert len(sweeps) == res.iterations - 1
+
+    def test_dense_direction_raises_on_a_singular_schur_complement(self):
+        # an empty free column with no damping leaves a zero row and column in
+        # the Schur complement; _newton_step takes the error as a stall
+        plan = np.array([[0.3, 0.0, 0.2], [0.1, 0.0, 0.4]])
+        with np.errstate(invalid="ignore"), pytest.raises(np.linalg.LinAlgError):
+            _newton_direction(plan, plan.sum(axis=1), plan.sum(axis=0),
+                              np.array([0.01, -0.01]), np.array([0.01, 0.0, -0.01]), 0.0)
+
+    def test_dense_direction_raises_on_a_nan_plan(self):
+        # a NaN direction would only stall after 60 rejected trial plans
+        plan = np.array([[0.3, 0.1, 0.2], [0.1, 0.2, 0.4]])
+        plan[0, 1] = np.nan
+        with np.errstate(invalid="ignore"), pytest.raises(np.linalg.LinAlgError):
+            _newton_direction(plan, plan.sum(axis=1), plan.sum(axis=0),
+                              np.array([0.01, -0.01]), np.array([0.01, 0.0, -0.01]), 1e-12)
 
     @given(seed=st.integers(0, 2**32 - 1))
     @example(seed=57721)  # a result of 0.0035, 2e-14 off relative to itself
@@ -871,13 +903,26 @@ class TestNormalizePlan:
         assert np.all(rows >= 0) and np.all(cols >= 0)
 
     def test_rejects_negative_entries(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^plan entries must be nonnegative$"):
             normalize_plan(np.array([[-0.1, 0.2]]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_entries(self, bad):
         with pytest.raises(ValueError, match="non-finite"):
             normalize_plan(np.array([[bad, 1.0], [1.0, 1.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_a_non_finite_entry_beside_a_negative_one_is_named_first(self, bad, order):
+        plan = np.array([[0.2, -0.1, 0.3], [0.1, 0.2, bad]], order=order)
+        with pytest.raises(ValueError, match="^plan contains non-finite entries$"):
+            normalize_plan(plan)
+        with pytest.raises(ValueError, match="^plan contains non-finite entries$"):
+            normalize_plan(plan.T)
+
+    def test_an_empty_plan_passes_the_checks(self):
+        rows, cols = normalize_plan(np.zeros((0, 0)))
+        assert rows.shape == cols.shape == (0, 0)
 
 
 def flat_bits(result):
