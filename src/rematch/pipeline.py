@@ -412,7 +412,8 @@ def _epoch(state: RunState, ds: PairDataset, cfg: TrainConfig,
            train_idx: np.ndarray, val_idx: np.ndarray) -> None:
     """The run's next epoch, warm-up or ``cfg.mode`` by ``state.epoch``. It is
     validated and, from the last warm-up epoch on, kept if it is the best so
-    far; appends its record to ``state.history``."""
+    far; appends its record to ``state.history``. An epoch with no converged
+    rematch solve raises ``ValueError`` naming ``lam``."""
     mode = _MODES[cfg.mode]
     warm = state.epoch < _warm_epochs(cfg)
     epoch_number = state.epoch + 1
@@ -434,8 +435,11 @@ def _epoch(state: RunState, ds: PairDataset, cfg: TrainConfig,
                     lambda s: warmup_loss(s, cfg.tau, cfg.eps, cfg.rce_weight,
                                           work=state.work), lr)
     elif mode.rematch:
-        loss, record["transport"] = _rematch_steps(state, ds, cfg, train_idx, rows,
-                                                   mismatched_idx, lr)
+        loss, solves = _rematch_steps(state, ds, cfg, train_idx, rows, mismatched_idx, lr)
+        record["transport"] = solves
+        if 0 < solves["solves"] == solves["unconverged"]:
+            raise ValueError(f"lam={cfg.lam!r}: no rematch solve of epoch {epoch_number} "
+                             f"converged ({solves['solves']} tried); try a larger lam")
         record["cost_gap"] = _cost_gap(state, ds, cfg, train_idx)
         record["cost_params"] = {"w": state.theta.w, "b": state.theta.b}
     else:

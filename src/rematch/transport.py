@@ -13,7 +13,11 @@ from dataclasses import MISSING, dataclass
 from typing import NamedTuple
 
 import numpy as np
-from numpy.linalg import _umath_linalg
+
+try:  # the gufunc np.linalg.solve wraps for a 1-D right-hand side: NaN if singular
+    from numpy.linalg._umath_linalg import solve1 as _solve1
+except ImportError:  # a private module; the public wrapper gives the same bytes, or raises
+    _solve1 = np.linalg.solve
 
 from ._settings import check, count, real, require
 from .losses import _Workspace
@@ -110,10 +114,9 @@ def marginal_violation(plan: np.ndarray, p: np.ndarray, q: np.ndarray) -> float:
     return _marginal_fit(plan, np.concatenate((p, q)), len(p)).worst
 
 
-def _check_feasible(mask: np.ndarray, p: np.ndarray, q: np.ndarray):
-    """Every positive-mass row/column needs an open cell in a positive-mass column/row."""
-    live_p, live_q = p > 0, q > 0  # a boolean product ORs the ANDs
-    for name, live, reached in (("rows", live_p, mask @ live_q),
+def _check_feasible(mask: np.ndarray, live_p: np.ndarray, live_q: np.ndarray):
+    """Every live (positive-mass) row/column needs an open cell in a live column/row."""
+    for name, live, reached in (("rows", live_p, mask @ live_q),  # a boolean product ORs the ANDs
                                 ("columns", live_q, live_p @ mask)):
         dead = live > reached  # live and not reached
         if dead.any():
@@ -174,31 +177,25 @@ def _realize(log_kernel, x, out):
 
 def _sweep(log_kernel, log_p, log_q, log_b, scratch):
     """One log-domain scaling sweep to ``[log_a; log_b]``: fit the rows, then
-    the columns, summing the kernel and the other side's exponents in ``scratch``.
-
-    A zero-mass slice with no reachable cell computes -inf - -inf, which
-    ``np.where`` discards; the caller ignores the invalid-value warning.
-    """
+    the columns, summing the kernel and the other side's exponents in ``scratch``."""
     shifted = np.add(log_kernel, log_b[None, :], out=scratch)
-    log_a = np.where(log_p == -np.inf, -np.inf,
-                     log_p - _logsumexp(shifted, axis=1, out=shifted))
+    log_a = log_p - _logsumexp(shifted, axis=1, out=shifted)
     if not np.maximum.reduce(log_a) < np.inf:  # NaN fails too
         raise InfeasibleProblemError("scaling collapsed: a-update unbounded")
     shifted = np.add(log_kernel, log_a[:, None], out=scratch)
-    log_b = np.where(log_q == -np.inf, -np.inf,
-                     log_q - _logsumexp(shifted, axis=0, out=shifted))
+    log_b = log_q - _logsumexp(shifted, axis=0, out=shifted)
     if not np.maximum.reduce(log_b) < np.inf:
         raise InfeasibleProblemError("scaling collapsed: b-update unbounded")
     return np.concatenate((log_a, log_b))
 
 
-# From this many free columns on, the Newton direction comes from conjugate
+# From this many columns on, the Newton direction comes from conjugate
 # gradients instead of a dense factorization. A CG step is two
 # matrix-vector products, O(k^2) against the O(k^3) of forming and
 # factorizing the Schur complement, but each step costs ~20 us of numpy
 # call overhead. On training-shaped directions (costs U(1, 1.6), lam 0.01,
 # rho 0.1, diagonal closed; a 2-vCPU Xeon, one BLAS thread) dense was the
-# faster up to 41 free columns, CG from 53 on, and either in between.
+# faster up to 41 columns, CG from 53 on, and either in between.
 _CG_MIN_DIM = 48
 # The forcing term's cap (Dembo, Eisenstat & Steihaug): a CG direction d
 # leaves ||J d + F|| <= min(_ETA_MAX, ||F||) * ||F||. A forcing term of
@@ -230,7 +227,7 @@ def _newton_direction(plan, rows, cols, res_r, res_c, damping, scratch=None):
         schur = -(scaled.T @ scaled)  # one symmetric product (syrk)
         diagonal = schur.reshape(-1)[::cols.size + 1]
         diagonal += cols + damping
-        dy = _umath_linalg.solve1(schur, rhs)  # np.linalg.solve's gufunc; NaN if singular
+        dy = _solve1(schur, rhs)
         if not np.logical_and.reduce(np.isfinite(dy)):
             raise np.linalg.LinAlgError("singular or non-finite Schur complement")
     else:
@@ -275,12 +272,6 @@ def _schur_cg(plan, inv_r, cols, damping, rhs, bound, scratch=None):
     return dy
 
 
-def _free(mass: np.ndarray, start: int = 0):
-    """Index of the positive entries of ``mass``, from ``start``; a slice if all are."""
-    return (slice(start, start + mass.size) if np.minimum.reduce(mass) > 0
-            else start + np.flatnonzero(mass > 0))
-
-
 class _Fit(NamedTuple):
     """A plan's stacked row and column sums and how far they miss [p; q]."""
 
@@ -318,43 +309,36 @@ def _in_linear_tail(fit: _Fit, cand_fit: _Fit, m: int) -> bool:
     return dot >= _TAIL_COSINE * np.sqrt(norms)
 
 
-def _newton_step(log_kernel, marginals, free, x, plan, fit: _Fit, out):
+def _newton_step(log_kernel, marginals, x, plan, fit: _Fit, out):
     """One damped Newton step on the scaling exponents, or ``None`` on a stall.
 
     The exponents are stacked, ``x = [log_a; log_b]``, as are the marginals,
-    ``[p; q]``. Only the ``free`` (positive-mass) rows and columns move, the
-    columns indexed in the plan and in the stacked vectors; zero-mass ones
-    stay frozen at -inf. The step length comes from a search on the worst
-    marginal violation: it halves from the full step (or the log-step cap)
-    down to the first trial that lowers the violation. Should the first
-    trial itself be accepted, yet lower the violation by less than ``1 /
-    _TAIL_DROP`` along an unchanged residual direction, the step is in the
-    linear tail: the same direction is tried at ``_TAIL_GROWTH``,
+    ``[p; q]``, all of them positive. The step length comes from a search on
+    the worst marginal violation: it halves from the full step (or the
+    log-step cap) down to the first trial that lowers the violation. Should
+    the first trial itself be accepted, yet lower the violation by less than
+    ``1 / _TAIL_DROP`` along an unchanged residual direction, the step is in
+    the linear tail: the same direction is tried at ``_TAIL_GROWTH``,
     ``_TAIL_GROWTH^2``, ... times the step, up to the cap, for as long as
     each trial lowers the violation further. A singular system or a search
-    that finds no improving step is a stall.
-    Trials are written alternately into the C-contiguous ``out`` and the
-    spent ``plan``. Returns the new exponents, their plan and fit, and the
-    other buffer. The caller ignores floating-point errors.
+    that finds no improving step is a stall. Trials are written alternately
+    into the C-contiguous ``out`` and the spent ``plan``. Returns the new
+    exponents, their plan and fit, and the other buffer. The caller ignores
+    floating-point errors.
     """
-    free_r, free_c, stacked_c = free
-    rows, cols = fit.sums[free_r], fit.sums[stacked_c]
-    damping = 1e-12 * max(np.maximum.reduce(fit.sums), 1e-30)  # frozen slices sum to 0
-    # no trial has been written yet, so the direction may use out's memory
-    scratch = out.reshape(-1)[:rows.size * cols.size].reshape(rows.size, cols.size)
-    try:
-        dx, dy = _newton_direction(plan[free_r][:, free_c], rows, cols,
-                                   fit.res[free_r], fit.res[stacked_c], damping, scratch)
+    m = len(plan)
+    damping = 1e-12 * max(np.maximum.reduce(fit.sums), 1e-30)  # an underflowed plan sums to 0
+    try:  # no trial has been written yet, so the direction may use out's memory
+        dx, dy = _newton_direction(plan, fit.sums[:m], fit.sums[m:],
+                                   fit.res[:m], fit.res[m:], damping, out)
     except np.linalg.LinAlgError:
         return None
-    # the direction at full length, 0 on the frozen exponents: -inf + 0 stays -inf
-    direction = np.zeros(x.size)
-    direction[free_r], direction[stacked_c] = dx, dy
+    direction = np.concatenate((dx, dy))
 
     def trial(step, buffer):
         cand = x + step * direction
         cand_plan = _realize(log_kernel, cand, buffer)
-        return cand, cand_plan, _marginal_fit(cand_plan, marginals, len(plan))
+        return cand, cand_plan, _marginal_fit(cand_plan, marginals, m)
 
     # the largest |dx_i + dy_j|; the gauge shift dx + c, dy - c drops out
     span = max(np.maximum.reduce(dx) + np.maximum.reduce(dy),
@@ -369,7 +353,7 @@ def _newton_step(log_kernel, marginals, free, x, plan, fit: _Fit, out):
     else:
         return None
     spare = plan
-    if step == full and _in_linear_tail(fit, best[2], len(plan)):
+    if step == full and _in_linear_tail(fit, best[2], m):
         while step < cap:
             step = min(step * _TAIL_GROWTH, cap)
             further = trial(step, spare)
@@ -385,25 +369,25 @@ def _solve(cost, p, q, mask, cfg: SinkhornConfig, work):
     Alternating scaling stalls at O(1/iteration) on near-degenerate instances
     (permutation-support optima), so after the first sweep the equilibration
     runs as damped Newton on the same marginal equations; the fixed point and
-    the diag(a) K diag(b) output form are unchanged. Inputs are validated by
-    the caller. Every iteration, a stalled Newton step included, counts
-    toward ``cfg.max_iter`` and is followed by a convergence check. The
-    log-kernel (in place when ``cost`` is ``work("kernel")``) and two plans,
-    the current one and a spare for sweeps and trials, live in ``work``.
+    the diag(a) K diag(b) output form are unchanged. The caller validates the
+    inputs, checks feasibility and passes only rows and columns of positive
+    mass, so every scaling exponent is finite. Every iteration, a stalled
+    Newton step included, counts toward ``cfg.max_iter`` and is followed by a
+    convergence check. The log-kernel (in place when ``cost`` is
+    ``work("kernel")``) and two plans, the current one and a spare for sweeps
+    and trials, live in ``work``.
     """
     log_kernel = np.negative(cost, out=work("kernel", *cost.shape))
     log_kernel /= cfg.lam
     log_kernel[~mask] = -np.inf
-    _check_feasible(mask, p, q)
-    free = _free(p), _free(q), _free(q, p.size)
     marginals, fit = np.concatenate((p, q)), _Fit(None, None, np.inf, np.inf)
     # the first iteration sweeps, so the first plan is never read
     plan, spare = work("plan", *cost.shape), work("plan_next", *cost.shape)
     iterations, stalled = 0, False
-    # log(0), -inf - -inf of a frozen slice and overflowing trial plans are expected
+    # overflowing trial plans and the NaN of a failing direction are expected
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         log_p, log_q = np.log(p), np.log(q)
-        x = np.where(marginals > 0, 0.0, -np.inf)  # the first sweep reads only log_b
+        x = np.zeros(marginals.size)  # the first sweep reads only log_b
         while iterations < cfg.max_iter and fit.residual > cfg.tol:
             iterations += 1
             if iterations == 1 or stalled:
@@ -411,7 +395,7 @@ def _solve(cost, p, q, mask, cfg: SinkhornConfig, work):
                 plan, spare = _realize(log_kernel, x, spare), plan
                 fit = _marginal_fit(plan, marginals, p.size)
             else:
-                step = _newton_step(log_kernel, marginals, free, x, plan, fit, spare)
+                step = _newton_step(log_kernel, marginals, x, plan, fit, spare)
                 stalled = step is None  # the stalled step counts; sweeps take over
                 if not stalled:
                     x, plan, fit, spare = step
@@ -436,8 +420,9 @@ def sinkhorn(cost, p, q, mask=None, cfg: SinkhornConfig | None = None, *,
 
     Scales the masked Gibbs kernel ``K = mask * exp(-cost / lam)`` to the
     marginals: one log-domain row/column sweep, then damped Newton on the
-    scaling exponents, and further sweeps should Newton stall. The returned
-    plan is ``diag(a) K diag(b)``; masked cells are exactly zero. Iteration
+    scaling exponents, and further sweeps should Newton stall. The plan is
+    ``diag(a) K diag(b)`` on the block of positive-mass rows and columns, the
+    only one solved, and exactly zero elsewhere and on masked cells. Iteration
     stops at the first of convergence (summed absolute row and column
     residuals <= ``cfg.tol``) or ``cfg.max_iter``. With a workspace ``work``
     the log-kernel and the plan live in it until its next use.
@@ -470,7 +455,17 @@ def sinkhorn(cost, p, q, mask=None, cfg: SinkhornConfig | None = None, *,
     mass_p, mass_q = np.add.reduce(p), np.add.reduce(q)
     if abs(mass_p - mass_q) > max(cfg.tol, 1e-12 * mass_p):
         raise ValueError(f"mass imbalance: sum(p)={mass_p:.17g} vs sum(q)={mass_q:.17g}")
-    return TransportPlan(*_solve(cost, p, q, mask, cfg, _Workspace() if work is None else work))
+    rows, cols = p > 0, q > 0
+    _check_feasible(mask, rows, cols)
+    work = _Workspace() if work is None else work
+    if rows.all() and cols.all():  # the usual case: the solve reads the inputs themselves
+        return TransportPlan(*_solve(cost, p, q, mask, cfg, work))
+    kept = np.ix_(rows, cols)
+    block, converged, iterations = _solve(cost[kept], p[rows], q[cols], mask[kept], cfg, work)
+    plan = work("plan_full", *cost.shape)
+    plan.fill(0.0)
+    plan[kept] = block
+    return TransportPlan(plan, converged, iterations)
 
 
 # the border cost stays positive, as in the construction of the reduction

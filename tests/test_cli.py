@@ -227,6 +227,15 @@ class TestErrorHandling:
         lines = captured.err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
 
+    def test_a_lam_too_small_to_converge_reports_one_line(self, tmp_path, capsys):
+        data = make_dataset(tmp_path, capsys, n=120)
+        code = main(["train", "--data", str(data), *FAST, "--lambda", "1e-8"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1].startswith(
+            "error: lam=1e-08: no rematch solve of epoch 2 converged (")
+
     def test_an_overflowing_update_reports_one_line(self, tmp_path, capsys):
         data = make_dataset(tmp_path, capsys, n=120)
         code = main(["train", "--data", str(data), "--optimizer", "adam",

@@ -711,13 +711,14 @@ class TestRunExperiment:
                                                                  monkeypatch):
         # every solve reports no convergence: the epoch counts each skip, no
         # plan reaches normalization, and the rematch term adds nothing, so
-        # with the triplet term zeroed too plain SGD leaves the encoder as it is
+        # with the triplet term zeroed too plain SGD leaves the encoder as it
+        # is; an epoch with no converged solve then stops the run, naming lam
         cfg = TrainConfig(mode="rematch", **dict(DETERMINISM, optimizer="sgd"))
         state = init_state(cfg, determinism_ds)
         warmup(state, determinism_ds, cfg)
-        solve = pl.partial_ot
-        monkeypatch.setattr(pl, "partial_ot", lambda *args, **kwargs: dataclasses.replace(
-            solve(*args, **kwargs), converged=False))
+        solve, solves = pl.partial_ot, []
+        monkeypatch.setattr(pl, "partial_ot", lambda *args, **kwargs: solves.append(1) or
+                            dataclasses.replace(solve(*args, **kwargs), converged=False))
 
         def unreachable(*args, **kwargs):
             raise AssertionError("an unconverged plan was normalized")
@@ -725,12 +726,14 @@ class TestRunExperiment:
         monkeypatch.setattr(pl, "normalize_plan", unreachable)
         monkeypatch.setattr(pl, "triplet_loss_batch",
                             lambda s, alpha, work=None: (0.0, np.zeros_like(s)))
-        params = state.params.copy()
-        train_epoch(state, determinism_ds, cfg)
-        record = state.history[-1]
-        assert record["transport"]["solves"] > 0
-        assert record["transport"]["unconverged"] == record["transport"]["solves"]
-        assert record["train_loss"] == 0.0
+        params, epochs = state.params.copy(), len(state.history)
+        with pytest.raises(ValueError) as excinfo:
+            train_epoch(state, determinism_ds, cfg)
+        assert solves
+        assert str(excinfo.value) == (
+            f"lam={cfg.lam!r}: no rematch solve of epoch {epochs + 1} converged "
+            f"({len(solves)} tried); try a larger lam")
+        assert len(state.history) == epochs
         np.testing.assert_array_equal(state.params.w_v, params.w_v)
         np.testing.assert_array_equal(state.params.w_t, params.w_t)
 
@@ -762,18 +765,28 @@ class TestRunExperiment:
     def test_unconverged_plans_skip_the_rematch_term(self, determinism_ds,
                                                      monkeypatch):
         # one scaling sweep cannot meet the solver tolerance, so every solve is
-        # counted as unconverged and no step may train on its plan
+        # unconverged, no step may train on its plan, and the first training
+        # epoch stops the run
         def no_rematch_term(*args, **kwargs):
             raise AssertionError("rematch term computed from an unconverged plan")
 
         monkeypatch.setattr(pl, "rematch_loss", no_rematch_term)
         monkeypatch.setattr(pl, "_OT_MAX_ITER", 1)
-        payload = run_experiment(TrainConfig(mode="rematch", **DETERMINISM), determinism_ds)
-        records = [r for r in payload["epochs"] if r["phase"] == "train"]
-        assert len(records) == DETERMINISM["train_epochs"]
-        for record in records:
-            assert record["transport"]["solves"] > 0
-            assert record["transport"]["unconverged"] == record["transport"]["solves"]
+        first = DETERMINISM["warmup_epochs"] + 1
+        with pytest.raises(ValueError, match=rf"^lam=0\.01: no rematch solve of epoch "
+                                             rf"{first} converged \(\d+ tried\)"):
+            run_experiment(TrainConfig(mode="rematch", **DETERMINISM), determinism_ds)
+
+    @pytest.mark.parametrize("lam", [1e-8, 1e-300])
+    def test_a_lam_too_small_to_converge_stops_the_run(self, lam):
+        # both lie in lam's declared interval, yet every training-shaped solve
+        # runs out of iterations: the run stops at its first training epoch
+        # instead of training on without the rematch term, and warns of nothing
+        cfg = TrainConfig(mode="rematch", seed=1, warmup_epochs=1, train_epochs=1,
+                          lr_decay_epoch=2, batch_size=32, lam=lam)
+        with pytest.raises(ValueError, match=rf"^lam={lam!r}: no rematch solve of epoch 2 "
+                                             "converged"):
+            run_experiment(cfg, make_benchmark(**PROPERTY_DATA))
 
     @pytest.mark.parametrize("mode", ["rematch", "naive", "discard"])
     def test_public_epochs_retrace_the_run(self, determinism_ds, mode):

@@ -2,12 +2,15 @@
 plan normalization."""
 
 import hashlib
+import importlib.util
+import sys
+import types
 from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.special
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from rematch.transport import (
     InfeasibleProblemError,
@@ -24,6 +27,7 @@ from rematch.transport import (
 from rematch.flow_oracle import exact_ot_oracle
 from rematch.losses import _Workspace
 import rematch.transport as transport
+from lp_oracle import lp_optimum, round_balanced, round_partial
 from pinned import PINS, assert_pinned
 
 
@@ -430,8 +434,8 @@ class TestSolverInternals:
            seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_zero_mass_slices_stay_frozen(self, rows, cols, lam, seed):
-        # Newton moves only the positive-mass exponents; the zero-mass ones
-        # stay at -inf, so their rows and columns of the plan are exactly 0
+        # sinkhorn drops the zero-mass rows and columns before it solves, so
+        # their rows and columns of the plan are exactly 0
         rng = np.random.default_rng(seed)
         cost = rng.uniform(0, 1, (rows, cols))
         p, q = rng.uniform(0.1, 1, rows), rng.uniform(0.1, 1, cols)
@@ -445,14 +449,28 @@ class TestSolverInternals:
         deleted = sinkhorn(cost[kept], p[~dead_r], q[~dead_c], cfg=cfg)
         assert full.converged and deleted.converged
         assert not full.plan[dead_r].any() and not full.plan[:, dead_c].any()
-        # the balanced solve is the one with those slices deleted (3.4e-15
-        # over 1,000 draws)
-        np.testing.assert_allclose(full.plan[kept], deleted.plan, rtol=0, atol=1e-13)
+        # the balanced solve is the one with those slices deleted, bit for bit
+        np.testing.assert_array_equal(full.plan[kept], deleted.plan)
+        assert full.iterations == deleted.iterations
         # not so the partial one: the corner price reads max(cost) over every
         # cell, dead ones too, so its plan may move; its dead slices stay 0
         part = partial_ot(cost, p, q, rho=float(rng.uniform(0.05, 0.95)), cfg=cfg)
         assert part.converged
         assert not part.plan[dead_r].any() and not part.plan[:, dead_c].any()
+
+    def test_full_budget_partial_is_the_masked_balanced_solve(self):
+        # at n = 128 the uniform marginals sum to exactly 1, so a budget of 1
+        # leaves the virtual row and column no mass: the no-partial arm's
+        # solve is the masked balanced one, bit for bit
+        n = 128
+        cost = np.random.default_rng(0).uniform(1.0, 1.6, (n, n))
+        mask = ~np.eye(n, dtype=bool)
+        cfg = SinkhornConfig(lam=0.01, max_iter=3000, tol=1e-6)
+        part = partial_ot(cost, uniform(n), uniform(n), mask, rho=1.0, cfg=cfg)
+        balanced = sinkhorn(cost, uniform(n), uniform(n), mask, cfg)
+        assert part.converged and balanced.converged
+        assert part.iterations == balanced.iterations
+        assert part.plan.tobytes() == balanced.plan.tobytes()
 
     def test_thousand_pair_solve_runs_newton(self):
         # every size takes the Newton path: sweeps alone needed 59 iterations
@@ -545,6 +563,36 @@ class TestSolverInternals:
             _newton_direction(plan, plan.sum(axis=1), plan.sum(axis=0),
                               np.array([0.01, -0.01]), np.array([0.01, 0.0, -0.01]), 1e-12)
 
+    @pytest.mark.parametrize("missing", ["module", "solve1"])
+    def test_dense_solve_falls_back_to_the_public_solver(self, monkeypatch, missing):
+        # numpy.linalg._umath_linalg is private. A copy of the module loaded
+        # without it, or without its solve1, calls np.linalg.solve, which
+        # keeps its own reference to the same gufunc: the criterion-1 plans
+        # keep their bytes and counts, and a singular system still raises,
+        # as LinAlgError instead of NaN
+        name = "numpy.linalg._umath_linalg"
+        monkeypatch.setitem(sys.modules, name,
+                            None if missing == "module" else types.ModuleType(name))
+        spec = importlib.util.spec_from_file_location("rematch._transport_copy",
+                                                      transport.__file__)
+        fallback = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, fallback)
+        spec.loader.exec_module(fallback)
+        assert fallback._solve1 is np.linalg.solve
+        settings = dict(lam=0.001, max_iter=5000, tol=1e-9)
+        for seed in range(10):
+            cost = np.random.default_rng(seed).uniform(0, 1, (4, 4))
+            want = sinkhorn(cost, uniform(4), uniform(4), cfg=SinkhornConfig(**settings))
+            got = fallback.sinkhorn(cost, uniform(4), uniform(4),
+                                    cfg=fallback.SinkhornConfig(**settings))
+            assert got.iterations == want.iterations == CRITERION_1_ITERATIONS[seed]
+            assert got.plan.tobytes() == want.plan.tobytes()
+        plan = np.array([[0.3, 0.0, 0.2], [0.1, 0.0, 0.4]])
+        with pytest.raises(np.linalg.LinAlgError):
+            fallback._newton_direction(plan, plan.sum(axis=1), plan.sum(axis=0),
+                                       np.array([0.01, -0.01]), np.array([0.01, 0.0, -0.01]),
+                                       0.0)
+
     @given(seed=st.integers(0, 2**32 - 1))
     @example(seed=57721)  # a result of 0.0035, 2e-14 off relative to itself
     @settings(max_examples=50, deadline=None)
@@ -576,6 +624,104 @@ class TestSolverInternals:
                           cfg=SinkhornConfig(lam=0.1, max_iter=5000, tol=1e-9))
         assert [after for _, after in steps] == [None]
         assert result.converged
+
+
+def marginals_with_dead_slices(rng, m, n):
+    """U(0.1, 1) masses, each zero with chance 0.2, at least one positive a
+    side, normalized."""
+    p, q = rng.uniform(0.1, 1, m), rng.uniform(0.1, 1, n)
+    p[rng.uniform(size=m) < 0.2] = q[rng.uniform(size=n) < 0.2] = 0.0
+    p[rng.integers(m)], q[rng.integers(n)] = rng.uniform(0.1, 1, 2)
+    return p / p.sum(), q / q.sum()
+
+
+# The LP optimum may exceed the cost of a rounded plan by rounding only:
+# at most 1.1e-16 on 200 balanced draws of costs U(0, 1)
+LP_ROUNDING = 1e-12
+
+
+def check_entropic_gap(rounded_cost, optimum, lam, mass, open_cells, tol, cost):
+    """The LP optimum never exceeds the cost of the entropic plan rounded to
+    feasibility, which exceeds it by at most lam * mass * log(open cells)
+    (Peyre & Cuturi 2019, sec. 4) plus tol * max|C| for the plan's misfit."""
+    scale = np.abs(cost).max()
+    assert optimum <= rounded_cost + LP_ROUNDING * scale
+    assert rounded_cost - optimum <= lam * mass * np.log(open_cells) + tol * scale
+
+
+class TestExactOptimum:
+    # HiGHS solves the transport LPs exactly at any size; the balanced and
+    # the masked partial entropic solves are checked against them from side
+    # 2 to training sizes. On 200 draws of each kind, the gap used at most
+    # 11% of its bound.
+    @given(m=st.integers(2, 64), n=st.integers(2, 64), log_lam=st.floats(-2, -1),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_balanced_solve_is_near_the_lp_optimum(self, m, n, log_lam, seed):
+        rng = np.random.default_rng(seed)
+        cost = rng.uniform(0, 1, (m, n))
+        p, q = marginals_with_dead_slices(rng, m, n)
+        cfg = SinkhornConfig(lam=10.0 ** log_lam, max_iter=5000, tol=1e-9)
+        res = sinkhorn(cost, p, q, cfg=cfg)
+        assert res.converged
+        check_entropic_gap((round_balanced(res.plan, p, q) * cost).sum(),
+                           lp_optimum(cost, p, q, np.ones((m, n))), cfg.lam, 1.0,
+                           np.count_nonzero(p) * np.count_nonzero(q), cfg.tol, cost)
+
+    @given(n=st.integers(2, 64), log_lam=st.floats(-2, -1), share=st.floats(0.05, 0.95),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_masked_partial_solve_is_near_the_lp_optimum(self, n, log_lam, share, seed):
+        # the budget is a share of the most mass the open cells can move
+        rng = np.random.default_rng(seed)
+        cost = rng.uniform(1.0, 1.6, (n, n))
+        p, q = marginals_with_dead_slices(rng, n, n)
+        mask = ~np.eye(n, dtype=bool)
+        most = lp_optimum(None, p, q, mask, rho="most")
+        assume(most > 0)
+        self.check_partial(cost, p, q, mask, share * most,
+                           SinkhornConfig(lam=10.0 ** log_lam, max_iter=5000, tol=1e-9))
+
+    @pytest.mark.parametrize("n", [128, 256])
+    def test_training_shaped_solve_is_near_the_lp_optimum(self, n):
+        # the gap reads 1.03e-3 at n = 128 and 1.02e-3 at n = 256
+        cost = np.random.default_rng(0).uniform(1.0, 1.6, (n, n))
+        self.check_partial(cost, uniform(n), uniform(n), ~np.eye(n, dtype=bool), 0.1,
+                           SinkhornConfig(lam=0.01, max_iter=3000, tol=1e-6))
+
+    @staticmethod
+    def check_partial(cost, p, q, mask, rho, cfg):
+        # the bound holds on the extended problem: its mass is |p| + |q| - rho,
+        # and its open cells are the block's, the border's and the corner
+        res = partial_ot(cost, p, q, mask, rho=rho, cfg=cfg)
+        assert res.converged
+        live_r, live_c = p > 0, q > 0
+        open_cells = (np.count_nonzero(mask & live_r[:, None] & live_c)
+                      + np.count_nonzero(live_r) + np.count_nonzero(live_c) + 1)
+        check_entropic_gap((round_partial(res.plan, p, q, rho, mask) * cost).sum(),
+                           lp_optimum(cost, p, q, mask, rho), cfg.lam, p.sum() + q.sum() - rho,
+                           open_cells, cfg.tol, cost)
+
+    @given(m=st.integers(2, 16), n=st.integers(2, 16), seed=st.integers(0, 2**32 - 1))
+    @example(m=2, n=2, seed=35741801)  # every cell closed
+    @settings(max_examples=25, deadline=None)
+    def test_highs_agrees_with_the_flow_oracle(self, m, n, seed):
+        # two independent exact solvers of the masked balanced LP: both find
+        # it infeasible, or their optima differ by at most the oracle's cost
+        # quantization (1.1e-16 measured on 300 draws)
+        rng = np.random.default_rng(seed)
+        units = int(rng.integers(max(m, n), 65))
+        p = rng.multinomial(units, rng.dirichlet(np.ones(m))) / units
+        q = rng.multinomial(units, rng.dirichlet(np.ones(n))) / units
+        cost = rng.uniform(0, 1, (m, n))
+        mask = rng.uniform(size=(m, n)) > 0.3
+        optimum = lp_optimum(cost, p, q, mask)
+        if optimum is None:
+            with pytest.raises(InfeasibleProblemError):
+                exact_ot_oracle(cost, p, q, mask, mass_scale=units)
+        else:
+            exact = exact_ot_oracle(cost, p, q, mask, mass_scale=units).plan
+            assert abs((exact * cost).sum() - optimum) <= 1e-12
 
 
 class TestExtendPartial:
@@ -942,6 +1088,11 @@ REUSING_SOLVERS = {
         cost, uniform(len(cost)), uniform(len(cost)), mask, 0.3, **kw),
     "partial_ot": lambda cost, mask, **kw: partial_ot(
         cost, uniform(len(cost)), uniform(len(cost)), mask, 0.3, CFG_TIGHT, **kw),
+    # the first row and column carry no mass: sinkhorn solves the rest and
+    # scatters it into a plan it zeroes first
+    "sinkhorn-zero-mass": lambda cost, mask, **kw: sinkhorn(
+        cost, np.r_[0.0, uniform(len(cost) - 1)], np.r_[0.0, uniform(len(cost) - 1)], mask,
+        CFG_TIGHT, **kw),
     "normalize_plan": lambda cost, mask, **kw: normalize_plan(
         cost * (np.arange(len(cost)) > 0)[:, None], mask, **kw),
 }
@@ -963,6 +1114,22 @@ class TestWorkspace:
                                   flat_bits(call(cost, mask)))
             allocations.append(work.allocations)
         assert allocations[0] == allocations[-1]
+
+    def test_partial_ot_without_a_workspace_shares_one(self, monkeypatch):
+        # the extension and the solve share one workspace, so the log-kernel
+        # overwrites the extended cost in place: three buffers, kernel and
+        # two plans, not a second kernel in a second workspace
+        made = []
+
+        class Recorded(_Workspace):
+            def __init__(self):
+                super().__init__()
+                made.append(self)
+
+        monkeypatch.setattr(transport, "_Workspace", Recorded)
+        cost = np.random.default_rng(0).uniform(0, 1, (6, 6))
+        partial_ot(cost, uniform(6), uniform(6), ~np.eye(6, dtype=bool), 0.3, CFG_TIGHT)
+        assert [work.allocations for work in made] == [3]
 
 
 class TestInputBoundaries:

@@ -14,7 +14,8 @@ fails. Each mutant then runs one pytest process at a time: the module's own
 test file (``tests/test_<module>.py``, when there is one) and
 ``tests/test_pinned.py`` first, stopping at the first failure, and the whole
 suite only for a mutant those leave alive. A run that takes ten times the
-clean run's time, and at least a minute, counts as killed.
+clean run's time, and at least a minute, counts as killed. Every run seeds
+hypothesis with 0, so a mutant's verdict does not hang on its draws.
 
 Docstrings and ``pass`` statements are not sites. A site is named by its
 module, first line and statement type, as at the probed commit.
@@ -109,7 +110,7 @@ def run_tests(tree: Path, targets: list, timeout: float | None) -> tuple[bool, f
     the seconds it took. A run past ``timeout`` is stopped and counts as failed."""
     env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
     command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-               *targets]
+               "--hypothesis-seed=0", *targets]
     started = time.monotonic()
     child = subprocess.Popen(command, cwd=tree, env=env, stdout=subprocess.DEVNULL,
                              stderr=subprocess.DEVNULL, start_new_session=True,
