@@ -49,15 +49,18 @@ def _bounds(interval: str):
 
 
 def _problem(value, rule) -> str | None:
-    """What ``value`` must do under ``rule``, or ``None`` when it obeys it."""
+    """What ``value`` must do under ``rule``, or ``None`` when it obeys it; an exact
+    float or int passes the type tests without the slower abstract-class check."""
     if isinstance(rule, str):
         low, high = _bounds(rule)
-        valid = (isinstance(value, Real) and not isinstance(value, bool)
+        valid = ((type(value) in (float, int) or isinstance(value, Real)
+                  and not isinstance(value, bool))
                  and (low < value if rule[0] == "(" else low <= value)
                  and (value < high if rule[-1] == ")" else value <= high))
         return None if valid else f"be a real number in {rule}"
     if isinstance(rule, int):
-        valid = isinstance(value, Integral) and not isinstance(value, bool) and value >= rule
+        valid = ((type(value) is int or isinstance(value, Integral)
+                  and not isinstance(value, bool)) and value >= rule)
         return None if valid else f"be an integer >= {rule}"
     if isinstance(rule, range):
         valid = isinstance(value, Integral) and not isinstance(value, bool) and value in rule

@@ -342,22 +342,22 @@ def recall_at_k(s) -> dict:
     s = np.asarray(s, dtype=np.float64)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise ValueError("expected a square similarity matrix")
-    if np.isnan(s).any():
+    if np.logical_or.reduce(np.isnan(s), axis=None):
         raise ValueError("similarity matrix contains NaN")
     n = s.shape[0]
     if max(RECALL_CUTOFFS) > n:
         raise ValueError(f"k={max(RECALL_CUTOFFS)} exceeds split size {n}")
 
-    target = np.diag(s)[:, None]
-    earlier = np.tri(n, k=-1, dtype=bool)  # column j < row i
+    target = s.diagonal()[:, None]
+    earlier = np.greater.outer(np.arange(n), np.arange(n))  # column j < row i
 
     def ranks(matrix):
         # the entries of each row that beat its diagonal: higher, or equal at
         # a lower index
-        return ((matrix > target) | ((matrix == target) & earlier)).sum(axis=1)
+        return np.add.reduce((matrix > target) | ((matrix == target) & earlier), axis=1)
 
     by_direction = {"i2t": ranks(s), "t2i": ranks(s.T)}
-    metrics = {f"r{k}_{direction}": 100.0 * (np.count_nonzero(rank < k) / n)
+    metrics = {f"r{k}_{direction}": 100.0 * (int(np.add.reduce(rank < k)) / n)
                for k in RECALL_CUTOFFS for direction, rank in by_direction.items()}
     metrics["rsum"] = float(sum(metrics.values()))
     return metrics

@@ -21,18 +21,17 @@ _INIT_SCALE = 0.1
 
 class EncoderParams:
     """Projection matrices of both towers: one array ``w`` of the visual rows over
-    the text rows, whose blocks ``w_v`` (d_in_v, d) and ``w_t`` (d_in_t, d) view."""
+    the text rows, whose blocks ``w_v`` (d_in_v, d) and ``w_t`` (d_in_t, d) view;
+    the views are made wherever ``w`` is set."""
 
     def __init__(self, w_v: np.ndarray, w_t: np.ndarray):
-        self.w, self.rows_v = np.concatenate((w_v, w_t)), len(w_v)
-
-    w_v = property(lambda self: self.w[:self.rows_v])
-    w_t = property(lambda self: self.w[self.rows_v:])
+        w, rows_v = np.concatenate((w_v, w_t)), len(w_v)
+        self.w, self.rows_v, self.w_v, self.w_t = w, rows_v, w[:rows_v], w[rows_v:]
 
     def over(self, w: np.ndarray) -> "EncoderParams":
         """Parameters of the same blocks over ``w``, which is not copied."""
-        params = object.__new__(EncoderParams)
-        params.w, params.rows_v = w, self.rows_v
+        params, rows_v = object.__new__(EncoderParams), self.rows_v
+        params.w, params.rows_v, params.w_v, params.w_t = w, rows_v, w[:rows_v], w[rows_v:]
         return params
 
     def copy(self) -> "EncoderParams":
@@ -71,9 +70,9 @@ def init_params(d_in_v: int, d_in_t: int, d: int, rng) -> EncoderParams:
 
 def _embed(params: EncoderParams, v_feats: np.ndarray, t_feats: np.ndarray, work) -> tuple:
     """``(unit, norms, clipped)``: both towers' unit-normalized rows stacked,
-    visual first, in ``work``, and their norms before and after the floor. An
-    overflow raises ``FloatingPointError`` naming its projection, whatever the
-    warning filters are."""
+    visual first, in ``work``, and their norms before and after the floor; the
+    squares behind the norms fill the backward's scratch. An overflow raises
+    ``FloatingPointError`` naming its projection, whatever the warning filters are."""
     n_v, shape = len(v_feats), (len(v_feats) + len(t_feats), params.w.shape[1])
     raw = work("embed", *shape)
     with np.errstate(over="raise"):
@@ -81,7 +80,8 @@ def _embed(params: EncoderParams, v_feats: np.ndarray, t_feats: np.ndarray, work
             np.matmul(v_feats, params.w_v, out=raw[:n_v])
             np.matmul(t_feats, params.w_t, out=raw[n_v:])
             # np.linalg.norm(raw, axis=1)'s arithmetic, without its wrapper
-            norms = np.sqrt(np.add.reduce(raw * raw, axis=1))
+            squares = np.multiply(raw, raw, out=work("unit_scratch", *shape))
+            norms = np.sqrt(np.add.reduce(squares, axis=1))
         except FloatingPointError:  # name the first tower that fails on its own
             _name_the_tower(params, lambda tower, rows: np.linalg.norm(
                 (v_feats, t_feats)[tower] @ params.w[rows], axis=1), "embedding")
@@ -123,14 +123,15 @@ def similarity_backward(cache, grad_s):
     v_feats, t_feats, unit, norms, clipped, work = cache
     grad_s = np.asarray(grad_s, dtype=np.float64)
     n_v = v_feats.shape[0]
-    grad_unit, scratch = (work(name, *unit.shape) for name in ("grad_unit", "unit_scratch"))
+    grad_unit, scratch = work("grad_unit", *unit.shape), work("unit_scratch", *unit.shape)
     np.matmul(grad_s, unit[n_v:], out=grad_unit[:n_v])
     np.matmul(grad_s.T, unit[:n_v], out=grad_unit[n_v:])
     # through row normalization: remove the radial component, scale by 1/|u|;
     # floored rows lose the radial correction (the norm is locally constant)
-    radial = np.multiply(grad_unit, unit, out=scratch).sum(axis=1, keepdims=True)
+    radial = np.add.reduce(np.multiply(grad_unit, unit, out=scratch), axis=1, keepdims=True)
     correction = np.multiply(radial, unit, out=scratch)
-    correction[~(norms > _NORM_FLOOR)] = 0.0
+    if not np.minimum.reduce(norms, initial=np.inf) > _NORM_FLOOR:  # a NaN norm too
+        correction[~(norms > _NORM_FLOOR)] = 0.0
     grad_unit -= correction
     grad_unit /= clipped[:, None]
     return v_feats.T @ grad_unit[:n_v], t_feats.T @ grad_unit[n_v:]

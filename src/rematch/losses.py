@@ -35,20 +35,28 @@ class _Workspace:
     ``work(name, *shape)`` keeps one flat buffer per name, with room for the
     array that last grew it plus one along each axis (a batch that took in a
     trailing singleton); the array, of any rank, is a C-contiguous view of its
-    head, so reductions over it sum in the order a fresh array would.
-    ``allocations`` counts the buffers made, new or grown.
+    head, so reductions over it sum in the order a fresh array would. The view
+    of each ``(name, shape)`` is made once and handed back on every later call;
+    a grown buffer drops the views of its name. ``allocations`` counts the
+    buffers made, new or grown.
     """
 
     def __init__(self):
-        self._flat, self.allocations = {}, 0
+        self._flat, self._views, self.allocations = {}, {}, 0
 
     def __call__(self, name: str, *shape: int) -> np.ndarray:
+        view = self._views.get((name, shape))
+        if view is not None:
+            return view
         size = math.prod(shape)
         flat = self._flat.get(name)
         if flat is None or flat.size < size:
+            if flat is not None:  # the views of the old buffer go with it
+                self._views = {key: view for key, view in self._views.items() if key[0] != name}
             flat = self._flat[name] = np.empty(math.prod(side + 1 for side in shape))
             self.allocations += 1
-        return flat[:size].reshape(shape)
+        view = self._views[name, shape] = flat[:size].reshape(shape)
+        return view
 
 
 def _as_square(s) -> np.ndarray:
@@ -60,9 +68,9 @@ def _as_square(s) -> np.ndarray:
 
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
     """Row softmax, in place over ``logits``."""
-    logits -= logits.max(axis=1, keepdims=True)
+    logits -= np.maximum.reduce(logits, axis=1, keepdims=True)
     np.exp(logits, out=logits)
-    logits /= logits.sum(axis=1, keepdims=True)
+    logits /= np.add.reduce(logits, axis=1, keepdims=True)
     return logits
 
 
@@ -70,7 +78,7 @@ def _rows_backward(probs: np.ndarray, dloss_dprobs: np.ndarray, tau: float,
                    out: np.ndarray) -> np.ndarray:
     """Chain a per-row gradient in probability space through the row softmax,
     into ``out``; its layout sets the order in which the rows are summed."""
-    inner = np.multiply(dloss_dprobs, probs, out=out).sum(axis=1, keepdims=True)
+    inner = np.add.reduce(np.multiply(dloss_dprobs, probs, out=out), axis=1, keepdims=True)
     np.subtract(dloss_dprobs, inner, out=out)
     out *= probs
     out /= tau
@@ -112,12 +120,12 @@ def _hinge_terms(s, alpha: float, work):
     require("alpha", alpha, "[0, inf)")
     off = work("off", n, n)
     off[...] = s
-    np.fill_diagonal(off, -np.inf)
+    off.reshape(-1)[::n + 1] = -np.inf
     j_star = off.argmax(axis=1)
     off_t = work("off_t", n, n)  # argmax over columns would copy them to rows
     off_t[...] = off.T
     h_star = off_t.argmax(axis=1)
-    diag = np.diag(s)
+    diag = s.diagonal()
     index = np.arange(n)
     return (alpha - diag + off[index, j_star], alpha - diag + off[h_star, index],
             j_star, h_star)
@@ -135,13 +143,13 @@ def triplet_loss_batch(s, alpha: float, *, work=None):
     ``work`` the gradient lives in it until its next use."""
     work = _Workspace() if work is None else work
     term_row, term_col, j_star, h_star = _hinge_terms(s, alpha, work)
-    value = np.maximum(term_row, 0.0).sum() + np.maximum(term_col, 0.0).sum()
+    value = np.add.reduce(np.maximum(term_row, 0.0)) + np.add.reduce(np.maximum(term_col, 0.0))
     n = term_row.size
     # each update below names every cell at most once
     grad = work("grad", n, n)
     grad.fill(0.0)
-    rows = np.flatnonzero(term_row > 0)
-    cols = np.flatnonzero(term_col > 0)
+    rows = (term_row > 0).nonzero()[0]
+    cols = (term_col > 0).nonzero()[0]
     grad[rows, rows] -= 1.0
     grad[rows, j_star[rows]] += 1.0
     grad[cols, cols] -= 1.0
@@ -153,12 +161,12 @@ def _infonce(p_v2t, p_t2v, tau: float, work):
     """:func:`warmup_loss`'s InfoNCE term, the mean cross-entropy against
     one-hot targets in both directions, from the matching probabilities."""
     n = p_v2t.shape[0]
-    diag_v2t = np.clip(np.diag(p_v2t), 1e-300, None)
-    diag_t2v = np.clip(np.diag(p_t2v), 1e-300, None)
-    value = float(-(np.log(diag_v2t) + np.log(diag_t2v)).mean())
+    d_v2t, d_t2v = p_v2t.diagonal(), p_t2v.diagonal()
+    log_diag = np.log(np.maximum(d_v2t, 1e-300)) + np.log(np.maximum(d_t2v, 1e-300))
+    value = float(-(np.add.reduce(log_diag) / n))
     # (p_v2t - eye) + (p_t2v - eye): off the diagonal x - 0.0 is x exactly
     grad = np.add(p_v2t, p_t2v, out=work("nce", n, n))
-    np.fill_diagonal(grad, (np.diag(p_v2t) - 1.0) + (np.diag(p_t2v) - 1.0))
+    grad.reshape(-1)[::n + 1] = (d_v2t - 1.0) + (d_t2v - 1.0)
     grad /= n * tau
     return value, grad
 
@@ -176,10 +184,11 @@ def _rce(p_v2t, p_t2v, tau: float, eps: float, work):
     """
     n = p_v2t.shape[0]
     log_off, gap = np.log(eps), np.log1p(-eps) - np.log(eps)
-    rows, cols = log_off * (p_v2t.sum(axis=1) - 1.0), log_off * (p_t2v.sum(axis=0) - 1.0)
-    d_v2t, d_t2v = np.diag(p_v2t), np.diag(p_t2v)
-    value = float(-(log_off * 2 * n + (rows + cols).sum()
-                    + gap * (d_v2t.sum() + d_t2v.sum())) / n)
+    rows = log_off * (np.add.reduce(p_v2t, axis=1) - 1.0)
+    cols = log_off * (np.add.reduce(p_t2v, axis=0) - 1.0)
+    d_v2t, d_t2v = p_v2t.diagonal(), p_t2v.diagonal()
+    value = float(-(log_off * 2 * n + np.add.reduce(rows + cols)
+                    + gap * (np.add.reduce(d_v2t) + np.add.reduce(d_t2v))) / n)
     grad = np.multiply(p_v2t, (rows + gap * d_v2t)[:, None], out=work("rce", n, n))
     grad += np.multiply(p_t2v, cols + gap * d_t2v, out=work("rce_t2v", n, n))
     grad.flat[::n + 1] = (d_v2t * (rows + gap * (d_v2t - 1.0))
@@ -215,16 +224,16 @@ def _kl_direction_terms(refined: np.ndarray, probs: np.ndarray, variant: str, bu
     The four ``bufs`` are laid out like ``probs``; the third returns the gradient.
     """
     r = np.maximum(refined, _KL_FLOOR, out=bufs[0])
-    r /= r.sum(axis=-1, keepdims=True)
+    r /= np.add.reduce(r, axis=-1, keepdims=True)
     p = np.maximum(probs, _KL_FLOOR, out=bufs[1])
-    p /= p.sum(axis=-1, keepdims=True)
+    p /= np.add.reduce(p, axis=-1, keepdims=True)
     ratio = np.divide(r, p, out=bufs[2])
     log_ratio = np.log(p if variant == "ce" else ratio, out=bufs[3])
-    forward = np.multiply(r, log_ratio, out=r).sum(axis=1)  # "ce": minus the loss
+    forward = np.add.reduce(np.multiply(r, log_ratio, out=r), axis=1)  # "ce": minus the loss
     if variant != "sym_kl":
         return -forward if variant == "ce" else forward, np.negative(ratio, out=ratio)
     # log(p / r) is -log(r / p), so one logarithm serves both directions
-    backward = np.multiply(p, log_ratio, out=p).sum(axis=1)
+    backward = np.add.reduce(np.multiply(p, log_ratio, out=p), axis=1)
     np.negative(ratio, out=ratio)
     ratio -= log_ratio
     ratio += 1.0
@@ -250,11 +259,12 @@ def rematch_loss(refined_v2t, refined_t2v, s, tau: float, variant: str = "sym_kl
     if refined_v2t.shape != s.shape or refined_t2v.shape != s.shape:
         raise ValueError("refined alignments must match the similarity shape")
     for refined in (refined_v2t, refined_t2v):  # a NaN is left to the sums below
-        if not np.minimum.reduce(refined, axis=None, initial=np.inf) >= 0 and (refined < 0).any():
+        if (not np.minimum.reduce(refined, axis=None, initial=np.inf) >= 0
+                and np.logical_or.reduce(refined < 0, axis=None)):
             raise ValueError("refined alignments must be nonnegative")
     # written so that a NaN sum fails the test too
-    if not (np.abs(refined_v2t.sum(axis=1) - 1.0).max() <= 1e-6
-            and np.abs(refined_t2v.sum(axis=0) - 1.0).max() <= 1e-6):
+    if not (np.maximum.reduce(np.abs(np.add.reduce(refined_v2t, axis=1) - 1.0)) <= 1e-6
+            and np.maximum.reduce(np.abs(np.add.reduce(refined_t2v, axis=0) - 1.0)) <= 1e-6):
         raise ValueError("refined alignments must be normalized distributions")
     work = _Workspace() if work is None else work
     n = s.shape[0]
@@ -264,7 +274,7 @@ def rematch_loss(refined_v2t, refined_t2v, s, tau: float, variant: str = "sym_kl
     row_terms, d_rows = _kl_direction_terms(refined_v2t, p_v2t, variant, (a, b, rows, log))
     col_terms, d_cols = _kl_direction_terms(refined_t2v.T, p_t2v.T, variant,
                                             (a.T, b.T, cols.T, log.T))
-    value = float(row_terms.mean() + col_terms.mean())
+    value = float(np.add.reduce(row_terms) / n + np.add.reduce(col_terms) / n)
     grad = _rows_backward(p_v2t, d_rows, tau, a)
     grad += _rows_backward(p_t2v.T, d_cols, tau, b.T).T
     grad /= n

@@ -31,7 +31,7 @@ _DELTA = 1e-4
 
 
 def _check_unit_interval(x) -> None:
-    if not np.all((x > 0) & (x < 1)):
+    if not np.logical_and.reduce((x > 0) & (x < 1), axis=None):
         raise ValueError("x must lie strictly inside (0, 1)")
 
 
@@ -93,7 +93,8 @@ def _to_unit(losses, lo: float, span: float):
     """Min-max map of raw losses into [_DELTA, 1 - _DELTA], clipped to
     ``[lo, lo + span]``. IEEE subtraction is monotone, so the clip is the
     identity on the fitted losses: they map to the fit-time points exactly."""
-    return _DELTA + (1.0 - 2.0 * _DELTA) * np.clip(losses - lo, 0.0, span) / span
+    clipped = np.minimum(np.maximum(losses - lo, 0.0), span)
+    return _DELTA + (1.0 - 2.0 * _DELTA) * clipped / span
 
 
 def _moment_match(x, weights, total):
@@ -102,8 +103,8 @@ def _moment_match(x, weights, total):
     # x lies in [_DELTA, 1 - _DELTA], so the mean does too, and by the
     # Bhatia-Davis bound var <= (mean - _DELTA)(1 - _DELTA - mean), below
     # mean(1 - mean): only a near-constant component needs the floor
-    mean = float((weights * x).sum() / total)
-    var = max(float((weights * (x - mean) ** 2).sum() / total), 1e-10)
+    mean = float(np.add.reduce(weights * x) / total)
+    var = max(float(np.add.reduce(weights * (x - mean) ** 2) / total), 1e-10)
     common = mean * (1.0 - mean) / var - 1.0
     alpha = min(max(mean * common, _SHAPE_MIN), _SHAPE_MAX)
     beta = min(max((1.0 - mean) * common, _SHAPE_MIN), _SHAPE_MAX)
@@ -150,13 +151,13 @@ def fit_bmm(losses, em_iters: int = 50, tol: float = 1e-6,
     losses = np.asarray(losses, dtype=np.float64)
     if losses.ndim != 1 or losses.size < 10:
         raise ValueError("need a flat vector of at least 10 losses")
-    if not np.all(np.isfinite(losses)):
+    if not np.logical_and.reduce(np.isfinite(losses)):
         raise ValueError("losses must be finite")
     require("em_iters", em_iters, 1)
     require("tol", tol, "(0, inf)")
     start = None if init is None or init.degenerate else _checked_params(init)
 
-    lo, hi = float(losses.min()), float(losses.max())
+    lo, hi = float(np.minimum.reduce(losses)), float(np.maximum.reduce(losses))
     params, trace = None, []
     if hi - lo >= 1e-12:
         params, trace = _em(_to_unit(losses, lo, hi - lo), em_iters, tol, rng_seed,
@@ -182,9 +183,9 @@ def _em(x, em_iters: int, tol: float, rng_seed: int, start=None):
 
     resp_hi = None if start is None else _evidence(log_x, log_1mx, start)[1]
     # a start that leaves a component empty would stop the loop at once
-    if resp_hi is None or resp_hi.sum() < 1e-9 or (1.0 - resp_hi).sum() < 1e-9:
+    if resp_hi is None or np.add.reduce(resp_hi) < 1e-9 or np.add.reduce(1.0 - resp_hi) < 1e-9:
         resp_hi = (x > np.median(x)).astype(np.float64)
-        if resp_hi.sum() == 0 or resp_hi.sum() == x.size:
+        if np.add.reduce(resp_hi) in (0, x.size):
             rng = np.random.default_rng(rng_seed)
             resp_hi = (rng.random(x.size) < 0.5).astype(np.float64)
 
@@ -193,7 +194,7 @@ def _em(x, em_iters: int, tol: float, rng_seed: int, start=None):
     prev_ll = -np.inf
     for _ in range(em_iters):
         resp_lo = 1.0 - resp_hi
-        total_hi, total_lo = resp_hi.sum(), resp_lo.sum()
+        total_hi, total_lo = np.add.reduce(resp_hi), np.add.reduce(resp_lo)
         if total_hi < 1e-9 or total_lo < 1e-9:
             break
         candidate = (
@@ -202,7 +203,7 @@ def _em(x, em_iters: int, tol: float, rng_seed: int, start=None):
             float(total_hi / x.size),
         )
         log_p, resp_hi = _evidence(log_x, log_1mx, candidate)
-        ll = float(log_p.sum())
+        ll = float(np.add.reduce(log_p))
         if ll < prev_ll:
             break
         params = candidate
@@ -247,9 +248,9 @@ def partition(w, threshold: float = 0.5):
     w = np.asarray(w, dtype=np.float64)
     if w.ndim != 1:
         raise ValueError("w must be a vector")
-    if not np.all((w >= 0) & (w <= 1)):
+    if not np.logical_and.reduce((w >= 0) & (w <= 1)):
         raise ValueError("posteriors must lie in [0, 1]")
     require("threshold", threshold, "[0, 1]")
-    mismatched = np.flatnonzero(w > threshold)
-    matched = np.flatnonzero(w <= threshold)
+    mismatched = (w > threshold).nonzero()[0]
+    matched = (w <= threshold).nonzero()[0]
     return matched, mismatched

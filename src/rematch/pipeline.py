@@ -191,7 +191,8 @@ def _apply_update(state: RunState, cfg: TrainConfig, grad, lr: float) -> None:
             updated, stepped = _descend(params.w, grad, moments, step, lr)
         except FloatingPointError:
             updated = None
-        if updated is None or not np.isfinite(updated).all():  # as after a non-finite gradient
+        # as after a non-finite gradient
+        if updated is None or not np.logical_and.reduce(np.isfinite(updated), axis=None):
             where = f" in epoch {state.epoch + 1}"
             if not np.isfinite(grad).all():
                 name = "text" if np.isfinite(grad[:params.rows_v]).all() else "visual"
@@ -243,7 +244,7 @@ def _step(state: RunState, ds: PairDataset, cfg: TrainConfig, terms,
     see :func:`_sample`) adds nothing. Returns the summed loss.
     """
     # the gradient sum starts at zeros: each entry is 0.0 + its first term, as a fresh sum's
-    value, grad = 0.0, state.params.over(np.zeros_like(state.params.w))
+    value, grad = 0.0, state.params.over(np.zeros(state.params.w.shape))
     for batch, loss_fn in terms:
         if batch is None:
             continue
@@ -330,8 +331,14 @@ def _cost(state: RunState, cfg: TrainConfig, s: np.ndarray, work=None) -> np.nda
 def _cost_gap(state: RunState, ds: PairDataset, cfg: TrainConfig,
               train_idx: np.ndarray) -> dict:
     """Mean transport cost of each training pair with itself, matched and mismatched."""
-    sims = enc._pair_similarity(state.params, ds.v_feats[train_idx], ds.t_feats[train_idx],
-                                state.work)
+    # split_indices draws train_idx from the dataset's rows, so clipping never acts,
+    # and unlike the default mode it places the rows without buffering a copy
+    rows = []
+    for name, feats in (("v_rows", ds.v_feats), ("t_rows", ds.t_feats)):
+        feats = np.asarray(feats, dtype=np.float64)
+        out = state.work(name, train_idx.size, feats.shape[1])
+        rows.append(feats.take(train_idx, axis=0, out=out, mode="clip"))
+    sims = enc._pair_similarity(state.params, *rows, state.work)
     pair_costs, flags = _cost(state, cfg, sims, state.work), ds.matched[train_idx]
     matched, mismatched = (float(pair_costs[flags == flag].mean()) if (flags == flag).any()
                            else 0.0 for flag in (1, 0))

@@ -67,7 +67,7 @@ class TestSimilarity:
         work("s", 129, 129).fill(np.nan)
         s, _ = similarity(params, v, t, work=work)
         assert np.shares_memory(s, work._flat["s"])
-        assert work.allocations == 2  # "s", then the embedding
+        assert work.allocations == 3  # "s", then the embedding and its squares' scratch
         assert np.array_equal(s.view(np.int64), fresh.view(np.int64))
 
     @given(k=st.integers(1, 400), scale=st.floats(1e-3, 1e3), seed=st.integers(0, 2**32 - 1))
@@ -82,7 +82,7 @@ class TestSimilarity:
         work = _Workspace()
         sims = _pair_similarity(params, v, t, work)
         np.testing.assert_allclose(sims, np.diag(s), rtol=0, atol=1e-15)
-        assert work._flat.keys() == {"embed"}
+        assert work._flat.keys() == {"embed", "unit_scratch"}  # the rows and their squares
         assert work("embed", 2 * k, 16).tobytes() == cache[2].tobytes()
 
     def test_embeddings_unit_norm(self):

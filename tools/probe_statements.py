@@ -15,7 +15,9 @@ test file (``tests/test_<module>.py``, when there is one) and
 ``tests/test_pinned.py`` first, stopping at the first failure, and the whole
 suite only for a mutant those leave alive. A run that takes ten times the
 clean run's time, and at least a minute, counts as killed. Every run seeds
-hypothesis with 0, so a mutant's verdict does not hang on its draws.
+hypothesis with 0 and starts with no ``.hypothesis`` directory in the copy, so
+a mutant's verdict hangs neither on its draws nor on the failing examples an
+earlier mutant saved.
 
 Docstrings and ``pass`` statements are not sites. A site is named by its
 module, first line and statement type, as at the probed commit.
@@ -106,8 +108,10 @@ def limit_memory() -> None:
 
 
 def run_tests(tree: Path, targets: list, timeout: float | None) -> tuple[bool, float]:
-    """Run pytest over ``targets`` in ``tree``; whether every test passed, and
-    the seconds it took. A run past ``timeout`` is stopped and counts as failed."""
+    """Run pytest over ``targets`` in ``tree``, without the examples an earlier
+    run saved; whether every test passed, and the seconds it took. A run past
+    ``timeout`` is stopped and counts as failed."""
+    shutil.rmtree(tree / ".hypothesis", ignore_errors=True)
     env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
     command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
                "--hypothesis-seed=0", *targets]
