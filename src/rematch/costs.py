@@ -9,11 +9,13 @@ similarity should mean cheap transport.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._settings import require
+from .losses import _fresh
 
 __all__ = [
     "CostNetParams",
@@ -35,21 +37,17 @@ class CostNetParams:
 
 
 def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """The logistic function through ``exp(-|x|)``, which cannot overflow."""
+    tail = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, tail) / (1.0 + tail)
 
 
-def cost_forward(s, theta: CostNetParams, *, work=None) -> np.ndarray:
+def cost_forward(s, theta: CostNetParams, *, work=_fresh) -> np.ndarray:
     """Elementwise positive cost ``softplus(w * s + b)``, taken as
     ``max(x, 0) + log1p(exp(-|x|))``, which cannot overflow; with a
     workspace ``work`` the cost lives in it. The cost has the shape of ``s``."""
     s = np.asarray(s, dtype=np.float64)
-    x, tail = ((np.empty_like(s), np.empty_like(s)) if work is None
-               else (work("cost", *s.shape), work("cost_tail", *s.shape)))
+    x, tail = work("cost", *s.shape), work("cost_tail", *s.shape)
     np.multiply(theta.w, s, out=x)
     x += theta.b
     np.abs(x, out=tail)
@@ -113,12 +111,12 @@ def cost_net_step(theta: CostNetParams, sims, lr: float):
     from a NaN similarity, raises ``FloatingPointError``.
     """
     require("lr", lr, "(0, inf)")
-    grad_w, grad_b = (float(grads.sum()) for grads in cost_grads(sims, theta))
-    if not np.isfinite([grad_w, grad_b]).all():
+    grad_w, grad_b = (float(np.add.reduce(g, axis=None)) for g in cost_grads(sims, theta))
+    if not (math.isfinite(grad_w) and math.isfinite(grad_b)):
         raise FloatingPointError("non-finite gradient of the cost map")
     new_w = theta.w - lr * grad_w
     new_b = theta.b - lr * grad_b
     clipped = abs(new_w) > _PARAM_BOUND or abs(new_b) > _PARAM_BOUND
-    new_w = float(np.clip(new_w, -_PARAM_BOUND, _PARAM_BOUND))
-    new_b = float(np.clip(new_b, -_PARAM_BOUND, _PARAM_BOUND))
+    new_w = float(min(max(new_w, -_PARAM_BOUND), _PARAM_BOUND))
+    new_b = float(min(max(new_b, -_PARAM_BOUND), _PARAM_BOUND))
     return CostNetParams(new_w, new_b), clipped

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._settings import require
-from .losses import _Workspace
+from .losses import _fresh
 
 __all__ = ["EncoderParams", "init_params", "similarity", "similarity_backward"]
 
@@ -98,7 +98,7 @@ def _pair_similarity(params: EncoderParams, v_feats, t_feats, work) -> np.ndarra
     return np.einsum("ij,ij->i", unit[:len(v_feats)], unit[len(v_feats):])
 
 
-def similarity(params: EncoderParams, v_feats, t_feats, *, work=None):
+def similarity(params: EncoderParams, v_feats, t_feats, *, work=_fresh):
     """Cosine similarity matrix of a feature batch, plus a backprop cache.
 
     Returns ``(s, cache)`` where ``s[i, j]`` compares visual row ``i`` with
@@ -111,7 +111,6 @@ def similarity(params: EncoderParams, v_feats, t_feats, *, work=None):
     for name, feats, weights in (("visual", v_feats, params.w_v), ("text", t_feats, params.w_t)):
         if feats.shape[1] != weights.shape[0]:
             raise ValueError(f"{name} feature width does not match the projection")
-    work = _Workspace() if work is None else work
     unit, norms, clipped = _embed(params, v_feats, t_feats, work)
     n_v = len(v_feats)
     s = np.matmul(unit[:n_v], unit[n_v:].T, out=work("s", n_v, len(t_feats)))

@@ -59,6 +59,11 @@ class _Workspace:
         return view
 
 
+def _fresh(name: str, *shape: int) -> np.ndarray:
+    """Every kernel's default ``work``: a fresh array per call, no arena behind it."""
+    return np.empty(shape)
+
+
 def _as_square(s) -> np.ndarray:
     s = np.asarray(s, dtype=np.float64)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
@@ -85,7 +90,7 @@ def _rows_backward(probs: np.ndarray, dloss_dprobs: np.ndarray, tau: float,
     return out
 
 
-def matching_probs(s, tau: float, *, work=None):
+def matching_probs(s, tau: float, *, work=_fresh):
     """Row- and column-normalized matching probabilities.
 
     Returns ``(p_v2t, p_t2v)``: rows of ``p_v2t`` sum to one (captions
@@ -95,7 +100,6 @@ def matching_probs(s, tau: float, *, work=None):
     """
     s = _as_square(s)
     require("tau", tau, "(0, inf)")
-    work = _Workspace() if work is None else work
     n = s.shape[0]
     p_v2t = np.divide(s, tau, out=work("p_v2t", n, n))
     p_t2v = work("p_t2v", n, n)
@@ -131,17 +135,15 @@ def _hinge_terms(s, alpha: float, work):
             j_star, h_star)
 
 
-def per_pair_triplet_losses(s, alpha: float, *, work=None) -> np.ndarray:
+def per_pair_triplet_losses(s, alpha: float, *, work=_fresh) -> np.ndarray:
     """Vector of hinge losses, one per diagonal pair."""
-    work = _Workspace() if work is None else work
     term_row, term_col, _, _ = _hinge_terms(s, alpha, work)
     return np.maximum(term_row, 0.0) + np.maximum(term_col, 0.0)
 
 
-def triplet_loss_batch(s, alpha: float, *, work=None):
+def triplet_loss_batch(s, alpha: float, *, work=_fresh):
     """Sum of per-pair hinge losses with its gradient; with a workspace
     ``work`` the gradient lives in it until its next use."""
-    work = _Workspace() if work is None else work
     term_row, term_col, j_star, h_star = _hinge_terms(s, alpha, work)
     value = np.add.reduce(np.maximum(term_row, 0.0)) + np.add.reduce(np.maximum(term_col, 0.0))
     n = term_row.size
@@ -198,13 +200,12 @@ def _rce(p_v2t, p_t2v, tau: float, eps: float, work):
 
 
 def warmup_loss(s, tau: float, eps: float = 1e-7, rce_weight: float = 1.0, *,
-                work=None):
+                work=_fresh):
     """Overconfidence-resistant warm-up objective: InfoNCE + weighted RCE.
 
     Both terms read one set of matching probabilities. With a workspace
     ``work`` the gradient lives in it until its next use.
     """
-    work = _Workspace() if work is None else work
     probs = matching_probs(s, tau, work=work)
     require("eps", eps, "(0, 0.5)")
     require("rce_weight", rce_weight, "[0, inf)")
@@ -242,7 +243,7 @@ def _kl_direction_terms(refined: np.ndarray, probs: np.ndarray, variant: str, bu
 
 
 def rematch_loss(refined_v2t, refined_t2v, s, tau: float, variant: str = "sym_kl", *,
-                 work=None):
+                 work=_fresh):
     """Divergence between refined alignments and the model's probabilities.
 
     ``refined_v2t`` rows and ``refined_t2v`` columns must be valid
@@ -266,7 +267,6 @@ def rematch_loss(refined_v2t, refined_t2v, s, tau: float, variant: str = "sym_kl
     if not (np.maximum.reduce(np.abs(np.add.reduce(refined_v2t, axis=1) - 1.0)) <= 1e-6
             and np.maximum.reduce(np.abs(np.add.reduce(refined_t2v, axis=0) - 1.0)) <= 1e-6):
         raise ValueError("refined alignments must be normalized distributions")
-    work = _Workspace() if work is None else work
     n = s.shape[0]
     p_v2t, p_t2v = matching_probs(s, tau, work=work)
     a, b, rows, log, cols = (work(name, n, n) for name in _REMATCH_BUFFERS)

@@ -31,7 +31,7 @@ from . import costs as costs_mod
 from . import encoder as enc
 from .data import (RECALL_CUTOFFS, PairDataset, atomic_write, dataset_header,
                    identification_score, recall_at_k)
-from .losses import (_VARIANTS, _Workspace, per_pair_triplet_losses, rematch_loss,
+from .losses import (_VARIANTS, _Workspace, _fresh, per_pair_triplet_losses, rematch_loss,
                      triplet_loss_batch, warmup_loss)
 from .mixture import (_SHAPE_MAX, _SHAPE_MIN, BetaMixture, fit_bmm,
                       mismatch_probabilities, partition)
@@ -320,11 +320,11 @@ def _sample(rng, indices: np.ndarray, size: int) -> np.ndarray | None:
     return rng.choice(indices, size=min(size, indices.size), replace=False)
 
 
-def _cost(state: RunState, cfg: TrainConfig, s: np.ndarray, work=None) -> np.ndarray:
+def _cost(state: RunState, cfg: TrainConfig, s: np.ndarray, work=_fresh) -> np.ndarray:
     """Transport cost of similarities, of their shape: the learned map, or
-    ``1 - s``, in ``work`` when given."""
+    ``1 - s``, in ``work``."""
     if cfg.cost_mode == "cosine":
-        return np.subtract(1.0, s, out=None if work is None else work("cost", *np.shape(s)))
+        return np.subtract(1.0, s, out=work("cost", *np.shape(s)))
     return costs_mod.cost_forward(s, state.theta, work=work)
 
 
@@ -453,7 +453,7 @@ def _epoch(state: RunState, ds: PairDataset, cfg: TrainConfig,
         loss = _fit(state, ds, cfg, rows,
                     lambda s: triplet_loss_batch(s, cfg.alpha, work=state.work), lr)
     record["train_loss"] = loss
-    record["val"] = evaluate(state.params, ds, val_idx)
+    record["val"] = evaluate(state.params, ds, val_idx, work=state.work)
     state.epoch = epoch_number
     state.history.append(record)
     if epoch_number >= _warm_epochs(cfg) and record["val"]["rsum"] > state.best_rsum:
@@ -473,9 +473,9 @@ def train_epoch(state: RunState, ds: PairDataset, cfg: TrainConfig) -> RunState:
 
 
 def evaluate(params: enc.EncoderParams, ds: PairDataset,
-             indices: np.ndarray) -> dict:
-    """Retrieval metrics over a one-to-one split."""
-    s, _ = enc.similarity(params, ds.v_feats[indices], ds.t_feats[indices])
+             indices: np.ndarray, *, work=_fresh) -> dict:
+    """Retrieval metrics over a one-to-one split, its similarities in ``work``."""
+    s, _ = enc.similarity(params, ds.v_feats[indices], ds.t_feats[indices], work=work)
     return recall_at_k(s)
 
 

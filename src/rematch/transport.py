@@ -20,7 +20,7 @@ except ImportError:  # a private module; the public wrapper gives the same bytes
     _solve1 = np.linalg.solve
 
 from ._settings import check, count, real, require
-from .losses import _Workspace
+from .losses import _Workspace, _fresh
 
 __all__ = [
     "InfeasibleProblemError",
@@ -78,9 +78,9 @@ def _as_measure(x, name: str) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError(f"{name} must be a vector, got shape {x.shape}")
-    if not np.isfinite(x).all():
+    if not np.logical_and.reduce(np.isfinite(x)):
         raise ValueError(f"{name} contains non-finite entries")
-    if (x < 0).any():
+    if np.logical_or.reduce(x < 0):
         raise ValueError(f"{name} contains negative mass")
     if np.add.reduce(x) <= 0:
         raise ValueError(f"{name} carries no mass")
@@ -91,7 +91,7 @@ def _as_cost(cost) -> np.ndarray:
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2:
         raise ValueError(f"cost must be a matrix, got shape {cost.shape}")
-    if not np.isfinite(cost).all():
+    if not np.logical_and.reduce(np.isfinite(cost), axis=None):
         raise ValueError("cost contains non-finite entries")
     return cost
 
@@ -104,7 +104,7 @@ def _as_mask(mask, shape) -> np.ndarray:
         raise ValueError(f"mask shape {mask.shape} does not match cost shape {shape}")
     if mask.dtype == bool:
         return mask
-    if not ((mask == 0) | (mask == 1)).all():
+    if not np.logical_and.reduce((mask == 0) | (mask == 1), axis=None):
         raise ValueError("mask must be binary")
     return mask.astype(bool)
 
@@ -119,7 +119,7 @@ def _check_feasible(mask: np.ndarray, live_p: np.ndarray, live_q: np.ndarray):
     for name, live, reached in (("rows", live_p, mask @ live_q),  # a boolean product ORs the ANDs
                                 ("columns", live_q, live_p @ mask)):
         dead = live > reached  # live and not reached
-        if dead.any():
+        if np.logical_or.reduce(dead):
             raise InfeasibleProblemError(
                 f"{name} {np.flatnonzero(dead).tolist()} carry mass but have no "
                 "unmasked cell whose row and column both carry mass"
@@ -415,7 +415,7 @@ def _validate(cost, p, q, mask):
 
 
 def sinkhorn(cost, p, q, mask=None, cfg: SinkhornConfig | None = None, *,
-             work=None) -> TransportPlan:
+             work=_fresh) -> TransportPlan:
     """Solve the entropy-regularized, optionally masked, balanced problem.
 
     Scales the masked Gibbs kernel ``K = mask * exp(-cost / lam)`` to the
@@ -457,8 +457,7 @@ def sinkhorn(cost, p, q, mask=None, cfg: SinkhornConfig | None = None, *,
         raise ValueError(f"mass imbalance: sum(p)={mass_p:.17g} vs sum(q)={mass_q:.17g}")
     rows, cols = p > 0, q > 0
     _check_feasible(mask, rows, cols)
-    work = _Workspace() if work is None else work
-    if rows.all() and cols.all():  # the usual case: the solve reads the inputs themselves
+    if np.logical_and.reduce(rows) and np.logical_and.reduce(cols):  # solve the inputs as given
         return TransportPlan(*_solve(cost, p, q, mask, cfg, work))
     kept = np.ix_(rows, cols)
     block, converged, iterations = _solve(cost[kept], p[rows], q[cols], mask[kept], cfg, work)
@@ -490,7 +489,7 @@ def default_xi(cost: np.ndarray) -> float:
     return max(float(np.minimum.reduce(cost, axis=None)), _XI_FLOOR)
 
 
-def extend_partial(cost, p, q, mask=None, rho: float = 0.0, *, work=None):
+def extend_partial(cost, p, q, mask=None, rho: float = 0.0, *, work=_fresh):
     """Reduce a partial problem to a balanced one via one virtual node per side.
 
     The cost matrix gains a border row/column priced at ``xi =
@@ -521,7 +520,6 @@ def extend_partial(cost, p, q, mask=None, rho: float = 0.0, *, work=None):
     xi = default_xi(cost)
     a_big = float(np.maximum.reduce(cost, axis=None)) + 1.0
 
-    work = _Workspace() if work is None else work
     cost_ext = work("kernel", m + 1, n + 1)
     cost_ext[:m, :n] = cost
     cost_ext[:m, n] = cost_ext[m, :n] = xi
@@ -546,12 +544,13 @@ def partial_ot(cost, p, q, mask=None, rho: float = 0.0,
     """
     if rho == 0:
         return TransportPlan(np.zeros(_validate(cost, p, q, mask)[0].shape), True, 0)
+    # one arena for both, so the solve's log-kernel overwrites the extended cost in place
     work = _Workspace() if work is None else work
     solved = sinkhorn(*extend_partial(cost, p, q, mask, rho, work=work), cfg, work=work)
     return TransportPlan(solved.plan[:-1, :-1], solved.converged, solved.iterations)
 
 
-def normalize_plan(plan, mask=None, *, work=None):
+def normalize_plan(plan, mask=None, *, work=_fresh):
     """The plan's row-stochastic and column-stochastic forms, in that order.
 
     A row (column) whose sum is at most ``1e-12`` per cell is replaced by the
@@ -572,7 +571,6 @@ def normalize_plan(plan, mask=None, *, work=None):
         raise ValueError("plan contains non-finite entries" if not np.isfinite(plan).all()
                          else "plan entries must be nonnegative")
     mask = _as_mask(mask, plan.shape)
-    work = _Workspace() if work is None else work
     m, n = plan.shape  # the column form is F-ordered, as a fresh one would be
     return (_row_stochastic(plan, mask, work("v2t", m, n)),
             _row_stochastic(plan.T, mask.T, work("t2v", m, n).T).T)
@@ -580,13 +578,13 @@ def normalize_plan(plan, mask=None, *, work=None):
 
 def _row_stochastic(plan: np.ndarray, mask: np.ndarray, out: np.ndarray) -> np.ndarray:
     """The row form of a checked plan, into ``out``."""
-    sums = plan.sum(axis=1)
+    sums = np.add.reduce(plan, axis=1)
     low = sums <= _PLAN_FLOOR * plan.shape[1]
     np.copyto(out, plan)  # dividing a strided plan would buffer a copy of it
     out /= np.where(low, 1.0, sums)[:, None]
-    if low.any():
-        counts = mask[low].sum(axis=1)
-        if np.any(counts == 0):
+    if np.logical_or.reduce(low):
+        counts = np.add.reduce(mask[low], axis=1)
+        if np.logical_or.reduce(counts == 0):
             raise ValueError("cannot fall back to uniform: a slice has no unmasked cells")
         out[low] = mask[low] / counts[:, None]
     return out

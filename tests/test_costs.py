@@ -75,7 +75,7 @@ class TestCostForward:
         # or out of one
         s = np.random.default_rng(2).uniform(-1, 1, shape)
         theta = CostNetParams(w=-0.7, b=0.4)
-        got = cost_forward(s, theta, work=None if work is None else work())
+        got = cost_forward(s, theta) if work is None else cost_forward(s, theta, work=work())
         assert got.shape == s.shape
         np.testing.assert_array_equal(got.ravel(),
                                       cost_forward(s.reshape(1, -1), theta)[0])

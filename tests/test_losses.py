@@ -1,10 +1,13 @@
 """Loss values against worked examples; every gradient against central
 finite differences."""
 
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rematch import costs, encoder, losses, pipeline, transport
 from rematch.losses import (
     _Workspace,
     matching_probs,
@@ -566,6 +569,21 @@ class TestWorkspace:
             assert view.shape == shape and view.flags.c_contiguous
             assert np.shares_memory(view, big)
         assert work.allocations == 2
+
+    def test_kernels_without_a_workspace_take_fresh_arrays(self):
+        # one allocation rule: without a workspace a kernel takes fresh arrays,
+        # with no arena behind them; partial_ot alone makes one, so that its
+        # solve's log-kernel overwrites the extended cost in place
+        kernels = (encoder.similarity, matching_probs, per_pair_triplet_losses,
+                   triplet_loss_batch, warmup_loss, rematch_loss, costs.cost_forward,
+                   transport.sinkhorn, transport.extend_partial, transport.normalize_plan,
+                   pipeline._cost, pipeline.evaluate)
+        defaults = {kernel.__name__: inspect.signature(kernel).parameters["work"].default
+                    for kernel in kernels}
+        assert defaults == dict.fromkeys(defaults, losses._fresh)
+        assert inspect.signature(transport.partial_ot).parameters["work"].default is None
+        fresh = losses._fresh("a", 3, 4)
+        assert fresh.shape == (3, 4) and fresh.flags.c_contiguous and fresh.base is None
 
 
 class TestInputBoundaries:

@@ -635,8 +635,8 @@ class TestTrainEpoch:
         cfg = TrainConfig(seed=0, cost_mode="cosine")
         state = init_state(cfg, noisy_ds)
         s = np.random.default_rng(4).uniform(-1, 1, (5, 5))
-        for work in (None, state.work):
-            np.testing.assert_array_equal(pl._cost(state, cfg, s, work), 1.0 - s)
+        for got in (pl._cost(state, cfg, s), pl._cost(state, cfg, s, state.work)):
+            np.testing.assert_array_equal(got, 1.0 - s)
 
     @pytest.mark.parametrize("cost_mode", ["learned", "cosine"])
     @pytest.mark.parametrize("shape", [(), (3,), (3, 3)])
@@ -647,7 +647,7 @@ class TestTrainEpoch:
         cfg = TrainConfig(seed=0, cost_mode=cost_mode)
         state = pl.RunState(params=None, rng=None, epoch=0, theta=CostNetParams(-0.7, 0.4))
         s = np.random.default_rng(3).uniform(-1, 1, shape)
-        got = pl._cost(state, cfg, s, None if fresh else state.work)
+        got = pl._cost(state, cfg, s) if fresh else pl._cost(state, cfg, s, state.work)
         assert np.shape(got) == s.shape
         np.testing.assert_array_equal(np.ravel(got), pl._cost(state, cfg, s.reshape(1, -1))[0])
 
@@ -698,6 +698,22 @@ class TestRunExperiment:
             assert key in payload
         assert len(payload["epochs"]) == 4
         assert json.dumps(payload, sort_keys=True)  # JSON-serializable
+
+    @pytest.mark.parametrize("mode", sorted(pl._MODES))
+    def test_a_run_builds_one_workspace(self, mode, monkeypatch):
+        # the run's workspace serves every step, identification pass, solve
+        # and validation; the test split is scored in fresh arrays
+        made = []
+        init = pl._Workspace.__init__
+
+        def counted(work):
+            made.append(work)
+            init(work)
+
+        monkeypatch.setattr(pl._Workspace, "__init__", counted)
+        ds = make_benchmark(n=200, classes=5, noise=0.1, mrate=0.4, rng_seed=0)
+        run_experiment(TrainConfig(seed=0, mode=mode, **SMALL), ds)
+        assert len(made) == 1
 
     def test_every_clamped_cost_update_is_counted(self, determinism_ds):
         # a huge cost-map rate drives the slope and offset into their clamp
