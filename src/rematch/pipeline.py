@@ -453,7 +453,7 @@ def _epoch(state: RunState, ds: PairDataset, cfg: TrainConfig,
         loss = _fit(state, ds, cfg, rows,
                     lambda s: triplet_loss_batch(s, cfg.alpha, work=state.work), lr)
     record["train_loss"] = loss
-    record["val"] = evaluate(state.params, ds, val_idx, work=state.work)
+    record["val"] = evaluate(state.params, ds, val_idx)
     state.epoch = epoch_number
     state.history.append(record)
     if epoch_number >= _warm_epochs(cfg) and record["val"]["rsum"] > state.best_rsum:
@@ -473,9 +473,9 @@ def train_epoch(state: RunState, ds: PairDataset, cfg: TrainConfig) -> RunState:
 
 
 def evaluate(params: enc.EncoderParams, ds: PairDataset,
-             indices: np.ndarray, *, work=_fresh) -> dict:
-    """Retrieval metrics over a one-to-one split, its similarities in ``work``."""
-    s, _ = enc.similarity(params, ds.v_feats[indices], ds.t_feats[indices], work=work)
+             indices: np.ndarray) -> dict:
+    """Retrieval metrics over a one-to-one split."""
+    s, _ = enc.similarity(params, ds.v_feats[indices], ds.t_feats[indices])
     return recall_at_k(s)
 
 

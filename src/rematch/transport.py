@@ -78,9 +78,9 @@ def _as_measure(x, name: str) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError(f"{name} must be a vector, got shape {x.shape}")
-    if not np.logical_and.reduce(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError(f"{name} contains non-finite entries")
-    if np.logical_or.reduce(x < 0):
+    if (x < 0).any():
         raise ValueError(f"{name} contains negative mass")
     if np.add.reduce(x) <= 0:
         raise ValueError(f"{name} carries no mass")
@@ -91,7 +91,7 @@ def _as_cost(cost) -> np.ndarray:
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2:
         raise ValueError(f"cost must be a matrix, got shape {cost.shape}")
-    if not np.logical_and.reduce(np.isfinite(cost), axis=None):
+    if not np.isfinite(cost).all():
         raise ValueError("cost contains non-finite entries")
     return cost
 
@@ -104,7 +104,7 @@ def _as_mask(mask, shape) -> np.ndarray:
         raise ValueError(f"mask shape {mask.shape} does not match cost shape {shape}")
     if mask.dtype == bool:
         return mask
-    if not np.logical_and.reduce((mask == 0) | (mask == 1), axis=None):
+    if not ((mask == 0) | (mask == 1)).all():
         raise ValueError("mask must be binary")
     return mask.astype(bool)
 
@@ -119,7 +119,7 @@ def _check_feasible(mask: np.ndarray, live_p: np.ndarray, live_q: np.ndarray):
     for name, live, reached in (("rows", live_p, mask @ live_q),  # a boolean product ORs the ANDs
                                 ("columns", live_q, live_p @ mask)):
         dead = live > reached  # live and not reached
-        if np.logical_or.reduce(dead):
+        if dead.any():
             raise InfeasibleProblemError(
                 f"{name} {np.flatnonzero(dead).tolist()} carry mass but have no "
                 "unmasked cell whose row and column both carry mass"
@@ -402,7 +402,9 @@ def _solve(cost, p, q, mask, cfg: SinkhornConfig, work):
     return plan, fit.residual <= cfg.tol, iterations
 
 
-def _validate(cost, p, q, mask):
+def _validate(cost, p, q, mask, work=_fresh):
+    if not callable(work):
+        raise TypeError(f"work must be a workspace, got {work!r}; leave it out for fresh arrays")
     cost = _as_cost(cost)
     p = _as_measure(p, "p")
     q = _as_measure(q, "q")
@@ -451,13 +453,13 @@ def sinkhorn(cost, p, q, mask=None, cfg: SinkhornConfig | None = None, *,
     """
     if cfg is None:
         raise ValueError("cfg is required")
-    cost, p, q, mask = _validate(cost, p, q, mask)
+    cost, p, q, mask = _validate(cost, p, q, mask, work)
     mass_p, mass_q = np.add.reduce(p), np.add.reduce(q)
     if abs(mass_p - mass_q) > max(cfg.tol, 1e-12 * mass_p):
         raise ValueError(f"mass imbalance: sum(p)={mass_p:.17g} vs sum(q)={mass_q:.17g}")
     rows, cols = p > 0, q > 0
     _check_feasible(mask, rows, cols)
-    if np.logical_and.reduce(rows) and np.logical_and.reduce(cols):  # solve the inputs as given
+    if rows.all() and cols.all():  # the usual case: the solve reads the inputs themselves
         return TransportPlan(*_solve(cost, p, q, mask, cfg, work))
     kept = np.ix_(rows, cols)
     block, converged, iterations = _solve(cost[kept], p[rows], q[cols], mask[kept], cfg, work)
@@ -509,7 +511,7 @@ def extend_partial(cost, p, q, mask=None, rho: float = 0.0, *, work=_fresh):
     (cost_ext, p_ext, q_ext, mask_ext)
         Arrays of shape (m+1, n+1), (m+1,), (n+1,), (m+1, n+1).
     """
-    cost, p, q, mask = _validate(cost, p, q, mask)
+    cost, p, q, mask = _validate(cost, p, q, mask, work)
     m, n = cost.shape
     mass_p, mass_q = np.add.reduce(p), np.add.reduce(q)
     budget = min(mass_p, mass_q)
@@ -533,7 +535,7 @@ def extend_partial(cost, p, q, mask=None, rho: float = 0.0, *, work=_fresh):
 
 
 def partial_ot(cost, p, q, mask=None, rho: float = 0.0,
-               cfg: SinkhornConfig | None = None, *, work=None) -> TransportPlan:
+               cfg: SinkhornConfig | None = None, *, work=_fresh) -> TransportPlan:
     """Move exactly ``rho`` mass at minimal entropic cost, masked cells closed.
 
     Returns the original block of ``sinkhorn(*extend_partial(cost, p, q,
@@ -543,9 +545,9 @@ def partial_ot(cost, p, q, mask=None, rho: float = 0.0,
     ``work`` the solve's matrices live in it.
     """
     if rho == 0:
-        return TransportPlan(np.zeros(_validate(cost, p, q, mask)[0].shape), True, 0)
+        return TransportPlan(np.zeros(_validate(cost, p, q, mask, work)[0].shape), True, 0)
     # one arena for both, so the solve's log-kernel overwrites the extended cost in place
-    work = _Workspace() if work is None else work
+    work = _Workspace() if work is _fresh else work
     solved = sinkhorn(*extend_partial(cost, p, q, mask, rho, work=work), cfg, work=work)
     return TransportPlan(solved.plan[:-1, :-1], solved.converged, solved.iterations)
 
@@ -578,13 +580,13 @@ def normalize_plan(plan, mask=None, *, work=_fresh):
 
 def _row_stochastic(plan: np.ndarray, mask: np.ndarray, out: np.ndarray) -> np.ndarray:
     """The row form of a checked plan, into ``out``."""
-    sums = np.add.reduce(plan, axis=1)
+    sums = plan.sum(axis=1)
     low = sums <= _PLAN_FLOOR * plan.shape[1]
     np.copyto(out, plan)  # dividing a strided plan would buffer a copy of it
     out /= np.where(low, 1.0, sums)[:, None]
-    if np.logical_or.reduce(low):
-        counts = np.add.reduce(mask[low], axis=1)
-        if np.logical_or.reduce(counts == 0):
+    if low.any():
+        counts = mask[low].sum(axis=1)
+        if np.any(counts == 0):
             raise ValueError("cannot fall back to uniform: a slice has no unmasked cells")
         out[low] = mask[low] / counts[:, None]
     return out

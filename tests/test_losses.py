@@ -571,17 +571,15 @@ class TestWorkspace:
         assert work.allocations == 2
 
     def test_kernels_without_a_workspace_take_fresh_arrays(self):
-        # one allocation rule: without a workspace a kernel takes fresh arrays,
-        # with no arena behind them; partial_ot alone makes one, so that its
-        # solve's log-kernel overwrites the extended cost in place
+        # one allocation rule: every kernel defaults to the same sentinel, and
+        # without a workspace it takes fresh arrays with no arena behind them
         kernels = (encoder.similarity, matching_probs, per_pair_triplet_losses,
                    triplet_loss_batch, warmup_loss, rematch_loss, costs.cost_forward,
-                   transport.sinkhorn, transport.extend_partial, transport.normalize_plan,
-                   pipeline._cost, pipeline.evaluate)
+                   transport.sinkhorn, transport.extend_partial, transport.partial_ot,
+                   transport.normalize_plan, pipeline._cost)
         defaults = {kernel.__name__: inspect.signature(kernel).parameters["work"].default
                     for kernel in kernels}
         assert defaults == dict.fromkeys(defaults, losses._fresh)
-        assert inspect.signature(transport.partial_ot).parameters["work"].default is None
         fresh = losses._fresh("a", 3, 4)
         assert fresh.shape == (3, 4) and fresh.flags.c_contiguous and fresh.base is None
 

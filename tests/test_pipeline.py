@@ -701,8 +701,8 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("mode", sorted(pl._MODES))
     def test_a_run_builds_one_workspace(self, mode, monkeypatch):
-        # the run's workspace serves every step, identification pass, solve
-        # and validation; the test split is scored in fresh arrays
+        # the run's workspace serves every step, identification pass and
+        # solve; the validation and test splits are scored in fresh arrays
         made = []
         init = pl._Workspace.__init__
 

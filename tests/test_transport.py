@@ -1159,6 +1159,16 @@ class TestInputBoundaries:
             with pytest.raises(ValueError, match="^cfg is required$"):
                 solve()
 
+    @pytest.mark.parametrize("rho", [0.0, 0.5])
+    def test_a_workspace_that_is_not_one_rejected(self, rho):
+        # leaving work out gives fresh arrays; None is no longer a workspace
+        cost, p = np.zeros((2, 2)), uniform(2)
+        for solve in (lambda: sinkhorn(cost, p, p, cfg=self.CFG, work=None),
+                      lambda: extend_partial(cost, p, p, rho=rho, work=None),
+                      lambda: partial_ot(cost, p, p, rho=rho, cfg=self.CFG, work=None)):
+            with pytest.raises(TypeError, match="^work must be a workspace, got None; "):
+                solve()
+
     def test_an_overflowing_corner_cost_rejected(self):
         # every real cost is finite, but the extension's corner, twice the
         # border plus the largest cost plus one, is not
