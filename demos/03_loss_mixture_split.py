@@ -27,7 +27,7 @@ for count, left in zip(counts, edges):
     print(f"  {left:4.2f} {'#' * (60 * count // counts.max())}")
 
 # --- fit and inspect ----------------------------------------------------------
-bmm = fit_bmm(losses, em_iters=100, tol=1e-8, rng_seed=0)
+bmm = fit_bmm(losses, em_iters=100, tol=1e-8)
 print(f"\nfitted components: mean_lo={bmm.mean_lo:.3f} "
       f"mean_hi={bmm.mean_hi:.3f} weight_hi={bmm.weight_hi:.3f}")
 print(f"EM took {len(bmm.loglik_trace)} iterations; "

@@ -59,7 +59,7 @@ class BetaMixture:
     `norm_lo`/`norm_hi` record the raw-loss range seen at fit time so later
     observations can be mapped into the same (0, 1) domain. A degenerate fit
     (all losses equal) is flagged and assigns mismatch probability 0
-    everywhere.
+    everywhere; :func:`fit_bmm` returns one for constant losses only.
     """
 
     alpha_lo: float
@@ -136,15 +136,16 @@ def _evidence(log_x, log_1mx, params):
 
 
 def fit_bmm(losses, em_iters: int = 50, tol: float = 1e-6,
-            rng_seed: int = 0, init: BetaMixture | None = None) -> BetaMixture:
+            *, init: BetaMixture | None = None) -> BetaMixture:
     """Fit the mixture by EM with moment-matching parameter updates.
 
-    Losses are min-max normalized into [1e-4, 1 - 1e-4] first.
-    Responsibilities start from a median split or, warm, from the posterior
-    of a previous fit ``init`` on these normalized losses; a degenerate
-    ``init``, or one whose posterior leaves a component a total below 1e-9
-    (where the loop stops), keeps the median split. EM stops when the
-    log-likelihood gain drops below ``tol``, when ``em_iters`` is reached,
+    Losses are min-max normalized into [1e-4, 1 - 1e-4] first; only constant
+    losses give the degenerate fit. Responsibilities start from a median
+    split (the losses tied at the maximum when none lies above the median)
+    or, warm, from the posterior of a previous fit ``init`` on these losses; a
+    degenerate ``init``, or one whose posterior leaves a component a total
+    below 1e-9 (where the loop stops), keeps the median split. EM stops when
+    the log-likelihood gain drops below ``tol``, when ``em_iters`` is reached,
     or when a moment update would decrease the log-likelihood (the update
     is then discarded, which keeps the recorded trace non-decreasing).
     """
@@ -158,13 +159,10 @@ def fit_bmm(losses, em_iters: int = 50, tol: float = 1e-6,
     start = None if init is None or init.degenerate else _checked_params(init)
 
     lo, hi = float(np.minimum.reduce(losses)), float(np.maximum.reduce(losses))
-    params, trace = None, []
-    if hi - lo >= 1e-12:
-        params, trace = _em(_to_unit(losses, lo, hi - lo), em_iters, tol, rng_seed,
-                            start)
-    if params is None:
+    if hi - lo < 1e-12:
         return BetaMixture(1.0, 1.0, 1.0, 1.0, weight_hi=0.0, degenerate=True,
                            norm_lo=lo, norm_hi=hi)
+    params, trace = _em(_to_unit(losses, lo, hi - lo), em_iters, tol, start)
 
     (a_lo, b_lo), (a_hi, b_hi), w_hi = params
     if a_lo / (a_lo + b_lo) > a_hi / (a_hi + b_hi):
@@ -174,9 +172,9 @@ def fit_bmm(losses, em_iters: int = 50, tol: float = 1e-6,
                        norm_lo=lo, norm_hi=hi, loglik_trace=trace)
 
 
-def _em(x, em_iters: int, tol: float, rng_seed: int, start=None):
-    """EM over normalized losses ``x``, from ``start``'s posterior or a median
-    split; the accepted parameters (None if none was) and the log-likelihood trace."""
+def _em(x, em_iters: int, tol: float, start=None):
+    """EM over normalized losses ``x``, not all equal, from ``start``'s posterior or a median
+    split; the parameters of the last accepted update (the first always is) and the trace."""
     _check_unit_interval(x)
     # x is fixed across iterations, so its logs are taken once per fit
     log_x, log_1mx = np.log(x), np.log1p(-x)
@@ -185,11 +183,9 @@ def _em(x, em_iters: int, tol: float, rng_seed: int, start=None):
     # a start that leaves a component empty would stop the loop at once
     if resp_hi is None or np.add.reduce(resp_hi) < 1e-9 or np.add.reduce(1.0 - resp_hi) < 1e-9:
         resp_hi = (x > np.median(x)).astype(np.float64)
-        if np.add.reduce(resp_hi) in (0, x.size):
-            rng = np.random.default_rng(rng_seed)
-            resp_hi = (rng.random(x.size) < 0.5).astype(np.float64)
+        if not np.add.reduce(resp_hi):  # a median tied with the maximum: the ties start high
+            resp_hi = (x == np.maximum.reduce(x)).astype(np.float64)
 
-    params = None
     trace: list[float] = []
     prev_ll = -np.inf
     for _ in range(em_iters):

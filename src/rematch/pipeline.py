@@ -305,7 +305,7 @@ def _identify(state: RunState, ds: PairDataset, cfg: TrainConfig,
     losses = per_sample_losses(state, ds, cfg, train_idx)
     last = state.history[-1].get("bmm") if state.history else None
     init = None if last is None else BetaMixture(*(last[key] for key in _BMM_PARAMS))
-    bmm = fit_bmm(losses, em_iters=_EM_ITERS, rng_seed=cfg.seed, init=init)
+    bmm = fit_bmm(losses, em_iters=_EM_ITERS, init=init)
     matched_pos, mismatched_pos = partition(mismatch_probabilities(bmm, losses),
                                             cfg.threshold)
     return matched_pos, mismatched_pos, bmm

@@ -539,11 +539,14 @@ def partial_ot(cost, p, q, mask=None, rho: float = 0.0,
     """Move exactly ``rho`` mass at minimal entropic cost, masked cells closed.
 
     Returns the original block of ``sinkhorn(*extend_partial(cost, p, q,
-    mask, rho), cfg)``, as a view of the extended plan; a zero budget solves
-    nothing. Row sums never exceed ``p`` and column sums never exceed ``q``;
-    the block total is ``rho`` up to solver tolerance. With a workspace
-    ``work`` the solve's matrices live in it.
+    mask, rho), cfg)``, as a view of the extended plan; a zero budget is
+    checked alike and solves nothing. Row sums never exceed ``p`` and column
+    sums never exceed ``q``; the block total is ``rho`` up to solver
+    tolerance. With a workspace ``work`` the solve's matrices live in it.
     """
+    require("rho", rho, "[0, inf)")
+    if cfg is None:
+        raise ValueError("cfg is required")
     if rho == 0:
         return TransportPlan(np.zeros(_validate(cost, p, q, mask, work)[0].shape), True, 0)
     # one arena for both, so the solve's log-kernel overwrites the extended cost in place

@@ -116,7 +116,7 @@ def test_criterion_3_mixture_recovery():
         n = 2000
         from_hi = rng.random(n) < 0.5
         draws = np.where(from_hi, rng.beta(8, 2, n), rng.beta(2, 8, n))
-        bmm = fit_bmm(draws, em_iters=100, tol=1e-8, rng_seed=seed)
+        bmm = fit_bmm(draws, em_iters=100, tol=1e-8)
         worst_mean_err = max(worst_mean_err, abs(bmm.mean_lo - 0.2),
                              abs(bmm.mean_hi - 0.8))
         trace = np.asarray(bmm.loglik_trace)

@@ -1,7 +1,7 @@
 """The export lists and the names the tracer wraps resolve, the tracer sees
 every span a training step reaches, every exported name has a caller outside
-the tests, public functions take nested lists as they take arrays, and
-importing the package stays cheap."""
+the tests, the README names every run-metrics key, public functions take
+nested lists as they take arrays, and importing the package stays cheap."""
 
 import ast
 import collections
@@ -109,6 +109,19 @@ def test_the_tracer_sees_every_span_a_training_step_reaches(mode):
     assert len(solves) == sum(record.get("transport", {}).get("solves", 0)
                               for record in payload["epochs"])
     assert all(note["iterations"] >= 1 for note in solves)
+
+
+@pytest.mark.parametrize("mode", ["naive", "discard", "rematch"])
+def test_the_readme_names_every_payload_key(mode):
+    # the run-metrics paragraph is where a payload reader looks a key up
+    readme = (ROOT / "README.md").read_text()
+    section = readme[readme.index("**Run metrics"):readme.index("**Checkpoint")]
+    ds = data.make_benchmark(n=120, classes=4, noise=0.1, mrate=0.4, rng_seed=5)
+    cfg = pipeline.TrainConfig(mode=mode, seed=0, warmup_epochs=1, train_epochs=1,
+                               lr_decay_epoch=3, batch_size=32)
+    payload = pipeline.run_experiment(cfg, ds)
+    keys = set(payload).union(*payload["epochs"])
+    assert sorted(keys - set(re.findall(r"`([^`]+)`", section))) == []
 
 
 def test_star_import_binds_every_exported_name():

@@ -51,7 +51,7 @@ BAD_SETTINGS = [
     ("train_epochs", -1), ("lr_decay_epoch", 0), ("batch_size", 1),
     ("batch_size", True), ("alpha", -1), ("alpha", float("nan")),
     ("tau", 0), ("tau", float("inf")), ("eps", 0), ("eps", 0.5),
-    ("rho", -0.1), ("rho", 2), ("lam", 0), ("lam", float("nan")),
+    ("rho", -0.1), ("rho", 2), ("rho", False), ("lam", 0), ("lam", float("nan")),
     ("reserve_ratio", 0), ("reserve_ratio", 2), ("threshold", -0.5),
     ("threshold", 2), ("lr_model", float("nan")), ("lr_model", 0),
     ("lr_cost", float("inf")), ("lr_cost", -1e-6), ("seed", -1),

@@ -826,8 +826,8 @@ class TestPartialOT:
         cost = rng.uniform(0, 1, (3, 4))
         res = partial_ot(cost, uniform(3), uniform(4), rho=0.0,
                          cfg=SinkhornConfig(lam=0.05))
-        assert res.converged
-        assert np.all(res.plan == 0.0)
+        assert res.converged and res.iterations == 0
+        assert res.plan.shape == (3, 4) and np.all(res.plan == 0.0)
 
     def test_full_budget_with_diagonal_mask(self):
         cost = np.zeros((2, 2))
@@ -1154,8 +1154,10 @@ class TestInputBoundaries:
             sinkhorn(cost, uniform(2), uniform(2), cfg=self.CFG)
 
     def test_a_solve_needs_its_config(self):
+        # a zero budget solves nothing, but is checked as a solve is
         for solve in (lambda: sinkhorn(np.zeros((2, 2)), uniform(2), uniform(2)),
-                      lambda: partial_ot(np.zeros((2, 2)), uniform(2), uniform(2), rho=0.5)):
+                      lambda: partial_ot(np.zeros((2, 2)), uniform(2), uniform(2), rho=0.5),
+                      lambda: partial_ot(np.zeros((2, 2)), uniform(2), uniform(2), rho=0.0)):
             with pytest.raises(ValueError, match="^cfg is required$"):
                 solve()
 
