@@ -63,7 +63,7 @@ def _problem(value, rule) -> str | None:
                   and not isinstance(value, bool)) and value >= rule)
         return None if valid else f"be an integer >= {rule}"
     if isinstance(rule, range):
-        valid = isinstance(value, Integral) and not isinstance(value, bool) and value in rule
+        valid = _problem(value, rule.start) is None and value in rule
         return None if valid else f"lie in [{rule.start}, {rule.stop - 1}]"
     if "choices" in rule:
         return None if value in rule["choices"] else f"be one of {rule['choices']}"

@@ -76,10 +76,11 @@ def _add_train_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _cmd_gen(args) -> int:
+    # a flag left out is not in args, so make_benchmark's or generate's default holds
+    options = {key: value for key, value in vars(args).items()
+               if key in ("test_frac", "d_in_v", "d_in_t", "latent_dim")}
     ds = make_benchmark(n=args.n, classes=args.classes, noise=args.noise,
-                        mrate=args.mrate, rng_seed=args.seed,
-                        test_frac=args.test_frac, d_in_v=args.d_in_v,
-                        d_in_t=args.d_in_t, latent_dim=args.latent_dim)
+                        mrate=args.mrate, rng_seed=args.seed, **options)
     out = _resolve_out(args.out)
     save_dataset(ds, out)
     _note(f"wrote {len(ds)} pairs ({(ds.matched == 0).sum()} mismatched)")
@@ -173,12 +174,11 @@ def build_parser() -> argparse.ArgumentParser:
                      help="fraction of training captions to permute")
     gen.add_argument("--seed", type=int, default=0, help="generator seed")
     gen.add_argument("--out", required=True, help="output dataset file")
-    gen.add_argument("--d-in-v", type=int, default=32,
-                     help="visual feature width")
-    gen.add_argument("--d-in-t", type=int, default=32, help="text feature width")
-    gen.add_argument("--latent-dim", type=int, default=8,
+    gen.add_argument("--d-in-v", type=int, default=argparse.SUPPRESS, help="visual feature width")
+    gen.add_argument("--d-in-t", type=int, default=argparse.SUPPRESS, help="text feature width")
+    gen.add_argument("--latent-dim", type=int, default=argparse.SUPPRESS,
                      help="latent prototype dimension")
-    gen.add_argument("--test-frac", type=float, default=0.2,
+    gen.add_argument("--test-frac", type=float, default=argparse.SUPPRESS,
                      help="clean fraction held out before corruption")
     gen.set_defaults(func=_cmd_gen)
 

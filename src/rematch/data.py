@@ -39,9 +39,17 @@ RECALL_CUTOFFS = (1, 5, 10)
 _FORMAT_KIND = "paired-features"
 _FORMAT_VERSION = 1
 
-# each value of dataset_header and the rule of the function that made it
+# each value of dataset_header, in its order, and its generator's rule: an int for a
+# bound, a float for an interval (noise times a normal draw is finite below 1e300)
 _HEADER_RULES = {"n": 0, "d_in_v": 1, "d_in_t": 1, "classes": 2,
-                 "noise": "[0, inf)", "mrate": "[0, 1)", "seed": 0, "latent_dim": 1}
+                 "noise": "[0, 1e300]", "mrate": "[0, 1)", "seed": 0, "latent_dim": 1}
+_SIZES = ("n", "d_in_v", "d_in_t")  # the values read off the arrays
+
+
+def _require_header(**values) -> None:
+    """Check generator arguments by the header's rules; ``rng_seed`` is its ``seed``."""
+    for name, value in values.items():
+        require(name, value, _HEADER_RULES[name.removeprefix("rng_")])
 
 
 @dataclass
@@ -91,12 +99,9 @@ def generate(n: int, classes: int, noise: float, rng_seed: int,
     prototype plus isotropic Gaussian noise; all pairs start matched.
     Deterministic per seed.
     """
-    require("classes", classes, 2)
+    _require_header(classes=classes, noise=noise, d_in_v=d_in_v, d_in_t=d_in_t,
+                    latent_dim=latent_dim, rng_seed=rng_seed)
     require("n", n, classes)
-    require("noise", noise, "[0, inf)")
-    for name, width in (("d_in_v", d_in_v), ("d_in_t", d_in_t),
-                        ("latent_dim", latent_dim)):
-        require(name, width, 1)
     rng = np.random.default_rng(rng_seed)
     prototypes = rng.normal(size=(classes, latent_dim))
     map_v = rng.normal(scale=1.0 / np.sqrt(latent_dim), size=(latent_dim, d_in_v))
@@ -137,7 +142,7 @@ def corrupt(ds: PairDataset, mrate: float, rng_seed: int) -> PairDataset:
     0. A forced subset of one is widened to two, the smallest that admits a
     derangement; a pool of one row cannot hold it and raises ``ValueError``.
     """
-    require("mrate", mrate, "[0, 1)")
+    _require_header(mrate=mrate, rng_seed=rng_seed)
     pool = ds.pool_indices
     rng = np.random.default_rng(rng_seed)
     count = int(round(mrate * pool.size))
@@ -194,16 +199,9 @@ def atomic_write(path: str, mode: str = "w"):
 def dataset_header(ds: PairDataset) -> dict:
     """The sizes and generator settings of ``ds``, as its file header and
     run payloads record them."""
-    return {
-        "n": len(ds),
-        "d_in_v": int(ds.v_feats.shape[1]),
-        "d_in_t": int(ds.t_feats.shape[1]),
-        "classes": int(ds.classes),
-        "noise": float(ds.noise),
-        "mrate": float(ds.mrate),
-        "seed": int(ds.seed),
-        "latent_dim": int(ds.latent_dim),
-    }
+    values = dict(vars(ds), n=len(ds), d_in_v=ds.v_feats.shape[1], d_in_t=ds.t_feats.shape[1])
+    return {key: (float if isinstance(rule, str) else int)(values[key])
+            for key, rule in _HEADER_RULES.items()}
 
 
 def save_dataset(ds: PairDataset, path: str) -> None:
@@ -244,10 +242,9 @@ def _field(record: dict, key: str, where: str):
     return record[key]
 
 
-def _integer(record: dict, key: str, where: str) -> int:
+def _bounded(record: dict, key: str, values: range, where: str) -> int:
     value = _field(record, key, where)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{where}: {key!r} must be an integer, got {value!r}")
+    require(f"{where}: {key!r}", value, values)
     return value
 
 
@@ -285,9 +282,8 @@ def load_dataset(path: str) -> PairDataset:
         for key, rule in _HEADER_RULES.items():
             require(f"{where}: {key!r}", _field(header, key, where), rule)
         require(f"{where}: 'n'", header["n"], header["classes"])
-        n, d_v, d_t = header["n"], header["d_in_v"], header["d_in_t"]
-        meta = {key: header[key]
-                for key in ("mrate", "seed", "noise", "classes", "latent_dim")}
+        n, d_v, d_t = (header[key] for key in _SIZES)
+        meta = {key: header[key] for key in _HEADER_RULES if key not in _SIZES}
         v_feats = np.empty((n, d_v))
         t_feats = np.empty((n, d_t))
         matched = np.empty(n, dtype=np.int8)
@@ -300,25 +296,16 @@ def load_dataset(path: str) -> PairDataset:
                 continue
             where = f"{path}: line {lineno}"
             record = _json_line(line, where)
-            i = _integer(record, "index", where)
-            if not 0 <= i < n:
-                raise ValueError(f"{where}: index {i} outside 0..{n - 1}")
+            i = _bounded(record, "index", range(n), where)
             if seen[i]:
                 raise ValueError(f"{where}: duplicate index {i}")
             seen[i] = True
             v_feats[i] = _features(record, "v_feat", d_v, where)
             t_feats[i] = _features(record, "t_feat", d_t, where)
-            m, code = _integer(record, "m", where), _integer(record, "split", where)
-            if m not in (0, 1):
-                raise ValueError(f"{where}: 'm' must be 0 or 1, got {m}")
-            if code not in (SPLIT_POOL, SPLIT_TEST):
-                raise ValueError(f"{where}: unknown split code {code}")
-            matched[i], split[i] = m, code
+            m = matched[i] = _bounded(record, "m", range(2), where)
+            split[i] = _bounded(record, "split", range(2), where)
             for key, labels in (("class", v_class), ("t_class", t_class)):
-                label = _integer(record, key, where)
-                if not 0 <= label < 2**63:
-                    raise ValueError(f"{where}: {key!r} label {label} out of range")
-                labels[i] = label
+                labels[i] = _bounded(record, key, range(2**63), where)
             if m != (v_class[i] == t_class[i]):
                 raise ValueError(f"{where}: 'm' must be {1 - m} for 'class' "
                                  f"{v_class[i]} and 't_class' {t_class[i]}, got {m}")

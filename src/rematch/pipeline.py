@@ -31,7 +31,7 @@ from . import costs as costs_mod
 from . import encoder as enc
 from .data import (RECALL_CUTOFFS, PairDataset, atomic_write, dataset_header,
                    identification_score, recall_at_k)
-from .losses import (_VARIANTS, _Workspace, _fresh, per_pair_triplet_losses, rematch_loss,
+from .losses import (_VARIANTS, _Workspace, per_pair_triplet_losses, rematch_loss,
                      triplet_loss_batch, warmup_loss)
 from .mixture import (_SHAPE_MAX, _SHAPE_MIN, BetaMixture, fit_bmm,
                       mismatch_probabilities, partition)
@@ -320,12 +320,12 @@ def _sample(rng, indices: np.ndarray, size: int) -> np.ndarray | None:
     return rng.choice(indices, size=min(size, indices.size), replace=False)
 
 
-def _cost(state: RunState, cfg: TrainConfig, s: np.ndarray, work=_fresh) -> np.ndarray:
+def _cost(state: RunState, cfg: TrainConfig, s: np.ndarray) -> np.ndarray:
     """Transport cost of similarities, of their shape: the learned map, or
-    ``1 - s``, in ``work``."""
+    ``1 - s``, in ``state.work``."""
     if cfg.cost_mode == "cosine":
-        return np.subtract(1.0, s, out=work("cost", *np.shape(s)))
-    return costs_mod.cost_forward(s, state.theta, work=work)
+        return np.subtract(1.0, s, out=state.work("cost", *np.shape(s)))
+    return costs_mod.cost_forward(s, state.theta, work=state.work)
 
 
 def _cost_gap(state: RunState, ds: PairDataset, cfg: TrainConfig,
@@ -339,7 +339,7 @@ def _cost_gap(state: RunState, ds: PairDataset, cfg: TrainConfig,
         out = state.work(name, train_idx.size, feats.shape[1])
         rows.append(feats.take(train_idx, axis=0, out=out, mode="clip"))
     sims = enc._pair_similarity(state.params, *rows, state.work)
-    pair_costs, flags = _cost(state, cfg, sims, state.work), ds.matched[train_idx]
+    pair_costs, flags = _cost(state, cfg, sims), ds.matched[train_idx]
     matched, mismatched = (float(pair_costs[flags == flag].mean()) if (flags == flag).any()
                            else 0.0 for flag in (1, 0))
     return {"mean_matched": matched, "mean_mismatched": mismatched, "gap": mismatched - matched}
@@ -355,7 +355,7 @@ def refine_batch(state: RunState, s_mis: np.ndarray, cfg: TrainConfig,
     n = s_mis.shape[0]
     mask = ~np.eye(n, dtype=bool) if cfg.mask_positives else np.ones((n, n), dtype=bool)
     marginal = np.full(n, 1.0 / n)
-    plan = partial_ot(_cost(state, cfg, s_mis, state.work), marginal, marginal, mask,
+    plan = partial_ot(_cost(state, cfg, s_mis), marginal, marginal, mask,
                       rho=cfg.rho, cfg=solver, work=state.work)
     if not plan.converged:
         return None, None, plan

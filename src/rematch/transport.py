@@ -416,6 +416,11 @@ def _validate(cost, p, q, mask, work=_fresh):
     return cost, p, q, _as_mask(mask, cost.shape)
 
 
+def _require_config(cfg) -> None:
+    if not isinstance(cfg, SinkhornConfig):
+        raise ValueError(f"cfg must be a SinkhornConfig, got {cfg!r}")
+
+
 def sinkhorn(cost, p, q, mask=None, cfg: SinkhornConfig | None = None, *,
              work=_fresh) -> TransportPlan:
     """Solve the entropy-regularized, optionally masked, balanced problem.
@@ -446,13 +451,12 @@ def sinkhorn(cost, p, q, mask=None, cfg: SinkhornConfig | None = None, *,
     Raises
     ------
     ValueError
-        On dimension mismatch or mass imbalance beyond ``cfg.tol``.
+        On a ``cfg`` not a SinkhornConfig, dimension mismatch or mass imbalance beyond ``cfg.tol``.
     InfeasibleProblemError
         When a positive-mass row/column has no usable kernel entry, or the
         scaling collapses.
     """
-    if cfg is None:
-        raise ValueError("cfg is required")
+    _require_config(cfg)
     cost, p, q, mask = _validate(cost, p, q, mask, work)
     mass_p, mass_q = np.add.reduce(p), np.add.reduce(q)
     if abs(mass_p - mass_q) > max(cfg.tol, 1e-12 * mass_p):
@@ -544,14 +548,13 @@ def partial_ot(cost, p, q, mask=None, rho: float = 0.0,
     sums never exceed ``q``; the block total is ``rho`` up to solver
     tolerance. With a workspace ``work`` the solve's matrices live in it.
     """
-    require("rho", rho, "[0, inf)")
-    if cfg is None:
-        raise ValueError("cfg is required")
-    if rho == 0:
-        return TransportPlan(np.zeros(_validate(cost, p, q, mask, work)[0].shape), True, 0)
     # one arena for both, so the solve's log-kernel overwrites the extended cost in place
     work = _Workspace() if work is _fresh else work
-    solved = sinkhorn(*extend_partial(cost, p, q, mask, rho, work=work), cfg, work=work)
+    extended = extend_partial(cost, p, q, mask, rho, work=work)
+    if rho == 0:
+        _require_config(cfg)
+        return TransportPlan(np.zeros(np.shape(cost)), True, 0)
+    solved = sinkhorn(*extended, cfg, work=work)
     return TransportPlan(solved.plan[:-1, :-1], solved.converged, solved.iterations)
 
 

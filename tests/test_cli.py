@@ -147,9 +147,17 @@ class TestPinnedOutputs:
     # tests/pins (numpy 2.4, scipy-openblas, x86-64); a change to how files
     # are written must leave them be
     def test_gen_file_bytes(self, tmp_path, capsys):
-        path = make_dataset(tmp_path, capsys)
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "b424c5a39f56c6acf9246c0a33152dd7e92f0e7a2e74b905f678b8d8a5757551")
+        # the library's defaults, then flags that reach every header cast
+        for flags, digest in (
+                ([], "b424c5a39f56c6acf9246c0a33152dd7e92f0e7a2e74b905f678b8d8a5757551"),
+                (["--seed", "7", "--d-in-v", "20", "--latent-dim", "4", "--test-frac", "0.5",
+                  "--noise", "0"],
+                 "5412884b5b9d66417798a6ca958ea01b2d2e03b9c9f6ca1cfde2ab869224f541")):
+            path = tmp_path / "pairs.jsonl"
+            assert main(["gen", "--n", "150", "--classes", "5", "--mrate", "0.4",
+                         "--out", str(path), *flags]) == 0
+            capsys.readouterr()
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_checkpoint_entry_bytes(self):
         # one digest per archive entry, against tests/pins/checkpoint-adam.json
@@ -418,6 +426,7 @@ class TestSettingChecks:
         (["--d-in-v", "0"], "d_in_v"),
         (["--d-in-t", "0"], "d_in_t"),
         (["--latent-dim", "0"], "latent_dim"),
+        (["--seed", "-1"], "rng_seed"),
     ])
     def test_gen_rejects_what_train_cannot_read(self, tmp_path, capsys, flags,
                                                 name):

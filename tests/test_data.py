@@ -1,15 +1,19 @@
 """Dataset generation, corruption bookkeeping, serialization, and scoring."""
 
 import json
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rematch.data import (
     RECALL_CUTOFFS,
     SPLIT_TEST,
+    _HEADER_RULES,
+    _SIZES,
     corrupt,
+    dataset_header,
     generate,
     identification_score,
     load_dataset,
@@ -212,25 +216,27 @@ class TestSerialization:
     def test_bad_split_code_rejected(self, tmp_path):
         path, lines = self.saved_lines(tmp_path)
         path.write_text("\n".join(self.edit_record(lines, 7, split=-110)) + "\n")
-        with pytest.raises(ValueError, match="line 8: unknown split code -110"):
+        with pytest.raises(ValueError, match=r"line 8: 'split' must lie in \[0, 1\], got -110"):
             load_dataset(str(path))
 
     @pytest.mark.parametrize("changes,needle", [
-        (dict(index=100), "index 100 outside"),
-        (dict(m=2), "'m' must be 0 or 1"),
+        (dict(index=100), "'index' must lie in [0, 99], got 100"),
+        (dict(m=2), "'m' must lie in [0, 1], got 2"),
         (dict(v_feat=[0.5] * 31), "'v_feat' has shape"),
         (dict(t_feat=[float("nan")] * 32), "'t_feat' has non-finite"),
-        (dict(t_class=1.5), "'t_class' must be an integer"),
-        ({"class": 2**70}, "'class' label 1180591620717411303424 out"),
+        (dict(t_class=1.5), "'t_class' must lie in [0, 9223372036854775807], got 1.5"),
+        ({"class": 2**70}, "'class' must lie in [0, 9223372036854775807], "
+                           "got 1180591620717411303424"),
         # a flipped match flag would score identification against the wrong truth
         ({"m": 0, "class": 1, "t_class": 1}, "'m' must be 1 for 'class' 1 and 't_class' 1"),
         ({"m": 1, "class": 1, "t_class": 2}, "'m' must be 0 for 'class' 1 and 't_class' 2"),
-        ({"class": 2**63}, "'class' label 9223372036854775808 out"),  # one past int64
+        ({"class": 2**63}, "'class' must lie in [0, 9223372036854775807], "
+                           "got 9223372036854775808"),  # one past int64
     ])
     def test_malformed_record_rejected(self, tmp_path, changes, needle):
         path, lines = self.saved_lines(tmp_path)
         path.write_text("\n".join(self.edit_record(lines, 2, **changes)) + "\n")
-        with pytest.raises(ValueError, match=f"line 3: {needle}"):
+        with pytest.raises(ValueError, match=f"line 3: {re.escape(needle)}"):
             load_dataset(str(path))
 
     def test_missing_key_and_bad_json_name_the_line(self, tmp_path):
@@ -373,6 +379,8 @@ class TestInputBoundaries:
         (dict(n=10.5), "n"), (dict(n=4), "n"), (dict(classes=1), "classes"),
         (dict(noise=True), "noise"), (dict(noise=-0.1), "noise"),
         (dict(latent_dim=0), "latent_dim"),
+        # numpy named no argument for -1, and True made the seed-1 dataset
+        (dict(rng_seed=-1), "rng_seed"), (dict(rng_seed=True), "rng_seed"),
     ])
     def test_bad_generator_argument_rejected(self, kwargs, name):
         args = {**dict(n=10, classes=5, noise=0.1, rng_seed=0), **kwargs}
@@ -384,6 +392,39 @@ class TestInputBoundaries:
         ds = generate(n=10, classes=5, noise=0.1, rng_seed=0)
         with pytest.raises(ValueError, match="^mrate must be"):
             corrupt(ds, mrate, rng_seed=0)
+
+    def test_bad_corruption_seed_rejected(self):
+        ds = generate(n=10, classes=5, noise=0.1, rng_seed=0)
+        with pytest.raises(ValueError, match="^rng_seed must be"):
+            corrupt(ds, 0.2, rng_seed=-1)
+
+    @given(key=st.sampled_from(list(_HEADER_RULES)), value=st.one_of(
+        st.integers(-3, 12), st.floats(), st.booleans(), st.none(), st.text(max_size=3)))
+    @settings(max_examples=300, deadline=None)
+    @example(key="seed", value=True)  # used to write the seed-1 dataset as "seed": 1
+    @example(key="noise", value=1e308)  # used to overflow the features
+    def test_gen_writes_only_what_the_loader_reads(self, tmp_path_factory, key, value):
+        # a header value that generate or corrupt refuses is refused in a saved
+        # header too, and one they accept loads back equal; a size comes from
+        # the arrays, so an accepted one is written by a dataset of that size
+        def made(n=6, classes=2, noise=0.1, mrate=0.5, seed=0, d_in_v=3, d_in_t=3,
+                 latent_dim=2):
+            ds = generate(n, classes, noise, seed, d_in_v, d_in_t, latent_dim)
+            return corrupt(ds, mrate, seed)
+
+        try:
+            ds = made(**{key: value})
+        except ValueError:
+            ds = None
+        path = tmp_path_factory.mktemp("header") / "pairs.jsonl"
+        save_dataset(ds if ds is not None and key in _SIZES else made(), str(path))
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(TestSerialization.edit_record(lines, 0, **{key: value})))
+        if ds is None:
+            with pytest.raises(ValueError, match="line 1: '"):
+                load_dataset(str(path))
+        else:
+            assert dataset_header(load_dataset(str(path)))[key] == value
 
     def test_record_that_is_not_an_object_rejected(self, tmp_path):
         path, lines = TestSerialization.saved_lines(tmp_path)

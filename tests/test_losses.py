@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rematch import costs, encoder, losses, pipeline, transport
+from rematch import costs, encoder, losses, transport
 from rematch.losses import (
     _Workspace,
     matching_probs,
@@ -576,7 +576,7 @@ class TestWorkspace:
         kernels = (encoder.similarity, matching_probs, per_pair_triplet_losses,
                    triplet_loss_batch, warmup_loss, rematch_loss, costs.cost_forward,
                    transport.sinkhorn, transport.extend_partial, transport.partial_ot,
-                   transport.normalize_plan, pipeline._cost)
+                   transport.normalize_plan)
         defaults = {kernel.__name__: inspect.signature(kernel).parameters["work"].default
                     for kernel in kernels}
         assert defaults == dict.fromkeys(defaults, losses._fresh)

@@ -635,21 +635,26 @@ class TestTrainEpoch:
         cfg = TrainConfig(seed=0, cost_mode="cosine")
         state = init_state(cfg, noisy_ds)
         s = np.random.default_rng(4).uniform(-1, 1, (5, 5))
-        for got in (pl._cost(state, cfg, s), pl._cost(state, cfg, s, state.work)):
-            np.testing.assert_array_equal(got, 1.0 - s)
+        np.testing.assert_array_equal(pl._cost(state, cfg, s), 1.0 - s)
 
     @pytest.mark.parametrize("cost_mode", ["learned", "cosine"])
     @pytest.mark.parametrize("shape", [(), (3,), (3, 3)])
-    @pytest.mark.parametrize("fresh", [True, False], ids=["fresh", "workspace"])
-    def test_cost_has_the_shape_of_the_similarities(self, cost_mode, shape, fresh):
+    @pytest.mark.parametrize("warm", [False, True], ids=["workspace", "warm"])
+    def test_cost_has_the_shape_of_the_similarities(self, cost_mode, shape, warm):
         # as in cost_forward, a vector or a scalar is not broadcast into a
-        # matrix, in a workspace or out of one
+        # matrix, in a new workspace or in one whose buffers a larger matrix grew
         cfg = TrainConfig(seed=0, cost_mode=cost_mode)
-        state = pl.RunState(params=None, rng=None, epoch=0, theta=CostNetParams(-0.7, 0.4))
-        s = np.random.default_rng(3).uniform(-1, 1, shape)
-        got = pl._cost(state, cfg, s) if fresh else pl._cost(state, cfg, s, state.work)
+
+        def new_state():
+            return pl.RunState(params=None, rng=None, epoch=0, theta=CostNetParams(-0.7, 0.4))
+
+        state, s = new_state(), np.random.default_rng(3).uniform(-1, 1, shape)
+        if warm:
+            pl._cost(state, cfg, np.zeros((4, 4)))
+        got = pl._cost(state, cfg, s)
         assert np.shape(got) == s.shape
-        np.testing.assert_array_equal(np.ravel(got), pl._cost(state, cfg, s.reshape(1, -1))[0])
+        want = pl._cost(new_state(), cfg, s.reshape(1, -1))[0]
+        np.testing.assert_array_equal(np.ravel(got), want)
 
     @given(n=st.integers(2, 40), data=st.data(),
            reserve_ratio=st.floats(0.01, 1.0))

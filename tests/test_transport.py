@@ -3,6 +3,7 @@ plan normalization."""
 
 import hashlib
 import importlib.util
+import re
 import sys
 import types
 from unittest import mock
@@ -1154,12 +1155,16 @@ class TestInputBoundaries:
             sinkhorn(cost, uniform(2), uniform(2), cfg=self.CFG)
 
     def test_a_solve_needs_its_config(self):
-        # a zero budget solves nothing, but is checked as a solve is
-        for solve in (lambda: sinkhorn(np.zeros((2, 2)), uniform(2), uniform(2)),
-                      lambda: partial_ot(np.zeros((2, 2)), uniform(2), uniform(2), rho=0.5),
-                      lambda: partial_ot(np.zeros((2, 2)), uniform(2), uniform(2), rho=0.0)):
-            with pytest.raises(ValueError, match="^cfg is required$"):
-                solve()
+        # a zero budget solves nothing, but is checked as a solve is; a string
+        # or a dict used to fail on a missing attribute, or not at a zero budget
+        cost, p = np.zeros((2, 2)), uniform(2)
+        for cfg in (None, "junk", {"lam": 0.1}):
+            for solve in (lambda: sinkhorn(cost, p, p, cfg=cfg),
+                          lambda: partial_ot(cost, p, p, rho=0.5, cfg=cfg),
+                          lambda: partial_ot(cost, p, p, rho=0.0, cfg=cfg)):
+                with pytest.raises(ValueError, match=f"^cfg must be a SinkhornConfig, "
+                                                     f"got {re.escape(repr(cfg))}$"):
+                    solve()
 
     @pytest.mark.parametrize("rho", [0.0, 0.5])
     def test_a_workspace_that_is_not_one_rejected(self, rho):
